@@ -5,9 +5,12 @@
 //! each [`ForwardPath`], which is where the cached RoPE key rotations and the
 //! eliminated per-token allocations show up end to end. `decode_tail` isolates
 //! steady-state decode by timing only the generated-token steps after a fixed
-//! prompt — the regime the zero-allocation claim is about.
+//! prompt — the regime the zero-allocation claim is about — once with the full
+//! cache and once with Keyformer at a 50 % budget, where every step evicts
+//! one key: the difference between the two is the eviction tax in isolation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use keyformer_core::budget::CacheBudgetSpec;
 use keyformer_core::spec::PolicySpec;
 use keyformer_model::families::ModelFamily;
 use keyformer_model::generation::GenerationConfig;
@@ -62,7 +65,9 @@ fn bench_forward_path(c: &mut Criterion) {
 }
 
 /// Steady-state decode: prompt processed outside the timed region, only the
-/// generated-token steps are measured.
+/// generated-token steps are measured. The `keyformer50` cases decode *at
+/// budget*: the prompt-end cut leaves the cache exactly full, so each timed
+/// step pays select → compact → rotated-row hand-off for one evicted key.
 fn bench_decode_tail(c: &mut Criterion) {
     let mut group = c.benchmark_group("decode_tail");
     group
@@ -72,27 +77,37 @@ fn bench_decode_tail(c: &mut Criterion) {
     let model = ModelFamily::GptJLike.build(3);
     let prompt = prompt(model.config().vocab_size);
     let config = GenerationConfig::new(GEN_TOKENS);
-    for (label, path) in [
-        ("legacy", ForwardPath::Legacy),
-        ("workspace", ForwardPath::Workspace),
+    let half = CacheBudgetSpec::with_fraction(0.5).expect("valid fraction");
+    for (case, spec, budget) in [
+        ("gptj_full", PolicySpec::Full, None),
+        (
+            "gptj_keyformer50",
+            PolicySpec::keyformer_default(),
+            Some(half),
+        ),
     ] {
-        // Prefill once into a template session; each iteration forks it (a
-        // cheap copy-on-write block attach) and times only the decode steps.
-        let policy = PolicySpec::Full.build().expect("valid");
-        let mut template = Session::new(&model, policy, None).with_forward_path(path);
-        template.begin(&prompt, &config).expect("prompt admits");
-        while template.is_prefilling() {
-            template.advance_prefill().expect("prefill advances");
-        }
-        group.bench_function(BenchmarkId::new("gptj_full", label), |b| {
-            b.iter(|| {
-                let mut session = template.fork().expect("fork");
-                while session.is_decoding() {
-                    session.step().expect("decode step");
-                }
-                black_box(session.take_output())
+        for (label, path) in [
+            ("legacy", ForwardPath::Legacy),
+            ("workspace", ForwardPath::Workspace),
+        ] {
+            // Prefill once into a template session; each iteration forks it (a
+            // cheap copy-on-write block attach) and times only the decode steps.
+            let policy = spec.build().expect("valid");
+            let mut template = Session::new(&model, policy, budget).with_forward_path(path);
+            template.begin(&prompt, &config).expect("prompt admits");
+            while template.is_prefilling() {
+                template.advance_prefill().expect("prefill advances");
+            }
+            group.bench_function(BenchmarkId::new(case, label), |b| {
+                b.iter(|| {
+                    let mut session = template.fork().expect("fork");
+                    while session.is_decoding() {
+                        session.step().expect("decode step");
+                    }
+                    black_box(session.take_output())
+                });
             });
-        });
+        }
     }
     group.finish();
 }

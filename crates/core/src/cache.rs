@@ -268,6 +268,38 @@ impl KvBlockData {
         }
     }
 
+    /// Copies one row of one head's keys or values into `out`, dequantizing
+    /// sealed codes element-wise — the arithmetic of [`KvBlockData::row`]
+    /// without its `Cow::Owned` allocation.
+    fn copy_row_into(&self, component: KvComponent, head: usize, row: usize, out: &mut [f32]) {
+        match self {
+            KvBlockData::F32 { keys, values } => {
+                let m = match component {
+                    KvComponent::Keys => &keys[head],
+                    KvComponent::Values => &values[head],
+                };
+                out.copy_from_slice(m.row(row));
+            }
+            KvBlockData::U8 {
+                keys,
+                values,
+                head_dim,
+                key_map,
+                value_map,
+                ..
+            } => {
+                let (codes, map) = match component {
+                    KvComponent::Keys => (&keys[head], key_map),
+                    KvComponent::Values => (&values[head], value_map),
+                };
+                let src = &codes[row * head_dim..(row + 1) * head_dim];
+                for (o, &q) in out.iter_mut().zip(src) {
+                    *o = map.dequantize(q);
+                }
+            }
+        }
+    }
+
     /// Quantizes a full-precision payload in place (no-op when already
     /// sealed). Per-tensor: one affine map covers every key row of every
     /// head, another every value row.
@@ -561,33 +593,12 @@ impl<'a> KvSlice<'a> {
     pub fn copy_row_into(&self, slot: usize, out: &mut [f32]) {
         assert!(slot < self.len, "slot index out of bounds");
         assert_eq!(out.len(), self.head_dim, "output width must match head_dim");
-        let row = slot % self.block_size;
-        match &*self.blocks[slot / self.block_size].data {
-            KvBlockData::F32 { keys, values } => {
-                let m = match self.component {
-                    KvComponent::Keys => &keys[self.head],
-                    KvComponent::Values => &values[self.head],
-                };
-                out.copy_from_slice(m.row(row));
-            }
-            KvBlockData::U8 {
-                keys,
-                values,
-                head_dim,
-                key_map,
-                value_map,
-                ..
-            } => {
-                let (codes, map) = match self.component {
-                    KvComponent::Keys => (&keys[self.head], key_map),
-                    KvComponent::Values => (&values[self.head], value_map),
-                };
-                let src = &codes[row * head_dim..(row + 1) * head_dim];
-                for (o, &q) in out.iter_mut().zip(src) {
-                    *o = map.dequantize(q);
-                }
-            }
-        }
+        self.blocks[slot / self.block_size].data.copy_row_into(
+            self.component,
+            self.head,
+            slot % self.block_size,
+            out,
+        );
     }
 
     /// Visits every live row in slot order without allocating: `f32` rows are
@@ -1272,50 +1283,55 @@ impl LayerKvCache {
         if needed > 0 && new_len < needed * bs {
             first_touched = first_touched.min(needed - 1);
         }
-        // Copy-on-write pre-pass: every block compaction will *write* — a
-        // destination of a moved row, or the truncated final block — must be
-        // privately owned first, and unsealed back to f32 staging if it was
-        // quantized. Blocks the selection leaves byte-identical (an aligned
-        // identity prefix) stay shared and sealed.
-        for (dst, &src) in retained.iter().enumerate() {
-            if dst != src {
-                self.ensure_private(dst / bs)?;
-                Self::private_data_mut(&mut self.blocks[dst / bs]).unseal();
-            }
-        }
-        if needed > 0 && new_len < needed * bs {
-            // The final kept block will be truncated below.
-            self.ensure_private(needed - 1)?;
-            Self::private_data_mut(&mut self.blocks[needed - 1]).unseal();
+        // Copy-on-write pre-pass: every block compaction will *write* — the
+        // destinations of moved rows and the truncated final block, i.e.
+        // exactly `first_touched..needed` — must be privately owned first,
+        // and unsealed back to f32 staging if it was quantized. Blocks the
+        // selection leaves byte-identical (an aligned identity prefix) stay
+        // shared and sealed.
+        for idx in first_touched..needed {
+            self.ensure_private(idx)?;
+            Self::private_data_mut(&mut self.blocks[idx]).unseal();
         }
         // `retained` is strictly increasing, so every destination slot is at or
-        // before its source slot and rows can be moved in a single forward pass.
-        // Sources still sealed dequantize row-by-row; destinations were
-        // unsealed above, so moves always land in f32 staging.
+        // before its source slot and rows can be moved in a single forward pass,
+        // in place: within one (private, unsealed) block by `copy_within`, and
+        // across blocks through a split borrow of the table. Sources still
+        // sealed dequantize element-wise straight into the destination row;
+        // destinations were unsealed above, so moves always land in f32 staging.
+        let head_dim = self.head_dim;
         for (dst, &src) in retained.iter().enumerate() {
             if dst == src {
                 continue;
             }
             let (sb, sr) = (src / bs, src % bs);
             let (db, dr) = (dst / bs, dst % bs);
-            for h in 0..self.num_heads {
-                let key = self.blocks[sb]
-                    .data
-                    .row(KvComponent::Keys, h, sr)
-                    .into_owned();
-                let value = self.blocks[sb]
-                    .data
-                    .row(KvComponent::Values, h, sr)
-                    .into_owned();
-                let data = Self::private_data_mut(&mut self.blocks[db]);
-                let KvBlockData::F32 { keys, values } = data else {
-                    unreachable!("destination blocks are unsealed in the pre-pass");
-                };
-                keys[h].row_mut(dr).copy_from_slice(&key);
-                values[h].row_mut(dr).copy_from_slice(&value);
+            let (front, back) = self.blocks.split_at_mut(sb);
+            let (dst_data, src_data) = if sb == db {
+                (Self::private_data_mut(&mut back[0]), None)
+            } else {
+                (Self::private_data_mut(&mut front[db]), Some(&*back[0].data))
+            };
+            let KvBlockData::F32 { keys, values } = dst_data else {
+                unreachable!("destination blocks are unsealed in the pre-pass");
+            };
+            match src_data {
+                None => {
+                    for m in keys.iter_mut().chain(values.iter_mut()) {
+                        m.as_mut_slice()
+                            .copy_within(sr * head_dim..(sr + 1) * head_dim, dr * head_dim);
+                    }
+                }
+                Some(src_data) => {
+                    for h in 0..keys.len() {
+                        src_data.copy_row_into(KvComponent::Keys, h, sr, keys[h].row_mut(dr));
+                        src_data.copy_row_into(KvComponent::Values, h, sr, values[h].row_mut(dr));
+                    }
+                }
             }
+            self.positions[dst] = self.positions[src];
         }
-        self.positions = retained.iter().map(|&i| self.positions[i]).collect();
+        self.positions.truncate(new_len);
         // Release every emptied tail block even if one release reports a
         // bookkeeping error — bailing mid-drain would drop the remaining
         // blocks from the table unreleased, turning one bad id into a

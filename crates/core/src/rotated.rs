@@ -17,12 +17,23 @@
 //! - **Block-id reuse** by the pool cannot alias: generations are globally
 //!   unique, so a recycled id never matches a stale entry.
 //!
+//! For a compaction that rebuild is only the *fallback*. When the rotation
+//! depends on a key's row and original position alone — never on its slot — a
+//! compaction changes no rotated row, it only moves it:
+//! [`RotatedKeyCache::retain_slots`] runs the compaction and moves the cached
+//! rotated rows `dst ← src` with their keys, so the next
+//! [`RotatedKeyCache::sync`] finds nothing to do. Slot-keyed rotations
+//! (RoPE at remapped positions) compact through
+//! [`LayerKvCache::retain_slots`] and `u8` layers reseal (which changes the
+//! dequantised keys); both rebuild by generation as before.
+//!
 //! The caller supplies the rotation itself as a closure (the model layer owns
 //! RoPE and the position-mode ablations); this crate only owns the
 //! invalidation discipline.
 
 use crate::block::BlockId;
-use crate::cache::LayerKvCache;
+use crate::cache::{KvDtype, LayerKvCache};
+use crate::CoreError;
 
 /// Memoized rotation state of one cache block: every row of every head,
 /// rotated, in one flat head-major buffer.
@@ -37,7 +48,8 @@ struct RotBlock {
     data: Vec<f32>,
 }
 
-/// Per-layer cache of rotated key rows, invalidated by block generation.
+/// Per-layer cache of rotated key rows, invalidated by block generation and
+/// carried through compactions by [`RotatedKeyCache::retain_slots`].
 ///
 /// One instance serves one `(layer, query-invariant rotation)` pair: the
 /// rotation closure passed to [`RotatedKeyCache::sync`] must depend only on
@@ -111,20 +123,91 @@ impl RotatedKeyCache {
             if entry.rows >= meta.rows {
                 continue;
             }
-            let base = idx * self.block_size;
-            for head in 0..self.num_heads {
-                let keys = cache.keys(head);
-                let head_base = head * self.block_size * self.head_dim;
-                for row in entry.rows..meta.rows {
-                    let slot = base + row;
-                    let start = head_base + row * self.head_dim;
+            // Slot-major, so a rotation that hoists per-position work (one
+            // `(sin, cos)` set per slot) reuses it across the slot's heads.
+            for row in entry.rows..meta.rows {
+                let slot = idx * self.block_size + row;
+                for head in 0..self.num_heads {
+                    let start = (head * self.block_size + row) * self.head_dim;
                     let dst = &mut entry.data[start..start + self.head_dim];
-                    keys.copy_row_into(slot, dst);
+                    cache.keys(head).copy_row_into(slot, dst);
                     rotate(dst, slot);
                 }
             }
             entry.rows = meta.rows;
         }
+    }
+
+    /// `true` when every block of `cache` is cached here at its current
+    /// `(id, generation)` with all of its rows rotated — i.e. a
+    /// [`RotatedKeyCache::sync`] against `cache` would do nothing.
+    fn is_synced(&self, cache: &LayerKvCache) -> bool {
+        self.blocks.len() == cache.num_blocks()
+            && self.blocks.iter().enumerate().all(|(idx, entry)| {
+                let meta = cache.block_meta(idx);
+                (entry.id, entry.generation, entry.rows) == (meta.id, meta.generation, meta.rows)
+            })
+    }
+
+    /// Compacts `cache` to `retained` ([`LayerKvCache::retain_slots`]) and
+    /// lets the cached rotated rows follow their keys: each kept row moves
+    /// `dst ← src` in the same single forward pass the compaction uses, and
+    /// every kept block — including blocks the compaction CoW-forked —
+    /// adopts its new `(id, generation, rows)`, so the next
+    /// [`RotatedKeyCache::sync`] rotates nothing. No trig, no allocation.
+    ///
+    /// Only valid for rotations that depend on a key's row and original
+    /// position, never on its slot (RoPE under `PositionMode::Original`):
+    /// those are exactly the rotations a compaction leaves unchanged.
+    /// Slot-keyed rotations must compact through
+    /// [`LayerKvCache::retain_slots`] and let `sync` rebuild by generation.
+    ///
+    /// The rows only move when they are known to be current: the layer is
+    /// `f32` (a `u8` compaction reseals, which changes the dequantised keys)
+    /// and this cache was in sync with `cache` on entry. Otherwise — a `u8`
+    /// layer, a cache never synced (legacy forward path, fresh prefix
+    /// attach) — the entries are left to the generation-keyed rebuild.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`LayerKvCache::retain_slots`] returns; the cached rotations
+    /// are then untouched and rebuild by generation.
+    pub fn retain_slots(
+        &mut self,
+        cache: &mut LayerKvCache,
+        retained: &[usize],
+    ) -> Result<(), CoreError> {
+        let follow = cache.dtype() == KvDtype::F32 && self.is_synced(cache);
+        cache.retain_slots(retained)?;
+        if !follow {
+            return Ok(());
+        }
+        let (bs, hd) = (self.block_size, self.head_dim);
+        for (dst, &src) in retained.iter().enumerate() {
+            if dst == src {
+                continue;
+            }
+            let (sb, sr) = (src / bs, src % bs);
+            let (db, dr) = (dst / bs, dst % bs);
+            let (front, back) = self.blocks.split_at_mut(sb);
+            for h in 0..self.num_heads {
+                let from = (h * bs + sr) * hd;
+                let to = (h * bs + dr) * hd;
+                if sb == db {
+                    back[0].data.copy_within(from..from + hd, to);
+                } else {
+                    front[db].data[to..to + hd].copy_from_slice(&back[0].data[from..from + hd]);
+                }
+            }
+        }
+        self.blocks.truncate(cache.num_blocks());
+        for (idx, entry) in self.blocks.iter_mut().enumerate() {
+            let meta = cache.block_meta(idx);
+            entry.id = meta.id;
+            entry.generation = meta.generation;
+            entry.rows = meta.rows;
+        }
+        Ok(())
     }
 
     /// The cached rotated key of `head` at logical slot `slot`.
@@ -241,6 +324,149 @@ mod tests {
         // Only the rewritten second block (3 rows x 2 heads) re-rotates.
         assert_eq!(rotations, 6, "identity prefix must stay cached");
         assert_in_sync(&rot, &layer);
+    }
+
+    /// A position-keyed stand-in for RoPE under original positions: depends on
+    /// the key row and its original position, never on its slot.
+    fn rotate_at_position(row: &mut [f32], position: usize) {
+        for x in row.iter_mut() {
+            *x = *x * 2.0 + position as f32 * 0.25;
+        }
+    }
+
+    /// Asserts that `rot` covers `layer` and every cached row is bit-equal to
+    /// a from-scratch [`rotate_at_position`] of the stored key at
+    /// `key_of(slot)`.
+    fn assert_rows_current(
+        rot: &RotatedKeyCache,
+        layer: &LayerKvCache,
+        key_of: impl Fn(usize) -> usize,
+        context: &str,
+    ) {
+        let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(rot.covered_slots(), layer.len(), "{context}");
+        for head in 0..layer.num_heads() {
+            for slot in 0..layer.len() {
+                let mut want = layer.keys(head).row(slot).into_owned();
+                rotate_at_position(&mut want, key_of(slot));
+                assert_eq!(
+                    bits(rot.row(head, slot)),
+                    bits(&want),
+                    "{context} head {head} slot {slot}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn eviction_moves_position_keyed_rows_without_rotating() {
+        let pool = SharedBlockPool::unbounded(4);
+        let mut layer = LayerKvCache::with_pool(2, 3, pool);
+        append_tokens(&mut layer, 11);
+        let mut rot = rot_for(&layer);
+        let positions = layer.positions().to_vec();
+        rot.sync(&layer, |row, slot| rotate_at_position(row, positions[slot]));
+        // Evict one mid-cache slot: every later row shifts down one slot,
+        // across two block boundaries, and the rotated rows shift with them.
+        rot.retain_slots(&mut layer, &[0, 1, 3, 4, 5, 6, 7, 8, 9, 10])
+            .unwrap();
+        let positions = layer.positions().to_vec();
+        let mut rotations = 0;
+        rot.sync(&layer, |row, slot| {
+            rotations += 1;
+            rotate_at_position(row, positions[slot]);
+        });
+        assert_eq!(rotations, 0, "moved rows must not re-rotate");
+        assert_rows_current(&rot, &layer, |slot| positions[slot], "after eviction");
+    }
+
+    /// Seeded interleavings of append / single-slot eviction / bulk eviction /
+    /// fork + CoW append (and, on `u8` layers, the seals appends trigger),
+    /// with syncs skipped at random so hand-offs also meet a stale cache:
+    /// after every sync each cached row is bit-equal to a from-scratch
+    /// rotation of the stored key, in both dtypes and both rotation keyings —
+    /// and an `f32` position-keyed eviction from a synced cache never rotates.
+    #[test]
+    fn rotated_rows_track_their_keys_through_any_interleaving() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        for dtype in [KvDtype::F32, KvDtype::U8] {
+            for position_keyed in [true, false] {
+                for seed in 0..24u64 {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let pool = SharedBlockPool::unbounded(4);
+                    let mut layer = LayerKvCache::with_pool_dtype(2, 3, pool, dtype);
+                    let mut rot = rot_for(&layer);
+                    // Donors of forks stay alive so their blocks stay shared.
+                    let mut donors: Vec<LayerKvCache> = Vec::new();
+                    let mut next_position = 0;
+                    let mut synced = true;
+                    for _ in 0..40 {
+                        let op = rng.gen_range(0..4);
+                        let mut evicted = false;
+                        if op == 0 || layer.is_empty() {
+                            for _ in 0..rng.gen_range(1..6) {
+                                let k: Vec<Vec<f32>> = (0..2)
+                                    .map(|_| (0..3).map(|_| rng.gen_range(-2.0f32..2.0)).collect())
+                                    .collect();
+                                // Positions advance in strides so they never
+                                // coincide with slot indices.
+                                layer.append(next_position, &k, &k).unwrap();
+                                next_position += 3;
+                            }
+                        } else if op == 3 {
+                            let fork = layer.fork().unwrap();
+                            donors.push(std::mem::replace(&mut layer, fork));
+                            if donors.len() > 2 {
+                                donors.remove(0);
+                            }
+                        } else {
+                            let live = layer.len();
+                            let kept: Vec<usize> = if op == 1 {
+                                let victim = rng.gen_range(0..live);
+                                (0..live).filter(|&s| s != victim).collect()
+                            } else {
+                                (0..live).filter(|_| rng.gen_bool(0.6)).collect()
+                            };
+                            if position_keyed {
+                                rot.retain_slots(&mut layer, &kept).unwrap();
+                            } else {
+                                layer.retain_slots(&kept).unwrap();
+                            }
+                            evicted = true;
+                        }
+                        if !evicted && rng.gen_bool(0.25) {
+                            synced = false;
+                            continue;
+                        }
+                        let positions = layer.positions().to_vec();
+                        let key_of = |slot: usize| {
+                            if position_keyed {
+                                positions[slot]
+                            } else {
+                                slot
+                            }
+                        };
+                        let mut rotations = 0;
+                        rot.sync(&layer, |row, slot| {
+                            rotations += 1;
+                            rotate_at_position(row, key_of(slot));
+                        });
+                        if evicted && synced && position_keyed && dtype == KvDtype::F32 {
+                            assert_eq!(rotations, 0, "seed {seed}: eviction re-rotated");
+                        }
+                        synced = true;
+                        assert_rows_current(
+                            &rot,
+                            &layer,
+                            key_of,
+                            &format!("{dtype:?} position_keyed={position_keyed} seed {seed}"),
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -37,8 +37,8 @@ use jobs::{JobState, JobTable};
 use keyformer_model::families::ModelFamily;
 use keyformer_serve::ServerConfig;
 use serde::Value;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -264,17 +264,12 @@ pub fn serve(addr: &str, config: NodeConfig) -> Result<ServeHandle, ServeError> 
                     if stop.load(Ordering::SeqCst) {
                         break;
                     }
-                    let Ok(mut stream) = stream else { continue };
+                    let Ok(stream) = stream else { continue };
                     // The cap bounds detached connection threads: past it the
                     // peer gets a fast 503 instead of a thread of its own.
                     if active.fetch_add(1, Ordering::SeqCst) >= node.config.max_connections {
                         active.fetch_sub(1, Ordering::SeqCst);
-                        let fault = api::WireFault {
-                            status: 503,
-                            code: "overloaded",
-                            message: "connection limit reached; retry shortly".to_string(),
-                        };
-                        let _ = http::write_response(&mut stream, fault.status, &fault.body());
+                        shed_connection(stream);
                         continue;
                     }
                     let node = Arc::clone(&node);
@@ -300,6 +295,40 @@ pub fn serve(addr: &str, config: NodeConfig) -> Result<ServeHandle, ServeError> 
         pump: Some(pump),
         node,
     })
+}
+
+/// Longest the accept thread lingers on one shed connection, and the most of
+/// the peer's unread request it swallows while doing so.
+const SHED_LINGER: Duration = Duration::from_millis(50);
+const SHED_DRAIN_BYTES: usize = 64 * 1024;
+
+/// Answers a connection past the cap with a `503`, then closes it *cleanly*.
+///
+/// The peer has usually sent (or is about to send) its request; closing a
+/// socket with unread receive data makes the kernel answer with RST instead
+/// of FIN, and the peer's read of the 503 then fails with `ECONNRESET`. So:
+/// write the answer, half-close, and swallow what the peer sends until it
+/// closes its side — bounded in time and bytes, because this runs on the
+/// accept thread and a shed peer is owed nothing more.
+fn shed_connection(mut stream: TcpStream) {
+    let fault = api::WireFault {
+        status: 503,
+        code: "overloaded",
+        message: "connection limit reached; retry shortly".to_string(),
+    };
+    let _ = stream.set_write_timeout(Some(SHED_LINGER));
+    let _ = http::write_response(&mut stream, fault.status, &fault.body());
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(SHED_LINGER));
+    let deadline = Instant::now() + SHED_LINGER;
+    let mut sink = [0u8; 4096];
+    let mut swallowed = 0;
+    while swallowed < SHED_DRAIN_BYTES && Instant::now() < deadline {
+        match stream.read(&mut sink) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => swallowed += n,
+        }
+    }
 }
 
 /// Releases one connection-cap slot when its connection thread exits,

@@ -57,6 +57,67 @@ pub fn apply_rope_scaled(vector: &mut [f32], position: f32, base: f32) {
 /// Standard RoPE base used by GPT-J-style models.
 pub const ROPE_BASE: f32 = 10_000.0;
 
+/// [`apply_rope_scaled`] with its invariants hoisted out of the per-row loop.
+///
+/// The per-pair frequencies `base^(-2i/d)` depend only on the model, so they
+/// are computed once per rotor, by the very `powf` expression
+/// [`apply_rope_scaled`] evaluates per pair. The `(sin, cos)` pairs depend
+/// only on the position, so they are computed once per position and reused —
+/// multiplies only — by every head of every layer that rotates at that
+/// position (a decode step rotates one new key row and one query per head per
+/// layer, all at the same position). Only the latest position is remembered:
+/// there is no per-position table to size, fill or keep resident.
+///
+/// Same arithmetic on the same inputs, only hoisted, so every rotated value
+/// is bit-identical to [`apply_rope_scaled`]'s.
+#[derive(Debug, Clone)]
+pub struct RopeRotor {
+    head_dim: usize,
+    /// `base^(-2i/d)` for every dimension pair `i`.
+    inv_freq: Vec<f32>,
+    /// `(sin, cos)` of `position * inv_freq[i]` at the remembered position.
+    sin_cos: Vec<(f32, f32)>,
+    /// Bit pattern of the position `sin_cos` was computed for.
+    position: Option<u32>,
+}
+
+impl RopeRotor {
+    /// Builds the rotor for vectors of width `head_dim` under `base`.
+    pub fn new(head_dim: usize, base: f32) -> Self {
+        let pairs = head_dim / 2;
+        RopeRotor {
+            head_dim,
+            inv_freq: (0..pairs)
+                .map(|i| base.powf(-(2.0 * i as f32) / head_dim as f32))
+                .collect(),
+            sin_cos: vec![(0.0, 1.0); pairs],
+            position: None,
+        }
+    }
+
+    /// Rotates `vector` in place at the fractional (already-scaled)
+    /// `position`, exactly like [`apply_rope_scaled`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vector.len()` differs from the rotor's `head_dim` (the
+    /// frequencies depend on the width).
+    pub fn rotate(&mut self, vector: &mut [f32], position: f32) {
+        assert_eq!(vector.len(), self.head_dim, "vector width mismatch");
+        if self.position != Some(position.to_bits()) {
+            for (sc, &freq) in self.sin_cos.iter_mut().zip(&self.inv_freq) {
+                *sc = (position * freq).sin_cos();
+            }
+            self.position = Some(position.to_bits());
+        }
+        for (pair, &(sin, cos)) in vector.chunks_exact_mut(2).zip(&self.sin_cos) {
+            let (a, b) = (pair[0], pair[1]);
+            pair[0] = a * cos - b * sin;
+            pair[1] = a * sin + b * cos;
+        }
+    }
+}
+
 /// Returns the ALiBi slope for attention head `head` out of `num_heads`.
 ///
 /// Uses the geometric sequence from the ALiBi paper: for `H` heads the slopes are
@@ -137,6 +198,42 @@ mod tests {
         };
         assert!((dot_at(5, 2) - dot_at(105, 102)).abs() < 1e-3);
         assert!((dot_at(8, 8) - dot_at(40, 40)).abs() < 1e-3);
+    }
+
+    /// The hoisted rotation must reproduce the reference bit for bit at every
+    /// position a family can reach, at both `rope_scale` values in use, and
+    /// whether a position's `(sin, cos)` is fresh or reused across rows.
+    #[test]
+    fn hoisted_rotation_is_bit_identical_to_the_reference() {
+        use crate::families::ModelFamily;
+        // The two RoPE families: `rope_scale` 1 (tiny) and 1/256 (GPT-J-like).
+        for family in [ModelFamily::Tiny, ModelFamily::GptJLike] {
+            let config = family.config(0);
+            assert_eq!(config.positional, PositionalEncoding::Rope);
+            let (scale, head_dim) = (config.rope_scale, config.head_dim());
+            let mut rotor = RopeRotor::new(head_dim, ROPE_BASE);
+            let rows: Vec<Vec<f32>> = (0..3)
+                .map(|r| {
+                    (0..head_dim)
+                        .map(|d| ((r * 31 + d * 7) % 23) as f32 * 0.13 - 1.4)
+                        .collect()
+                })
+                .collect();
+            for pos in 0..config.max_seq_len {
+                let position = pos as f32 * scale;
+                for row in &rows {
+                    let mut want = row.clone();
+                    apply_rope_scaled(&mut want, position, ROPE_BASE);
+                    let mut got = row.clone();
+                    rotor.rotate(&mut got, position);
+                    assert_eq!(
+                        got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                        want.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                        "scale {scale} position {pos}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

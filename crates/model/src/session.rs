@@ -460,7 +460,12 @@ impl<'m> Session<'m> {
             }
             let retained = self.policy.select_retained(layer, live, &budget);
             keyformer_core::cache::validate_selection(&retained, live)?;
-            self.cache.layer_mut(layer).retain_slots(&retained)?;
+            self.ws.retain_slots(
+                self.model.config(),
+                layer,
+                self.cache.layer_mut(layer),
+                &retained,
+            )?;
             self.policy.compact(layer, &retained);
         }
         Ok(())

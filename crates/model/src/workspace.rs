@@ -13,8 +13,12 @@
 //!
 //! * a per-layer [`RotatedKeyCache`] memoizes the RoPE rotation of every cached
 //!   key, keyed on KV-block `(id, generation)` so appends top up incrementally
-//!   while compaction, CoW forks and quantize-on-seal rebuild exactly the
-//!   affected blocks;
+//!   while CoW forks and quantize-on-seal rebuild exactly the affected blocks;
+//!   an eviction moves the rotated rows with their keys
+//!   ([`RotatedKeyCache::retain_slots`]) instead of re-rotating them;
+//! * the rotations that remain (new key row, query heads, rebuilds) run
+//!   through a [`RopeRotor`]: frequencies computed once per workspace,
+//!   `(sin, cos)` once per position, multiplies only per row;
 //! * per-head ALiBi slopes are precomputed once per model configuration.
 //!
 //! Every buffer reuse preserves the exact f32 operation order of the legacy
@@ -25,9 +29,7 @@
 use crate::attention::AttentionContext;
 use crate::config::{ModelConfig, PositionMode};
 use crate::model::{ForwardContext, TransformerModel};
-use crate::positional::{
-    alibi_bias, alibi_slope, apply_rope_scaled, PositionalEncoding, ROPE_BASE,
-};
+use crate::positional::{alibi_bias, alibi_slope, PositionalEncoding, RopeRotor, ROPE_BASE};
 use crate::stats::{AttentionRecord, AttentionStats};
 use crate::weights::LayerWeights;
 use keyformer_core::cache::{KvCache, KvDtype, LayerKvCache};
@@ -79,6 +81,10 @@ pub(crate) struct AttnScratch {
     logits: Vec<f32>,
     probs: Vec<f32>,
     mean_probs: Vec<f32>,
+    /// Hoisted RoPE: every rotation of this session (keys, queries, all
+    /// layers) goes through it, so one position's `(sin, cos)` is computed
+    /// once.
+    rope: RopeRotor,
 }
 
 /// Scratch owned by the chunk-batched prefill forward
@@ -176,6 +182,7 @@ impl ForwardWorkspace {
                 logits: Vec::new(),
                 probs: Vec::new(),
                 mean_probs: Vec::new(),
+                rope: RopeRotor::new(head_dim, ROPE_BASE),
             },
             rot: (0..config.num_layers)
                 .map(|_| RotatedKeyCache::new(config.num_heads, head_dim, block_size))
@@ -197,6 +204,29 @@ impl ForwardWorkspace {
     pub fn clear(&mut self) {
         for rot in &mut self.rot {
             rot.clear();
+        }
+    }
+
+    /// Compacts `cache` — layer `layer` of this workspace's sequence — to the
+    /// `retained` slots. Under RoPE at original positions a key's rotation
+    /// does not depend on its slot, so the cached rotated rows follow their
+    /// keys through the compaction ([`RotatedKeyCache::retain_slots`]: zero
+    /// re-rotations on `f32` layers). Every other configuration compacts
+    /// plainly: `PositionMode::Remapped` inherently re-rotates the shifted
+    /// tail on the next sync, and non-RoPE models cache no rotations.
+    pub(crate) fn retain_slots(
+        &mut self,
+        config: &ModelConfig,
+        layer: usize,
+        cache: &mut LayerKvCache,
+        retained: &[usize],
+    ) -> Result<(), CoreError> {
+        if config.positional == PositionalEncoding::Rope
+            && config.position_mode == PositionMode::Original
+        {
+            self.rot[layer].retain_slots(cache, retained)
+        } else {
+            cache.retain_slots(retained)
         }
     }
 
@@ -496,16 +526,7 @@ pub(crate) fn forward_chunk_ws(
             )?;
             layer_peak = layer_peak.max(layer_cache.byte_size());
             if config.positional == PositionalEncoding::Rope {
-                let rope_scale = config.rope_scale;
-                let positions = layer_cache.positions();
-                match config.position_mode {
-                    PositionMode::Original => layer_rot.sync(layer_cache, |row, slot| {
-                        apply_rope_scaled(row, positions[slot] as f32 * rope_scale, ROPE_BASE);
-                    }),
-                    PositionMode::Remapped => layer_rot.sync(layer_cache, |row, slot| {
-                        apply_rope_scaled(row, slot as f32 * rope_scale, ROPE_BASE);
-                    }),
-                }
+                sync_rotated_keys(config, layer_cache, layer_rot, &mut attn.rope);
             }
             for t in run_start..run_end {
                 let obs_base = (t * num_layers + layer) * num_heads;
@@ -596,6 +617,26 @@ pub(crate) fn forward_chunk_ws(
     Ok(peak_bytes)
 }
 
+/// Brings `rot` up to date with a RoPE layer's cache, rotating each stale or
+/// fresh key row at its effective position under the configured mode.
+fn sync_rotated_keys(
+    config: &ModelConfig,
+    cache: &LayerKvCache,
+    rot: &mut RotatedKeyCache,
+    rope: &mut RopeRotor,
+) {
+    let rope_scale = config.rope_scale;
+    let positions = cache.positions();
+    match config.position_mode {
+        PositionMode::Original => rot.sync(cache, |row, slot| {
+            rope.rotate(row, positions[slot] as f32 * rope_scale);
+        }),
+        PositionMode::Remapped => rot.sync(cache, |row, slot| {
+            rope.rotate(row, slot as f32 * rope_scale);
+        }),
+    }
+}
+
 /// One chunk query of [`forward_chunk_ws`]: the same per-head arithmetic as
 /// [`attend_single_query_ws`], against a `live`-slot
 /// [`keyformer_core::cache::KvSlice::truncated`] causal view of the layer, with
@@ -635,6 +676,7 @@ fn attend_chunk_query_ws(
         logits,
         probs,
         mean_probs,
+        rope,
         ..
     } = attn;
     if want_mean_probs {
@@ -645,11 +687,7 @@ fn attend_chunk_query_ws(
     for head in 0..num_heads {
         q_head.copy_from_slice(&query[head * head_dim..(head + 1) * head_dim]);
         if config.positional == PositionalEncoding::Rope {
-            apply_rope_scaled(
-                q_head,
-                effective_query_pos as f32 * config.rope_scale,
-                ROPE_BASE,
-            );
+            rope.rotate(q_head, effective_query_pos as f32 * config.rope_scale);
         }
         let slope = alibi_slopes[head];
         logits.clear();
@@ -847,19 +885,13 @@ pub(crate) fn attend_single_query_ws(
         PositionMode::Remapped => live.saturating_sub(1),
     };
 
-    // Keys are rotated once per (block, generation): appends top up, eviction
-    // and CoW rewrites rebuild exactly the affected blocks. The rotation only
-    // depends on the slot, which is what makes it cacheable across steps.
+    // Keys are rotated once per (block, generation): appends top up, CoW
+    // forks and seals rebuild exactly the affected blocks, evictions move the
+    // rotated rows instead. The rotation depends only on the stored key and
+    // its effective position, never on the decode step, which is what makes
+    // it cacheable across steps.
     if config.positional == PositionalEncoding::Rope {
-        let rope_scale = config.rope_scale;
-        match config.position_mode {
-            PositionMode::Original => rot.sync(cache, |row, slot| {
-                apply_rope_scaled(row, positions[slot] as f32 * rope_scale, ROPE_BASE);
-            }),
-            PositionMode::Remapped => rot.sync(cache, |row, slot| {
-                apply_rope_scaled(row, slot as f32 * rope_scale, ROPE_BASE);
-            }),
-        }
+        sync_rotated_keys(config, cache, rot, &mut attn.rope);
     }
 
     let AttnScratch {
@@ -869,6 +901,7 @@ pub(crate) fn attend_single_query_ws(
         logits,
         probs,
         mean_probs,
+        rope,
     } = attn;
     mean_probs.clear();
     mean_probs.resize(live, 0.0);
@@ -876,11 +909,7 @@ pub(crate) fn attend_single_query_ws(
     for head in 0..num_heads {
         q_head.copy_from_slice(&query[head * head_dim..(head + 1) * head_dim]);
         if config.positional == PositionalEncoding::Rope {
-            apply_rope_scaled(
-                q_head,
-                effective_query_pos as f32 * config.rope_scale,
-                ROPE_BASE,
-            );
+            rope.rotate(q_head, effective_query_pos as f32 * config.rope_scale);
         }
         let slope = alibi_slopes[head];
         logits.clear();

@@ -45,6 +45,13 @@ pub trait Rng: RngCore {
     /// Draws a value uniformly from `range`.
     ///
     /// Half-open float ranges never return the excluded upper bound.
+    ///
+    /// `#[inline]` (here and on the float `sample_single`) so a constant
+    /// range folds into the caller wherever that is compiled: left out of
+    /// line, the general-range float path costs the Gumbel draw of the
+    /// Keyformer score function about 2x (15 vs 26 ns per logit), and whether
+    /// it was inlined used to flip with unrelated edits to the calling crate.
+    #[inline]
     fn gen_range<T, S>(&mut self, range: S) -> T
     where
         S: SampleRange<T>,
@@ -83,6 +90,7 @@ fn unit_f32(bits: u64) -> f32 {
 macro_rules! float_ranges {
     ($($t:ty => $unit:ident),+ $(,)?) => {$(
         impl SampleRange<$t> for Range<$t> {
+            #[inline]
             fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
                 assert!(self.start < self.end, "empty range in gen_range");
                 let v = self.start + (self.end - self.start) * $unit(rng.next_u64());

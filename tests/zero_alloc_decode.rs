@@ -9,6 +9,12 @@
 //! counter is armed and several more decode steps run entirely inside one KV
 //! block. The assertion is exact: not "few allocations", zero.
 //!
+//! A second test pins the eviction data path itself: a single-slot
+//! `retain_slots` on a warmed `f32` layer with private blocks, plus the
+//! rotated-row hand-off that lets RoPE rows follow their keys, moves rows in
+//! place and never touches the allocator either. (A whole Keyformer decode
+//! step at budget still allocates the policy's `select_retained` result.)
+//!
 //! The window deliberately avoids the two places the hot path *is* allowed to
 //! allocate: block boundaries (a fresh KV block, its rotated-key entry and a
 //! per-block `positions` reservation) and the stats collector (off here, as
@@ -20,12 +26,16 @@
 // delegates straight to the system allocator.
 #![allow(unsafe_code)]
 
+use keyformer::core::block::SharedBlockPool;
+use keyformer::core::cache::LayerKvCache;
+use keyformer::core::RotatedKeyCache;
 use keyformer::model::families::ModelFamily;
 use keyformer::model::generation::GenerationConfig;
 use keyformer::model::session::Session;
 use keyformer::model::workspace::ForwardPath;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
@@ -64,10 +74,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// This file holds exactly one test: the counter is process-global, so a
-/// concurrently running sibling test would pollute the window.
+/// The counter is process-global, so a concurrently running sibling test
+/// would pollute the window: every test holds this lock from start to end.
+static WINDOW: Mutex<()> = Mutex::new(());
+
 #[test]
 fn steady_state_workspace_decode_allocates_nothing() {
+    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
     let model = ModelFamily::Tiny.build(11);
     let policy = keyformer::core::spec::PolicySpec::Full.build().unwrap();
     let mut session = Session::new(&model, policy, None).with_forward_path(ForwardPath::Workspace);
@@ -110,4 +123,55 @@ fn steady_state_workspace_decode_allocates_nothing() {
     }
     let out = session.take_output().unwrap();
     assert_eq!(out.generated.len(), 14);
+}
+
+#[test]
+fn single_slot_eviction_with_rotated_hand_off_allocates_nothing() {
+    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
+    let (heads, head_dim, block) = (4, 32, 16);
+    let mut layer = LayerKvCache::with_pool(heads, head_dim, SharedBlockPool::unbounded(block));
+    let row = |pos: usize| -> Vec<f32> {
+        (0..heads * head_dim)
+            .map(|i| ((pos * 13 + i * 7) % 29) as f32 * 0.07 - 1.0)
+            .collect()
+    };
+    // 44 slots over three private blocks; two evictions keep all three.
+    for pos in 0..44 {
+        layer
+            .append_from_slices(pos, &row(pos), &row(pos + 1))
+            .unwrap();
+    }
+    // A position-keyed stand-in for RoPE at original positions.
+    let rotate = |layer: &LayerKvCache, rot: &mut RotatedKeyCache| -> usize {
+        let positions = layer.positions();
+        let mut rotations = 0;
+        rot.sync(layer, |row, slot| {
+            rotations += 1;
+            for x in row.iter_mut() {
+                *x += positions[slot] as f32;
+            }
+        });
+        rotations
+    };
+    let mut rot = RotatedKeyCache::new(heads, head_dim, block);
+    rotate(&layer, &mut rot);
+    // Warm-up eviction, then the counted one: a mid-cache victim, so rows
+    // move both within a block and across block boundaries.
+    let warm: Vec<usize> = (0..44).filter(|&s| s != 20).collect();
+    rot.retain_slots(&mut layer, &warm).unwrap();
+    let kept: Vec<usize> = (0..43).filter(|&s| s != 5).collect();
+
+    ALLOCATIONS.store(0, Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
+    rot.retain_slots(&mut layer, &kept).unwrap();
+    COUNTING.store(false, Ordering::SeqCst);
+    let allocations = ALLOCATIONS.load(Ordering::SeqCst);
+
+    assert_eq!(
+        allocations, 0,
+        "a single-slot eviction and its rotated-row hand-off must move rows \
+         in place; counted {allocations} allocation(s)"
+    );
+    assert_eq!(layer.len(), 42);
+    assert_eq!(rotate(&layer, &mut rot), 0, "the moved rows stay current");
 }
