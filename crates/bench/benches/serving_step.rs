@@ -12,7 +12,7 @@ use keyformer_core::spec::PolicySpec;
 use keyformer_model::families::ModelFamily;
 use keyformer_model::generation::GenerationConfig;
 use keyformer_model::model::TransformerModel;
-use keyformer_serve::{Request, Server, ServerConfig};
+use keyformer_serve::{Engine, Request, ServerConfig};
 
 const PROMPT_LEN: usize = 32;
 const GEN_TOKENS: usize = 6;
@@ -24,7 +24,7 @@ fn request(i: u64) -> Request {
     Request::new(i, prompt, GenerationConfig::new(GEN_TOKENS))
 }
 
-fn server_with_batch(model: &TransformerModel, batch: usize) -> Server<'_> {
+fn server_with_batch(model: &TransformerModel, batch: usize) -> Engine<'_> {
     let bytes = model.empty_cache().bytes_per_token();
     // Pool sized to hold exactly `batch` budgeted sessions at steady state.
     let capacity = CacheBudgetSpec::with_fraction(0.5)
@@ -37,7 +37,14 @@ fn server_with_batch(model: &TransformerModel, batch: usize) -> Server<'_> {
         batch * capacity * bytes,
     )
     .with_prefills_per_step(batch);
-    Server::new(model, config).expect("valid serving config")
+    batch_engine(model, config)
+}
+
+/// An engine for a driver that never drains events, so recording is off.
+fn batch_engine(model: &TransformerModel, config: ServerConfig) -> Engine<'_> {
+    let mut engine = Engine::new(model, config).expect("valid serving config");
+    engine.record_events(false);
+    engine
 }
 
 /// One batched scheduler step at a steady batch size: the server is refilled so
@@ -79,8 +86,7 @@ fn serving_burst(c: &mut Criterion) {
     ] {
         group.bench_function(BenchmarkId::new("drain8", label), |b| {
             b.iter(|| {
-                let mut server =
-                    Server::new(&model, ServerConfig::new(policy, budget, pool)).expect("valid");
+                let mut server = batch_engine(&model, ServerConfig::new(policy, budget, pool));
                 for i in 0..8 {
                     server.submit(request(i)).expect("no overrides");
                 }

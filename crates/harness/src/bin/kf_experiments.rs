@@ -8,127 +8,25 @@
 //! ```
 //!
 //! With no experiment names, every experiment runs (this takes a few minutes for the
-//! accuracy sweeps). Experiment names follow the paper: `fig1`, `fig3a` … `fig16`,
-//! `table1` … `table4`, plus the serving-layer `serve_throughput` experiment.
+//! accuracy sweeps). Experiment names follow the paper — `fig1`, `fig3a` … `fig16`,
+//! `table1` … `table4` — plus the five step-counted serving experiments, each of
+//! which also writes its machine-readable records to the working directory:
 //!
-//! Running `serve_throughput` additionally writes `BENCH_serving.json` (requests
-//! per scheduler step and mean KV bytes per policy), running `paging` writes
-//! `BENCH_paging.json` (throughput, pool utilization and overshoot per block
-//! configuration), running `prefix_sharing` writes `BENCH_prefix.json`
-//! (shared-system-prompt workload with sharing off vs. on), and running
-//! `streaming_latency` writes `BENCH_latency.json` (TTFT/inter-token-latency
-//! percentiles per policy under mixed-priority traffic with cancellations),
-//! and running `parallel_scaling` writes `BENCH_parallel.json` (wall-clock
-//! steps/sec vs `decode_workers`, token-identity verified against the
-//! sequential baseline), and running `quantization` writes `BENCH_quant.json`
-//! (u8 vs f32 KV storage at a fixed byte pool: completed requests,
-//! utilization and ROUGE deltas per policy/budget), and running `hotpath`
-//! writes `BENCH_hotpath.json` (legacy allocating forward path vs the
-//! zero-allocation workspace path: ns/token, tokens/sec and speedup, token
-//! streams verified identical), and running `prefill` writes
-//! `BENCH_prefill.json` (chunk-batched GEMM prompt pass vs the sequential
-//! token-at-a-time pass: prefill tokens/sec, TTFT and speedup per chunk size,
-//! token streams verified identical), and running `network` writes
-//! `BENCH_network.json` (the `kf_serve` node driven over loopback sockets:
-//! burst/replay throughput, streamed TTFT, cache hit rate and coalescing with
-//! dedup off vs. on) to the working directory, so CI can archive the serving
-//! trajectories as machine-readable data.
+//! | experiment          | artefact             |
+//! |---------------------|----------------------|
+//! | `serve_throughput`  | `BENCH_serving.json` |
+//! | `paging`            | `BENCH_paging.json`  |
+//! | `prefix_sharing`    | `BENCH_prefix.json`  |
+//! | `streaming_latency` | `BENCH_latency.json` |
+//! | `quantization`      | `BENCH_quant.json`   |
+//!
+//! Names and artefact files both come from the registry table in
+//! `keyformer_harness::registry`; `--list` prints the former. The artefacts are
+//! deterministic (scheduler steps, not wall time), committed at `--samples 2`,
+//! and CI regenerates and diffs them byte for byte. Wall-clock performance is
+//! `kf_bench`'s job (`benchmark/`).
 
-use keyformer_harness::report::Table;
-use keyformer_harness::{
-    hotpath, network, paging, parallel, prefill, prefix, quantization, serving, streaming,
-};
-use keyformer_harness::{run_experiment, ExperimentId};
-use serde::Serialize;
-
-/// File the serving experiment's machine-readable summary is written to.
-const SERVING_JSON: &str = "BENCH_serving.json";
-/// File the paging experiment's machine-readable summary is written to.
-const PAGING_JSON: &str = "BENCH_paging.json";
-/// File the prefix-sharing experiment's machine-readable summary is written to.
-const PREFIX_JSON: &str = "BENCH_prefix.json";
-/// File the streaming-latency experiment's machine-readable summary is written
-/// to.
-const LATENCY_JSON: &str = "BENCH_latency.json";
-/// File the parallel-scaling experiment's machine-readable summary is written
-/// to.
-const PARALLEL_JSON: &str = "BENCH_parallel.json";
-/// File the quantization experiment's machine-readable summary is written to.
-const QUANT_JSON: &str = "BENCH_quant.json";
-/// File the hot-path experiment's machine-readable summary is written to.
-const HOTPATH_JSON: &str = "BENCH_hotpath.json";
-/// File the prefill experiment's machine-readable summary is written to.
-const PREFILL_JSON: &str = "BENCH_prefill.json";
-/// File the network experiment's machine-readable summary is written to.
-const NETWORK_JSON: &str = "BENCH_network.json";
-
-/// Writes an experiment's machine-readable summary, exiting loudly on failure —
-/// a missing or stale JSON data point must not leave a previous run's file
-/// looking current.
-fn write_summary<T: Serialize>(path: &str, summaries: &T) {
-    let json = serde_json::to_string(summaries).unwrap_or_else(|e| {
-        eprintln!("could not serialize summary for {path}: {e}");
-        std::process::exit(1);
-    });
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("could not write {path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("wrote {path}");
-}
-
-/// Runs one experiment, writing the machine-readable artefact for the
-/// experiments that have one.
-fn run_with_artifacts(id: ExperimentId, samples: usize) -> Table {
-    match id {
-        ExperimentId::ServeThroughput => {
-            let (table, summaries) = serving::serve_throughput_report(samples);
-            write_summary(SERVING_JSON, &summaries);
-            table
-        }
-        ExperimentId::Paging => {
-            let (table, summaries) = paging::paging_report(samples);
-            write_summary(PAGING_JSON, &summaries);
-            table
-        }
-        ExperimentId::PrefixSharing => {
-            let (table, summaries) = prefix::prefix_sharing_report(samples);
-            write_summary(PREFIX_JSON, &summaries);
-            table
-        }
-        ExperimentId::StreamingLatency => {
-            let (table, summaries) = streaming::streaming_latency_report(samples);
-            write_summary(LATENCY_JSON, &summaries);
-            table
-        }
-        ExperimentId::ParallelScaling => {
-            let (table, summaries) = parallel::parallel_scaling_report(samples);
-            write_summary(PARALLEL_JSON, &summaries);
-            table
-        }
-        ExperimentId::Quantization => {
-            let (table, summaries) = quantization::quantization_report(samples);
-            write_summary(QUANT_JSON, &summaries);
-            table
-        }
-        ExperimentId::Hotpath => {
-            let (table, summaries) = hotpath::hotpath_report(samples);
-            write_summary(HOTPATH_JSON, &summaries);
-            table
-        }
-        ExperimentId::Prefill => {
-            let (table, summaries) = prefill::prefill_report(samples);
-            write_summary(PREFILL_JSON, &summaries);
-            table
-        }
-        ExperimentId::Network => {
-            let (table, summaries) = network::network_report(samples);
-            write_summary(NETWORK_JSON, &summaries);
-            table
-        }
-        _ => run_experiment(id, samples),
-    }
-}
+use keyformer_harness::{run_with_artefact, ExperimentId};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -165,7 +63,16 @@ fn main() {
     }
     for id in requested {
         eprintln!("running {id} (samples = {samples}) ...");
-        let table = run_with_artifacts(id, samples);
+        let (table, artefact) = run_with_artefact(id, samples);
+        if let Some((path, json)) = artefact {
+            // Exit loudly: a failed write must not leave a previous run's
+            // file looking current.
+            if let Err(e) = std::fs::write(path, json) {
+                eprintln!("could not write {path}: {e}");
+                std::process::exit(1);
+            }
+            eprintln!("wrote {path}");
+        }
         if csv {
             println!("# {}", table.title);
             println!("{}", table.render_csv());

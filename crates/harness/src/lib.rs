@@ -14,12 +14,8 @@
 
 pub mod accuracy;
 pub mod analysis;
-pub mod hotpath;
-pub mod network;
 pub mod paging;
-pub mod parallel;
 pub mod perf;
-pub mod prefill;
 pub mod prefix;
 pub mod quantization;
 pub mod registry;
@@ -28,5 +24,5 @@ pub mod serving;
 pub mod sizing;
 pub mod streaming;
 
-pub use registry::{run_experiment, ExperimentId};
+pub use registry::{run_experiment, run_with_artefact, ExperimentId};
 pub use report::Table;

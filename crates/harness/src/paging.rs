@@ -23,18 +23,11 @@
 //! threading the paged allocator through the whole stack.
 
 use crate::report::{fmt, Table};
-use crate::serving::{serving_policies, MODEL_SEED};
-use keyformer_core::cache::KvDtype;
-use keyformer_model::families::ModelFamily;
-use keyformer_model::generation::GenerationConfig;
-use keyformer_serve::{Request, Server, ServerConfig};
+use crate::serving::{
+    request_stream, run_batch, serving_fixture, serving_policies, GEN_TOKENS, PROMPT_LEN,
+};
+use keyformer_serve::ServerConfig;
 use serde::{Deserialize, Serialize};
-
-/// Prompt length of every synthetic paging request (matches the serving
-/// experiment so the two JSON artefacts are comparable).
-const PROMPT_LEN: usize = 48;
-/// Tokens generated per request.
-const GEN_TOKENS: usize = 8;
 
 /// Machine-readable summary of one paging configuration, emitted as
 /// `BENCH_paging.json` by `kf_experiments`.
@@ -106,28 +99,13 @@ fn lineup() -> Vec<(String, ServerConfig)> {
     ]
 }
 
-fn request_stream(num: usize) -> Vec<Request> {
-    (0..num)
-        .map(|i| {
-            let salt = i as u32;
-            let prompt: Vec<u32> = (0..PROMPT_LEN)
-                .map(|t| (t as u32 * 13 + 7 + salt * 31) % 120)
-                .collect();
-            Request::new(i as u64, prompt, GenerationConfig::new(GEN_TOKENS))
-        })
-        .collect()
-}
-
 /// Runs the paging comparison and returns both the rendered table and the
 /// per-configuration summaries.
 pub fn paging_report(samples: usize) -> (Table, Vec<PagingSummary>) {
     let samples = samples.max(1);
     let num_requests = 16 * samples;
     let step_budget = 3 * GEN_TOKENS * samples;
-    let model = ModelFamily::Tiny.build(MODEL_SEED);
-    // Same pool as the serving-throughput experiment: two full-attention
-    // steady-state requests plus one token of slack.
-    let pool_bytes = crate::sizing::steady_pool_bytes(&model, PROMPT_LEN, GEN_TOKENS, KvDtype::F32);
+    let (model, pool_bytes) = serving_fixture();
 
     let mut table = Table::new(
         format!(
@@ -154,16 +132,8 @@ pub fn paging_report(samples: usize) -> (Table, Vec<PagingSummary>) {
             pool_bytes,
             ..config
         };
-        let mut server = Server::new(&model, config).expect("paging config is valid");
-        for request in request_stream(num_requests) {
-            server
-                .submit(request)
-                .expect("synthetic requests carry no overrides");
-        }
-        server.run(step_budget);
-        let stats = *server.stats();
-        let pool = server.pool_stats();
-        let completed = server.completions().len();
+        let run = run_batch(&model, config, request_stream(num_requests), step_budget);
+        let (stats, pool, completed) = (run.stats, run.pool, run.completed);
         let summary = PagingSummary {
             config: label,
             block_size: config.block_size,
@@ -174,7 +144,7 @@ pub fn paging_report(samples: usize) -> (Table, Vec<PagingSummary>) {
             steps: stats.steps,
             requests_per_step: completed as f64 / stats.steps.max(1) as f64,
             utilization: stats.mean_pool_utilization(),
-            capacity_blocks: server.total_blocks(),
+            capacity_blocks: run.capacity_blocks,
             peak_blocks: pool.peak_in_use,
             overshoot_blocks: pool.peak_overshoot(),
             block_allocs: pool.total_allocs,
@@ -198,11 +168,6 @@ pub fn paging_report(samples: usize) -> (Table, Vec<PagingSummary>) {
         summaries.push(summary);
     }
     (table, summaries)
-}
-
-/// Table-only entry point used by the experiment registry.
-pub fn paging(samples: usize) -> Table {
-    paging_report(samples).0
 }
 
 #[cfg(test)]

@@ -25,19 +25,13 @@
 //! identity across the whole policy zoo).
 
 use crate::report::{fmt, Table};
-use crate::serving::MODEL_SEED;
+use crate::serving::{run_batch, serving_fixture, GEN_TOKENS, PROMPT_LEN};
 use keyformer_core::budget::CacheBudgetSpec;
-use keyformer_core::cache::KvDtype;
 use keyformer_core::spec::PolicySpec;
-use keyformer_model::families::ModelFamily;
 use keyformer_model::generation::GenerationConfig;
-use keyformer_serve::{Request, Server, ServerConfig};
+use keyformer_serve::{Request, ServerConfig};
 use serde::{Deserialize, Serialize};
 
-/// Total prompt length of every request (matches the serving experiment).
-const PROMPT_LEN: usize = 48;
-/// Tokens generated per request.
-const GEN_TOKENS: usize = 8;
 /// Prompt tokens forwarded per prefill work unit.
 const PREFILL_CHUNK: usize = 8;
 
@@ -116,9 +110,7 @@ fn shared_prompt_stream(
 pub fn prefix_sharing_report(samples: usize) -> (Table, Vec<PrefixSummary>) {
     let samples = samples.max(1);
     let step_budget = 3 * GEN_TOKENS * samples;
-    let model = ModelFamily::Tiny.build(MODEL_SEED);
-    // Same pool as the serving-throughput and paging experiments.
-    let pool_bytes = crate::sizing::steady_pool_bytes(&model, PROMPT_LEN, GEN_TOKENS, KvDtype::F32);
+    let (model, pool_bytes) = serving_fixture();
     let base = ServerConfig::new(
         PolicySpec::keyformer_default(),
         Some(CacheBudgetSpec::with_fraction(0.5).expect("valid fraction")),
@@ -149,22 +141,13 @@ pub fn prefix_sharing_report(samples: usize) -> (Table, Vec<PrefixSummary>) {
     for (prefix_len, fanout) in sweep() {
         for sharing in [false, true] {
             let config = base.with_prefix_sharing(sharing);
-            let mut server = Server::new(&model, config).expect("prefix config is valid");
             // `samples` groups of `fanout` requests; each group shares one
             // system prompt, groups never share with each other.
-            for group in 0..samples {
-                for request in
-                    shared_prompt_stream(group as u32, fanout, prefix_len, (group * fanout) as u64)
-                {
-                    server
-                        .submit(request)
-                        .expect("synthetic requests carry no overrides");
-                }
-            }
-            server.run(step_budget);
-            let stats = *server.stats();
-            let pool = server.pool_stats();
-            let completed = server.completions().len();
+            let requests = (0..samples).flat_map(|group| {
+                shared_prompt_stream(group as u32, fanout, prefix_len, (group * fanout) as u64)
+            });
+            let run = run_batch(&model, config, requests, step_budget);
+            let (stats, pool, completed) = (run.stats, run.pool, run.completed);
             let label = format!(
                 "prefix{prefix_len}/fan{fanout}/{}",
                 if sharing { "shared" } else { "cold" }
@@ -202,11 +185,6 @@ pub fn prefix_sharing_report(samples: usize) -> (Table, Vec<PrefixSummary>) {
         }
     }
     (table, summaries)
-}
-
-/// Table-only entry point used by the experiment registry.
-pub fn prefix_sharing(samples: usize) -> Table {
-    prefix_sharing_report(samples).0
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@
 //! requests in u8 at (near-)matched ROUGE, from the same byte pool.
 
 use crate::report::{fmt, Table};
-use crate::serving::MODEL_SEED;
+use crate::serving::{request_stream, run_batch, serving_fixture, GEN_TOKENS};
 use keyformer_core::budget::CacheBudgetSpec;
 use keyformer_core::cache::KvDtype;
 use keyformer_core::spec::PolicySpec;
@@ -28,17 +28,12 @@ use keyformer_model::engine::InferenceEngine;
 use keyformer_model::families::ModelFamily;
 use keyformer_model::generation::GenerationConfig;
 use keyformer_model::model::TransformerModel;
-use keyformer_serve::{Request, Server, ServerConfig};
+use keyformer_serve::ServerConfig;
 use keyformer_text::datasets::summarization::{SummarizationDataset, SummarizationSpec};
 use keyformer_text::datasets::Sample;
 use keyformer_text::rouge::{rouge_scores, RougeScores};
 use serde::{Deserialize, Serialize};
 
-/// Prompt length of every synthetic serving request (matches the serving
-/// experiment so the byte pools are directly comparable).
-const PROMPT_LEN: usize = 48;
-/// Tokens generated per request.
-const GEN_TOKENS: usize = 8;
 /// Budget fractions swept for the budgeted policies.
 const BUDGET_FRACTIONS: [f64; 2] = [0.3, 0.5];
 /// Weight seed of the accuracy leg's model (the accuracy experiments' seed).
@@ -103,54 +98,6 @@ fn policy_budget_grid() -> Vec<(String, PolicySpec, Option<CacheBudgetSpec>, Opt
     grid
 }
 
-/// Deterministic synthetic request stream (same token pattern as the serving
-/// experiment).
-fn request_stream(num: usize) -> Vec<Request> {
-    (0..num)
-        .map(|i| {
-            let salt = i as u32;
-            let prompt: Vec<u32> = (0..PROMPT_LEN)
-                .map(|t| (t as u32 * 13 + 7 + salt * 31) % 120)
-                .collect();
-            Request::new(i as u64, prompt, GenerationConfig::new(GEN_TOKENS))
-        })
-        .collect()
-}
-
-/// One serving run at a (dtype, policy, budget) point: completed requests and
-/// pool behaviour inside a fixed step budget.
-fn serve_point(
-    model: &TransformerModel,
-    policy: PolicySpec,
-    budget: Option<CacheBudgetSpec>,
-    dtype: KvDtype,
-    pool_bytes: usize,
-    num_requests: usize,
-    step_budget: usize,
-) -> (usize, usize, f64, usize, usize) {
-    // Two prefills per step so the u8 rows can actually ramp to their 4x
-    // concurrency inside the step budget; both dtypes get the same schedule.
-    let config = ServerConfig::new(policy, budget, pool_bytes)
-        .with_prefills_per_step(2)
-        .with_kv_dtype(dtype);
-    let mut server = Server::new(model, config).expect("quantization config is valid");
-    let capacity_blocks = server.total_blocks();
-    for request in request_stream(num_requests) {
-        server
-            .submit(request)
-            .expect("synthetic requests carry no overrides");
-    }
-    server.run(step_budget);
-    let stats = *server.stats();
-    (
-        server.completions().len(),
-        stats.steps,
-        stats.mean_pool_utilization(),
-        stats.peak_concurrency,
-        capacity_blocks,
-    )
-}
-
 /// Mean ROUGE-2 F1 of greedy generation at a (dtype, policy, budget) point on
 /// the synthetic summarization task — the accuracy leg of each row.
 fn rouge2_point(
@@ -182,10 +129,8 @@ pub fn quantization_report(samples: usize) -> (Table, Vec<QuantSummary>) {
     // stay queue-bound, so completions measure capacity, not workload size.
     let num_requests = 64 * samples;
     let step_budget = 3 * GEN_TOKENS * samples;
-    let model = ModelFamily::Tiny.build(MODEL_SEED);
-    // The *same* byte pool for every row, sized in f32 terms: the tight
-    // steady-state pool the serving/paging/prefix/streaming experiments use.
-    let pool_bytes = crate::sizing::steady_pool_bytes(&model, PROMPT_LEN, GEN_TOKENS, KvDtype::F32);
+    // The *same* byte pool for every row, sized in f32 terms.
+    let (model, pool_bytes) = serving_fixture();
     // The accuracy leg needs the full synthetic vocabulary the summarization
     // task generates over; Tiny's 128-token vocab is serving-only.
     let accuracy_model = ModelFamily::CerebrasLike.build(ACCURACY_MODEL_SEED);
@@ -219,15 +164,14 @@ pub fn quantization_report(samples: usize) -> (Table, Vec<QuantSummary>) {
         let mut f32_completed = 0usize;
         let mut f32_rouge2 = 0.0f64;
         for dtype in [KvDtype::F32, KvDtype::U8] {
-            let (completed, steps, utilization, peak_concurrency, capacity_blocks) = serve_point(
-                &model,
-                policy,
-                budget,
-                dtype,
-                pool_bytes,
-                num_requests,
-                step_budget,
-            );
+            // Two prefills per step so the u8 rows can actually ramp to their
+            // 4x concurrency inside the step budget; both dtypes get the same
+            // schedule.
+            let config = ServerConfig::new(policy, budget, pool_bytes)
+                .with_prefills_per_step(2)
+                .with_kv_dtype(dtype);
+            let run = run_batch(&model, config, request_stream(num_requests), step_budget);
+            let completed = run.completed;
             let rouge2 = rouge2_point(&accuracy_model, policy, budget, dtype, &eval_samples);
             let (multiplier, delta) = match dtype {
                 KvDtype::F32 => {
@@ -245,13 +189,13 @@ pub fn quantization_report(samples: usize) -> (Table, Vec<QuantSummary>) {
                 policy: label.clone(),
                 budget_fraction: fraction,
                 pool_bytes,
-                capacity_blocks,
+                capacity_blocks: run.capacity_blocks,
                 submitted: num_requests,
                 completed,
-                steps,
-                requests_per_step: completed as f64 / steps.max(1) as f64,
-                utilization,
-                peak_concurrency,
+                steps: run.stats.steps,
+                requests_per_step: completed as f64 / run.stats.steps.max(1) as f64,
+                utilization: run.stats.mean_pool_utilization(),
+                peak_concurrency: run.stats.peak_concurrency,
                 rouge2,
                 completed_multiplier_vs_f32: multiplier,
                 rouge2_delta_vs_f32: delta,
@@ -272,11 +216,6 @@ pub fn quantization_report(samples: usize) -> (Table, Vec<QuantSummary>) {
         }
     }
     (table, summaries)
-}
-
-/// Table-only entry point used by the experiment registry.
-pub fn quantization(samples: usize) -> Table {
-    quantization_report(samples).0
 }
 
 #[cfg(test)]

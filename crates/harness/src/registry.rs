@@ -1,11 +1,9 @@
-//! Experiment registry: maps experiment identifiers to the functions that
-//! regenerate them.
+//! Experiment registry: one table mapping each experiment identifier to its
+//! command-line names, the function that regenerates it and — for the five
+//! step-counted serving experiments — the JSON artefact it writes.
 
 use crate::report::Table;
-use crate::{
-    accuracy, analysis, hotpath, network, paging, parallel, perf, prefill, prefix, quantization,
-    serving, streaming,
-};
+use crate::{accuracy, analysis, paging, perf, prefix, quantization, serving, streaming};
 use serde::{Deserialize, Serialize};
 
 /// Identifier of one paper table or figure.
@@ -63,132 +61,116 @@ pub enum ExperimentId {
     /// under mixed-priority traffic with mid-flight cancellations, via the
     /// event-driven engine (not a paper artefact).
     StreamingLatency,
-    /// Parallel decode scaling: wall-clock steps/sec vs `decode_workers`
-    /// across the policy zoo, token streams verified identical to the
-    /// sequential baseline at every worker count (not a paper artefact).
-    ParallelScaling,
     /// Quantized KV storage: u8 blocks (per-block affine scale/zero-point)
     /// vs f32 across policies and budgets at a fixed byte pool — completed
     /// requests, utilization and ROUGE deltas (not a paper artefact).
     Quantization,
-    /// Forward hot path: legacy allocating forward pass vs the zero-allocation
-    /// workspace path (reusable scratch + cached RoPE key rotations + fused
-    /// block-row iteration), same process, token streams verified identical
-    /// (not a paper artefact).
-    Hotpath,
-    /// Prefill batching: chunk-batched GEMM prompt pass vs the sequential
-    /// token-at-a-time pass (prefill tokens/sec, TTFT and speedup per chunk
-    /// size, token streams verified identical) (not a paper artefact).
-    Prefill,
-    /// Network front-end: the `kf_serve` node driven over loopback sockets —
-    /// burst/replay throughput, streamed TTFT, cache hit rate and coalescing
-    /// with dedup off vs. on, token streams verified identical across repeats,
-    /// phases and dedup settings (not a paper artefact).
-    Network,
 }
 
+/// How one experiment runs: to a table alone, or to a table plus the JSON
+/// records of the artefact file it regenerates.
+enum Run {
+    Table(fn(usize) -> Table),
+    Artefact(&'static str, fn(usize) -> (Table, String)),
+}
+
+/// One row of the registry: everything the crate knows about an experiment.
+struct Experiment {
+    id: ExperimentId,
+    /// Command-line names; the first is canonical, the rest are aliases.
+    names: &'static [&'static str],
+    run: Run,
+}
+
+const BUDGETS: [f64; 8] = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9];
+const SMALL_BUDGETS: [f64; 5] = [0.1, 0.2, 0.3, 0.4, 0.5];
+
+/// Pairs a report's table with its records serialised as the artefact's JSON.
+fn json<T: Serialize>((table, records): (Table, Vec<T>)) -> (Table, String) {
+    let json = serde_json::to_string(&records)
+        .expect("summaries hold only finite numbers, which JSON can represent");
+    (table, json)
+}
+
+/// Every experiment, in paper order; `samples` scales how many synthetic
+/// samples the accuracy experiments use (performance experiments ignore it).
+#[rustfmt::skip]
+static EXPERIMENTS: &[Experiment] = {
+    use ExperimentId::*;
+    use Run::{Artefact, Table};
+    &[
+        Experiment { id: Fig1, names: &["fig1"], run: Table(|_| perf::figure1()) },
+        Experiment { id: Fig3a, names: &["fig3a"], run: Table(analysis::figure3a) },
+        Experiment { id: Fig3b, names: &["fig3b"], run: Table(analysis::figure3b) },
+        Experiment { id: Fig3c, names: &["fig3c"], run: Table(accuracy::figure3c) },
+        Experiment { id: Fig4, names: &["fig4"], run: Table(|_| analysis::figure4()) },
+        Experiment { id: Fig5, names: &["fig5"], run: Table(accuracy::figure5) },
+        Experiment { id: Fig7, names: &["fig7", "fig13"], run: Table(|s| accuracy::figure7(s, &BUDGETS)) },
+        Experiment { id: Fig8, names: &["fig8"], run: Table(|s| accuracy::figure8(s, &SMALL_BUDGETS)) },
+        Experiment { id: Fig9, names: &["fig9"], run: Table(|_| perf::figure9()) },
+        Experiment { id: Fig10, names: &["fig10"], run: Table(|_| perf::figure10()) },
+        Experiment { id: Fig11, names: &["fig11"], run: Table(analysis::figure11) },
+        Experiment { id: Fig12, names: &["fig12"], run: Table(accuracy::figure12) },
+        Experiment { id: Fig14, names: &["fig14", "fig15"], run: Table(analysis::figure14) },
+        Experiment { id: Fig16, names: &["fig16"], run: Table(accuracy::figure16) },
+        Experiment { id: Table1, names: &["table1"], run: Table(|_| perf::table1()) },
+        Experiment { id: Table2, names: &["table2"], run: Table(|s| accuracy::table2(s.max(4))) },
+        Experiment { id: Table3, names: &["table3"], run: Table(accuracy::table3) },
+        Experiment { id: Table4, names: &["table4"], run: Table(accuracy::table4) },
+        Experiment {
+            id: ServeThroughput,
+            names: &["serve_throughput"],
+            run: Artefact("BENCH_serving.json", |s| json(serving::serve_throughput_report(s))),
+        },
+        Experiment {
+            id: Paging,
+            names: &["paging"],
+            run: Artefact("BENCH_paging.json", |s| json(paging::paging_report(s))),
+        },
+        Experiment {
+            id: PrefixSharing,
+            names: &["prefix_sharing"],
+            run: Artefact("BENCH_prefix.json", |s| json(prefix::prefix_sharing_report(s))),
+        },
+        Experiment {
+            id: StreamingLatency,
+            names: &["streaming_latency"],
+            run: Artefact("BENCH_latency.json", |s| json(streaming::streaming_latency_report(s))),
+        },
+        Experiment {
+            id: Quantization,
+            names: &["quantization"],
+            run: Artefact("BENCH_quant.json", |s| json(quantization::quantization_report(s))),
+        },
+    ]
+};
+
 impl ExperimentId {
-    /// Every experiment, in paper order.
-    pub fn all() -> Vec<ExperimentId> {
-        use ExperimentId::*;
-        vec![
-            Fig1,
-            Fig3a,
-            Fig3b,
-            Fig3c,
-            Fig4,
-            Fig5,
-            Fig7,
-            Fig8,
-            Fig9,
-            Fig10,
-            Fig11,
-            Fig12,
-            Fig14,
-            Fig16,
-            Table1,
-            Table2,
-            Table3,
-            Table4,
-            ServeThroughput,
-            Paging,
-            PrefixSharing,
-            StreamingLatency,
-            ParallelScaling,
-            Quantization,
-            Hotpath,
-            Prefill,
-            Network,
-        ]
+    fn row(self) -> &'static Experiment {
+        EXPERIMENTS
+            .iter()
+            .find(|e| e.id == self)
+            .expect("every experiment id has a registry row")
     }
 
-    /// Parses a command-line name such as `fig7` or `table3`.
+    /// Every experiment, in paper order.
+    pub fn all() -> Vec<ExperimentId> {
+        EXPERIMENTS.iter().map(|e| e.id).collect()
+    }
+
+    /// Parses a command-line name such as `fig7` or `table3` (case-insensitive;
+    /// figures that share an experiment, such as `fig13`, are aliases).
     pub fn parse(name: &str) -> Option<ExperimentId> {
-        use ExperimentId::*;
-        Some(match name.to_ascii_lowercase().as_str() {
-            "fig1" => Fig1,
-            "fig3a" => Fig3a,
-            "fig3b" => Fig3b,
-            "fig3c" => Fig3c,
-            "fig4" => Fig4,
-            "fig5" => Fig5,
-            "fig7" | "fig13" => Fig7,
-            "fig8" => Fig8,
-            "fig9" => Fig9,
-            "fig10" => Fig10,
-            "fig11" => Fig11,
-            "fig12" => Fig12,
-            "fig14" | "fig15" => Fig14,
-            "fig16" => Fig16,
-            "table1" => Table1,
-            "table2" => Table2,
-            "table3" => Table3,
-            "table4" => Table4,
-            "serve_throughput" => ServeThroughput,
-            "paging" => Paging,
-            "prefix_sharing" => PrefixSharing,
-            "streaming_latency" => StreamingLatency,
-            "parallel_scaling" => ParallelScaling,
-            "quantization" => Quantization,
-            "hotpath" => Hotpath,
-            "prefill" => Prefill,
-            "network" => Network,
-            _ => return None,
-        })
+        let name = name.to_ascii_lowercase();
+        EXPERIMENTS
+            .iter()
+            .find(|e| e.names.contains(&name.as_str()))
+            .map(|e| e.id)
     }
 
     /// Command-line name of this experiment.
     pub fn name(&self) -> &'static str {
-        use ExperimentId::*;
-        match self {
-            Fig1 => "fig1",
-            Fig3a => "fig3a",
-            Fig3b => "fig3b",
-            Fig3c => "fig3c",
-            Fig4 => "fig4",
-            Fig5 => "fig5",
-            Fig7 => "fig7",
-            Fig8 => "fig8",
-            Fig9 => "fig9",
-            Fig10 => "fig10",
-            Fig11 => "fig11",
-            Fig12 => "fig12",
-            Fig14 => "fig14",
-            Fig16 => "fig16",
-            Table1 => "table1",
-            Table2 => "table2",
-            Table3 => "table3",
-            Table4 => "table4",
-            ServeThroughput => "serve_throughput",
-            Paging => "paging",
-            PrefixSharing => "prefix_sharing",
-            StreamingLatency => "streaming_latency",
-            ParallelScaling => "parallel_scaling",
-            Quantization => "quantization",
-            Hotpath => "hotpath",
-            Prefill => "prefill",
-            Network => "network",
-        }
+        self.row().names[0]
     }
 }
 
@@ -198,45 +180,31 @@ impl std::fmt::Display for ExperimentId {
     }
 }
 
+/// Runs one experiment and returns its table plus, for the experiments that
+/// have a machine-readable artefact, the file name and the JSON to write there.
+pub fn run_with_artefact(
+    id: ExperimentId,
+    samples: usize,
+) -> (Table, Option<(&'static str, String)>) {
+    match id.row().run {
+        Run::Table(run) => (run(samples), None),
+        Run::Artefact(file, run) => {
+            let (table, json) = run(samples);
+            (table, Some((file, json)))
+        }
+    }
+}
+
 /// Runs one experiment. `samples` scales how many synthetic samples the accuracy
 /// experiments use (performance experiments ignore it).
 pub fn run_experiment(id: ExperimentId, samples: usize) -> Table {
-    let budgets = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9];
-    let small_budgets = [0.1, 0.2, 0.3, 0.4, 0.5];
-    match id {
-        ExperimentId::Fig1 => perf::figure1(),
-        ExperimentId::Fig3a => analysis::figure3a(samples),
-        ExperimentId::Fig3b => analysis::figure3b(samples),
-        ExperimentId::Fig3c => accuracy::figure3c(samples),
-        ExperimentId::Fig4 => analysis::figure4(),
-        ExperimentId::Fig5 => accuracy::figure5(samples),
-        ExperimentId::Fig7 => accuracy::figure7(samples, &budgets),
-        ExperimentId::Fig8 => accuracy::figure8(samples, &small_budgets),
-        ExperimentId::Fig9 => perf::figure9(),
-        ExperimentId::Fig10 => perf::figure10(),
-        ExperimentId::Fig11 => analysis::figure11(samples),
-        ExperimentId::Fig12 => accuracy::figure12(samples),
-        ExperimentId::Fig14 => analysis::figure14(samples),
-        ExperimentId::Fig16 => accuracy::figure16(samples),
-        ExperimentId::Table1 => perf::table1(),
-        ExperimentId::Table2 => accuracy::table2(samples.max(4)),
-        ExperimentId::Table3 => accuracy::table3(samples),
-        ExperimentId::Table4 => accuracy::table4(samples),
-        ExperimentId::ServeThroughput => serving::serve_throughput(samples),
-        ExperimentId::Paging => paging::paging(samples),
-        ExperimentId::PrefixSharing => prefix::prefix_sharing(samples),
-        ExperimentId::StreamingLatency => streaming::streaming_latency(samples),
-        ExperimentId::ParallelScaling => parallel::parallel_scaling(samples),
-        ExperimentId::Quantization => quantization::quantization(samples),
-        ExperimentId::Hotpath => hotpath::hotpath(samples),
-        ExperimentId::Prefill => prefill::prefill(samples),
-        ExperimentId::Network => network::network(samples),
-    }
+    run_with_artefact(id, samples).0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn parse_round_trips_every_name() {
@@ -250,10 +218,43 @@ mod tests {
 
     #[test]
     fn all_lists_every_experiment() {
-        // 18 paper artefacts + the serving-throughput, paging, prefix-sharing,
-        // streaming-latency, parallel-scaling, quantization, hotpath, prefill
-        // and network experiments.
-        assert_eq!(ExperimentId::all().len(), 27);
+        // One row per id, and no name or artefact file claimed twice: `row`,
+        // `parse` and the binary's artefact writing all rely on it.
+        let mut ids = HashSet::new();
+        let mut names = HashSet::new();
+        let mut files = HashSet::new();
+        for e in EXPERIMENTS {
+            assert!(ids.insert(e.id), "{} has two rows", e.id);
+            assert!(!e.names.is_empty(), "{:?} has no name", e.id);
+            for &name in e.names {
+                assert!(names.insert(name), "name {name} is claimed twice");
+                assert_eq!(name, name.to_ascii_lowercase(), "parse lowercases");
+                assert_eq!(ExperimentId::parse(name), Some(e.id), "{name}");
+            }
+            if let Run::Artefact(file, _) = e.run {
+                assert!(files.insert(file), "{file} is written by two experiments");
+            }
+        }
+        assert_eq!(ExperimentId::all().len(), ids.len());
+    }
+
+    #[test]
+    fn every_artefact_row_serialises() {
+        let mut artefacts = 0;
+        for e in EXPERIMENTS {
+            let Run::Artefact(file, run) = e.run else {
+                continue;
+            };
+            let (table, json) = run(1);
+            let records: Vec<serde::Value> = serde_json::from_str(&json).unwrap();
+            assert_eq!(
+                records.len(),
+                table.rows.len(),
+                "{file}: one record per row"
+            );
+            artefacts += 1;
+        }
+        assert_eq!(artefacts, 5, "serving, paging, prefix, latency, quant");
     }
 
     #[test]

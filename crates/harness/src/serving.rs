@@ -11,21 +11,24 @@
 //! budget.
 
 use crate::report::{fmt, Table};
+use keyformer_core::block::BlockPoolStats;
 use keyformer_core::budget::CacheBudgetSpec;
 use keyformer_core::cache::KvDtype;
 use keyformer_core::spec::PolicySpec;
 use keyformer_model::families::ModelFamily;
 use keyformer_model::generation::GenerationConfig;
-use keyformer_serve::{Request, Server, ServerConfig};
+use keyformer_model::model::TransformerModel;
+use keyformer_serve::{Engine, Request, ServerConfig, ServerStats};
 use serde::{Deserialize, Serialize};
 
-/// Weight seed of the serving experiment's model.
-pub const MODEL_SEED: u64 = 11;
+/// Weight seed of the serving experiments' model.
+const MODEL_SEED: u64 = 11;
 
-/// Prompt length of every synthetic serving request.
-const PROMPT_LEN: usize = 48;
+/// Prompt length of every synthetic serving request, in all five serving
+/// experiments — one constant, so their artefacts stay comparable.
+pub(crate) const PROMPT_LEN: usize = 48;
 /// Tokens generated per request.
-const GEN_TOKENS: usize = 8;
+pub(crate) const GEN_TOKENS: usize = 8;
 /// KV budget fraction applied to the budgeted policies.
 const CACHE_FRACTION: f64 = 0.5;
 
@@ -83,18 +86,81 @@ pub fn serving_policies() -> Vec<(String, PolicySpec, Option<CacheBudgetSpec>)> 
     ]
 }
 
+/// The model every serving experiment runs and the one byte pool they all
+/// serve from: the tight steady-state pool of [`crate::sizing`], sized in f32
+/// terms, so the five artefacts describe the same memory envelope.
+pub(crate) fn serving_fixture() -> (TransformerModel, usize) {
+    let model = ModelFamily::Tiny.build(MODEL_SEED);
+    let pool_bytes = crate::sizing::steady_pool_bytes(&model, PROMPT_LEN, GEN_TOKENS, KvDtype::F32);
+    (model, pool_bytes)
+}
+
 /// Deterministic synthetic request stream: `num` prompts of `PROMPT_LEN`
 /// tokens, each with its own token pattern.
-fn request_stream(num: usize) -> Vec<Request> {
-    (0..num)
-        .map(|i| {
-            let salt = i as u32;
-            let prompt: Vec<u32> = (0..PROMPT_LEN)
-                .map(|t| (t as u32 * 13 + 7 + salt * 31) % 120)
-                .collect();
-            Request::new(i as u64, prompt, GenerationConfig::new(GEN_TOKENS))
-        })
-        .collect()
+pub(crate) fn request_stream(num: usize) -> impl Iterator<Item = Request> {
+    (0..num).map(|i| {
+        let salt = i as u32;
+        let prompt: Vec<u32> = (0..PROMPT_LEN)
+            .map(|t| (t as u32 * 13 + 7 + salt * 31) % 120)
+            .collect();
+        Request::new(i as u64, prompt, GenerationConfig::new(GEN_TOKENS))
+    })
+}
+
+/// What one batch run leaves behind for an experiment to summarise.
+pub(crate) struct BatchRun {
+    /// The engine's lifetime counters.
+    pub stats: ServerStats,
+    /// The pool's allocator accounting.
+    pub pool: BlockPoolStats,
+    /// Block capacity the byte pool converted to.
+    pub capacity_blocks: usize,
+    /// Requests completed inside the step budget.
+    pub completed: usize,
+    /// Mean end-to-end latency (scheduler steps) of the completed requests.
+    pub mean_latency_steps: f64,
+}
+
+/// The batch run every step-counted serving experiment makes: submit the whole
+/// stream up front, run at most `step_budget` scheduler steps, read the
+/// counters. Nothing drains events, so recording is off.
+///
+/// # Panics
+///
+/// Panics on an invalid `config` or a request with invalid overrides — the
+/// experiments build both from constants.
+pub(crate) fn run_batch(
+    model: &TransformerModel,
+    config: ServerConfig,
+    requests: impl IntoIterator<Item = Request>,
+    step_budget: usize,
+) -> BatchRun {
+    let mut engine = Engine::new(model, config).expect("experiment configs are valid");
+    engine.record_events(false);
+    for request in requests {
+        engine
+            .submit(request)
+            .expect("synthetic requests carry no overrides");
+    }
+    engine.run(step_budget);
+    let completions = engine.completions();
+    let completed = completions.len();
+    let mean_latency_steps = if completed == 0 {
+        0.0
+    } else {
+        completions
+            .iter()
+            .map(|c| c.latency_steps() as f64)
+            .sum::<f64>()
+            / completed as f64
+    };
+    BatchRun {
+        stats: *engine.stats(),
+        pool: engine.pool_stats(),
+        capacity_blocks: engine.total_blocks(),
+        completed,
+        mean_latency_steps,
+    }
 }
 
 /// Runs the serving comparison and returns both the rendered table and the
@@ -111,10 +177,9 @@ pub fn serve_throughput_report(samples: usize) -> (Table, Vec<PolicyServingSumma
     // cannot drain the queue inside the budget.
     let num_requests = 16 * samples;
     let step_budget = 3 * GEN_TOKENS * samples;
-    let model = ModelFamily::Tiny.build(MODEL_SEED);
     // Pool sized so full attention fits two steady-state requests
     // (prompt + generation slots each) with a little headroom.
-    let pool_bytes = crate::sizing::steady_pool_bytes(&model, PROMPT_LEN, GEN_TOKENS, KvDtype::F32);
+    let (model, pool_bytes) = serving_fixture();
 
     let mut table = Table::new(
         format!(
@@ -133,27 +198,13 @@ pub fn serve_throughput_report(samples: usize) -> (Table, Vec<PolicyServingSumma
     );
     let mut summaries = Vec::new();
     for (label, policy, budget) in serving_policies() {
-        let mut server = Server::new(&model, ServerConfig::new(policy, budget, pool_bytes))
-            .expect("serving config is valid");
-        for request in request_stream(num_requests) {
-            server
-                .submit(request)
-                .expect("synthetic requests carry no overrides");
-        }
-        server.run(step_budget);
-        let stats = *server.stats();
-        let pool = server.pool_stats();
-        let completions = server.completions();
-        let completed = completions.len();
-        let mean_latency = if completed == 0 {
-            0.0
-        } else {
-            completions
-                .iter()
-                .map(|c| c.latency_steps() as f64)
-                .sum::<f64>()
-                / completed as f64
-        };
+        let run = run_batch(
+            &model,
+            ServerConfig::new(policy, budget, pool_bytes),
+            request_stream(num_requests),
+            step_budget,
+        );
+        let (stats, pool, completed) = (run.stats, run.pool, run.completed);
         let summary = PolicyServingSummary {
             policy: label,
             submitted: num_requests,
@@ -163,7 +214,7 @@ pub fn serve_throughput_report(samples: usize) -> (Table, Vec<PolicyServingSumma
             mean_kv_bytes: stats.mean_live_kv_bytes(),
             peak_kv_bytes: stats.peak_live_kv_bytes,
             peak_concurrency: stats.peak_concurrency,
-            mean_latency_steps: mean_latency,
+            mean_latency_steps: run.mean_latency_steps,
             utilization: stats.mean_pool_utilization(),
             peak_blocks: pool.peak_in_use,
             shared_blocks_peak: pool.peak_shared_blocks,
@@ -180,11 +231,6 @@ pub fn serve_throughput_report(samples: usize) -> (Table, Vec<PolicyServingSumma
         summaries.push(summary);
     }
     (table, summaries)
-}
-
-/// Table-only entry point used by the experiment registry.
-pub fn serve_throughput(samples: usize) -> Table {
-    serve_throughput_report(samples).0
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! Shared, dtype-aware pool-sizing arithmetic for the serving experiments.
 //!
-//! Every serving-side experiment sizes its byte pool from the same two
-//! formulas; before this module each experiment inlined its own copy, which
-//! made it easy for the "same memory envelope" claim in their docs to drift.
+//! Every serving-side experiment serves from the same byte pool
+//! (`serving::serving_fixture` calls [`steady_pool_bytes`] once for all five),
+//! so the "same memory envelope" claim in their docs cannot drift.
 //! The helpers take a [`KvDtype`] so the quantization sweep can hold the byte
 //! pool fixed while the per-token footprint shrinks — the entire mechanism
 //! behind its sessions-per-pool headline.
@@ -33,20 +33,6 @@ pub fn steady_pool_bytes(
     (prompt_len + gen_tokens) * 2 * bpt + bpt
 }
 
-/// A *roomy* pool admitting `requests` full sequences up front with `slack`
-/// extra slots each — the parallel-scaling experiment's sizing, where the
-/// point is to measure execution rather than queueing.
-pub fn per_request_pool_bytes(
-    model: &TransformerModel,
-    requests: usize,
-    prompt_len: usize,
-    gen_tokens: usize,
-    slack: usize,
-    dtype: KvDtype,
-) -> usize {
-    requests * (prompt_len + gen_tokens + slack) * bytes_per_token(model, dtype)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -60,10 +46,6 @@ mod tests {
         assert_eq!(
             steady_pool_bytes(&model, 48, 8, KvDtype::F32),
             (48 + 8) * 2 * bpt + bpt
-        );
-        assert_eq!(
-            per_request_pool_bytes(&model, 16, 48, 8, 8, KvDtype::F32),
-            16 * (48 + 8 + 8) * bpt
         );
     }
 

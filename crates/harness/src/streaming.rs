@@ -26,20 +26,13 @@
 //! [`Completion::token_steps`]: keyformer_serve::Completion::token_steps
 
 use crate::report::{fmt, Table};
-use crate::serving::MODEL_SEED;
+use crate::serving::{request_stream, serving_fixture};
 use keyformer_core::budget::CacheBudgetSpec;
-use keyformer_core::cache::KvDtype;
 use keyformer_core::spec::PolicySpec;
-use keyformer_model::families::ModelFamily;
-use keyformer_model::generation::GenerationConfig;
-use keyformer_serve::{Engine, EventKind, Request, RequestId, ServerConfig, SubmitOptions};
+use keyformer_serve::{Engine, EventKind, RequestId, ServerConfig, SubmitOptions};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// Prompt length of every synthetic request (matches the serving experiment).
-const PROMPT_LEN: usize = 48;
-/// Tokens generated per request.
-const GEN_TOKENS: usize = 8;
 /// KV budget fraction applied to the budgeted policies.
 const CACHE_FRACTION: f64 = 0.5;
 /// Requests submitted per scheduler step while the stream lasts.
@@ -144,26 +137,6 @@ fn mean(samples: &[usize]) -> f64 {
     }
 }
 
-/// The deterministic arrival stream: prompt patterns and sampling seeds vary
-/// per request; every [`PRIORITY_EVERY`]-th request is high-priority.
-fn request_stream(num: usize) -> Vec<(Request, SubmitOptions)> {
-    (0..num)
-        .map(|i| {
-            let salt = i as u32;
-            let prompt: Vec<u32> = (0..PROMPT_LEN)
-                .map(|t| (t as u32 * 13 + 7 + salt * 31) % 120)
-                .collect();
-            let request = Request::new(i as u64, prompt, GenerationConfig::new(GEN_TOKENS));
-            let options = if i % PRIORITY_EVERY == PRIORITY_EVERY - 1 {
-                SubmitOptions::new().with_priority(HIGH_PRIORITY)
-            } else {
-                SubmitOptions::new()
-            };
-            (request, options)
-        })
-        .collect()
-}
-
 /// Runs the streaming-latency comparison and returns both the rendered table
 /// and the per-policy summaries.
 ///
@@ -172,10 +145,7 @@ fn request_stream(num: usize) -> Vec<(Request, SubmitOptions)> {
 pub fn streaming_latency_report(samples: usize) -> (Table, Vec<LatencySummary>) {
     let samples = samples.max(1);
     let num_requests = 16 * samples;
-    let model = ModelFamily::Tiny.build(MODEL_SEED);
-    // Same pool as the serving-throughput experiment, so the two JSON
-    // artefacts describe the same memory envelope.
-    let pool_bytes = crate::sizing::steady_pool_bytes(&model, PROMPT_LEN, GEN_TOKENS, KvDtype::F32);
+    let (model, pool_bytes) = serving_fixture();
     let step_cap = 400 * samples;
 
     let mut table = Table::new(
@@ -203,7 +173,18 @@ pub fn streaming_latency_report(samples: usize) -> (Table, Vec<LatencySummary>) 
     for (label, policy, budget) in latency_policies() {
         let mut engine = Engine::new(&model, ServerConfig::new(policy, budget, pool_bytes))
             .expect("latency config is valid");
-        let mut arrivals = request_stream(num_requests).into_iter();
+        // The serving experiment's stream, every `PRIORITY_EVERY`-th
+        // arrival at elevated priority.
+        let mut arrivals = request_stream(num_requests)
+            .enumerate()
+            .map(|(i, request)| {
+                let options = if i % PRIORITY_EVERY == PRIORITY_EVERY - 1 {
+                    SubmitOptions::new().with_priority(HIGH_PRIORITY)
+                } else {
+                    SubmitOptions::new()
+                };
+                (request, options)
+            });
         let mut cancel_at: HashMap<RequestId, usize> = HashMap::new();
         let mut exhausted = false;
         while !exhausted || !engine.is_idle() {
@@ -290,11 +271,6 @@ pub fn streaming_latency_report(samples: usize) -> (Table, Vec<LatencySummary>) 
         summaries.push(summary);
     }
     (table, summaries)
-}
-
-/// Table-only entry point used by the experiment registry.
-pub fn streaming_latency(samples: usize) -> Table {
-    streaming_latency_report(samples).0
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 //! A blocking reference client for the `kf_serve` wire protocol, used by the
-//! loopback integration tests and the harness's network experiment. It speaks
+//! loopback integration tests and the `kf_bench` load generator. It speaks
 //! both wire formats: one-shot HTTP/1.1 exchanges (with chunked-stream
 //! decoding for `stream=true` generates) and the line-delimited-JSON fallback
 //! session.

@@ -12,10 +12,12 @@
 //! connection is dropped; a malformed peer can never wedge a thread for
 //! longer than the read timeout the listener sets.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
-/// Upper bound on a request body (tokens are u32s, so even a maximal prompt
-/// is far below this); protects the server from unbounded allocation.
+/// Upper bound on a request body and on any single line read from the wire
+/// (tokens are u32s, so even a maximal prompt is far below this; an NDJSON
+/// line carries a whole prompt, so lines get no smaller cap); protects the
+/// server from unbounded allocation.
 pub const MAX_BODY_BYTES: usize = 4 << 20;
 
 /// A parsed HTTP request head plus its body.
@@ -31,11 +33,27 @@ pub struct HttpRequest {
 
 /// Reads one line (through `\n`) from `r`, stripping the trailing `\r\n` /
 /// `\n`. Returns `None` at a clean EOF before any byte.
+///
+/// # Errors
+///
+/// Besides I/O errors, returns [`io::ErrorKind::InvalidData`] for a line that
+/// is not UTF-8 or that runs past [`MAX_BODY_BYTES`] (terminator included)
+/// without a `\n` — at most that many bytes are ever buffered, so a peer that
+/// never sends a newline cannot grow the line without limit.
 pub fn read_line(r: &mut impl BufRead) -> io::Result<Option<String>> {
     let mut line = String::new();
-    let n = r.read_line(&mut line)?;
+    let n = r
+        .by_ref()
+        .take(MAX_BODY_BYTES as u64)
+        .read_line(&mut line)?;
     if n == 0 {
         return Ok(None);
+    }
+    if n == MAX_BODY_BYTES && !line.ends_with('\n') {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("line exceeds the {MAX_BODY_BYTES}-byte limit"),
+        ));
     }
     while line.ends_with('\n') || line.ends_with('\r') {
         line.pop();
@@ -186,6 +204,23 @@ mod tests {
         assert!(parse("POST / HTTP/1.1\r\ncontent-length: 5\r\n\r\nab").is_err());
         let oversized = format!("POST / HTTP/1.1\r\ncontent-length: {}\r\n\r\n", 5 << 20);
         assert!(parse(&oversized).is_err());
+    }
+
+    #[test]
+    fn over_long_lines_are_rejected_with_bounded_buffering() {
+        // A peer that never sends `\n`: the read stops at the cap and errors,
+        // leaving the bytes past the cap unread.
+        let mut endless = BufReader::new(io::repeat(b'a').take(MAX_BODY_BYTES as u64 + 2));
+        let err = read_line(&mut endless).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let mut rest = Vec::new();
+        endless.read_to_end(&mut rest).unwrap();
+        assert_eq!(rest.len(), 2, "nothing past the cap was buffered");
+        // A line of exactly the cap (terminator included) still parses.
+        let mut at_cap = vec![b'a'; MAX_BODY_BYTES - 1];
+        at_cap.push(b'\n');
+        let line = read_line(&mut at_cap.as_slice()).unwrap().unwrap();
+        assert_eq!(line.len(), MAX_BODY_BYTES - 1);
     }
 
     #[test]

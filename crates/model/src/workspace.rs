@@ -45,8 +45,8 @@ const LN_EPS: f32 = 1e-5;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ForwardPath {
     /// The original allocating path ([`TransformerModel::forward_token`]).
-    /// Kept callable so the `hotpath` experiment can measure both paths in
-    /// one process and identity tests can compare them bit-for-bit.
+    /// Kept callable so the `attention_hotpath` bench can measure both paths
+    /// in one process and identity tests can compare them bit-for-bit.
     Legacy,
     /// The workspace path: reused buffers, cached key rotations, fused
     /// block-row iteration. Byte-identical output to `Legacy`.

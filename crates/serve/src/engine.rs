@@ -20,8 +20,8 @@
 //! 3. **Admission.** The queued request with the highest *effective priority*
 //!    ([`SubmitOptions::priority`] plus one level per
 //!    [`PRIORITY_AGING_STEPS`] steps spent queued) is considered first,
-//!    tie-broken by the configured [`AdmissionOrder`]; it is admitted while
-//!    the pool can *reserve* its steady-state block count. The chosen
+//!    tie-broken by submission order (FIFO); it is admitted while the pool
+//!    can *reserve* its steady-state block count. The chosen
 //!    candidate blocks the queue when its reservation does not fit — no
 //!    lower-priority request may jump it, which keeps admission deterministic
 //!    and, together with aging, starvation-free. A request whose reservation
@@ -42,8 +42,9 @@
 //! latency-facing quantities (time-to-first-token, inter-token latency)
 //! observable *as they happen* instead of retrospectively from
 //! [`Engine::completions`]. The buffer grows until drained; a driver that
-//! never drains should disable recording with [`Engine::record_events`]
-//! (which is exactly what the batch-oriented [`crate::Server`] facade does).
+//! never drains — submit, [`Engine::run`] to idle, harvest
+//! [`Engine::completions`] — should disable recording with
+//! [`Engine::record_events`].
 //!
 //! A request preempted mid-decode is recomputed token-identically on
 //! re-admission; tokens that were already surfaced before the preemption are
@@ -62,10 +63,26 @@
 //! [`SharedPrefixRegistry::clear`]), not a per-request leak; with sharing off,
 //! cancellation returns the pool exactly to its pre-submit state.
 //!
+//! ## Admission reservations
+//!
 //! The admission *reservation* of a request is its steady-state decode
-//! footprint in blocks, exactly as documented on [`crate::Server`]; the
-//! engine and the facade share this code path, so batch behaviour is
-//! bit-identical between the two.
+//! footprint in blocks: with a [`CacheBudgetSpec`], the per-layer capacity
+//! derived from the prompt length; without one, the full
+//! `prompt + max_new_tokens` slots — each rounded up to whole blocks per
+//! layer. Prefill transiently exceeds the steady state for budgeted policies
+//! (the cache fills to the whole prompt before the end-of-prompt eviction),
+//! exactly as in the paper. Under the default
+//! [`OvercommitPolicy::AllowTransient`] discipline that spike is absorbed and
+//! *measured* ([`BlockPoolStats::peak_overshoot`]); with
+//! [`ServerConfig::with_strict_pool`] it is *enforced* — allocations past the
+//! pool hard-stop, chunked prefill pauses, and in-use blocks provably never
+//! exceed the pool (see `docs/SERVING.md`).
+//!
+//! This is what turns Keyformer's reduced KV footprint into throughput: at a
+//! fixed pool, a 50% budget reserves roughly half the blocks per sequence, so
+//! the same pool runs roughly twice the batch — and blocks freed by an
+//! eviction are instantly reusable by any other sequence instead of being
+//! stranded in a contiguous per-sequence buffer.
 //!
 //! ## Parallel decode (plan → execute → commit)
 //!
@@ -136,14 +153,6 @@ const PREEMPT_AFTER_STALLS: usize = 2;
 /// enough request eventually outranks any fresh submission.
 pub const PRIORITY_AGING_STEPS: usize = 16;
 
-/// Prefill-token credit per queued scheduler step under
-/// [`AdmissionOrder::ShortestPrefillFirst`]: each step spent waiting shrinks a
-/// request's *effective* remaining-prefill key by this many tokens, so a
-/// long-prompt request aged `prompt_len` steps competes like a fresh
-/// zero-token one and cannot be starved indefinitely by a stream of short
-/// prompts (the PR 4 SPF-starvation follow-up).
-pub const SPF_AGING_TOKENS_PER_STEP: usize = 1;
-
 /// Mixes a KV storage dtype into a prefix-registry context key. Sessions may
 /// only attach to prefix entries published at their own dtype (the cache
 /// rejects shared blocks of a foreign dtype), so the dtype must partition the
@@ -157,26 +166,7 @@ fn dtype_context(dtype: KvDtype) -> u64 {
     }
 }
 
-/// In which order queued requests are considered for admission (the tie-break
-/// *within* an effective-priority level; higher priorities always go first).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum AdmissionOrder {
-    /// Strict first-in-first-out (the default): the oldest request of the
-    /// highest effective-priority level blocks the queue until its reservation
-    /// fits, keeping completion order deterministic and starvation-free.
-    #[default]
-    Fifo,
-    /// Latency-aware: admit the queued request with the fewest prompt tokens
-    /// left to prefill — prompt length minus whatever a prefix-cache hit would
-    /// reuse, minus [`SPF_AGING_TOKENS_PER_STEP`] per step spent queued — tie-
-    /// broken by submission order. Short interactive requests overtake long
-    /// ones at admission (running sessions are never reordered); aging bounds
-    /// how long a stream of short prompts can delay a long one.
-    ShortestPrefillFirst,
-}
-
-/// Static configuration of an [`Engine`] (and of the [`crate::Server`]
-/// facade over it).
+/// Static configuration of an [`Engine`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ServerConfig {
     /// Cache policy every admitted session runs (unless a request overrides it).
@@ -210,8 +200,6 @@ pub struct ServerConfig {
     /// non-strict pools. Defaults to `false`, which reproduces the
     /// sharing-free scheduler bit for bit.
     pub prefix_sharing: bool,
-    /// Order in which queued requests are admitted (default FIFO).
-    pub admission_order: AdmissionOrder,
     /// Worker threads the decode round fans per-session forward passes over
     /// (default 1 = fully sequential, today's behaviour). Scheduling stays
     /// serialized at any setting, so results are token-identical across
@@ -252,7 +240,6 @@ impl ServerConfig {
             prefill_chunk: None,
             strict_pool: false,
             prefix_sharing: false,
-            admission_order: AdmissionOrder::Fifo,
             decode_workers: 1,
             kv_dtype: KvDtype::F32,
             preempt_on_arrival: false,
@@ -330,12 +317,6 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the admission order; see [`AdmissionOrder`].
-    pub fn with_admission_order(mut self, order: AdmissionOrder) -> Self {
-        self.admission_order = order;
-        self
-    }
-
     /// Validates the configuration.
     ///
     /// # Errors
@@ -381,10 +362,6 @@ impl ServerConfig {
         self.policy.build().map(|_| ())
     }
 }
-
-/// Alias for [`ServerConfig`] under the engine-first API: the engine and the
-/// batch facade are configured identically.
-pub type EngineConfig = ServerConfig;
 
 /// Opaque handle returned by [`Engine::submit`], naming one in-flight request.
 ///
@@ -882,13 +859,6 @@ impl<'m> Engine<'m> {
         registry.match_tokens(context, &request.prompt[..cap])
     }
 
-    /// Prompt tokens `request` would still have to forward at admission, after
-    /// any prefix-cache reuse — the quantity
-    /// [`AdmissionOrder::ShortestPrefillFirst`] orders by (before aging).
-    pub fn remaining_prefill_tokens(&self, request: &Request) -> usize {
-        request.prompt.len() - self.reusable_prefix_tokens(request)
-    }
-
     /// Per-layer steady-state slot count of `request` under its effective
     /// budget: the capacity a running decode settles at after the end-of-prompt
     /// eviction, or the full sequence when unbudgeted.
@@ -1026,8 +996,9 @@ impl<'m> Engine<'m> {
 
     /// Enables or disables event recording. Recording is on by default;
     /// turning it off clears the buffer and makes [`Engine::drain_events`]
-    /// return nothing — the mode the batch-oriented [`crate::Server`] facade
-    /// runs in, so an undrained buffer can never grow without bound.
+    /// return nothing — the mode for batch drivers that harvest
+    /// [`Engine::completions`] and never drain, so an undrained buffer can
+    /// never grow without bound.
     pub fn record_events(&mut self, record: bool) {
         self.record_events = record;
         if !record {
@@ -1427,52 +1398,33 @@ impl<'m> Engine<'m> {
     }
 
     /// Index of the next queued request to consider for admission: the
-    /// highest effective-priority level first, tie-broken by the configured
-    /// [`AdmissionOrder`].
+    /// oldest request of the highest effective-priority level, which blocks
+    /// the queue until its reservation fits (deterministic completion order).
     ///
     /// Priority aging mediates *between* submitted priority levels; when every
-    /// queued request sits at one level the plain order is already
+    /// queued request sits at one level the plain FIFO order is already
     /// starvation-free, so the aged scan is skipped entirely — which also
-    /// keeps the [`crate::Server`] facade (whose submissions all carry the
-    /// default priority) admission-identical to the pre-engine scheduler even
-    /// across preemption re-queues and arbitrarily long waits.
-    ///
-    /// The shortest-prefill-first scan walks the registry chain of every
-    /// queued prompt, so it costs O(queue × prompt) hashing per admission —
-    /// fine at batch-queue depths; a deeper queue would want the match length
-    /// cached on `Pending`.
+    /// keeps single-priority batch runs admission-identical across preemption
+    /// re-queues and arbitrarily long waits.
     fn admission_candidate(&self) -> Option<usize> {
         let first = self.queue.front()?;
         let uniform = self
             .queue
             .iter()
             .all(|p| p.options.priority == first.options.priority);
-        // With mixed levels, only requests at the best effective priority are
-        // eligible; with one level, everything is.
-        let best = if uniform {
-            None
-        } else {
-            self.queue.iter().map(|p| self.effective_priority(p)).max()
-        };
-        let eligible = |p: &Pending| best.is_none_or(|best| self.effective_priority(p) == best);
-        match self.config.admission_order {
-            AdmissionOrder::Fifo => self.queue.iter().position(eligible),
-            AdmissionOrder::ShortestPrefillFirst => self
-                .queue
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| eligible(p))
-                .min_by_key(|(i, p)| {
-                    let aged = (self.step - p.submitted_step) * SPF_AGING_TOKENS_PER_STEP;
-                    (
-                        self.remaining_prefill_tokens(&p.request)
-                            .saturating_sub(aged),
-                        p.submitted_step,
-                        *i,
-                    )
-                })
-                .map(|(i, _)| i),
+        if uniform {
+            return Some(0);
         }
+        // With mixed levels, only requests at the best effective priority are
+        // eligible.
+        let best = self
+            .queue
+            .iter()
+            .map(|p| self.effective_priority(p))
+            .max()?;
+        self.queue
+            .iter()
+            .position(|p| self.effective_priority(p) == best)
     }
 
     fn admit(&mut self, budget: &mut usize) -> usize {
@@ -2338,69 +2290,10 @@ mod tests {
     }
 
     #[test]
-    fn spf_aging_admits_a_long_prefill_despite_a_stream_of_short_ones() {
-        let model = ModelFamily::Tiny.build(27);
-        let bytes = model.empty_cache().bytes_per_token();
-        // Pool fits one request at a time under SPF: a 24-token prompt
-        // competes with fresh 8-token prompts arriving every other step. Its
-        // effective key shrinks by SPF_AGING_TOKENS_PER_STEP per queued step,
-        // so it must be admitted once its aged key undercuts a fresh short's.
-        let mut engine = Engine::new(
-            &model,
-            ServerConfig::new(
-                PolicySpec::keyformer_default(),
-                Some(CacheBudgetSpec::new(0.5, 0.3).unwrap()),
-                12 * bytes,
-            )
-            .with_block_size(4)
-            .with_admission_order(AdmissionOrder::ShortestPrefillFirst),
-        )
-        .unwrap();
-        let long = engine
-            .submit(Request::new(0, prompt(24, 0), GenerationConfig::new(2)))
-            .unwrap();
-        let mut next_id = 1;
-        let mut long_completed_at = None;
-        for step in 0..300 {
-            if step % 2 == 0 {
-                engine
-                    .submit(Request::new(
-                        next_id,
-                        prompt(8, next_id as u32),
-                        GenerationConfig::new(2),
-                    ))
-                    .unwrap();
-                next_id += 1;
-            }
-            engine.step();
-            engine.drain_events();
-            if long_completed_at.is_none() && engine.completions().iter().any(|c| c.id == long.id())
-            {
-                long_completed_at = Some(engine.steps());
-                break;
-            }
-        }
-        let completed_at =
-            long_completed_at.expect("SPF aging failed: long-prefill request starved");
-        // Shorts overtook it first (SPF at work), but it was not starved.
-        let position = engine
-            .completions()
-            .iter()
-            .position(|c| c.id == long.id())
-            .unwrap();
-        assert!(position > 0, "no short overtook the long prompt");
-        assert!(
-            completed_at >= 16,
-            "aging should take effect only after real queueing delay \
-             (completed at {completed_at})"
-        );
-    }
-
-    #[test]
     fn preemption_streams_resume_without_duplicate_tokens() {
         let model = ModelFamily::Tiny.build(17);
         let bytes = model.empty_cache().bytes_per_token();
-        // The dry-strict-pool preemption scenario from the facade tests, with
+        // The dry-strict-pool preemption scenario of `server::tests`, with
         // events on: the long decoder is preempted mid-decode and recomputed.
         let budget = CacheBudgetSpec::new(0.5, 0.3).unwrap();
         let mut engine = Engine::new(

@@ -15,28 +15,26 @@
 //! of blocks. See `docs/SERVING.md` for queue semantics, block-pool sizing and
 //! the throughput/paging/latency experiments.
 //!
-//! Two front ends drive the one scheduler:
-//!
-//! * [`Engine`] — the event-driven streaming API: [`Engine::submit`] returns a
-//!   [`RequestHandle`], every state transition emits a typed [`Event`]
-//!   (`Queued` → `PrefillStarted` → `FirstToken` → `Token`* → `Completed`,
-//!   with `Preempted`/`Resumed`/`Failed`/`Cancelled` along the way), requests
-//!   carry [`SubmitOptions`] priorities and deadlines, and [`Engine::cancel`]
-//!   retires work mid-flight. This is the API that makes time-to-first-token
-//!   and inter-token latency observable per token.
-//! * [`Server`] — the batch-oriented facade over [`Engine`]: submit, step to
-//!   idle, harvest [`Server::completions`]. Bit-identical to the pre-engine
-//!   scheduler, with event recording off.
+//! One front end drives the scheduler: [`Engine`]. [`Engine::submit`] returns
+//! a [`RequestHandle`], every state transition emits a typed [`Event`]
+//! (`Queued` → `PrefillStarted` → `FirstToken` → `Token`* → `Completed`, with
+//! `Preempted`/`Resumed`/`Failed`/`Cancelled` along the way), requests carry
+//! [`SubmitOptions`] priorities and deadlines, and [`Engine::cancel`] retires
+//! work mid-flight — the API that makes time-to-first-token and inter-token
+//! latency observable per token. A batch driver that only wants results
+//! submits, calls [`Engine::run`] to idle and harvests
+//! [`Engine::completions`], with [`Engine::record_events`] off so nothing
+//! buffers undrained:
 //!
 //! ```
 //! use keyformer_core::{CacheBudgetSpec, PolicySpec};
 //! use keyformer_model::families::ModelFamily;
 //! use keyformer_model::generation::GenerationConfig;
-//! use keyformer_serve::{Request, Server, ServerConfig};
+//! use keyformer_serve::{Engine, Request, ServerConfig};
 //!
 //! let model = ModelFamily::Tiny.build(7);
 //! let pool = 64 * model.empty_cache().bytes_per_token();
-//! let mut server = Server::new(
+//! let mut engine = Engine::new(
 //!     &model,
 //!     ServerConfig::new(
 //!         PolicySpec::keyformer_default(),
@@ -44,12 +42,13 @@
 //!         pool,
 //!     ),
 //! )?;
+//! engine.record_events(false);
 //! for i in 0..4 {
 //!     let prompt: Vec<u32> = (0..24).map(|t| (t * 7 + i) % 100).collect();
-//!     server.submit(Request::new(u64::from(i), prompt, GenerationConfig::new(6)))?;
+//!     engine.submit(Request::new(u64::from(i), prompt, GenerationConfig::new(6)))?;
 //! }
-//! server.run(256);
-//! assert_eq!(server.completions().len(), 4);
+//! engine.run(256);
+//! assert_eq!(engine.completions().len(), 4);
 //! # Ok::<(), keyformer_core::CoreError>(())
 //! ```
 //!
@@ -62,15 +61,19 @@
 
 pub mod engine;
 pub mod request;
-pub mod server;
 
 pub use engine::{
-    AdmissionOrder, CancelSignal, Engine, EngineConfig, Event, EventKind, RequestHandle,
-    ServerConfig, ServerStats, StepReport, DEFAULT_SERVE_BLOCK_SIZE, PRIORITY_AGING_STEPS,
-    SPF_AGING_TOKENS_PER_STEP,
+    CancelSignal, Engine, Event, EventKind, RequestHandle, ServerConfig, ServerStats, StepReport,
+    DEFAULT_SERVE_BLOCK_SIZE, PRIORITY_AGING_STEPS,
 };
 pub use request::{
     submit_rejection, Completion, FailedRequest, FailureReason, Request, RequestId,
     RequestOverrides, SubmitOptions, WireCode,
 };
-pub use server::Server;
+
+/// The batch-driven scheduler tests (submit → run → `completions()`); the
+/// module path is the one their test ids have always had.
+#[cfg(test)]
+mod server {
+    mod tests;
+}

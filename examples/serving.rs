@@ -3,10 +3,9 @@
 //! 50% KV budget, at the same fixed KV-byte pool, and compare throughput and
 //! per-token latency.
 //!
-//! This example drives the event-driven [`Engine`] API directly (`submit` →
-//! `step` → `completions`), the migration target for code that previously
-//! used the batch `Server` facade; see `examples/streaming_chat.rs` for
-//! per-token event streaming, cancellation and priorities.
+//! This example drives the [`Engine`] batch-style (`submit` → `step` →
+//! `completions`); see `examples/streaming_chat.rs` for per-token event
+//! streaming, cancellation and priorities.
 //!
 //! ```text
 //! cargo run --release --example serving

@@ -11,7 +11,7 @@ use keyformer::core::spec::PolicySpec;
 use keyformer::model::families::ModelFamily;
 use keyformer::model::generation::GenerationConfig;
 use keyformer::model::session::Session;
-use keyformer::serve::{Request, Server, ServerConfig};
+use keyformer::serve::{Engine, Request, ServerConfig};
 use proptest::prelude::*;
 
 /// The whole policy zoo, each with the budget the experiments run it under
@@ -263,7 +263,7 @@ fn preempt_then_resume_mid_prefill_is_token_identical() {
         .with_prefill_chunk(4)
         .with_strict_pool(true);
     for config in [base, base.with_prefix_sharing(true)] {
-        let mut server = Server::new(&model, config).unwrap();
+        let mut server = Engine::new(&model, config).unwrap();
         // A long decoder admitted first, then a fat prompt whose prefill
         // transient cannot fit alongside it: the prefill stalls, and after
         // PREEMPT_AFTER_STALLS steps the younger decoder is swapped out.

@@ -8,7 +8,7 @@ use keyformer::core::spec::PolicySpec;
 use keyformer::model::engine::InferenceEngine;
 use keyformer::model::families::ModelFamily;
 use keyformer::model::generation::GenerationConfig;
-use keyformer::serve::{Request, Server, ServerConfig};
+use keyformer::serve::{Engine, Request, ServerConfig};
 use proptest::prelude::*;
 
 /// The whole policy zoo, each with the budget the experiments run it under
@@ -75,7 +75,7 @@ proptest! {
                 } else {
                     policy.label()
                 };
-                let mut server = Server::new(&model, config).unwrap();
+                let mut server = Engine::new(&model, config).unwrap();
                 for request in &requests {
                     server.submit(request.clone()).unwrap();
                 }
@@ -123,7 +123,7 @@ proptest! {
         let model = ModelFamily::Tiny.build(13);
         let bytes_per_token = model.empty_cache().bytes_per_token();
         let pool = pool_slots * bytes_per_token;
-        let mut server = Server::new(
+        let mut server = Engine::new(
             &model,
             ServerConfig::new(
                 PolicySpec::keyformer_default(),

@@ -1,10 +1,10 @@
 //! Streaming-engine properties, across the whole policy zoo:
 //!
 //! 1. **Stream/batch identity** — the token sequence a request's event stream
-//!    surfaces (`FirstToken` then `Token`*) is bit-identical to the batch
-//!    `Server::completions()` output for the same workload, for every policy,
-//!    with and without prefix sharing. Streaming is an observation channel; it
-//!    must never perturb scheduling or decoding.
+//!    surfaces (`FirstToken` then `Token`*) is bit-identical to the
+//!    `completions()` of a non-recording `Engine` run of the same workload,
+//!    for every policy, with and without prefix sharing. Streaming is an
+//!    observation channel; it must never perturb scheduling or decoding.
 //! 2. **Cancellation leak-freedom** — cancelling at every phase (queued,
 //!    mid-prefill, mid-decode, preempted) immediately returns reservations and
 //!    releases the session's blocks: once the engine is idle the pool holds
@@ -21,8 +21,7 @@ use keyformer::core::spec::PolicySpec;
 use keyformer::model::families::ModelFamily;
 use keyformer::model::generation::GenerationConfig;
 use keyformer::serve::{
-    Engine, Event, EventKind, FailureReason, Request, RequestId, Server, ServerConfig,
-    SubmitOptions,
+    Engine, Event, EventKind, FailureReason, Request, RequestId, ServerConfig, SubmitOptions,
 };
 use proptest::prelude::*;
 
@@ -90,8 +89,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Property 1: the streamed token sequence of every request equals the
-    /// batch `completions()` output of the PR 4 server, for every policy in
-    /// the zoo, with and without prefix sharing.
+    /// `completions()` output of a non-recording engine run, for every policy
+    /// in the zoo, with and without prefix sharing.
     #[test]
     fn streamed_tokens_match_batch_completions_across_the_zoo(
         total_len in 18usize..30,
@@ -112,7 +111,8 @@ proptest! {
                     .with_decode_workers(decode_workers());
                 let label = format!("{} (sharing={sharing})", policy.label());
 
-                let mut server = Server::new(&model, config).unwrap();
+                let mut server = Engine::new(&model, config).unwrap();
+                server.record_events(false);
                 for request in &requests {
                     server.submit(request.clone()).unwrap();
                 }
@@ -142,7 +142,7 @@ proptest! {
                         .expect("engine completion exists");
                     prop_assert!(
                         batch.output == streamed.output,
-                        "{label}: engine diverged from batch server for {}",
+                        "{label}: recording engine diverged from the batch run for {}",
                         request.id
                     );
                     let per_request: Vec<Event> = events

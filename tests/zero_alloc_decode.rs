@@ -20,7 +20,8 @@
 //! per-block `positions` reservation) and the stats collector (off here, as
 //! in serving). Allocation-freedom is a property of the default
 //! [`ForwardPath::Workspace`] only — the legacy path allocates per token by
-//! design, which is what `BENCH_hotpath.json` quantifies.
+//! design, which is what the `attention_hotpath` Criterion target's
+//! `forward_path/*` group quantifies.
 
 // The GlobalAlloc trait is unsafe to implement; this thin counting wrapper
 // delegates straight to the system allocator.
