@@ -1,21 +1,30 @@
 //! Prefill GEMM microbenchmarks: the tiled batched matrix kernels underneath
 //! chunk-batched prefill, and the chunked prompt pass end to end.
 //!
-//! Two granularities. `prefill_gemm` times one projection's worth of work at
-//! real transformer shapes — `n` per-token `matvec_into` calls (what the
+//! Three granularities. `prefill_gemm` times one projection's worth of work
+//! at real transformer shapes — `n` per-token `matvec_into` calls (what the
 //! sequential prompt pass does) against one `matvec_batch_into` GEMM (what
 //! the batched pass does), plus the square `matmul_into` kernel the GEMM is
-//! built on. `chunked_prefill` times the full prompt pass through a session
-//! at each chunk size, which is where the per-chunk weight-streaming savings
-//! show up end to end.
+//! built on. `chunk_attention` times one layer's prompt attention for a
+//! 128-token chunk over 1k live slots, as the per-query `dot` / `vecmat_into`
+//! loop and as the two tiled GEMMs the chunk forward runs on `f32` layers.
+//! `chunked_prefill` times the full prompt pass through a session at each
+//! chunk size, which is where the per-chunk savings show up end to end.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use keyformer_core::cache::LayerKvCache;
+use keyformer_core::rotated::RotatedKeyCache;
 use keyformer_core::spec::PolicySpec;
 use keyformer_model::families::ModelFamily;
 use keyformer_model::generation::GenerationConfig;
+use keyformer_model::positional::{
+    alibi_bias, alibi_slope, PositionalEncoding, RopeRotor, ROPE_BASE,
+};
 use keyformer_model::session::Session;
 use keyformer_model::workspace::ForwardPath;
-use keyformer_tensor::Matrix;
+use keyformer_tensor::matrix::{matmul_packed_bt, matmul_strided, PackedPanels};
+use keyformer_tensor::ops::{softmax_into, softmax_slice};
+use keyformer_tensor::{dot, Matrix};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -102,6 +111,142 @@ fn bench_prefill_gemm(c: &mut Criterion) {
     group.finish();
 }
 
+/// One layer's prompt attention for the last 128-token chunk of a 1k-token
+/// prompt (896 slots live before it), on the long-context ALiBi family and
+/// the RoPE family: the per-query loop (`dot` per key row, `softmax_into`,
+/// `vecmat_into` — what the chunk forward ran before, and still runs on `u8`
+/// layers) against the two tiled GEMMs over keys packed once per head (what
+/// it runs on `f32` layers). Same arithmetic chains, so both variants leave
+/// the same context bits. Under ALiBi the far keys of the steepest head get
+/// subnormal probabilities, which is why its P·V half is slower than RoPE's.
+fn bench_chunk_attention(c: &mut Criterion) {
+    const PRE: usize = 896;
+    const CHUNK: usize = 128;
+    const LIVE: usize = PRE + CHUNK;
+    let mut group = c.benchmark_group("chunk_attention");
+    group
+        .sample_size(15)
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_secs(2));
+    for (label, family) in [
+        ("storywriter", ModelFamily::MptStorywriterLike),
+        ("gptj", ModelFamily::GptJLike),
+    ] {
+        let config = family.config(41);
+        let (d_model, heads, hd) = (config.d_model, config.num_heads, config.head_dim());
+        let rotary = config.positional == PositionalEncoding::Rope;
+        let scale = 1.0 / (hd as f32).sqrt();
+        let slopes: Vec<f32> = (0..heads).map(|h| alibi_slope(h, heads)).collect();
+        let q = random_matrix(CHUNK, d_model, 13).into_vec();
+        let mut cache = LayerKvCache::new(heads, hd);
+        cache
+            .append_batch_from_slices(
+                0,
+                LIVE,
+                random_matrix(LIVE, d_model, 17).as_slice(),
+                random_matrix(LIVE, d_model, 19).as_slice(),
+            )
+            .expect("unbounded pool");
+        let mut rot = RotatedKeyCache::new(heads, hd, cache.block_size());
+        if rotary {
+            let mut rotor = RopeRotor::new(hd, ROPE_BASE);
+            rot.sync(&cache, |row, slot| {
+                rotor.rotate(row, slot as f32 * config.rope_scale)
+            });
+        }
+        let bias = |head: usize, query: usize, key: usize| match config.positional {
+            PositionalEncoding::Alibi => alibi_bias(slopes[head], query, key),
+            _ => 0.0,
+        };
+
+        group.bench_function(BenchmarkId::new(label, "per_query"), |b| {
+            let mut context = vec![0.0f32; CHUNK * d_model];
+            let (mut logits, mut probs) = (Vec::new(), Vec::new());
+            let mut scratch = vec![0.0f32; hd];
+            b.iter(|| {
+                for t in 0..CHUNK {
+                    let seen = PRE + t + 1;
+                    for head in 0..heads {
+                        let cols = t * d_model + head * hd..t * d_model + (head + 1) * hd;
+                        let q_head = &q[cols.clone()];
+                        logits.clear();
+                        if rotary {
+                            for slot in 0..seen {
+                                logits.push(dot(q_head, rot.row(head, slot)) * scale);
+                            }
+                        } else {
+                            let keys = cache.keys(head).truncated(seen);
+                            keys.for_each_row(&mut scratch, |slot, row| {
+                                logits.push(dot(q_head, row) * scale + bias(head, seen - 1, slot));
+                            });
+                        }
+                        softmax_into(&logits, &mut probs);
+                        let values = cache.values(head).truncated(seen);
+                        values
+                            .vecmat_into(&probs, &mut context[cols], &mut scratch)
+                            .expect("shape agrees");
+                    }
+                }
+                black_box(&context);
+            });
+        });
+
+        group.bench_function(BenchmarkId::new(label, "two_gemms"), |b| {
+            const BAND: usize = 8;
+            let mut context = vec![0.0f32; CHUNK * d_model];
+            let mut panels = PackedPanels::new();
+            let (mut values, mut logits) = (Vec::new(), Vec::new());
+            let mut band = vec![0.0f32; BAND * LIVE];
+            let mut scratch = vec![0.0f32; hd];
+            b.iter(|| {
+                for head in 0..heads {
+                    panels.reset(hd);
+                    if rotary {
+                        for slot in 0..LIVE {
+                            panels.push_row(rot.row(head, slot));
+                        }
+                    } else {
+                        let keys = cache.keys(head);
+                        keys.for_each_row(&mut scratch, |_, row| panels.push_row(row));
+                    }
+                    values.clear();
+                    let value_rows = cache.values(head);
+                    value_rows.for_each_row(&mut scratch, |_, row| values.extend_from_slice(row));
+                    for t0 in (0..CHUNK).step_by(BAND) {
+                        let (rows, extent) =
+                            (BAND.min(CHUNK - t0), PRE + t0 + BAND.min(CHUNK - t0));
+                        let at = t0 * d_model + head * hd;
+                        matmul_packed_bt(&q[at..], d_model, rows, &panels, extent, &mut band, LIVE);
+                        for row in 0..rows {
+                            let seen = PRE + t0 + row + 1;
+                            let band_row = &mut band[row * LIVE..row * LIVE + extent];
+                            for (slot, d) in band_row[..seen].iter_mut().enumerate() {
+                                *d = *d * scale + bias(head, seen - 1, slot);
+                            }
+                            logits.clear();
+                            logits.extend_from_slice(&band_row[..seen]);
+                            softmax_slice(&logits, &mut band_row[..seen]);
+                            band_row[seen..].fill(0.0);
+                        }
+                        matmul_strided(
+                            &band,
+                            LIVE,
+                            rows,
+                            extent,
+                            &values,
+                            hd,
+                            &mut context[at..],
+                            d_model,
+                        );
+                    }
+                }
+                black_box(&context);
+            });
+        });
+    }
+    group.finish();
+}
+
 /// The chunked prompt pass end to end: arm a prompt and drive
 /// `advance_prefill` to completion on the batched path at each chunk size,
 /// with the sequential path as the baseline.
@@ -141,5 +286,10 @@ fn bench_chunked_prefill(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(prefill_gemm, bench_prefill_gemm, bench_chunked_prefill);
+criterion_group!(
+    prefill_gemm,
+    bench_prefill_gemm,
+    bench_chunk_attention,
+    bench_chunked_prefill
+);
 criterion_main!(prefill_gemm);

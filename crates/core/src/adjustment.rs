@@ -57,7 +57,17 @@ impl LogitAdjustment {
 
     /// Returns `x_i + ζ_i` for every logit, drawing independent samples per position.
     pub fn adjust<R: Rng>(&self, logits: &[f32], rng: &mut R) -> Vec<f32> {
-        logits.iter().map(|&x| x + self.sample(rng)).collect()
+        let mut out = Vec::with_capacity(logits.len());
+        self.adjust_into(logits, rng, &mut out);
+        out
+    }
+
+    /// [`LogitAdjustment::adjust`] into a caller-owned buffer (cleared and
+    /// refilled): the same samples drawn in the same order, allocation-free
+    /// given capacity.
+    pub fn adjust_into<R: Rng>(&self, logits: &[f32], rng: &mut R, out: &mut Vec<f32>) {
+        out.clear();
+        out.extend(logits.iter().map(|&x| x + self.sample(rng)));
     }
 
     /// Short human-readable label used in tables.

@@ -1818,6 +1818,55 @@ mod tests {
         assert!(view.vecmat(&[1.0]).is_err());
     }
 
+    /// The P·V GEMM of chunk attention — `matmul_strided` over value rows
+    /// gathered through `for_each_row`, with causal rows zero-padded to a
+    /// common `k` — leaves the bits `vecmat_into` leaves through each causal
+    /// view, across block boundaries, with leading exact-zero and subnormal
+    /// coefficients.
+    #[test]
+    fn strided_gemm_over_gathered_rows_is_bit_identical_to_vecmat_into() {
+        use keyformer_tensor::matrix::matmul_strided;
+        let (live, heads, hd, block) = (21usize, 2usize, 5usize, 4usize);
+        let mut layer = LayerKvCache::with_pool(heads, hd, SharedBlockPool::unbounded(block));
+        let noise = |i: usize| ((i * 2654435761) % 1013) as f32 / 506.5 - 1.0;
+        for slot in 0..live {
+            let row: Vec<f32> = (0..heads * hd).map(|d| noise(slot * 31 + d)).collect();
+            layer.append_from_slices(slot, &row, &row).unwrap();
+        }
+        let view = layer.values(1);
+        let (mut gathered, mut scratch) = (Vec::new(), vec![0.0; hd]);
+        view.for_each_row(&mut scratch, |_, row| gathered.extend_from_slice(row));
+
+        // Queries seeing 15, 16, ..., 21 slots; each row padded to `live`.
+        let seen: Vec<usize> = (15..=live).collect();
+        let mut probs = vec![0.0f32; seen.len() * live];
+        for (row, &n) in probs.chunks_exact_mut(live).zip(&seen) {
+            for (slot, p) in row[..n].iter_mut().enumerate() {
+                *p = match slot {
+                    0..=2 => 0.0,
+                    3..=5 => f32::from_bits(7 + slot as u32 * 1_000),
+                    _ => noise(slot + n).abs(),
+                };
+            }
+        }
+        let mut out = vec![f32::NAN; seen.len() * hd];
+        matmul_strided(&probs, live, seen.len(), live, &gathered, hd, &mut out, hd);
+        let mut want = vec![0.0; hd];
+        for (i, &n) in seen.iter().enumerate() {
+            view.truncated(n)
+                .vecmat_into(&probs[i * live..i * live + n], &mut want, &mut scratch)
+                .unwrap();
+            assert_eq!(
+                out[i * hd..(i + 1) * hd]
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect::<Vec<_>>(),
+                want.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                "query seeing {n} slots"
+            );
+        }
+    }
+
     #[test]
     fn retain_slots_compacts_keys_values_positions() {
         let mut layer = filled_layer(5);

@@ -6,7 +6,7 @@ use crate::accumulator::{ScoreAccumulator, ScoreScope};
 use crate::budget::CacheBudget;
 use crate::observation::AttentionObservation;
 use crate::policy::{merge_key_and_recent, KvCachePolicy};
-use keyformer_tensor::ops::softmax;
+use keyformer_tensor::ops::softmax_into;
 use keyformer_tensor::top_k_indices;
 use serde::{Deserialize, Serialize};
 
@@ -32,6 +32,9 @@ impl Default for H2OConfig {
 pub struct H2O {
     config: H2OConfig,
     accumulator: ScoreAccumulator,
+    /// Scratch of one observation's softmax row; emptied after every use (a
+    /// snapshot clone carries no dead row), capacity kept.
+    probs: Vec<f32>,
 }
 
 impl H2O {
@@ -40,6 +43,7 @@ impl H2O {
         H2O {
             accumulator: ScoreAccumulator::new(config.scope),
             config,
+            probs: Vec::new(),
         }
     }
 
@@ -69,8 +73,9 @@ impl KvCachePolicy for H2O {
         // H2O accumulates the *normalized* attention scores. After eviction the
         // discarded probability mass redistributes over the survivors — the softmax
         // shift the Keyformer paper identifies as H2O's weakness (Figure 4).
-        let probs = softmax(obs.logits);
-        self.accumulator.accumulate(obs.layer, &probs);
+        softmax_into(obs.logits, &mut self.probs);
+        self.accumulator.accumulate(obs.layer, &self.probs);
+        self.probs.clear();
     }
 
     fn select_retained(&mut self, layer: usize, live: usize, budget: &CacheBudget) -> Vec<usize> {
@@ -173,6 +178,21 @@ mod tests {
         // still dominate the scores.
         let scores = p.scores(0, 4);
         assert!(scores[0] > scores[2] && scores[1] > scores[3]);
+    }
+
+    #[test]
+    fn scores_are_the_accumulated_softmax_rows_bit_for_bit() {
+        let mut p = H2O::default();
+        let rows: [&[f32]; 2] = [&[1.5, -0.25, 0.0, 3.0], &[0.5, 0.5, -2.0, 1.0, 0.75]];
+        let mut want = vec![0.0f32; 5];
+        for logits in rows {
+            observe(&mut p, 0, logits);
+            for (w, c) in want.iter_mut().zip(keyformer_tensor::ops::softmax(logits)) {
+                *w += c;
+            }
+        }
+        assert_eq!(p.scores(0, 5), want);
+        assert!(p.probs.is_empty(), "no dead row rides along in a snapshot");
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::observation::AttentionObservation;
 use crate::policy::{merge_key_and_recent, KvCachePolicy};
 use crate::temperature::TemperatureSchedule;
 use crate::CoreError;
-use keyformer_tensor::ops::softmax_with_temperature;
+use keyformer_tensor::ops::softmax_with_temperature_into;
 use keyformer_tensor::top_k_indices;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -93,6 +93,12 @@ pub struct Keyformer {
     config: KeyformerConfig,
     accumulator: ScoreAccumulator,
     rng: StdRng,
+    /// Scratch of one observation: the noise-adjusted logits `x + ζ` and the
+    /// score contribution computed from them. Emptied after every use (a
+    /// snapshot clone carries no dead rows); the capacity stays, so a
+    /// prompt's thousands of observations reuse two allocations.
+    adjusted: Vec<f32>,
+    contribution: Vec<f32>,
 }
 
 impl Keyformer {
@@ -108,6 +114,8 @@ impl Keyformer {
             accumulator: ScoreAccumulator::new(config.scope),
             rng: StdRng::seed_from_u64(config.seed),
             config,
+            adjusted: Vec::new(),
+            contribution: Vec::new(),
         }
     }
 
@@ -126,12 +134,22 @@ impl Keyformer {
     /// noise-adjusted, temperature-scaled softmax. Exposed so the diagnostics module
     /// and the benches can measure the score function in isolation.
     pub fn step_scores(&mut self, obs: &AttentionObservation<'_>) -> Vec<f32> {
-        let adjusted = self.config.adjustment.adjust(obs.logits, &mut self.rng);
+        self.score_step(obs);
+        self.adjusted.clear();
+        std::mem::take(&mut self.contribution)
+    }
+
+    /// [`Keyformer::step_scores`] into `self.contribution`: `x + ζ` (one RNG
+    /// draw per logit, in slot order), then `/ τ`, then softmax.
+    fn score_step(&mut self, obs: &AttentionObservation<'_>) {
+        self.config
+            .adjustment
+            .adjust_into(obs.logits, &mut self.rng, &mut self.adjusted);
         let tau = self
             .config
             .temperature
             .tau(obs.phase, obs.step, obs.total_steps);
-        softmax_with_temperature(&adjusted, tau)
+        softmax_with_temperature_into(&self.adjusted, tau, &mut self.contribution);
     }
 }
 
@@ -150,8 +168,10 @@ impl KvCachePolicy for Keyformer {
         if obs.logits.is_empty() {
             return;
         }
-        let contribution = self.step_scores(obs);
-        self.accumulator.accumulate(obs.layer, &contribution);
+        self.score_step(obs);
+        self.accumulator.accumulate(obs.layer, &self.contribution);
+        self.adjusted.clear();
+        self.contribution.clear();
     }
 
     fn select_retained(&mut self, layer: usize, live: usize, budget: &CacheBudget) -> Vec<usize> {
@@ -315,6 +335,47 @@ mod tests {
         for (a, b) in ks.iter().zip(&hs) {
             assert!((a - b).abs() < 1e-5, "{ks:?} vs {hs:?}");
         }
+    }
+
+    /// The scratch-routed `observe` keeps the allocating score function's
+    /// operation order and RNG draw sequence: `x + ζ`, then `/ τ`, then
+    /// softmax, then accumulate — bit for bit, observation after observation.
+    #[test]
+    fn observe_matches_the_allocating_score_function_bit_for_bit() {
+        use keyformer_tensor::ops::softmax_with_temperature;
+        let config = KeyformerConfig::default().with_seed(123);
+        let mut policy = Keyformer::new(config);
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut want = [0.0f32; 9];
+        for step in 0..4 {
+            let logits: Vec<f32> = (0..6 + step)
+                .map(|i| (i * 5 % 7) as f32 * 0.4 - 1.0)
+                .collect();
+            policy.observe(&obs(&logits, step, Phase::Generation));
+            let adjusted = config.adjustment.adjust(&logits, &mut rng);
+            let tau = config.temperature.tau(Phase::Generation, step, 10);
+            for (w, c) in want
+                .iter_mut()
+                .zip(softmax_with_temperature(&adjusted, tau))
+            {
+                *w += c;
+            }
+            let got = policy.scores(0, 9);
+            assert_eq!(
+                got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                want.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                "step {step}"
+            );
+        }
+        // `step_scores` draws from the same stream and leaves no scratch behind.
+        let logits = [0.5, -0.25, 2.0];
+        let adjusted = config.adjustment.adjust(&logits, &mut rng);
+        let tau = config.temperature.tau(Phase::Prompt, 0, 10);
+        assert_eq!(
+            policy.step_scores(&obs(&logits, 0, Phase::Prompt)),
+            softmax_with_temperature(&adjusted, tau)
+        );
+        assert!(policy.adjusted.is_empty() && policy.contribution.is_empty());
     }
 
     #[test]

@@ -512,13 +512,14 @@ pub fn stream_event(snapshot: &StreamSnapshot, cursor: usize) -> Vec<String> {
 
 /// Drives a streaming drain for `job`: waits on the table, emits each new
 /// token through `write` (one JSON line per call), and returns once the job
-/// is terminal or `write` fails (client gone — the job is then cancelled so
-/// its blocks free up).
+/// is terminal or `write` fails (client gone or stalled past the write
+/// timeout — the job is then cancelled so its blocks free up, and the error
+/// is returned so the caller ends the exchange without writing again).
 pub fn drive_stream(
     node: &NodeShared,
     job: u64,
     mut write: impl FnMut(&str) -> std::io::Result<()>,
-) {
+) -> std::io::Result<()> {
     let mut cursor = 0;
     loop {
         let Some(snapshot) = node
@@ -526,19 +527,19 @@ pub fn drive_stream(
             .jobs
             .wait_stream(job, cursor, Duration::from_millis(100))
         else {
-            return;
+            return Ok(());
         };
         let lines = stream_event(&snapshot, cursor);
         cursor += snapshot.new_tokens.len();
         for line in lines {
-            if write(&line).is_err() {
+            if let Err(e) = write(&line) {
                 // The client hung up mid-stream: stop paying for its tokens.
                 let _ = node.cmd.send(Command::Cancel { job });
-                return;
+                return Err(e);
             }
         }
         if snapshot.state.is_terminal() {
-            return;
+            return Ok(());
         }
     }
 }

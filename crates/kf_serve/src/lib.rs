@@ -341,10 +341,20 @@ impl Drop for SlotGuard {
     }
 }
 
+/// Longest one `send` on a served connection may make no progress. A peer
+/// that stops reading — a stalled consumer of a token stream — fills the
+/// socket buffers and would otherwise block its connection thread in `write`
+/// for good; past this bound the write fails and ends the exchange like any
+/// other write error (a streaming job is cancelled, the thread and its
+/// connection slot are released). A send that moves even a few bytes starts
+/// the clock again, so a dying peer can take two or three of these to shed.
+const WRITE_STALL_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Dispatches one fresh connection to the protocol its first line selects: a
 /// `{` opens a persistent NDJSON session, anything else is one HTTP exchange.
 fn handle_connection(stream: TcpStream, node: &Arc<NodeShared>) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
+    let _ = stream.set_write_timeout(Some(WRITE_STALL_TIMEOUT));
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -486,10 +496,12 @@ fn handle_generate(body: &[u8], writer: &mut TcpStream, node: &Arc<NodeShared>) 
             let _ = node.cmd.send(Command::Cancel { job });
             return;
         }
-        api::drive_stream(node, job, |line| {
+        let streamed = api::drive_stream(node, job, |line| {
             http::write_chunk(writer, &format!("{line}\n"))
         });
-        let _ = http::finish_chunked(writer);
+        if streamed.is_ok() {
+            let _ = http::finish_chunked(writer);
+        }
     } else {
         let state = node
             .pump
@@ -597,8 +609,7 @@ fn ndjson_op(line: &str, writer: &mut TcpStream, node: &Arc<NodeShared>) -> std:
                 api::drive_stream(node, job, |event| {
                     writeln!(writer, "{event}")?;
                     writer.flush()
-                });
-                Ok(())
+                })
             } else {
                 let state = node
                     .pump

@@ -408,6 +408,63 @@ fn connections_past_the_cap_answer_503() {
     handle.shutdown();
 }
 
+/// A peer that asks for token streams and then stops reading must not pin
+/// its connection thread: once the socket buffers fill, the server's write
+/// stalls, times out, and ends the exchange like any other write error — the
+/// thread exits and its connection slot comes back.
+///
+/// Filling loopback buffers takes tens of megabytes (the kernel grows a
+/// non-reading peer's receive buffer to `tcp_rmem[2]`), so the streams are
+/// cache-hit replays, which run at wire speed: one 4000-token job, then far
+/// more pipelined streamed repeats of it on the same NDJSON session than any
+/// buffer holds. The server only ever writes what the buffers take.
+#[test]
+fn a_stream_reader_that_stops_reading_is_dropped_by_the_write_timeout() {
+    use std::io::Write;
+
+    let handle = serve(
+        "127.0.0.1:0",
+        NodeConfig::new(ModelFamily::Tiny, MODEL_SEED, pool_config(4000)).with_max_connections(1),
+    )
+    .expect("node boots");
+    let client = handle.client();
+
+    // The node's first connection, so the only slot is certainly its own.
+    // 500 streamed generates of one request, never read: the first runs, the
+    // other 499 replay it from the result cache — ~110 MB of token events
+    // asked for. The ops themselves (~75 KB) fit the socket buffers; the
+    // timeout only guards this thread should they not.
+    let mut stalled = std::net::TcpStream::connect(handle.local_addr()).expect("connect");
+    stalled
+        .set_write_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let op = generate_body(&prompt(20, 9), 4000, ",\"stream\":true,\"op\":\"generate\"");
+    let _ = stalled.write_all(format!("{op}\n").repeat(500).as_bytes());
+
+    // The session holds the only slot, so everyone else is shed — until the
+    // stalled write gives up and the connection thread exits.
+    let (status, _) = client.stats().expect("shed while the session is live");
+    assert_eq!(status, 503, "the stalled session holds the only slot");
+    let started = Instant::now();
+    loop {
+        if let Ok((200, stats)) = client.stats() {
+            assert_eq!(u64_field(&stats, "live_jobs"), Some(0));
+            break;
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(90),
+            "the stalled stream still pins its connection thread"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    assert!(
+        started.elapsed() > Duration::from_secs(3),
+        "the slot came back before a write could have timed out"
+    );
+    drop(stalled);
+    handle.shutdown();
+}
+
 #[test]
 fn idle_ndjson_sessions_are_closed_by_the_server() {
     use std::io::{BufRead, BufReader, Write};

@@ -36,10 +36,20 @@ use keyformer_core::cache::{KvCache, KvDtype, LayerKvCache};
 use keyformer_core::observation::{AttentionObservation, Phase};
 use keyformer_core::policy::KvCachePolicy;
 use keyformer_core::{CoreError, RotatedKeyCache};
-use keyformer_tensor::ops::{gelu_in_place, layer_norm_into, layer_norm_slice, softmax_into};
+use keyformer_tensor::matrix::{matmul_packed_bt, matmul_strided, PackedPanels};
+use keyformer_tensor::ops::{
+    gelu_in_place, layer_norm_into, layer_norm_slice, softmax_into, softmax_slice,
+};
 use keyformer_tensor::vector::dot;
+use std::ops::Range;
 
 const LN_EPS: f32 = 1e-5;
+
+/// Chunk queries attended per pass of [`attend_chunk_gemm`]: its
+/// logit/probability rectangle is this many rows tall (two register tiles),
+/// not `chunk` rows, so it stays L1-resident at a thousand live slots and off
+/// the peak RSS. Prefill time is flat from 4 to 32 rows.
+const ATTN_BAND_ROWS: usize = 8;
 
 /// Which forward implementation a [`crate::session::Session`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -89,10 +99,9 @@ pub(crate) struct AttnScratch {
 
 /// Scratch owned by the chunk-batched prefill forward
 /// ([`forward_chunk_ws`]): flat `[token][feature]` row blocks sized to the
-/// chunk being forwarded, plus the buffered attention logits the session
-/// replays token-major afterwards. All buffers keep their capacity across
-/// chunks.
-#[derive(Debug, Clone)]
+/// chunk being forwarded, plus the attention scratch. All buffers keep their
+/// capacity across chunks.
+#[derive(Debug, Default)]
 pub(crate) struct ChunkScratch {
     /// Residual stream rows, `chunk x d_model`.
     hidden: Vec<f32>,
@@ -109,8 +118,25 @@ pub(crate) struct ChunkScratch {
     inner: Vec<f32>,
     /// Weight-panel packing scratch of the batched GEMM.
     pack: Vec<f32>,
-    /// Every attention-logit row of the chunk, concatenated in compute
-    /// (layer-major) order.
+    attn: ChunkAttnScratch,
+}
+
+/// Attention half of [`ChunkScratch`]: the per-(layer, head) operands of the
+/// two attention GEMMs and the buffered logit rows the session replays
+/// token-major afterwards.
+#[derive(Debug, Default)]
+struct ChunkAttnScratch {
+    /// One head's live keys, packed once per (layer, head) for QKᵀ:
+    /// `live x head_dim` values (rotated rows under RoPE).
+    key_panels: PackedPanels,
+    /// One head's live value rows, gathered contiguous for P·V:
+    /// `live x head_dim`.
+    values: Vec<f32>,
+    /// One query band's rectangle, `ATTN_BAND_ROWS x live`: raw logits, scaled
+    /// and biased in place, then — once buffered in `obs_data` — overwritten
+    /// by their softmax rows, each zero-padded to the band's causal extent.
+    band: Vec<f32>,
+    /// Every attention-logit row of the chunk, concatenated in compute order.
     obs_data: Vec<f32>,
     /// `(offset, len)` into `obs_data`, indexed `(token * L + layer) * H +
     /// head`, so the replay can walk the rows in sequential (token-major)
@@ -118,21 +144,12 @@ pub(crate) struct ChunkScratch {
     obs_index: Vec<(usize, usize)>,
 }
 
-impl ChunkScratch {
-    fn new() -> Self {
-        ChunkScratch {
-            hidden: Vec::new(),
-            normed: Vec::new(),
-            q: Vec::new(),
-            k: Vec::new(),
-            v: Vec::new(),
-            context: Vec::new(),
-            proj: Vec::new(),
-            inner: Vec::new(),
-            pack: Vec::new(),
-            obs_data: Vec::new(),
-            obs_index: Vec::new(),
-        }
+/// The scratch's contents are dead between chunks (the replay that reads them
+/// runs before `forward_prompt_chunk` returns), so a clone — `Session::fork` —
+/// starts empty instead of copying megabytes of buffered logits.
+impl Clone for ChunkScratch {
+    fn clone(&self) -> Self {
+        ChunkScratch::default()
     }
 }
 
@@ -187,7 +204,7 @@ impl ForwardWorkspace {
             rot: (0..config.num_layers)
                 .map(|_| RotatedKeyCache::new(config.num_heads, head_dim, block_size))
                 .collect(),
-            chunk: ChunkScratch::new(),
+            chunk: ChunkScratch::default(),
         }
     }
 
@@ -250,9 +267,9 @@ impl ForwardWorkspace {
         let num_heads = self.alibi_slopes.len();
         for layer in 0..num_layers {
             for head in 0..num_heads {
-                let (offset, len) =
-                    self.chunk.obs_index[(chunk_index * num_layers + layer) * num_heads + head];
-                let logits = &self.chunk.obs_data[offset..offset + len];
+                let (offset, len) = self.chunk.attn.obs_index
+                    [(chunk_index * num_layers + layer) * num_heads + head];
+                let logits = &self.chunk.attn.obs_data[offset..offset + len];
                 policy.observe(&AttentionObservation {
                     layer,
                     head,
@@ -374,7 +391,7 @@ pub(crate) fn forward_token_ws(
 /// and appends each layer's fresh keys/values in bulk
 /// ([`LayerKvCache::append_batch_from_slices`]).
 ///
-/// Byte-identity with the token-at-a-time path rests on four invariants:
+/// Byte-identity with the token-at-a-time path rests on five invariants:
 ///
 /// * **GEMM bits** — every batched output element is the same single
 ///   ascending-`k` accumulation chain the per-token `matvec_into` runs, so the
@@ -395,6 +412,17 @@ pub(crate) fn forward_token_ws(
 ///   logit rows are buffered, and the caller replays them token-major via
 ///   [`ForwardWorkspace::replay_chunk_token`], preserving the sequential
 ///   policy-RNG draw order and statistics stream.
+/// * **Attention logits and context rows are GEMM tiles of the same chains** —
+///   on `f32` layers ([`attend_chunk_gemm`]) a query's logit against a key is
+///   the one ascending-`k` chain `dot` runs, computed a 4x16 register tile at
+///   a time against keys packed once per (layer, head), and its context row
+///   is the one ascending-slot chain `vecmat_into` runs over its own
+///   probabilities; a probability row zero-padded past its causal extent adds
+///   `±0.0` to accumulators that are never `-0.0`, exactly like
+///   `vecmat_into`'s skip of zero coefficients. `u8` layers keep the
+///   per-query path ([`attend_chunk_query_ws`]): their value read is the
+///   fused `scale·(Σc·q − zero·Σc)` factoring per block — a different chain —
+///   in seal-delimited runs of at most `block_size` tokens.
 ///
 /// Next-token logits (final LN, readout matmul and copy-vote bonus) are only
 /// computed — for the last chunk token — when `compute_logits` is set, i.e.
@@ -459,12 +487,13 @@ pub(crate) fn forward_chunk_ws(
         proj,
         inner,
         pack,
-        obs_data,
-        obs_index,
+        attn: chunk_attn,
     } = chunk;
-    obs_data.clear();
-    obs_index.clear();
-    obs_index.resize(n * num_layers * num_heads, (0, 0));
+    chunk_attn.obs_data.clear();
+    chunk_attn.obs_index.clear();
+    chunk_attn
+        .obs_index
+        .resize(n * num_layers * num_heads, (0, 0));
     let gather_copy = compute_logits && config.copy_strength > 0.0;
     if gather_copy {
         copy_votes.fill(0.0);
@@ -528,21 +557,39 @@ pub(crate) fn forward_chunk_ws(
             if config.positional == PositionalEncoding::Rope {
                 sync_rotated_keys(config, layer_cache, layer_rot, &mut attn.rope);
             }
-            for t in run_start..run_end {
-                let obs_base = (t * num_layers + layer) * num_heads;
-                attend_chunk_query_ws(
+            if seals {
+                for t in run_start..run_end {
+                    let obs_base = (t * num_layers + layer) * num_heads;
+                    attend_chunk_query_ws(
+                        config,
+                        &q[t * d_model..(t + 1) * d_model],
+                        start_position + t,
+                        layer_cache,
+                        pre + t + 1,
+                        layer_rot,
+                        attn,
+                        alibi_slopes,
+                        &mut context[t * d_model..(t + 1) * d_model],
+                        &mut chunk_attn.obs_data,
+                        &mut chunk_attn.obs_index[obs_base..obs_base + num_heads],
+                        gather_copy && t == n - 1,
+                    );
+                }
+            } else {
+                attend_chunk_gemm(
                     config,
-                    &q[t * d_model..(t + 1) * d_model],
-                    start_position + t,
+                    layer,
+                    q,
+                    run_start..run_end,
+                    start_position,
+                    pre,
                     layer_cache,
-                    pre + t + 1,
                     layer_rot,
                     attn,
                     alibi_slopes,
-                    &mut context[t * d_model..(t + 1) * d_model],
-                    obs_data,
-                    &mut obs_index[obs_base..obs_base + num_heads],
-                    gather_copy && t == n - 1,
+                    context,
+                    chunk_attn,
+                    (gather_copy && run_end == n).then_some(n - 1),
                 );
             }
             run_start = run_end;
@@ -637,8 +684,166 @@ fn sync_rotated_keys(
     }
 }
 
-/// One chunk query of [`forward_chunk_ws`]: the same per-head arithmetic as
-/// [`attend_single_query_ws`], against a `live`-slot
+/// Chunk queries `run` of [`forward_chunk_ws`] against an `f32` layer, head
+/// by head as two GEMMs on the tiled micro-kernel — the same arithmetic as
+/// [`attend_single_query_ws`] per query, laid out for the memory hierarchy:
+///
+/// 1. the head's live keys (rotated rows under RoPE) are packed into
+///    `head_dim x 16` panels once, and its value rows gathered contiguous;
+/// 2. per band of [`ATTN_BAND_ROWS`] queries, raw logits against every key up
+///    to the band's causal extent come from [`matmul_packed_bt`]; each query
+///    then applies the unchanged `d * scale (+ alibi_bias)` expression over
+///    the `pre + t + 1` slots it may see, buffers that row for
+///    [`ForwardWorkspace::replay_chunk_token`] and softmaxes it into a
+///    probability row zero-padded to the band's extent;
+/// 3. the band's context rows are [`matmul_strided`] of the probability
+///    rectangle with the gathered values.
+///
+/// Queries in `q` are rotated in place under RoPE (token-major, so one
+/// `(sin, cos)` set serves a token's heads); the rotated-key cache must
+/// already cover `pre + run.end` slots. `mean_probs_of` names the chunk token
+/// (inside `run`) whose head-averaged probabilities the copy head wants.
+#[allow(clippy::too_many_arguments)]
+fn attend_chunk_gemm(
+    config: &ModelConfig,
+    layer: usize,
+    q: &mut [f32],
+    run: Range<usize>,
+    start_position: usize,
+    pre: usize,
+    cache: &LayerKvCache,
+    rot: &RotatedKeyCache,
+    attn: &mut AttnScratch,
+    alibi_slopes: &[f32],
+    context: &mut [f32],
+    scratch: &mut ChunkAttnScratch,
+    mean_probs_of: Option<usize>,
+) {
+    let (d_model, head_dim) = (config.d_model, config.head_dim());
+    let (num_layers, num_heads) = (config.num_layers, config.num_heads);
+    let scale = 1.0 / (head_dim as f32).sqrt();
+    let positions = cache.positions();
+    // Slots the run's last query attends over.
+    let live = pre + run.end;
+    let query_position = |t: usize| match config.position_mode {
+        PositionMode::Original => start_position + t,
+        // Under remapping the query sits immediately after the compacted cache.
+        PositionMode::Remapped => pre + t,
+    };
+    let AttnScratch {
+        dequant,
+        mean_probs,
+        rope,
+        ..
+    } = attn;
+    let ChunkAttnScratch {
+        key_panels,
+        values,
+        band,
+        obs_data,
+        obs_index,
+    } = scratch;
+
+    let rotary = config.positional == PositionalEncoding::Rope;
+    if rotary {
+        for t in run.clone() {
+            let position = query_position(t) as f32 * config.rope_scale;
+            for q_head in q[t * d_model..(t + 1) * d_model].chunks_exact_mut(head_dim) {
+                rope.rotate(q_head, position);
+            }
+        }
+    }
+    if let Some(t) = mean_probs_of {
+        mean_probs.clear();
+        mean_probs.resize(pre + t + 1, 0.0);
+    }
+    band.resize(ATTN_BAND_ROWS * live, 0.0);
+
+    for head in 0..num_heads {
+        let slope = alibi_slopes[head];
+        let col = head * head_dim;
+        key_panels.reset(head_dim);
+        if rotary {
+            for slot in 0..live {
+                key_panels.push_row(rot.row(head, slot));
+            }
+        } else {
+            let keys = cache.keys(head).truncated(live);
+            keys.for_each_row(dequant, |_slot, row| key_panels.push_row(row));
+        }
+        values.clear();
+        let value_rows = cache.values(head).truncated(live);
+        value_rows.for_each_row(dequant, |_slot, row| values.extend_from_slice(row));
+
+        let mut t0 = run.start;
+        while t0 < run.end {
+            let t1 = (t0 + ATTN_BAND_ROWS).min(run.end);
+            // Causal extent of the band's last query; earlier rows ignore the
+            // few logits past their own.
+            let extent = pre + t1;
+            matmul_packed_bt(
+                &q[t0 * d_model + col..],
+                d_model,
+                t1 - t0,
+                key_panels,
+                extent,
+                band,
+                live,
+            );
+            for (row, t) in (t0..t1).enumerate() {
+                let seen = pre + t + 1;
+                let query_pos = query_position(t);
+                let band_row = &mut band[row * live..row * live + extent];
+                let logits = &mut band_row[..seen];
+                match (config.positional, config.position_mode) {
+                    (PositionalEncoding::Alibi, PositionMode::Original) => {
+                        for (d, &key_pos) in logits.iter_mut().zip(positions) {
+                            *d = *d * scale + alibi_bias(slope, query_pos, key_pos);
+                        }
+                    }
+                    (PositionalEncoding::Alibi, PositionMode::Remapped) => {
+                        for (slot, d) in logits.iter_mut().enumerate() {
+                            *d = *d * scale + alibi_bias(slope, query_pos, slot);
+                        }
+                    }
+                    (PositionalEncoding::Rope | PositionalEncoding::Learned, _) => {
+                        for d in logits.iter_mut() {
+                            *d *= scale;
+                        }
+                    }
+                }
+                // Buffer the observation the sequential path would have
+                // delivered here; the session replays it token-major.
+                let offset = obs_data.len();
+                obs_index[(t * num_layers + layer) * num_heads + head] = (offset, seen);
+                obs_data.extend_from_slice(logits);
+
+                softmax_slice(&obs_data[offset..], logits);
+                band_row[seen..].fill(0.0);
+                if mean_probs_of == Some(t) {
+                    for (m, &p) in mean_probs.iter_mut().zip(band_row.iter()) {
+                        *m += p / num_heads as f32;
+                    }
+                }
+            }
+            matmul_strided(
+                band,
+                live,
+                t1 - t0,
+                extent,
+                values,
+                head_dim,
+                &mut context[t0 * d_model + col..],
+                d_model,
+            );
+            t0 = t1;
+        }
+    }
+}
+
+/// One chunk query of [`forward_chunk_ws`] against a quantized (`u8`) layer —
+/// `f32` layers go through [`attend_chunk_gemm`]: the same per-head arithmetic
+/// as [`attend_single_query_ws`], against a `live`-slot
 /// [`keyformer_core::cache::KvSlice::truncated`] causal view of the layer, with
 /// the policy observation *buffered* (into `obs_data` / `obs_slots`) instead of
 /// delivered — the session replays it token-major afterwards. The rotated-key
@@ -1084,6 +1289,177 @@ mod tests {
                         .collect::<Vec<_>>(),
                     "{positional} / {mode} mean_probs diverged"
                 );
+            }
+        }
+    }
+
+    /// Records every observed logit row, in delivery order.
+    #[derive(Clone, Default)]
+    struct RecordingPolicy {
+        rows: Vec<Vec<f32>>,
+    }
+
+    impl KvCachePolicy for RecordingPolicy {
+        fn name(&self) -> &'static str {
+            "recording"
+        }
+        fn observe(&mut self, obs: &AttentionObservation<'_>) {
+            self.rows.push(obs.logits.to_vec());
+        }
+        fn select_retained(
+            &mut self,
+            _layer: usize,
+            live: usize,
+            _budget: &keyformer_core::budget::CacheBudget,
+        ) -> Vec<usize> {
+            (0..live).collect()
+        }
+        fn compact(&mut self, _layer: usize, _retained: &[usize]) {}
+        fn reset(&mut self) {}
+        fn clone_box(&self) -> Box<dyn KvCachePolicy> {
+            Box::new(self.clone())
+        }
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The two-GEMM chunk attention must reproduce the single-query attention
+    /// token by token — context rows, buffered observation rows and the last
+    /// token's `mean_probs`, all by bits — for every positional family and
+    /// position mode, starting behind a prefix (`pre > 0`) with `pre` and the
+    /// chunk length off the 4-row / 16-slot tile sizes. The prefix keys sit
+    /// 2000 positions apart, so under ALiBi the far ones get probabilities
+    /// that are subnormal or exactly zero on both heads.
+    #[test]
+    fn chunk_attention_is_bit_identical_to_single_query_attention() {
+        let (pre, n, layer) = (21usize, 37usize, 1usize);
+        let start_position = pre * 2000;
+        let mut seed = 0x5eed_a77e_u64;
+        let mut rows = |count: usize, width: usize| -> Vec<f32> {
+            (0..count * width)
+                .map(|_| {
+                    seed = seed
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    ((seed >> 40) as f32) / ((1u64 << 23) as f32) - 1.0
+                })
+                .collect()
+        };
+        for positional in [
+            PositionalEncoding::Rope,
+            PositionalEncoding::Alibi,
+            PositionalEncoding::Learned,
+        ] {
+            for mode in [PositionMode::Original, PositionMode::Remapped] {
+                let config = ModelConfig {
+                    positional,
+                    position_mode: mode,
+                    ..ModelConfig::tiny()
+                };
+                let (d_model, num_heads) = (config.d_model, config.num_heads);
+                let prefix = rows(pre, d_model);
+                let (q, k, v) = (rows(n, d_model), rows(n, d_model), rows(n, d_model));
+                let prefixed = || {
+                    let mut cache = LayerKvCache::new(num_heads, config.head_dim());
+                    for (i, row) in prefix.chunks_exact(d_model).enumerate() {
+                        cache.append_from_slices(i * 2000, row, row).unwrap();
+                    }
+                    cache
+                };
+
+                // Chunk path: bulk append, one sync, two GEMMs per head.
+                let mut cache = prefixed();
+                let mut ws = ForwardWorkspace::new(&config, cache.block_size());
+                cache
+                    .append_batch_from_slices(start_position, n, &k, &v)
+                    .unwrap();
+                if positional == PositionalEncoding::Rope {
+                    sync_rotated_keys(&config, &cache, &mut ws.rot[layer], &mut ws.attn.rope);
+                }
+                let mut context = vec![0.0; n * d_model];
+                let mut scratch = ChunkAttnScratch::default();
+                scratch
+                    .obs_index
+                    .resize(n * config.num_layers * num_heads, (0, 0));
+                attend_chunk_gemm(
+                    &config,
+                    layer,
+                    &mut q.clone(),
+                    0..n,
+                    start_position,
+                    pre,
+                    &cache,
+                    &ws.rot[layer],
+                    &mut ws.attn,
+                    &ws.alibi_slopes,
+                    &mut context,
+                    &mut scratch,
+                    Some(n - 1),
+                );
+                let chunk_mean_probs = ws.attn.mean_probs.clone();
+
+                // Reference: one append and one single-query attention per token.
+                let mut cache = prefixed();
+                let mut ws = ForwardWorkspace::new(&config, cache.block_size());
+                let (mut subnormal, mut zero) = (0, 0);
+                for t in 0..n {
+                    let token = t * d_model..(t + 1) * d_model;
+                    cache
+                        .append_from_slices(
+                            start_position + t,
+                            &k[token.clone()],
+                            &v[token.clone()],
+                        )
+                        .unwrap();
+                    let mut policy = RecordingPolicy::default();
+                    let mut ctx = AttentionContext {
+                        policy: &mut policy,
+                        stats: None,
+                        phase: Phase::Prompt,
+                        step: start_position + t,
+                        total_steps: 4,
+                    };
+                    attend_single_query_ws(
+                        &config,
+                        layer,
+                        &q[token.clone()],
+                        start_position + t,
+                        &cache,
+                        &mut ctx,
+                        &mut ws.rot[layer],
+                        &mut ws.attn,
+                        &ws.alibi_slopes,
+                    );
+                    assert_eq!(
+                        bits(&context[token]),
+                        bits(&ws.attn.context),
+                        "{positional} / {mode} context of token {t}"
+                    );
+                    for (head, want) in policy.rows.iter().enumerate() {
+                        let (offset, len) =
+                            scratch.obs_index[(t * config.num_layers + layer) * num_heads + head];
+                        assert_eq!(
+                            bits(&scratch.obs_data[offset..offset + len]),
+                            bits(want),
+                            "{positional} / {mode} observation of token {t} head {head}"
+                        );
+                    }
+                    subnormal += ws.attn.probs.iter().filter(|p| p.is_subnormal()).count();
+                    zero += ws.attn.probs.iter().filter(|p| **p == 0.0).count();
+                }
+                assert_eq!(
+                    bits(&chunk_mean_probs),
+                    bits(&ws.attn.mean_probs),
+                    "{positional} / {mode} mean_probs of the last token"
+                );
+                if (positional, mode) == (PositionalEncoding::Alibi, PositionMode::Original) {
+                    assert!(
+                        subnormal > 0 && zero > 0,
+                        "the ALiBi case must reach subnormal and exactly-zero probabilities"
+                    );
+                }
             }
         }
     }

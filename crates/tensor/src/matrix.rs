@@ -88,22 +88,177 @@ fn gemm_tile(
     }
 }
 
-/// Tiled row-major GEMM `out = a * b` with `a` of shape `m x k`, `b` of shape
-/// `k x n` and `out` of shape `m x n`, all row-major and fully overwritten.
-fn gemm_nn(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
+/// Tiled GEMM `out = a * b` over strided operands — the micro-kernel's
+/// `A·B` entry point, and the P·V half of chunk attention.
+///
+/// `a` holds `m` rows at stride `lda`, of which the first `k` columns are
+/// read; `b` is `k x n` row-major (further rows are ignored); `out` receives
+/// `m` rows of `n` columns at stride `ldo`. Strides let a caller multiply out
+/// of, and into, column bands of wider buffers — a per-head slice of a
+/// `tokens x d_model` block — and a `k` shorter than `a`'s rows restricts the
+/// product to a causal extent.
+///
+/// **Single-chain contract:** every output element is one accumulation chain
+/// over ascending `kk < k`, started from `0.0`: `((0.0 + a[i][0]·b[0][j]) +
+/// a[i][1]·b[1][j]) + …`. That is bit-for-bit the loop of
+/// [`Matrix::vecmat`] (and of the `f32` arm of the KV cache's `vecmat_into`)
+/// *including* their skip of exactly-zero coefficients: a zero coefficient
+/// times a finite value adds `±0.0` to an accumulator that started at `+0.0`
+/// and so is never `-0.0`, which leaves its bits unchanged. Zero-padding a
+/// row of `a` past its own extent is therefore free of consequence, as long
+/// as `b` is finite.
+///
+/// # Panics
+///
+/// Panics if a stride is shorter than the columns it spans or a buffer is
+/// too short for the shape.
+#[allow(clippy::too_many_arguments)]
+pub fn matmul_strided(
+    a: &[f32],
+    lda: usize,
+    m: usize,
+    k: usize,
+    b: &[f32],
+    n: usize,
+    out: &mut [f32],
+    ldo: usize,
+) {
+    if m == 0 || n == 0 {
+        return;
+    }
+    assert!(lda >= k && ldo >= n, "stride shorter than the row it spans");
+    assert!(a.len() >= (m - 1) * lda + k, "left operand too short");
+    assert!(b.len() >= k * n, "right operand too short");
+    assert!(out.len() >= (m - 1) * ldo + n, "output too short");
     let mut i0 = 0;
     while i0 < m {
         let mr = (m - i0).min(GEMM_MR);
         let mut j0 = 0;
         while j0 < n {
             let nr = (n - j0).min(GEMM_NR);
-            gemm_tile(a, b, out, k, n, n, i0, j0, j0, mr, nr, k);
+            gemm_tile(a, b, out, lda, n, ldo, i0, j0, j0, mr, nr, k);
             j0 += nr;
         }
         i0 += mr;
+    }
+}
+
+/// The right operand of [`matmul_packed_bt`]: rows of a common width `k`,
+/// transposed into `k x 16` panels (16 rows per panel, zero-padded) so the
+/// micro-kernel's inner loop reads unit-stride memory. Pack once, multiply
+/// many times; the buffer keeps its capacity across [`PackedPanels::reset`].
+#[derive(Debug, Clone, Default)]
+pub struct PackedPanels {
+    k: usize,
+    rows: usize,
+    data: Vec<f32>,
+}
+
+impl PackedPanels {
+    /// Creates an empty pack.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Empties the pack for rows of width `k`, keeping its capacity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k == 0`.
+    pub fn reset(&mut self, k: usize) {
+        assert!(k > 0, "packed rows need at least one column");
+        self.k = k;
+        self.rows = 0;
+        self.data.clear();
+    }
+
+    /// Appends one row — pure data movement, no arithmetic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row.len()` differs from the width given to
+    /// [`PackedPanels::reset`].
+    pub fn push_row(&mut self, row: &[f32]) {
+        assert_eq!(row.len(), self.k, "row width must match the pack");
+        let col = self.rows % GEMM_NR;
+        if col == 0 {
+            self.data.resize(self.data.len() + self.k * GEMM_NR, 0.0);
+        }
+        let column = self.data.len() - self.k * GEMM_NR + col;
+        for (dst, &x) in self.data[column..].iter_mut().step_by(GEMM_NR).zip(row) {
+            *dst = x;
+        }
+        self.rows += 1;
+    }
+
+    /// Rows packed so far.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+}
+
+/// Tiled GEMM `out = a * bᵀ` against packed rows — the micro-kernel's
+/// `A·Bᵀ` entry point, and the QKᵀ half of chunk attention.
+///
+/// `a` holds `m` rows at stride `lda`, of which as many columns as a packed
+/// row is wide are read; `out[i * ldo + j]` receives the dot product of row `i` of `a`
+/// with packed row `j`, for the first `n` packed rows.
+///
+/// **Single-chain contract:** every output element is one accumulation chain
+/// over ascending `kk`, started from `0.0` — the bits of
+/// [`crate::vector::dot`] on the same two rows. (`dot`'s `sum` starts from
+/// `-0.0`, so the one value that differs is a dot product whose every term is
+/// `-0.0`: it is `+0.0` here, as it is in [`Matrix::matvec_batch_into`].)
+///
+/// # Panics
+///
+/// Panics if `n > b.rows()`, a stride is shorter than the columns it spans
+/// or a buffer is too short for the shape.
+pub fn matmul_packed_bt(
+    a: &[f32],
+    lda: usize,
+    m: usize,
+    b: &PackedPanels,
+    n: usize,
+    out: &mut [f32],
+    ldo: usize,
+) {
+    if m == 0 || n == 0 {
+        return;
+    }
+    let k = b.k;
+    assert!(n <= b.rows, "more columns requested than rows packed");
+    assert!(lda >= k && ldo >= n, "stride shorter than the row it spans");
+    assert!(a.len() >= (m - 1) * lda + k, "left operand too short");
+    assert!(out.len() >= (m - 1) * ldo + n, "output too short");
+    // Panel-major: one 16-row panel stays in L1 while every row tile of `a`
+    // passes over it.
+    for (p, panel) in b.data.chunks_exact(k * GEMM_NR).enumerate() {
+        let j0 = p * GEMM_NR;
+        if j0 >= n {
+            break;
+        }
+        let nr = (n - j0).min(GEMM_NR);
+        let mut i0 = 0;
+        while i0 < m {
+            let mr = (m - i0).min(GEMM_MR);
+            if nr == GEMM_NR {
+                gemm_tile(a, panel, out, lda, GEMM_NR, ldo, i0, 0, j0, mr, GEMM_NR, k);
+            } else {
+                // Ragged last panel: its padding makes the full-width
+                // (vectorized) tile valid; only `nr` columns are kept.
+                let mut edge = [0.0f32; GEMM_MR * GEMM_NR];
+                let rows = &a[i0 * lda..];
+                gemm_tile(
+                    rows, panel, &mut edge, lda, GEMM_NR, GEMM_NR, 0, 0, 0, mr, GEMM_NR, k,
+                );
+                for (mi, tile_row) in edge.chunks_exact(GEMM_NR).take(mr).enumerate() {
+                    let dst = (i0 + mi) * ldo + j0;
+                    out[dst..dst + nr].copy_from_slice(&tile_row[..nr]);
+                }
+            }
+            i0 += mr;
+        }
     }
 }
 
@@ -366,13 +521,15 @@ impl Matrix {
             });
         }
         let mut out = Matrix::zeros(self.rows, other.cols);
-        gemm_nn(
+        matmul_strided(
             &self.data,
-            &other.data,
+            self.cols,
             self.rows,
             self.cols,
+            &other.data,
             other.cols,
             &mut out.data,
+            other.cols,
         );
         Ok(out)
     }
@@ -407,13 +564,15 @@ impl Matrix {
         }
         out.clear();
         out.resize(self.rows * other.cols, 0.0);
-        gemm_nn(
+        matmul_strided(
             &self.data,
-            &other.data,
+            self.cols,
             self.rows,
             self.cols,
+            &other.data,
             other.cols,
             out,
+            other.cols,
         );
         Ok(())
     }
@@ -707,6 +866,98 @@ mod tests {
             let reference = matmul_reference(&a, &b);
             assert_eq!(tiled, reference, "diverged at shape {m}x{k}x{n}");
         }
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn packed_bt_is_bit_identical_to_dot_on_ragged_shapes() {
+        let mut seed = 0x0dd_ba11;
+        // Rows off the 4-row tile, packed rows off the 16-row panel, and a
+        // column extent `n` shorter than what was packed.
+        for k in [1usize, 7, 32] {
+            for packed in [1usize, 15, 16, 17, 40] {
+                let b = lcg_matrix(packed, k, &mut seed);
+                let mut panels = PackedPanels::new();
+                panels.reset(k);
+                for row in b.iter_rows() {
+                    panels.push_row(row);
+                }
+                assert_eq!(panels.rows(), packed);
+                for m in [1usize, 3, 4, 5, 9] {
+                    for n in [packed, packed - packed / 3, 1] {
+                        let (lda, ldo) = (k + 3, n + 2);
+                        let a = lcg_matrix(m, lda, &mut seed);
+                        let mut out = vec![f32::NAN; m * ldo];
+                        matmul_packed_bt(a.as_slice(), lda, m, &panels, n, &mut out, ldo);
+                        for i in 0..m {
+                            let want: Vec<f32> = (0..n)
+                                .map(|j| crate::vector::dot(&a.row(i)[..k], b.row(j)))
+                                .collect();
+                            assert_eq!(
+                                bits(&out[i * ldo..i * ldo + n]),
+                                bits(&want),
+                                "k {k} packed {packed} m {m} n {n} row {i}"
+                            );
+                            assert!(
+                                out[i * ldo + n..(i + 1) * ldo].iter().all(|x| x.is_nan()),
+                                "columns past n must stay untouched"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn strided_matmul_is_bit_identical_to_vecmat_with_zeros_and_subnormals() {
+        let mut seed = 0xfeed_5eed;
+        for (m, rows, k, n) in [
+            (1, 5, 5, 16),
+            (5, 40, 33, 32),
+            (9, 21, 17, 19),
+            (4, 16, 3, 7),
+        ] {
+            let b = lcg_matrix(rows, n, &mut seed);
+            let (lda, ldo) = (rows + 1, n + 5);
+            let mut a = lcg_matrix(m, lda, &mut seed);
+            for i in 0..m {
+                let row = a.row_mut(i);
+                // Softmax-like rows: leading exact zeros (underflowed
+                // probabilities), then subnormals, then ordinary values.
+                for (j, x) in row.iter_mut().enumerate() {
+                    *x = match j {
+                        j if j < i.min(3) => 0.0,
+                        j if j < i.min(3) + 2 => f32::from_bits(1 + (j as u32) * 977),
+                        _ => x.abs(),
+                    };
+                }
+            }
+            let mut out = vec![f32::NAN; m * ldo];
+            matmul_strided(a.as_slice(), lda, m, k, b.as_slice(), n, &mut out, ldo);
+            let causal = Matrix::from_vec(k, n, b.as_slice()[..k * n].to_vec()).unwrap();
+            for i in 0..m {
+                let want = causal.vecmat(&a.row(i)[..k]).unwrap();
+                assert_eq!(
+                    bits(&out[i * ldo..i * ldo + n]),
+                    bits(&want),
+                    "m {m} k {k} n {n} row {i}"
+                );
+                assert!(out[i * ldo + n..(i + 1) * ldo].iter().all(|x| x.is_nan()));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "more columns requested")]
+    fn packed_bt_rejects_unpacked_columns() {
+        let mut panels = PackedPanels::new();
+        panels.reset(2);
+        panels.push_row(&[1.0, 2.0]);
+        matmul_packed_bt(&[1.0, 1.0], 2, 1, &panels, 2, &mut [0.0; 2], 2);
     }
 
     #[test]

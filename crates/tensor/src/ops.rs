@@ -40,16 +40,42 @@ pub fn softmax_into(logits: &[f32], out: &mut Vec<f32>) {
     }
     let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
     out.extend(logits.iter().map(|&x| (x - max).exp()));
-    let sum: f32 = out.iter().sum();
+    normalize_exps(out);
+}
+
+/// Turns a buffer of `exp(x - max)` terms into probabilities in place: the
+/// single sum, uniform fallback and per-element divide of [`softmax`].
+fn normalize_exps(exps: &mut [f32]) {
+    let sum: f32 = exps.iter().sum();
     if sum == 0.0 || !sum.is_finite() {
         // All logits were -inf (fully masked) or overflowed: fall back to uniform.
-        let uniform = 1.0 / logits.len() as f32;
-        out.fill(uniform);
+        let uniform = 1.0 / exps.len() as f32;
+        exps.fill(uniform);
         return;
     }
-    for e in out.iter_mut() {
+    for e in exps.iter_mut() {
         *e /= sum;
     }
+}
+
+/// [`softmax`] writing into a caller-provided slice of exactly the input's
+/// length — the variant chunk attention uses to fill one row of a probability
+/// band. Same arithmetic in the same order as [`softmax`], so the two produce
+/// bit-identical results.
+///
+/// # Panics
+///
+/// Panics if `out.len() != logits.len()`.
+pub fn softmax_slice(logits: &[f32], out: &mut [f32]) {
+    assert_eq!(logits.len(), out.len(), "output length must match input");
+    if logits.is_empty() {
+        return;
+    }
+    let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    for (o, &x) in out.iter_mut().zip(logits) {
+        *o = (x - max).exp();
+    }
+    normalize_exps(out);
 }
 
 /// Softmax with a temperature parameter `tau`.
@@ -65,6 +91,29 @@ pub fn softmax_with_temperature(logits: &[f32], tau: f32) -> Vec<f32> {
     assert!(tau > 0.0, "temperature must be strictly positive");
     let scaled: Vec<f32> = logits.iter().map(|&x| x / tau).collect();
     softmax(&scaled)
+}
+
+/// [`softmax_with_temperature`] writing into a caller-provided buffer: `out`
+/// is cleared and refilled, allocation-free given capacity. The operation
+/// order is every logit divided by `tau`, then exactly [`softmax`]'s
+/// max-subtraction, exponentiation, single sum and divide — bit-identical to
+/// `softmax` of the divided logits.
+///
+/// # Panics
+///
+/// Panics if `tau <= 0`.
+pub fn softmax_with_temperature_into(logits: &[f32], tau: f32, out: &mut Vec<f32>) {
+    assert!(tau > 0.0, "temperature must be strictly positive");
+    out.clear();
+    if logits.is_empty() {
+        return;
+    }
+    out.extend(logits.iter().map(|&x| x / tau));
+    let max = out.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    for x in out.iter_mut() {
+        *x = (*x - max).exp();
+    }
+    normalize_exps(out);
 }
 
 /// Numerically stable log-softmax.
@@ -317,6 +366,34 @@ mod tests {
         for logits in cases {
             softmax_into(logits, &mut out);
             assert_eq!(out, softmax(logits), "diverged on {logits:?}");
+        }
+    }
+
+    #[test]
+    fn softmax_slice_and_temperature_into_are_bit_identical_to_the_allocating_forms() {
+        let cases: &[&[f32]] = &[
+            &[1.0, 2.0, 3.0],
+            &[-1.0e30, 0.0],
+            &[f32::NEG_INFINITY, f32::NEG_INFINITY],
+            &[],
+            &[0.25, -7.5, 3.125, 3.125, 0.0],
+            // An ALiBi-like tail: far keys underflow to subnormals and zero.
+            &[-103.0, -95.5, -88.0, -40.0, 0.0, -0.25],
+        ];
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut out = vec![9.0; 3];
+        for logits in cases {
+            let mut slice = vec![7.0; logits.len()];
+            softmax_slice(logits, &mut slice);
+            assert_eq!(bits(&slice), bits(&softmax(logits)), "slice on {logits:?}");
+            for tau in [1.0f32, 1.37, 2.0] {
+                softmax_with_temperature_into(logits, tau, &mut out);
+                assert_eq!(
+                    bits(&out),
+                    bits(&softmax_with_temperature(logits, tau)),
+                    "tau {tau} on {logits:?}"
+                );
+            }
         }
     }
 

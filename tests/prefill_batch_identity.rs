@@ -212,6 +212,66 @@ proptest! {
     }
 }
 
+/// Long prompts on the paper-scale families, where the attention GEMMs span
+/// many 16-slot key panels and, under ALiBi, far keys' probabilities underflow
+/// to subnormals and exact zeros (the proptests above stay on `Tiny` with
+/// prompts under 40 tokens and reach neither): at chunk 128 and one-shot, the
+/// generated stream, the cache watermarks and every prompt-phase softmax row
+/// the deferred replay reconstructs must equal the sequential path's, by bits.
+fn long_prompt_matches_sequential(family: ModelFamily) {
+    let model = family.build(41);
+    let prompt: Vec<u32> = (0..491u32)
+        .map(|i| 16 + (i * 37 + i / 7 * 11) % 1000)
+        .collect();
+    let budget = Some(CacheBudgetSpec::new(0.5, 0.3).unwrap());
+    let config = GenerationConfig::new(6);
+    let run = |path: ForwardPath, chunk: Option<usize>| {
+        let mut session = Session::new(
+            &model,
+            PolicySpec::keyformer_default().build().unwrap(),
+            budget,
+        )
+        .with_forward_path(path);
+        session.set_prefill_chunk(chunk);
+        session.enable_stats();
+        session.begin(&prompt, &config).unwrap();
+        let output = finish(&mut session);
+        // FNV-1a over the probability bits of every record, in order.
+        let records = session.stats().unwrap().records();
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let (mut subnormal, mut zero) = (0usize, 0usize);
+        for p in records.iter().flat_map(|r| r.probs.iter()) {
+            hash = (hash ^ u64::from(p.to_bits())).wrapping_mul(0x0000_0100_0000_01b3);
+            subnormal += usize::from(p.is_subnormal());
+            zero += usize::from(*p == 0.0);
+        }
+        (output, records.len(), hash, subnormal, zero)
+    };
+    let expected = run(ForwardPath::Legacy, None);
+    if family == ModelFamily::MptLike {
+        assert!(
+            expected.3 > 0 && expected.4 > 0,
+            "the ALiBi case must reach subnormal and exactly-zero probabilities"
+        );
+    }
+    for chunk in [Some(128), None] {
+        assert!(
+            run(ForwardPath::Workspace, chunk) == expected,
+            "{family}: chunk {chunk:?} diverged from the sequential path"
+        );
+    }
+}
+
+#[test]
+fn long_alibi_prompt_matches_sequential() {
+    long_prompt_matches_sequential(ModelFamily::MptLike);
+}
+
+#[test]
+fn long_rope_prompt_matches_sequential() {
+    long_prompt_matches_sequential(ModelFamily::GptJLike);
+}
+
 /// Stall/resume against a dry strict pool: the batched admission (one exact
 /// block-need query + largest-fitting-prefix) must stop at exactly the token
 /// the sequential per-token pre-flight stalled at, report the same progress
