@@ -218,6 +218,15 @@ pub fn quantization_report(samples: usize) -> (Table, Vec<QuantSummary>) {
     (table, summaries)
 }
 
+/// [`quantization_report`] at one sample, computed once per test process:
+/// the debug-build sweep is the slowest thing in the crate's tests, and two
+/// of them check it.
+#[cfg(test)]
+pub(crate) fn report_at_one_sample() -> &'static (Table, Vec<QuantSummary>) {
+    static REPORT: std::sync::OnceLock<(Table, Vec<QuantSummary>)> = std::sync::OnceLock::new();
+    REPORT.get_or_init(|| quantization_report(1))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,7 +236,7 @@ mod tests {
     /// point's u8 capacity is exactly 4x its f32 capacity.
     #[test]
     fn u8_doubles_completed_requests_at_some_point() {
-        let (_, summaries) = quantization_report(1);
+        let (_, summaries) = report_at_one_sample();
         assert_eq!(summaries.len(), 2 * policy_budget_grid().len());
         for pair in summaries.chunks(2) {
             let (f32_row, u8_row) = (&pair[0], &pair[1]);

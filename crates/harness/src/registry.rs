@@ -245,7 +245,12 @@ mod tests {
             let Run::Artefact(file, run) = e.run else {
                 continue;
             };
-            let (table, json) = run(1);
+            // The quantization sweep is shared with its own module's test.
+            let (table, json) = if e.id == ExperimentId::Quantization {
+                json(quantization::report_at_one_sample().clone())
+            } else {
+                run(1)
+            };
             let records: Vec<serde::Value> = serde_json::from_str(&json).unwrap();
             assert_eq!(
                 records.len(),

@@ -323,10 +323,25 @@ impl Admission {
     }
 }
 
+/// The answer to every generate call once the engine pump has died
+/// ([`crate::backend`]): `503 unavailable`.
+pub fn unavailable() -> WireFault {
+    WireFault {
+        status: 503,
+        code: "unavailable",
+        message: "the engine has stopped; this node serves no more generate calls".to_string(),
+    }
+}
+
 /// Admits a validated generate call: consults the cache and the in-flight
 /// table under one dedup lock (so two racing duplicates cannot both become
 /// primaries), creates the job, and enqueues a pump command for fresh runs.
-pub fn admit(spec: GenerateSpec, node: &NodeShared) -> Admission {
+///
+/// # Errors
+///
+/// [`unavailable`] once the job table is closed — the engine pump died, so
+/// nothing would ever finish the job.
+pub fn admit(spec: GenerateSpec, node: &NodeShared) -> Result<Admission, WireFault> {
     let jobs = &node.pump.jobs;
     let prompt_len = spec.key.prompt.len();
     let dedup_eligible = !spec.no_cache && spec.key.is_deterministic();
@@ -335,18 +350,22 @@ pub fn admit(spec: GenerateSpec, node: &NodeShared) -> Admission {
         let now = node.pump.now_ms();
         if let Some(result) = dedup.cache.get(&spec.key, now) {
             drop(dedup);
-            let job = jobs.create(prompt_len, None, JobState::Done);
+            let job = jobs
+                .try_create(prompt_len, None, JobState::Done)
+                .ok_or_else(unavailable)?;
             jobs.update(job, |r, c| {
                 r.tokens = result.tokens.clone();
                 r.deduplicated = true;
                 c.cache_hits += 1;
             });
-            return Admission::CacheHit {
+            return Ok(Admission::CacheHit {
                 job,
                 tokens: result.tokens,
-            };
+            });
         }
-        let job = jobs.create(prompt_len, Some(spec.key.clone()), JobState::Queued);
+        let job = jobs
+            .try_create(prompt_len, Some(spec.key.clone()), JobState::Queued)
+            .ok_or_else(unavailable)?;
         if let Some(primary) = dedup.attach_follower(&spec.key, job, spec.options) {
             drop(dedup);
             jobs.update(job, |r, c| {
@@ -354,7 +373,7 @@ pub fn admit(spec: GenerateSpec, node: &NodeShared) -> Admission {
                 r.deduplicated = true;
                 c.coalesced += 1;
             });
-            return Admission::Coalesced { job, primary };
+            return Ok(Admission::Coalesced { job, primary });
         }
         dedup.register_inflight(spec.key.clone(), job);
         drop(dedup);
@@ -363,16 +382,30 @@ pub fn admit(spec: GenerateSpec, node: &NodeShared) -> Admission {
             key: spec.key,
             options: spec.options,
         });
-        return Admission::Fresh { job };
+        return Ok(Admission::Fresh { job });
     }
     drop(dedup);
-    let job = jobs.create(prompt_len, Some(spec.key.clone()), JobState::Queued);
+    let job = jobs
+        .try_create(prompt_len, Some(spec.key.clone()), JobState::Queued)
+        .ok_or_else(unavailable)?;
     let _ = node.cmd.send(Command::Submit {
         job,
         key: spec.key,
         options: spec.options,
     });
-    Admission::Fresh { job }
+    Ok(Admission::Fresh { job })
+}
+
+/// The first line of a streamed generate, before its token events.
+pub fn accepted_event(admission: &Admission) -> String {
+    json_obj(vec![
+        ("event", Value::Str("accepted".to_string())),
+        ("job_id", Value::UInt(admission.job())),
+        (
+            "deduplicated",
+            Value::Bool(!matches!(admission, Admission::Fresh { .. })),
+        ),
+    ])
 }
 
 /// The JSON body answering a non-streaming generate call.

@@ -237,6 +237,29 @@ pub fn spawn_pump(
     }
 }
 
+/// The terminal code of every job still live when the pump thread dies.
+pub const PUMP_DIED: keyformer_serve::WireCode = keyformer_serve::WireCode {
+    code: "internal_error",
+    status: 500,
+};
+
+/// Armed for the whole life of [`Pump::run`]: if the pump thread unwinds —
+/// a panic in the engine, or in one of its prefill workers, resumed here —
+/// this fails every live job with [`PUMP_DIED`] and closes the job table,
+/// so every waiter gets a terminal event and every later generate call and
+/// connection a `503 unavailable`, instead of blocking forever on an engine
+/// that will never step again. A normal return does nothing.
+struct PumpDeathGuard(Arc<JobTable>);
+
+impl Drop for PumpDeathGuard {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0
+                .close(PUMP_DIED, "the engine stopped on an internal error");
+        }
+    }
+}
+
 struct Pump<'m> {
     engine: Engine<'m>,
     shared: Arc<PumpShared>,
@@ -246,6 +269,7 @@ struct Pump<'m> {
 
 impl Pump<'_> {
     fn run(&mut self, rx: &mpsc::Receiver<Command>) {
+        let _death = PumpDeathGuard(Arc::clone(&self.shared.jobs));
         loop {
             // Idle: publish the quiescent snapshot and block for work.
             if self.engine.is_idle() {
@@ -538,6 +562,55 @@ mod tests {
             dtype: KvDtype::F32,
             config: GenerationConfig::new(4),
         }
+    }
+
+    #[test]
+    fn a_dying_pump_fails_live_jobs_and_closes_admission() {
+        let engine = keyformer_serve::ServerConfig::new(PolicySpec::Full, None, 1 << 20);
+        let jobs = Arc::new(JobTable::new(8));
+        let (cmd, _rx) = mpsc::channel();
+        let node = crate::NodeShared {
+            config: crate::NodeConfig::new(ModelFamily::Tiny, 1, engine),
+            pump: Arc::new(PumpShared {
+                jobs: Arc::clone(&jobs),
+                dedup: Arc::new(Mutex::new(DedupState::new(
+                    true,
+                    ResultCache::new(4, 1_000),
+                ))),
+                snapshot: Arc::new(Mutex::new(EngineSnapshot::default())),
+                started: std::time::Instant::now(),
+            }),
+            cmd,
+        };
+        let spec = || crate::api::GenerateSpec {
+            key: key(1),
+            options: SubmitOptions::new(),
+            stream: false,
+            no_cache: false,
+        };
+        let queued = crate::api::admit(spec(), &node).unwrap().job();
+        let running = jobs.create(3, None, JobState::Running);
+        jobs.update(running, |r, _| r.tokens.push(5));
+        let done = jobs.create(3, None, JobState::Done);
+
+        // A clean exit leaves everything as it was.
+        drop(PumpDeathGuard(Arc::clone(&jobs)));
+        assert!(!jobs.is_closed());
+
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _death = PumpDeathGuard(Arc::clone(&jobs));
+            panic!("a prefill worker panicked");
+        }));
+        assert!(unwound.is_err());
+        for job in [queued, running] {
+            let snap = jobs.wait_stream(job, 0, std::time::Duration::ZERO).unwrap();
+            assert_eq!(snap.state, JobState::Failed, "job {job}");
+            assert_eq!(snap.error.unwrap().wire, PUMP_DIED);
+        }
+        assert_eq!(jobs.with_job(done, |r| r.state), Some(JobState::Done));
+        assert_eq!(jobs.live(), 0);
+        let refused = crate::api::admit(spec(), &node).err().unwrap();
+        assert_eq!((refused.status, refused.code), (503, "unavailable"));
     }
 
     #[test]

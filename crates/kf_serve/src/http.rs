@@ -129,38 +129,51 @@ pub fn status_reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes a complete unary JSON response and flushes it.
+/// Writes a complete unary JSON response as one buffer in one `write_all`.
+/// Pieces written separately would leave as separate TCP segments, and with
+/// Nagle's algorithm a small trailing segment waits for the peer's delayed
+/// ACK.
 pub fn write_response(w: &mut impl Write, status: u16, body: &str) -> io::Result<()> {
-    write!(
-        w,
+    let response = format!(
         "HTTP/1.1 {status} {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
         status_reason(status),
         body.len(),
-    )?;
+    );
+    w.write_all(response.as_bytes())?;
     w.flush()
 }
 
-/// Starts a chunked streaming response (headers only; follow with
-/// [`write_chunk`] calls and a [`finish_chunked`]).
+/// Starts a chunked streaming response (headers only, one `write_all`;
+/// follow with [`write_chunk`] calls and a [`finish_chunked`]).
 pub fn start_chunked(w: &mut impl Write, status: u16) -> io::Result<()> {
-    write!(
-        w,
+    let head = format!(
         "HTTP/1.1 {status} {}\r\ncontent-type: application/x-ndjson\r\ntransfer-encoding: chunked\r\nconnection: close\r\n\r\n",
         status_reason(status),
-    )?;
+    );
+    w.write_all(head.as_bytes())?;
     w.flush()
 }
 
-/// Writes one chunk of a chunked response and flushes it, so every streamed
-/// token is on the wire the moment the pump surfaces it.
+/// Writes one chunk of a chunked response — size line, data and trailer in
+/// one `write_all` — so every streamed token is on the wire the moment the
+/// pump surfaces it.
 pub fn write_chunk(w: &mut impl Write, data: &str) -> io::Result<()> {
-    write!(w, "{:x}\r\n{data}\r\n", data.len())?;
+    w.write_all(format!("{:x}\r\n{data}\r\n", data.len()).as_bytes())?;
     w.flush()
 }
 
 /// Terminates a chunked response.
 pub fn finish_chunked(w: &mut impl Write) -> io::Result<()> {
     w.write_all(b"0\r\n\r\n")?;
+    w.flush()
+}
+
+/// Writes one NDJSON line — `line` and its `\n` in one `write_all`.
+pub fn write_line(w: &mut impl Write, line: &str) -> io::Result<()> {
+    let mut buf = String::with_capacity(line.len() + 1);
+    buf.push_str(line);
+    buf.push('\n');
+    w.write_all(buf.as_bytes())?;
     w.flush()
 }
 
@@ -221,6 +234,35 @@ mod tests {
         at_cap.push(b'\n');
         let line = read_line(&mut at_cap.as_slice()).unwrap().unwrap();
         assert_eq!(line.len(), MAX_BODY_BYTES - 1);
+    }
+
+    /// Records each `write` call: on a raw socket each would leave as a TCP
+    /// segment of its own.
+    #[derive(Default)]
+    struct Segments(Vec<Vec<u8>>);
+
+    impl Write for Segments {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_response_piece_is_one_write() {
+        let mut out = Segments::default();
+        write_response(&mut out, 200, "{\"a\":1}").unwrap();
+        start_chunked(&mut out, 200).unwrap();
+        write_chunk(&mut out, "{\"event\":\"token\"}\n").unwrap();
+        finish_chunked(&mut out).unwrap();
+        write_line(&mut out, "{\"jobs\":{}}").unwrap();
+        assert_eq!(out.0.len(), 5, "one segment per piece");
+        assert!(out.0[0].ends_with(b"\r\n\r\n{\"a\":1}"));
+        assert_eq!(out.0[2], b"12\r\n{\"event\":\"token\"}\n\r\n");
+        assert_eq!(out.0[4], b"{\"jobs\":{}}\n");
     }
 
     #[test]

@@ -112,6 +112,8 @@ struct Jobs {
     /// Terminal jobs in retirement order, oldest first, for capacity GC.
     retired: VecDeque<JobId>,
     counters: JobCounters,
+    /// Set by [`JobTable::close`]: no job will ever run again.
+    closed: bool,
 }
 
 /// What a streaming drain learns from one wait on the table: the tokens newly
@@ -147,6 +149,7 @@ impl JobTable {
                 jobs: HashMap::new(),
                 retired: VecDeque::new(),
                 counters: JobCounters::default(),
+                closed: false,
             }),
             changed: Condvar::new(),
             retained_jobs: retained_jobs.max(1),
@@ -162,9 +165,34 @@ impl JobTable {
     /// Creates a job in `state` and returns its id. `key` is retained on the
     /// record for the pump's completion-time cache insert. A job born terminal
     /// (a cache hit) joins the retirement ring immediately so it obeys the
-    /// retention cap like every other finished record.
+    /// retention cap like every other finished record. Creates even on a
+    /// closed table; the wire layer admits through [`JobTable::try_create`].
     pub fn create(&self, prompt_len: usize, key: Option<ResultKey>, state: JobState) -> JobId {
         let mut jobs = self.lock();
+        self.insert(&mut jobs, prompt_len, key, state)
+    }
+
+    /// [`JobTable::create`], unless the table is closed: then `None`, and no
+    /// job exists that nothing will ever finish. The check and the insert
+    /// share one lock hold with [`JobTable::close`]'s sweep, so a job is
+    /// either swept or refused.
+    pub fn try_create(
+        &self,
+        prompt_len: usize,
+        key: Option<ResultKey>,
+        state: JobState,
+    ) -> Option<JobId> {
+        let mut jobs = self.lock();
+        (!jobs.closed).then(|| self.insert(&mut jobs, prompt_len, key, state))
+    }
+
+    fn insert(
+        &self,
+        jobs: &mut Jobs,
+        prompt_len: usize,
+        key: Option<ResultKey>,
+        state: JobState,
+    ) -> JobId {
         let id = jobs.next_id;
         jobs.next_id += 1;
         jobs.counters.submitted += 1;
@@ -184,9 +212,44 @@ impl JobTable {
         if state.is_terminal() {
             jobs.retired.push_back(id);
         }
-        self.gc(&mut jobs);
+        self.gc(jobs);
         self.changed.notify_all();
         id
+    }
+
+    /// Closes the table for good: every live job fails with `wire` and
+    /// `message`, and [`JobTable::try_create`] refuses from then on. For an
+    /// engine that can no longer run anything — its waiters get a terminal
+    /// state instead of blocking forever. Returns how many jobs it failed.
+    pub fn close(&self, wire: WireCode, message: &str) -> usize {
+        let mut jobs = self.lock();
+        jobs.closed = true;
+        let live: Vec<JobId> = jobs
+            .jobs
+            .values()
+            .filter(|r| !r.state.is_terminal())
+            .map(|r| r.id)
+            .collect();
+        for &id in &live {
+            if let Some(record) = jobs.jobs.get_mut(&id) {
+                record.state = JobState::Failed;
+                record.error = Some(JobError {
+                    wire,
+                    message: message.to_string(),
+                });
+                record.key = None;
+            }
+            jobs.counters.failed += 1;
+            jobs.retired.push_back(id);
+        }
+        self.gc(&mut jobs);
+        self.changed.notify_all();
+        live.len()
+    }
+
+    /// `true` once [`JobTable::close`] ran.
+    pub fn is_closed(&self) -> bool {
+        self.lock().closed
     }
 
     /// Reads `job` under the lock (`None` for unknown/garbage-collected ids).
@@ -409,5 +472,29 @@ mod tests {
             .unwrap();
         assert_eq!(snap.new_tokens, vec![1, 2, 3]);
         assert_eq!(snap.state, JobState::Queued, "state is the follower's own");
+    }
+
+    #[test]
+    fn closing_fails_live_jobs_and_refuses_new_ones() {
+        let table = JobTable::new(8);
+        let queued = table.create(1, None, JobState::Queued);
+        let running = table.create(1, None, JobState::Running);
+        let done = table.create(1, None, JobState::Done);
+        assert!(table.try_create(1, None, JobState::Queued).is_some());
+        let wire = WireCode {
+            code: "internal_error",
+            status: 500,
+        };
+        assert_eq!(table.close(wire, "gone"), 3);
+        for job in [queued, running] {
+            let snap = table.wait_stream(job, 0, Duration::ZERO).unwrap();
+            assert_eq!(snap.state, JobState::Failed);
+            assert_eq!(snap.error.unwrap().wire, wire);
+        }
+        assert_eq!(table.with_job(done, |r| r.state), Some(JobState::Done));
+        assert!(table.is_closed());
+        assert_eq!(table.try_create(1, None, JobState::Queued), None);
+        assert_eq!(table.live(), 0);
+        assert_eq!(table.counters().failed, 3);
     }
 }

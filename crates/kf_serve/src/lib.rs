@@ -37,7 +37,7 @@ use jobs::{JobState, JobTable};
 use keyformer_model::families::ModelFamily;
 use keyformer_serve::ServerConfig;
 use serde::Value;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -265,11 +265,19 @@ pub fn serve(addr: &str, config: NodeConfig) -> Result<ServeHandle, ServeError> 
                         break;
                     }
                     let Ok(stream) = stream else { continue };
+                    // Every answer goes out as one write; send it at once
+                    // rather than hold it back for the peer's delayed ACK.
+                    let _ = stream.set_nodelay(true);
+                    // A node whose engine died answers everyone 503.
+                    if node.pump.jobs.is_closed() {
+                        shed_connection(stream, api::unavailable());
+                        continue;
+                    }
                     // The cap bounds detached connection threads: past it the
                     // peer gets a fast 503 instead of a thread of its own.
                     if active.fetch_add(1, Ordering::SeqCst) >= node.config.max_connections {
                         active.fetch_sub(1, Ordering::SeqCst);
-                        shed_connection(stream);
+                        shed_connection(stream, overloaded());
                         continue;
                     }
                     let node = Arc::clone(&node);
@@ -302,20 +310,25 @@ pub fn serve(addr: &str, config: NodeConfig) -> Result<ServeHandle, ServeError> 
 const SHED_LINGER: Duration = Duration::from_millis(50);
 const SHED_DRAIN_BYTES: usize = 64 * 1024;
 
-/// Answers a connection past the cap with a `503`, then closes it *cleanly*.
-///
-/// The peer has usually sent (or is about to send) its request; closing a
-/// socket with unread receive data makes the kernel answer with RST instead
-/// of FIN, and the peer's read of the 503 then fails with `ECONNRESET`. So:
-/// write the answer, half-close, and swallow what the peer sends until it
-/// closes its side — bounded in time and bytes, because this runs on the
-/// accept thread and a shed peer is owed nothing more.
-fn shed_connection(mut stream: TcpStream) {
-    let fault = api::WireFault {
+/// The answer to a connection past the cap.
+fn overloaded() -> api::WireFault {
+    api::WireFault {
         status: 503,
         code: "overloaded",
         message: "connection limit reached; retry shortly".to_string(),
-    };
+    }
+}
+
+/// Answers a connection the node will not serve — past the cap, or after
+/// the engine died — with `fault`, then closes it *cleanly*.
+///
+/// The peer has usually sent (or is about to send) its request; closing a
+/// socket with unread receive data makes the kernel answer with RST instead
+/// of FIN, and the peer's read of the answer then fails with `ECONNRESET`.
+/// So: write the answer, half-close, and swallow what the peer sends until it
+/// closes its side — bounded in time and bytes, because this runs on the
+/// accept thread and a shed peer is owed nothing more.
+fn shed_connection(mut stream: TcpStream, fault: api::WireFault) {
     let _ = stream.set_write_timeout(Some(SHED_LINGER));
     let _ = http::write_response(&mut stream, fault.status, &fault.body());
     let _ = stream.shutdown(Shutdown::Write);
@@ -477,21 +490,20 @@ fn handle_generate(body: &[u8], writer: &mut TcpStream, node: &Arc<NodeShared>) 
         }
     };
     let wants_stream = spec.stream;
-    let admission = api::admit(spec, node);
+    let admission = match api::admit(spec, node) {
+        Ok(admission) => admission,
+        Err(fault) => {
+            let _ = http::write_response(writer, fault.status, &fault.body());
+            return;
+        }
+    };
     let job = admission.job();
     if wants_stream {
         if http::start_chunked(writer, 200).is_err() {
             let _ = node.cmd.send(Command::Cancel { job });
             return;
         }
-        let preamble = api::json_obj(vec![
-            ("event", Value::Str("accepted".to_string())),
-            ("job_id", Value::UInt(job)),
-            (
-                "deduplicated",
-                Value::Bool(!matches!(admission, api::Admission::Fresh { .. })),
-            ),
-        ]);
+        let preamble = api::accepted_event(&admission);
         if http::write_chunk(writer, &format!("{preamble}\n")).is_err() {
             let _ = node.cmd.send(Command::Cancel { job });
             return;
@@ -564,7 +576,8 @@ fn ndjson_session(
     }
 }
 
-/// Handles one NDJSON op line; `Err` means the peer is gone.
+/// Handles one NDJSON op line; `Err` means the peer is gone. Every answer
+/// line goes out in one write ([`http::write_line`]).
 fn ndjson_op(line: &str, writer: &mut TcpStream, node: &Arc<NodeShared>) -> std::io::Result<()> {
     let fault_line = |code: &'static str, message: String| {
         api::json_obj(vec![
@@ -574,78 +587,59 @@ fn ndjson_op(line: &str, writer: &mut TcpStream, node: &Arc<NodeShared>) -> std:
     };
     let value = match serde_json::from_str::<Value>(line) {
         Ok(value) => value,
-        Err(e) => return writeln!(writer, "{}", fault_line("invalid_json", e.to_string())),
+        Err(e) => return http::write_line(writer, &fault_line("invalid_json", e.to_string())),
     };
     let op = match value.field("op") {
         Ok(Value::Str(op)) => op.clone(),
         _ => {
-            return writeln!(
+            return http::write_line(
                 writer,
-                "{}",
-                fault_line("invalid_request", "missing `op`".to_string())
+                &fault_line("invalid_request", "missing `op`".to_string()),
             )
         }
     };
-    match op.as_str() {
+    let answer = match op.as_str() {
         "generate" => {
-            let spec = match api::parse_generate(&value, node) {
-                Ok(spec) => spec,
-                Err(fault) => return writeln!(writer, "{}", fault.body()),
-            };
-            let wants_stream = spec.stream;
-            let admission = api::admit(spec, node);
-            let job = admission.job();
-            if wants_stream {
-                let preamble = api::json_obj(vec![
-                    ("event", Value::Str("accepted".to_string())),
-                    ("job_id", Value::UInt(job)),
-                    (
-                        "deduplicated",
-                        Value::Bool(!matches!(admission, api::Admission::Fresh { .. })),
-                    ),
-                ]);
-                writeln!(writer, "{preamble}")?;
-                writer.flush()?;
-                api::drive_stream(node, job, |event| {
-                    writeln!(writer, "{event}")?;
-                    writer.flush()
-                })
-            } else {
-                let state = node
-                    .pump
-                    .jobs
-                    .with_job(job, |r| r.state)
-                    .unwrap_or(JobState::Queued);
-                writeln!(writer, "{}", api::admission_body(&admission, state))
+            let admitted = api::parse_generate(&value, node).and_then(|spec| {
+                let stream = spec.stream;
+                api::admit(spec, node).map(|admission| (admission, stream))
+            });
+            match admitted {
+                Ok((admission, true)) => return ndjson_stream(&admission, writer, node),
+                Ok((admission, false)) => {
+                    let state = node
+                        .pump
+                        .jobs
+                        .with_job(admission.job(), |r| r.state)
+                        .unwrap_or(JobState::Queued);
+                    api::admission_body(&admission, state)
+                }
+                Err(fault) => fault.body(),
             }
         }
         "status" => match client::u64_field(&value, "job_id") {
-            Some(id) => match api::job_body(node, id) {
-                Some(body) => writeln!(writer, "{body}"),
-                None => writeln!(writer, "{}", not_found(id)),
-            },
-            None => writeln!(
-                writer,
-                "{}",
-                fault_line("invalid_request", "missing `job_id`".to_string())
-            ),
+            Some(id) => api::job_body(node, id).unwrap_or_else(|| not_found(id)),
+            None => fault_line("invalid_request", "missing `job_id`".to_string()),
         },
         "cancel" => match client::u64_field(&value, "job_id") {
-            Some(id) => match api::cancel_job(node, id) {
-                Some((_, body)) => writeln!(writer, "{body}"),
-                None => writeln!(writer, "{}", not_found(id)),
-            },
-            None => writeln!(
-                writer,
-                "{}",
-                fault_line("invalid_request", "missing `job_id`".to_string())
-            ),
+            Some(id) => api::cancel_job(node, id).map_or_else(|| not_found(id), |(_, body)| body),
+            None => fault_line("invalid_request", "missing `job_id`".to_string()),
         },
-        "stats" => writeln!(writer, "{}", api::stats_body(node)),
-        other => writeln!(
-            writer,
-            "{}",
-            fault_line("invalid_request", format!("unknown op `{other}`"))
-        ),
-    }
+        "stats" => api::stats_body(node),
+        other => fault_line("invalid_request", format!("unknown op `{other}`")),
+    };
+    http::write_line(writer, &answer)
+}
+
+/// Streams an admitted NDJSON generate: the `accepted` line, then one line
+/// per event until the job is terminal.
+fn ndjson_stream(
+    admission: &api::Admission,
+    writer: &mut TcpStream,
+    node: &Arc<NodeShared>,
+) -> std::io::Result<()> {
+    http::write_line(writer, &api::accepted_event(admission))?;
+    api::drive_stream(node, admission.job(), |event| {
+        http::write_line(writer, event)
+    })
 }

@@ -579,3 +579,61 @@ fn ndjson_fallback_session_supports_all_ops() {
         .any(|r| str_field(r, "error") == Some("invalid_request")));
     handle.shutdown();
 }
+
+/// A request/answer ping-pong on one NDJSON session runs at loopback speed:
+/// each answer leaves as one segment with `TCP_NODELAY` set, so no round
+/// trip waits out the peer's delayed ACK (that stall held a session to about
+/// 25 ops/s, two seconds for these fifty).
+#[test]
+fn ndjson_ping_pong_does_not_wait_for_delayed_acks() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let handle = boot(pool_config(160), true);
+    let mut session = std::net::TcpStream::connect(handle.local_addr()).expect("connect");
+    session.set_nodelay(true).unwrap();
+    session
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = BufReader::new(session.try_clone().unwrap());
+    let mut line = String::new();
+    let started = Instant::now();
+    for round in 0..50 {
+        session
+            .write_all(b"{\"op\":\"stats\"}\n")
+            .expect("write op");
+        line.clear();
+        reader.read_line(&mut line).expect("stats reply");
+        assert!(line.contains("\"jobs\""), "round {round}: {line}");
+    }
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "50 stats round trips took {took:?}"
+    );
+    handle.shutdown();
+}
+
+/// Once the job table is closed — what the pump's death guard does when the
+/// engine thread unwinds — the listener answers every connection `503
+/// unavailable`.
+#[test]
+fn a_closed_node_answers_503_unavailable() {
+    let handle = boot(pool_config(160), true);
+    let client = handle.client();
+    assert_eq!(client.stats().expect("stats").0, 200);
+    handle
+        .node()
+        .pump
+        .jobs
+        .close(kf_serve::backend::PUMP_DIED, "closed by the test");
+    for _ in 0..3 {
+        let (status, body) = client.stats().expect("shed answer");
+        assert_eq!(status, 503);
+        assert_eq!(str_field(&body, "error"), Some("unavailable"));
+        let (status, _) = client
+            .generate(&generate_body(&prompt(8, 1), 2, ""))
+            .expect("shed generate");
+        assert_eq!(status, 503);
+    }
+    handle.shutdown();
+}

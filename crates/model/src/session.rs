@@ -44,7 +44,10 @@ use crate::config::ModelConfig;
 use crate::generation::{GenerationConfig, GenerationOutput, SamplingStrategy};
 use crate::model::{ForwardContext, TransformerModel};
 use crate::stats::AttentionStats;
-use crate::workspace::{forward_chunk_ws, forward_token_ws, ForwardPath, ForwardWorkspace};
+use crate::workspace::{
+    forward_chunk_ws, forward_token_ws, machine_parallelism, with_chunk_scratch, ForwardPath,
+    ForwardWorkspace,
+};
 use keyformer_core::block::{OvercommitPolicy, SharedBlockPool};
 use keyformer_core::budget::{CacheBudget, CacheBudgetSpec};
 use keyformer_core::cache::{KvCache, KvDtype};
@@ -150,6 +153,9 @@ pub struct Session<'m> {
     path: ForwardPath,
     /// Reusable buffers and cached key rotations of the workspace path.
     ws: ForwardWorkspace,
+    /// Most threads one prefill chunk runs on (the machine's parallelism;
+    /// tests pin it to compare worker counts).
+    pub(crate) prefill_workers: usize,
 }
 
 impl<'m> Session<'m> {
@@ -229,6 +235,7 @@ impl<'m> Session<'m> {
             prefix_tokens_reused: 0,
             path: ForwardPath::default(),
             ws,
+            prefill_workers: machine_parallelism(),
         }
     }
 
@@ -541,29 +548,34 @@ impl<'m> Session<'m> {
         let tokens = &prompt[start..start + n];
         self.sequence.extend_from_slice(tokens);
         let compute_logits = start + n == prompt.len();
-        let chunk_peak = forward_chunk_ws(
-            self.model,
-            tokens,
-            start,
-            &mut self.cache,
-            &self.sequence,
-            &mut self.ws,
-            compute_logits,
-            logits,
-        )?;
-        self.peak_cache_bytes = self.peak_cache_bytes.max(chunk_peak);
-        for i in 0..n {
-            self.ws.replay_chunk_token(
-                i,
-                start + i,
-                total_steps,
-                &self.cache,
-                self.policy.as_mut(),
-                self.stats.as_mut(),
-            );
-            self.maybe_register_prefix(start + i + 1)?;
-        }
-        Ok(())
+        with_chunk_scratch(|chunk| {
+            let chunk_peak = forward_chunk_ws(
+                self.model,
+                tokens,
+                start,
+                &mut self.cache,
+                &self.sequence,
+                &mut self.ws,
+                chunk,
+                compute_logits,
+                logits,
+                self.prefill_workers,
+            )?;
+            self.peak_cache_bytes = self.peak_cache_bytes.max(chunk_peak);
+            for i in 0..n {
+                self.ws.replay_chunk_token(
+                    chunk,
+                    i,
+                    start + i,
+                    total_steps,
+                    &self.cache,
+                    self.policy.as_mut(),
+                    self.stats.as_mut(),
+                );
+                self.maybe_register_prefix(start + i + 1)?;
+            }
+            Ok(())
+        })
     }
 
     /// Arms a stepwise decode of up to `config.max_new_tokens` tokens for
@@ -734,6 +746,7 @@ impl<'m> Session<'m> {
             // The fork shares every block (same ids, same generations), so the
             // cloned rotated-key caches stay valid until either side writes.
             ws: self.ws.clone(),
+            prefill_workers: self.prefill_workers,
         })
     }
 
@@ -1606,6 +1619,82 @@ mod tests {
             .generate(&prompt(20), &GenerationConfig::new(4))
             .unwrap();
         assert_eq!(a.generated, b.generated);
+    }
+
+    /// Keyformer that also logs, by bits, the accumulated scores behind each
+    /// eviction decision.
+    #[derive(Clone)]
+    struct ScoreTap {
+        inner: keyformer_core::policies::keyformer::Keyformer,
+        log: std::sync::Arc<std::sync::Mutex<Vec<Vec<u32>>>>,
+    }
+
+    impl KvCachePolicy for ScoreTap {
+        fn name(&self) -> &'static str {
+            "score_tap"
+        }
+        fn observe(&mut self, obs: &keyformer_core::observation::AttentionObservation<'_>) {
+            self.inner.observe(obs);
+        }
+        fn select_retained(
+            &mut self,
+            layer: usize,
+            live: usize,
+            budget: &CacheBudget,
+        ) -> Vec<usize> {
+            let scores = self.inner.scores(layer, live);
+            self.log
+                .lock()
+                .unwrap()
+                .push(scores.iter().map(|s| s.to_bits()).collect());
+            self.inner.select_retained(layer, live, budget)
+        }
+        fn compact(&mut self, layer: usize, retained: &[usize]) {
+            self.inner.compact(layer, retained);
+        }
+        fn reset(&mut self) {
+            self.inner.reset();
+        }
+        fn clone_box(&self) -> Box<dyn KvCachePolicy> {
+            Box::new(self.clone())
+        }
+    }
+
+    /// Prefill on one worker and on three gives the same tokens, the same
+    /// peak cache bytes and the same policy scores at every eviction, on
+    /// both KV dtypes — chunks of 37 split unevenly, the 17-token tail runs
+    /// on two workers.
+    #[test]
+    fn prefill_worker_count_changes_no_bit() {
+        let model = ModelFamily::Tiny.build(9);
+        let spec = CacheBudgetSpec::new(0.5, 0.3).unwrap();
+        let config = GenerationConfig::new(12);
+        let run = |dtype: KvDtype, workers: usize| {
+            let log = std::sync::Arc::default();
+            let policy = ScoreTap {
+                inner: keyformer_core::policies::keyformer::Keyformer::default(),
+                log: std::sync::Arc::clone(&log),
+            };
+            let mut session = Session::with_dtype(&model, Box::new(policy), Some(spec), dtype)
+                .with_prefill_chunk(37);
+            session.prefill_workers = workers;
+            session.begin(&prompt(128), &config).unwrap();
+            while session.is_prefilling() {
+                session.advance_prefill().unwrap();
+            }
+            while session.is_decoding() {
+                session.step().unwrap();
+            }
+            let peak = session.peak_cache_bytes();
+            let output = session.take_output().unwrap();
+            let scores = std::mem::take(&mut *log.lock().unwrap());
+            (output, peak, scores)
+        };
+        for dtype in [KvDtype::F32, KvDtype::U8] {
+            let one = run(dtype, 1);
+            assert!(!one.2.is_empty(), "the budget forces evictions");
+            assert_eq!(run(dtype, 3), one, "{dtype:?}");
+        }
     }
 
     /// Compile-time thread-safety audit for the parallel serving layer: a

@@ -41,7 +41,9 @@ use keyformer_tensor::ops::{
     gelu_in_place, layer_norm_into, layer_norm_slice, softmax_into, softmax_slice,
 };
 use keyformer_tensor::vector::dot;
+use std::cell::RefCell;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 const LN_EPS: f32 = 1e-5;
 
@@ -97,12 +99,39 @@ pub(crate) struct AttnScratch {
     rope: RopeRotor,
 }
 
+/// Fewest chunk rows worth a prefill worker of their own (two register
+/// tiles). A chunk shorter than two of these runs on the calling thread
+/// alone, without a spawn.
+const MIN_ROWS_PER_WORKER: usize = 8;
+
 /// Scratch owned by the chunk-batched prefill forward
 /// ([`forward_chunk_ws`]): flat `[token][feature]` row blocks sized to the
-/// chunk being forwarded, plus the attention scratch. All buffers keep their
-/// capacity across chunks.
+/// chunk being forwarded, the buffered observation rows, and one private
+/// scratch per prefill worker. All buffers keep their capacity across chunks.
 #[derive(Debug, Default)]
 pub(crate) struct ChunkScratch {
+    rows: ChunkRows,
+    /// Every attention-logit row of the chunk: one region per layer, cut
+    /// into one sub-region per attention worker. Only grows — each chunk
+    /// overwrites what it uses, so nothing is zero-filled twice.
+    obs_data: Vec<f32>,
+    /// `(offset, len)` into `obs_data`, indexed `(token * L + layer) * H +
+    /// head`, so the replay can walk the rows in sequential (token-major)
+    /// order — and a worker's tokens own one contiguous slice of it.
+    obs_index: Vec<(usize, usize)>,
+    /// One private scratch per prefill worker; the first serves the calling
+    /// thread.
+    workers: Vec<WorkerScratch>,
+    /// Every layer's context rows, in layer order, for the worker-count
+    /// identity test.
+    #[cfg(test)]
+    layer_contexts: Vec<f32>,
+}
+
+/// The `[token][feature]` row blocks of [`ChunkScratch`], all `chunk` rows
+/// tall.
+#[derive(Debug, Default)]
+struct ChunkRows {
     /// Residual stream rows, `chunk x d_model`.
     hidden: Vec<f32>,
     /// LayerNorm output rows (reused for both pre-norms), `chunk x d_model`.
@@ -116,16 +145,80 @@ pub(crate) struct ChunkScratch {
     proj: Vec<f32>,
     /// FFN inner activations, `chunk x d_ff`.
     inner: Vec<f32>,
-    /// Weight-panel packing scratch of the batched GEMM.
-    pack: Vec<f32>,
-    attn: ChunkAttnScratch,
 }
 
-/// Attention half of [`ChunkScratch`]: the per-(layer, head) operands of the
-/// two attention GEMMs and the buffered logit rows the session replays
-/// token-major afterwards.
-#[derive(Debug, Default)]
-struct ChunkAttnScratch {
+impl ChunkRows {
+    /// Sizes every block for `n` rows (the embedding fills `hidden`).
+    fn resize(&mut self, n: usize, d_model: usize, d_ff: usize) {
+        for rows in [
+            &mut self.normed,
+            &mut self.q,
+            &mut self.k,
+            &mut self.v,
+            &mut self.context,
+            &mut self.proj,
+        ] {
+            rows.resize(n * d_model, 0.0);
+        }
+        self.inner.resize(n * d_ff, 0.0);
+    }
+
+    /// All rows of every block, ready to be split between workers.
+    fn block(&mut self) -> RowBlock<'_> {
+        RowBlock {
+            hidden: &mut self.hidden,
+            normed: &mut self.normed,
+            q: &mut self.q,
+            k: &mut self.k,
+            v: &mut self.v,
+            context: &mut self.context,
+            proj: &mut self.proj,
+            inner: &mut self.inner,
+        }
+    }
+}
+
+/// One worker's rows of the [`ChunkRows`] blocks: the same chunk tokens in
+/// every block.
+struct RowBlock<'a> {
+    hidden: &'a mut [f32],
+    normed: &'a mut [f32],
+    q: &'a mut [f32],
+    k: &'a mut [f32],
+    v: &'a mut [f32],
+    context: &'a mut [f32],
+    proj: &'a mut [f32],
+    inner: &'a mut [f32],
+}
+
+impl<'a> RowBlock<'a> {
+    /// Splits the first `rows` rows off every block.
+    fn split_front(&mut self, rows: usize, d_model: usize, d_ff: usize) -> RowBlock<'a> {
+        RowBlock {
+            hidden: split_front(&mut self.hidden, rows * d_model),
+            normed: split_front(&mut self.normed, rows * d_model),
+            q: split_front(&mut self.q, rows * d_model),
+            k: split_front(&mut self.k, rows * d_model),
+            v: split_front(&mut self.v, rows * d_model),
+            context: split_front(&mut self.context, rows * d_model),
+            proj: split_front(&mut self.proj, rows * d_model),
+            inner: split_front(&mut self.inner, rows * d_ff),
+        }
+    }
+}
+
+/// One prefill worker's private scratch: the GEMM packing panel and the
+/// operands of the two attention GEMMs. Everything here is sized on the
+/// calling thread before a phase fans out, so workers never allocate — and a
+/// thread that never calls `malloc` never gets a glibc arena of its own.
+#[derive(Debug)]
+struct WorkerScratch {
+    /// Weight-panel packing scratch of the batched GEMM.
+    pack: Vec<f32>,
+    /// Head-width row scratch of the KV cache's row visitor.
+    dequant: Vec<f32>,
+    /// Rotates this worker's queries under RoPE.
+    rope: RopeRotor,
     /// One head's live keys, packed once per (layer, head) for QKᵀ:
     /// `live x head_dim` values (rotated rows under RoPE).
     key_panels: PackedPanels,
@@ -133,24 +226,67 @@ struct ChunkAttnScratch {
     /// `live x head_dim`.
     values: Vec<f32>,
     /// One query band's rectangle, `ATTN_BAND_ROWS x live`: raw logits, scaled
-    /// and biased in place, then — once buffered in `obs_data` — overwritten
-    /// by their softmax rows, each zero-padded to the band's causal extent.
+    /// and biased in place, then — once buffered as observations —
+    /// overwritten by their softmax rows, each zero-padded to the band's
+    /// causal extent.
     band: Vec<f32>,
-    /// Every attention-logit row of the chunk, concatenated in compute order.
-    obs_data: Vec<f32>,
-    /// `(offset, len)` into `obs_data`, indexed `(token * L + layer) * H +
-    /// head`, so the replay can walk the rows in sequential (token-major)
-    /// order.
-    obs_index: Vec<(usize, usize)>,
 }
 
-/// The scratch's contents are dead between chunks (the replay that reads them
-/// runs before `forward_prompt_chunk` returns), so a clone — `Session::fork` —
-/// starts empty instead of copying megabytes of buffered logits.
-impl Clone for ChunkScratch {
-    fn clone(&self) -> Self {
-        ChunkScratch::default()
+impl WorkerScratch {
+    fn new(config: &ModelConfig, pack_len: usize) -> Self {
+        let head_dim = config.head_dim();
+        WorkerScratch {
+            pack: vec![0.0; pack_len],
+            dequant: vec![0.0; head_dim],
+            rope: RopeRotor::new(head_dim, ROPE_BASE),
+            key_panels: PackedPanels::new(),
+            values: Vec::new(),
+            band: Vec::new(),
+        }
     }
+
+    /// Sizes the attention operands for queries that see up to `live` slots.
+    fn reserve_attention(&mut self, live: usize, head_dim: usize) {
+        self.key_panels.reserve(head_dim, live);
+        self.values.clear();
+        self.values.reserve(live * head_dim);
+        self.band.resize(ATTN_BAND_ROWS * live, 0.0);
+    }
+}
+
+/// One region of the chunk's observation buffer, filled front to back by
+/// one writer.
+struct ObsRows<'a> {
+    rows: &'a mut [f32],
+    /// Index of `rows[0]` in the whole buffer.
+    offset: usize,
+    used: usize,
+}
+
+impl ObsRows<'_> {
+    /// Buffers `row`; returns its `obs_index` entry and the buffered copy.
+    fn push(&mut self, row: &[f32]) -> ((usize, usize), &[f32]) {
+        let at = self.used;
+        self.used += row.len();
+        let copy = &mut self.rows[at..self.used];
+        copy.copy_from_slice(row);
+        ((self.offset + at, row.len()), copy)
+    }
+}
+
+/// Runs `f` with this thread's chunk-prefill scratch.
+///
+/// A chunk's scratch is dead once its replay has run, and one thread forwards
+/// one chunk at a time, so every session that prefills on a thread shares
+/// that thread's one scratch: a server holding many decoding sessions keeps
+/// one copy, not one per session, and a long prompt's megabytes of buffered
+/// observations are reused request after request instead of being freed and
+/// faulted back in.
+pub(crate) fn with_chunk_scratch<R>(f: impl FnOnce(&mut ChunkScratch) -> R) -> R {
+    thread_local! {
+        static SCRATCH: RefCell<ChunkScratch> = RefCell::new(ChunkScratch::default());
+    }
+    SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))
 }
 
 /// All reusable state of the allocation-free forward path, owned by a
@@ -166,8 +302,6 @@ pub struct ForwardWorkspace {
     pub(crate) attn: AttnScratch,
     /// One rotated-key cache per decoder layer.
     rot: Vec<RotatedKeyCache>,
-    /// Chunk-batched prefill scratch.
-    pub(crate) chunk: ChunkScratch,
 }
 
 impl ForwardWorkspace {
@@ -204,7 +338,6 @@ impl ForwardWorkspace {
             rot: (0..config.num_layers)
                 .map(|_| RotatedKeyCache::new(config.num_heads, head_dim, block_size))
                 .collect(),
-            chunk: ChunkScratch::default(),
         }
     }
 
@@ -254,8 +387,10 @@ impl ForwardWorkspace {
     /// sequential path's bits, so Gumbel-sampling policies draw the identical
     /// RNG stream and the recomputed softmax rows match the sequential
     /// statistics records bit-for-bit.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn replay_chunk_token(
         &mut self,
+        chunk: &ChunkScratch,
         chunk_index: usize,
         step: usize,
         total_steps: usize,
@@ -267,9 +402,9 @@ impl ForwardWorkspace {
         let num_heads = self.alibi_slopes.len();
         for layer in 0..num_layers {
             for head in 0..num_heads {
-                let (offset, len) = self.chunk.attn.obs_index
-                    [(chunk_index * num_layers + layer) * num_heads + head];
-                let logits = &self.chunk.attn.obs_data[offset..offset + len];
+                let (offset, len) =
+                    chunk.obs_index[(chunk_index * num_layers + layer) * num_heads + head];
+                let logits = &chunk.obs_data[offset..offset + len];
                 policy.observe(&AttentionObservation {
                     layer,
                     head,
@@ -424,6 +559,25 @@ pub(crate) fn forward_token_ws(
 ///   fused `scale·(Σc·q − zero·Σc)` factoring per block — a different chain —
 ///   in seal-delimited runs of at most `block_size` tokens.
 ///
+/// **On every core.** Each layer runs as three kinds of phase. The *row
+/// phases* — LN1 and the Q/K/V projections, then `wo`, the residuals, LN2 and
+/// the FFN — split the chunk's rows evenly between `w` workers, each with its
+/// own GEMM packing panel
+/// ([`keyformer_tensor::Matrix::matvec_batch_into_slice`]). The *serial
+/// phases* — the bulk KV append, the RoPE key sync and the peak-byte sample —
+/// stay on the calling thread. On `f32` layers the *attention* splits the
+/// chunk's queries into contiguous ranges of equal causal work Σ(`pre + t +
+/// 1`) (not by head: under ALiBi the subnormal probabilities crowd onto the
+/// steepest head); each worker runs [`attend_chunk_gemm`] over its range into
+/// its own context rows, its own tokens' `obs_index` entries and its own
+/// region of the observation buffer. `u8` attention stays on the calling
+/// thread: its seal-delimited runs are too short to pay for a spawn. No
+/// output element is split between workers, so each is still the one chain
+/// from `0.0` above, and the bits cannot depend on `w`. `w` is
+/// `min(max_workers, n / MIN_ROWS_PER_WORKER)`, at least 1; with `w == 1`
+/// nothing is spawned. Every buffer a worker writes is sized before its
+/// phase fans out, so workers never allocate.
+///
 /// Next-token logits (final LN, readout matmul and copy-vote bonus) are only
 /// computed — for the last chunk token — when `compute_logits` is set, i.e.
 /// when the chunk reaches the end of the prompt; mid-prompt logits are
@@ -443,8 +597,10 @@ pub(crate) fn forward_chunk_ws(
     cache: &mut KvCache,
     sequence: &[u32],
     ws: &mut ForwardWorkspace,
+    chunk: &mut ChunkScratch,
     compute_logits: bool,
     out_logits: &mut Vec<f32>,
+    max_workers: usize,
 ) -> Result<usize, CoreError> {
     let n = tokens.len();
     if n == 0 {
@@ -452,14 +608,15 @@ pub(crate) fn forward_chunk_ws(
     }
     let config = model.config();
     let weights = model.weights();
-    let d_model = config.d_model;
+    let (d_model, d_ff, head_dim) = (config.d_model, config.d_ff, config.head_dim());
     let num_layers = config.num_layers;
     let num_heads = config.num_heads;
+    let workers = max_workers.min(n / MIN_ROWS_PER_WORKER).max(1);
 
     // Embed every chunk token into its residual-stream row.
     {
         let staging = &mut ws.hidden;
-        let rows = &mut ws.chunk.hidden;
+        let rows = &mut chunk.rows.hidden;
         rows.clear();
         rows.reserve(n * d_model);
         for (i, &tok) in tokens.iter().enumerate() {
@@ -474,26 +631,45 @@ pub(crate) fn forward_chunk_ws(
         alibi_slopes,
         attn,
         rot,
-        chunk,
         ..
     } = ws;
     let ChunkScratch {
-        hidden,
-        normed,
-        q,
-        k,
-        v,
-        context,
-        proj,
-        inner,
-        pack,
-        attn: chunk_attn,
+        rows,
+        obs_data,
+        obs_index,
+        workers: worker_scratch,
+        ..
     } = chunk;
-    chunk_attn.obs_data.clear();
-    chunk_attn.obs_index.clear();
-    chunk_attn
-        .obs_index
-        .resize(n * num_layers * num_heads, (0, 0));
+    #[cfg(test)]
+    chunk.layer_contexts.clear();
+
+    // Everything the workers write is sized here, on the calling thread.
+    rows.resize(n, d_model, d_ff);
+    // `ffn_out` reads `d_ff`-wide rows, every other projection `d_model`-wide.
+    let lw0 = &weights.layers[0];
+    let pack_len = lw0.wq.batch_pack_len().max(lw0.ffn_out.batch_pack_len());
+    // Worker scratch is shaped by the model, and a thread may prefill for
+    // more than one.
+    if worker_scratch
+        .first()
+        .is_some_and(|w| w.pack.len() != pack_len || w.dequant.len() != head_dim)
+    {
+        worker_scratch.clear();
+    }
+    while worker_scratch.len() < workers {
+        worker_scratch.push(WorkerScratch::new(config, pack_len));
+    }
+    let worker_scratch = &mut worker_scratch[..workers];
+    let obs_total: usize = (0..num_layers)
+        .map(|layer| num_heads * causal_slots(cache.layer(layer).len(), 0..n))
+        .sum();
+    if obs_data.len() < obs_total {
+        obs_data.resize(obs_total, 0.0);
+    }
+    obs_index.clear();
+    obs_index.resize(n * num_layers * num_heads, (0, 0));
+    let mut obs_offset = 0usize;
+
     let gather_copy = compute_logits && config.copy_strength > 0.0;
     if gather_copy {
         copy_votes.fill(0.0);
@@ -506,27 +682,21 @@ pub(crate) fn forward_chunk_ws(
         let layer_cache = cache.layer_mut(layer);
         let pre = layer_cache.len();
 
-        // Pre-norm attention: LN every row, then one GEMM per projection.
-        normed.clear();
-        normed.resize(n * d_model, 0.0);
-        for (row, out) in hidden
-            .chunks_exact(d_model)
-            .zip(normed.chunks_exact_mut(d_model))
-        {
-            layer_norm_slice(row, &lw.ln1_gain, &lw.ln1_bias, LN_EPS, out);
-        }
-        lw.wq
-            .matvec_batch_into(normed, n, q, pack)
-            .expect("wq shape");
-        lw.wk
-            .matvec_batch_into(normed, n, k, pack)
-            .expect("wk shape");
-        lw.wv
-            .matvec_batch_into(normed, n, v, pack)
-            .expect("wv shape");
+        // Row phase: LN1 and the Q/K/V projections.
+        row_phase(rows.block(), n, config, worker_scratch, |block, pack| {
+            attention_inputs(lw, d_model, block, pack)
+        });
 
-        context.clear();
-        context.resize(n * d_model, 0.0);
+        let layer_obs = num_heads * causal_slots(pre, 0..n);
+        let mut obs = ObsRows {
+            rows: &mut obs_data[obs_offset..obs_offset + layer_obs],
+            offset: obs_offset,
+            used: 0,
+        };
+        obs_offset += layer_obs;
+        let ChunkRows {
+            q, k, v, context, ..
+        } = &mut *rows;
 
         let bs = layer_cache.block_size().max(1);
         let seals = layer_cache.dtype() != KvDtype::F32;
@@ -570,55 +740,71 @@ pub(crate) fn forward_chunk_ws(
                         attn,
                         alibi_slopes,
                         &mut context[t * d_model..(t + 1) * d_model],
-                        &mut chunk_attn.obs_data,
-                        &mut chunk_attn.obs_index[obs_base..obs_base + num_heads],
+                        &mut obs,
+                        &mut obs_index[obs_base..obs_base + num_heads],
                         gather_copy && t == n - 1,
                     );
                 }
-            } else {
-                attend_chunk_gemm(
-                    config,
-                    layer,
-                    q,
-                    run_start..run_end,
-                    start_position,
-                    pre,
-                    layer_cache,
-                    layer_rot,
-                    attn,
-                    alibi_slopes,
-                    context,
-                    chunk_attn,
-                    (gather_copy && run_end == n).then_some(n - 1),
-                );
             }
             run_start = run_end;
         }
         peak_bytes += layer_peak;
 
-        // Attention output projection, then the pre-norm feed-forward block.
-        lw.wo
-            .matvec_batch_into(context, n, proj, pack)
-            .expect("wo shape");
-        for (h, a) in hidden.iter_mut().zip(proj.iter()) {
-            *h += a;
+        if !seals {
+            // Attention phase: contiguous query ranges of equal causal work.
+            for scratch in worker_scratch.iter_mut() {
+                scratch.reserve_attention(pre + n, head_dim);
+            }
+            let mut mean_probs = gather_copy.then(|| {
+                attn.mean_probs.clear();
+                attn.mean_probs.resize(pre + n, 0.0);
+                &mut attn.mean_probs[..]
+            });
+            let view = LayerView {
+                config,
+                layer,
+                start_position,
+                pre,
+                cache: layer_cache,
+                rot: layer_rot,
+                alibi_slopes,
+            };
+            let (mut q, mut context) = (&mut q[..], &mut context[..]);
+            let mut obs_index = &mut obs_index[..];
+            let parts = causal_rows(n, pre, workers)
+                .zip(worker_scratch.iter_mut())
+                .map(|(run, scratch)| {
+                    let (rows, obs_len) = (run.len(), num_heads * causal_slots(pre, run.clone()));
+                    let obs_rows = ObsRows {
+                        offset: obs.offset,
+                        rows: split_front(&mut obs.rows, obs_len),
+                        used: 0,
+                    };
+                    obs.offset += obs_len;
+                    AttnPart {
+                        q: split_front(&mut q, rows * d_model),
+                        context: split_front(&mut context, rows * d_model),
+                        obs_index: split_front(&mut obs_index, rows * num_layers * num_heads),
+                        obs: obs_rows,
+                        mean_probs: if run.end == n {
+                            mean_probs.take()
+                        } else {
+                            None
+                        },
+                        run,
+                        scratch,
+                    }
+                });
+            fan_out(parts, |part| attend_chunk_gemm(&view, part));
         }
-        for (row, out) in hidden
-            .chunks_exact(d_model)
-            .zip(normed.chunks_exact_mut(d_model))
-        {
-            layer_norm_slice(row, &lw.ln2_gain, &lw.ln2_bias, LN_EPS, out);
-        }
-        lw.ffn_in
-            .matvec_batch_into(normed, n, inner, pack)
-            .expect("ffn_in shape");
-        gelu_in_place(inner);
-        lw.ffn_out
-            .matvec_batch_into(inner, n, proj, pack)
-            .expect("ffn_out shape");
-        for (h, f) in hidden.iter_mut().zip(proj.iter()) {
-            *h += f;
-        }
+        #[cfg(test)]
+        chunk.layer_contexts.extend_from_slice(&rows.context);
+
+        // Row phase: the output projection and its residual, then the
+        // pre-norm feed-forward block and its residual.
+        row_phase(rows.block(), n, config, worker_scratch, |block, pack| {
+            attention_outputs_and_ffn(lw, d_model, block, pack)
+        });
 
         if gather_copy {
             let position = start_position + n - 1;
@@ -643,7 +829,7 @@ pub(crate) fn forward_chunk_ws(
 
     if compute_logits {
         layer_norm_into(
-            &hidden[(n - 1) * d_model..n * d_model],
+            &rows.hidden[(n - 1) * d_model..n * d_model],
             &weights.final_ln_gain,
             &weights.final_ln_bias,
             LN_EPS,
@@ -662,6 +848,176 @@ pub(crate) fn forward_chunk_ws(
         }
     }
     Ok(peak_bytes)
+}
+
+/// The most workers one prefill chunk fans out to:
+/// [`std::thread::available_parallelism`], read once per process.
+pub(crate) fn machine_parallelism() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
+}
+
+/// Causal work of chunk queries `rows` behind `pre` cached slots: the slots
+/// they attend over, Σ(`pre + t + 1`).
+fn causal_slots(pre: usize, rows: Range<usize>) -> usize {
+    rows.map(|t| pre + t + 1).sum()
+}
+
+/// Splits chunk queries `0..n` into `workers` contiguous, non-empty ranges of
+/// near-equal causal work: each range takes queries until the next one would
+/// carry the running total past its share. Needs `n >= workers`.
+fn causal_rows(n: usize, pre: usize, workers: usize) -> impl Iterator<Item = Range<usize>> {
+    let total = causal_slots(pre, 0..n);
+    let (mut start, mut work) = (0, 0);
+    (0..workers).map(move |i| {
+        let share = total * (i + 1) / workers;
+        // Leave at least one query for each later range.
+        let last_end = n - (workers - 1 - i);
+        let mut end = start + 1;
+        work += pre + start + 1;
+        while end < last_end && work + pre + end < share {
+            work += pre + end + 1;
+            end += 1;
+        }
+        let range = start..end;
+        start = end;
+        range
+    })
+}
+
+/// Splits the first `len` elements off `rest`.
+fn split_front<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+    let (front, back) = std::mem::take(rest).split_at_mut(len);
+    *rest = back;
+    front
+}
+
+/// Runs `work` on every part: the first on the calling thread, each other on
+/// a scoped thread of its own, returning once all are done. A single part
+/// runs inline, with no scope and no spawn. A worker's panic resumes on the
+/// calling thread when the scope joins.
+fn fan_out<P: Send>(parts: impl Iterator<Item = P>, work: impl Fn(P) + Sync) {
+    let mut parts = parts.peekable();
+    let Some(first) = parts.next() else {
+        return;
+    };
+    if parts.peek().is_none() {
+        return work(first);
+    }
+    let work = &work;
+    std::thread::scope(|scope| {
+        for part in parts {
+            scope.spawn(move || work(part));
+        }
+        work(first);
+    });
+}
+
+/// Runs a row phase: `phase` over `all`'s `n` rows, split evenly between the
+/// `scratch.len()` workers, each handed its own GEMM packing panel.
+fn row_phase(
+    mut all: RowBlock<'_>,
+    n: usize,
+    config: &ModelConfig,
+    scratch: &mut [WorkerScratch],
+    phase: impl Fn(RowBlock<'_>, &mut [f32]) + Sync,
+) {
+    let workers = scratch.len();
+    let parts = scratch.iter_mut().enumerate().map(|(i, scratch)| {
+        let rows = (i + 1) * n / workers - i * n / workers;
+        (
+            all.split_front(rows, config.d_model, config.d_ff),
+            &mut scratch.pack[..],
+        )
+    });
+    fan_out(parts, |(block, pack)| phase(block, pack));
+}
+
+/// Row phase before attention: LN1 of each row, then its Q/K/V projections.
+fn attention_inputs(lw: &LayerWeights, d_model: usize, rows: RowBlock<'_>, pack: &mut [f32]) {
+    for (row, out) in rows
+        .hidden
+        .chunks_exact(d_model)
+        .zip(rows.normed.chunks_exact_mut(d_model))
+    {
+        layer_norm_slice(row, &lw.ln1_gain, &lw.ln1_bias, LN_EPS, out);
+    }
+    lw.wq
+        .matvec_batch_into_slice(rows.normed, rows.q, pack)
+        .expect("wq shape");
+    lw.wk
+        .matvec_batch_into_slice(rows.normed, rows.k, pack)
+        .expect("wk shape");
+    lw.wv
+        .matvec_batch_into_slice(rows.normed, rows.v, pack)
+        .expect("wv shape");
+}
+
+/// Row phase after attention: the output projection and its residual, then
+/// the pre-norm feed-forward block and its residual.
+fn attention_outputs_and_ffn(
+    lw: &LayerWeights,
+    d_model: usize,
+    rows: RowBlock<'_>,
+    pack: &mut [f32],
+) {
+    let RowBlock {
+        hidden,
+        normed,
+        context,
+        proj,
+        inner,
+        ..
+    } = rows;
+    lw.wo
+        .matvec_batch_into_slice(context, proj, pack)
+        .expect("wo shape");
+    for (h, a) in hidden.iter_mut().zip(proj.iter()) {
+        *h += a;
+    }
+    for (row, out) in hidden
+        .chunks_exact(d_model)
+        .zip(normed.chunks_exact_mut(d_model))
+    {
+        layer_norm_slice(row, &lw.ln2_gain, &lw.ln2_bias, LN_EPS, out);
+    }
+    lw.ffn_in
+        .matvec_batch_into_slice(normed, inner, pack)
+        .expect("ffn_in shape");
+    gelu_in_place(inner);
+    lw.ffn_out
+        .matvec_batch_into_slice(inner, proj, pack)
+        .expect("ffn_out shape");
+    for (h, f) in hidden.iter_mut().zip(proj.iter()) {
+        *h += f;
+    }
+}
+
+/// What every attention worker of one `f32` layer reads.
+struct LayerView<'a> {
+    config: &'a ModelConfig,
+    layer: usize,
+    start_position: usize,
+    /// Slots the layer held before the chunk's append.
+    pre: usize,
+    cache: &'a LayerKvCache,
+    /// Rotated keys, already synced to cover the whole chunk.
+    rot: &'a RotatedKeyCache,
+    alibi_slopes: &'a [f32],
+}
+
+/// One attention worker's share of a layer: chunk queries `run`, their query
+/// and context rows, their tokens' `obs_index` entries (token-major, so one
+/// contiguous slice), their region of the observation buffer and — for the
+/// worker that owns the chunk's last token — the copy head's `mean_probs`.
+struct AttnPart<'a> {
+    run: Range<usize>,
+    q: &'a mut [f32],
+    context: &'a mut [f32],
+    obs_index: &'a mut [(usize, usize)],
+    obs: ObsRows<'a>,
+    mean_probs: Option<&'a mut [f32]>,
+    scratch: &'a mut WorkerScratch,
 }
 
 /// Brings `rot` up to date with a RoPE layer's cache, rotating each stale or
@@ -699,65 +1055,65 @@ fn sync_rotated_keys(
 /// 3. the band's context rows are [`matmul_strided`] of the probability
 ///    rectangle with the gathered values.
 ///
-/// Queries in `q` are rotated in place under RoPE (token-major, so one
-/// `(sin, cos)` set serves a token's heads); the rotated-key cache must
-/// already cover `pre + run.end` slots. `mean_probs_of` names the chunk token
-/// (inside `run`) whose head-averaged probabilities the copy head wants.
-#[allow(clippy::too_many_arguments)]
-fn attend_chunk_gemm(
-    config: &ModelConfig,
-    layer: usize,
-    q: &mut [f32],
-    run: Range<usize>,
-    start_position: usize,
-    pre: usize,
-    cache: &LayerKvCache,
-    rot: &RotatedKeyCache,
-    attn: &mut AttnScratch,
-    alibi_slopes: &[f32],
-    context: &mut [f32],
-    scratch: &mut ChunkAttnScratch,
-    mean_probs_of: Option<usize>,
-) {
+/// One worker's share of an `f32` layer: `part.run` is a range of chunk
+/// queries and every row slice of `part` holds exactly those queries, so
+/// `t - run.start` indexes them. Queries are rotated in place under RoPE
+/// (token-major, so one `(sin, cos)` set serves a token's heads); the
+/// rotated-key cache must already cover `pre + run.end` slots. Writes only
+/// `part`'s own rows — and `part.mean_probs`, head by head, when it owns the
+/// chunk's last token — and allocates nothing: the scratch is sized for
+/// `pre + run.end` slots, the observation region for the run's rows.
+fn attend_chunk_gemm(view: &LayerView<'_>, part: AttnPart<'_>) {
+    let LayerView {
+        config,
+        layer,
+        start_position,
+        pre,
+        cache,
+        rot,
+        alibi_slopes,
+    } = *view;
+    let AttnPart {
+        run,
+        q,
+        context,
+        obs_index,
+        mut obs,
+        mut mean_probs,
+        scratch,
+    } = part;
+    let WorkerScratch {
+        dequant,
+        rope,
+        key_panels,
+        values,
+        band,
+        ..
+    } = scratch;
     let (d_model, head_dim) = (config.d_model, config.head_dim());
     let (num_layers, num_heads) = (config.num_layers, config.num_heads);
     let scale = 1.0 / (head_dim as f32).sqrt();
     let positions = cache.positions();
-    // Slots the run's last query attends over.
+    // Slots the run's last query attends over; the band's row stride.
     let live = pre + run.end;
     let query_position = |t: usize| match config.position_mode {
         PositionMode::Original => start_position + t,
         // Under remapping the query sits immediately after the compacted cache.
         PositionMode::Remapped => pre + t,
     };
-    let AttnScratch {
-        dequant,
-        mean_probs,
-        rope,
-        ..
-    } = attn;
-    let ChunkAttnScratch {
-        key_panels,
-        values,
-        band,
-        obs_data,
-        obs_index,
-    } = scratch;
+    // Row `t` of the chunk within this part's slices.
+    let local = |t: usize| t - run.start;
 
     let rotary = config.positional == PositionalEncoding::Rope;
     if rotary {
         for t in run.clone() {
             let position = query_position(t) as f32 * config.rope_scale;
-            for q_head in q[t * d_model..(t + 1) * d_model].chunks_exact_mut(head_dim) {
+            for q_head in q[local(t) * d_model..(local(t) + 1) * d_model].chunks_exact_mut(head_dim)
+            {
                 rope.rotate(q_head, position);
             }
         }
     }
-    if let Some(t) = mean_probs_of {
-        mean_probs.clear();
-        mean_probs.resize(pre + t + 1, 0.0);
-    }
-    band.resize(ATTN_BAND_ROWS * live, 0.0);
 
     for head in 0..num_heads {
         let slope = alibi_slopes[head];
@@ -782,7 +1138,7 @@ fn attend_chunk_gemm(
             // few logits past their own.
             let extent = pre + t1;
             matmul_packed_bt(
-                &q[t0 * d_model + col..],
+                &q[local(t0) * d_model + col..],
                 d_model,
                 t1 - t0,
                 key_panels,
@@ -814,15 +1170,16 @@ fn attend_chunk_gemm(
                 }
                 // Buffer the observation the sequential path would have
                 // delivered here; the session replays it token-major.
-                let offset = obs_data.len();
-                obs_index[(t * num_layers + layer) * num_heads + head] = (offset, seen);
-                obs_data.extend_from_slice(logits);
+                let (entry, buffered) = obs.push(logits);
+                obs_index[(local(t) * num_layers + layer) * num_heads + head] = entry;
 
-                softmax_slice(&obs_data[offset..], logits);
+                softmax_slice(buffered, logits);
                 band_row[seen..].fill(0.0);
-                if mean_probs_of == Some(t) {
-                    for (m, &p) in mean_probs.iter_mut().zip(band_row.iter()) {
-                        *m += p / num_heads as f32;
+                if t + 1 == run.end {
+                    if let Some(mean_probs) = mean_probs.as_deref_mut() {
+                        for (m, &p) in mean_probs.iter_mut().zip(band_row.iter()) {
+                            *m += p / num_heads as f32;
+                        }
                     }
                 }
             }
@@ -833,19 +1190,20 @@ fn attend_chunk_gemm(
                 extent,
                 values,
                 head_dim,
-                &mut context[t0 * d_model + col..],
+                &mut context[local(t0) * d_model + col..],
                 d_model,
             );
             t0 = t1;
         }
     }
+    debug_assert_eq!(obs.used, obs.rows.len(), "observation region sized exactly");
 }
 
 /// One chunk query of [`forward_chunk_ws`] against a quantized (`u8`) layer —
 /// `f32` layers go through [`attend_chunk_gemm`]: the same per-head arithmetic
 /// as [`attend_single_query_ws`], against a `live`-slot
 /// [`keyformer_core::cache::KvSlice::truncated`] causal view of the layer, with
-/// the policy observation *buffered* (into `obs_data` / `obs_slots`) instead of
+/// the policy observation *buffered* (into `obs` / `obs_slots`) instead of
 /// delivered — the session replays it token-major afterwards. The rotated-key
 /// cache must already cover `live` slots (one [`RotatedKeyCache::sync`] per
 /// run).
@@ -860,7 +1218,7 @@ fn attend_chunk_query_ws(
     attn: &mut AttnScratch,
     alibi_slopes: &[f32],
     context_out: &mut [f32],
-    obs_data: &mut Vec<f32>,
+    obs: &mut ObsRows<'_>,
     obs_slots: &mut [(usize, usize)],
     want_mean_probs: bool,
 ) {
@@ -928,8 +1286,7 @@ fn attend_chunk_query_ws(
 
         // Buffer the observation the sequential path would have delivered
         // here; the session replays it in token-major order.
-        obs_slots[head] = (obs_data.len(), logits.len());
-        obs_data.extend_from_slice(logits);
+        obs_slots[head] = obs.push(logits).0;
 
         softmax_into(logits, probs);
         let values = cache.values(head).truncated(live);
@@ -1188,6 +1545,7 @@ mod tests {
     use super::*;
     use crate::attention::attend_single_query;
     use crate::config::ModelConfig;
+    use crate::families::ModelFamily;
     use keyformer_core::observation::Phase;
     use keyformer_core::policies::full::FullAttention;
 
@@ -1379,26 +1737,35 @@ mod tests {
                     sync_rotated_keys(&config, &cache, &mut ws.rot[layer], &mut ws.attn.rope);
                 }
                 let mut context = vec![0.0; n * d_model];
-                let mut scratch = ChunkAttnScratch::default();
-                scratch
-                    .obs_index
-                    .resize(n * config.num_layers * num_heads, (0, 0));
+                let mut obs_index = vec![(0, 0); n * config.num_layers * num_heads];
+                let mut obs_data = vec![0.0; num_heads * causal_slots(pre, 0..n)];
+                let mut chunk_mean_probs = vec![0.0; pre + n];
+                let mut scratch = WorkerScratch::new(&config, 0);
+                scratch.reserve_attention(pre + n, config.head_dim());
                 attend_chunk_gemm(
-                    &config,
-                    layer,
-                    &mut q.clone(),
-                    0..n,
-                    start_position,
-                    pre,
-                    &cache,
-                    &ws.rot[layer],
-                    &mut ws.attn,
-                    &ws.alibi_slopes,
-                    &mut context,
-                    &mut scratch,
-                    Some(n - 1),
+                    &LayerView {
+                        config: &config,
+                        layer,
+                        start_position,
+                        pre,
+                        cache: &cache,
+                        rot: &ws.rot[layer],
+                        alibi_slopes: &ws.alibi_slopes,
+                    },
+                    AttnPart {
+                        run: 0..n,
+                        q: &mut q.clone(),
+                        context: &mut context,
+                        obs_index: &mut obs_index,
+                        obs: ObsRows {
+                            rows: &mut obs_data,
+                            offset: 0,
+                            used: 0,
+                        },
+                        mean_probs: Some(&mut chunk_mean_probs),
+                        scratch: &mut scratch,
+                    },
                 );
-                let chunk_mean_probs = ws.attn.mean_probs.clone();
 
                 // Reference: one append and one single-query attention per token.
                 let mut cache = prefixed();
@@ -1439,9 +1806,9 @@ mod tests {
                     );
                     for (head, want) in policy.rows.iter().enumerate() {
                         let (offset, len) =
-                            scratch.obs_index[(t * config.num_layers + layer) * num_heads + head];
+                            obs_index[(t * config.num_layers + layer) * num_heads + head];
                         assert_eq!(
-                            bits(&scratch.obs_data[offset..offset + len]),
+                            bits(&obs_data[offset..offset + len]),
                             bits(want),
                             "{positional} / {mode} observation of token {t} head {head}"
                         );
@@ -1460,6 +1827,165 @@ mod tests {
                         "the ALiBi case must reach subnormal and exactly-zero probabilities"
                     );
                 }
+            }
+        }
+    }
+
+    /// The bits of one `forward_chunk_ws` call that a worker split could
+    /// touch: the next-token logits, every layer's context rows, every
+    /// buffered observation row in replay order, the last token's
+    /// `mean_probs` and the peak-byte sample.
+    #[derive(Debug, PartialEq)]
+    struct ChunkBits {
+        logits: Vec<u32>,
+        layer_contexts: Vec<u32>,
+        observations: Vec<u32>,
+        mean_probs: Vec<u32>,
+        peak_bytes: usize,
+    }
+
+    /// Forwards an `n`-token chunk on `workers` threads behind `pre` cached
+    /// slots. A non-empty prefix is forwarded on one thread, then compacted
+    /// to its first slot plus its last `pre - 1`, so slots and positions
+    /// differ and the two position modes disagree.
+    fn chunk_bits(
+        model: &TransformerModel,
+        dtype: KvDtype,
+        pre: usize,
+        n: usize,
+        workers: usize,
+    ) -> ChunkBits {
+        const DROPPED: usize = 9;
+        let config = model.config();
+        let mut cache = model.empty_cache_dtype(dtype);
+        let mut ws = ForwardWorkspace::new(config, cache.block_size());
+        let mut chunk = ChunkScratch::default();
+        let start = if pre == 0 { 0 } else { pre + DROPPED };
+        let prompt: Vec<u32> = (0..start + n)
+            .map(|i| ((i * 37 + 11) % config.vocab_size) as u32)
+            .collect();
+        let mut logits = Vec::new();
+        if pre > 0 {
+            forward_chunk_ws(
+                model,
+                &prompt[..start],
+                0,
+                &mut cache,
+                &prompt[..start],
+                &mut ws,
+                &mut chunk,
+                false,
+                &mut logits,
+                1,
+            )
+            .unwrap();
+            let retained: Vec<usize> = std::iter::once(0).chain(DROPPED + 1..start).collect();
+            for layer in 0..config.num_layers {
+                ws.retain_slots(config, layer, cache.layer_mut(layer), &retained)
+                    .unwrap();
+            }
+        }
+        assert_eq!(cache.layer(0).len(), pre);
+        let peak_bytes = forward_chunk_ws(
+            model,
+            &prompt[start..],
+            start,
+            &mut cache,
+            &prompt,
+            &mut ws,
+            &mut chunk,
+            true,
+            &mut logits,
+            workers,
+        )
+        .unwrap();
+        let (layers, heads) = (config.num_layers, config.num_heads);
+        let mut observations = Vec::new();
+        for t in 0..n {
+            for layer in 0..layers {
+                for head in 0..heads {
+                    let (offset, len) = chunk.obs_index[(t * layers + layer) * heads + head];
+                    assert_eq!(len, pre + t + 1, "token {t} sees its causal prefix");
+                    observations.extend(bits(&chunk.obs_data[offset..offset + len]));
+                }
+            }
+        }
+        ChunkBits {
+            logits: bits(&logits),
+            layer_contexts: bits(&chunk.layer_contexts),
+            observations,
+            mean_probs: bits(&ws.attn.mean_probs),
+            peak_bytes,
+        }
+    }
+
+    /// `forward_chunk_ws` on 2 and 3 workers (3 splits 37 rows unevenly)
+    /// leaves exactly the bits it leaves on one, for every positional family,
+    /// both position modes and both KV dtypes, from an empty cache and from
+    /// behind a compacted prefix.
+    #[test]
+    fn chunk_forward_is_bit_identical_at_every_worker_count() {
+        for positional in [
+            PositionalEncoding::Rope,
+            PositionalEncoding::Alibi,
+            PositionalEncoding::Learned,
+        ] {
+            for mode in [PositionMode::Original, PositionMode::Remapped] {
+                let model = TransformerModel::new(ModelConfig {
+                    positional,
+                    position_mode: mode,
+                    ..ModelFamily::Tiny.config(5)
+                })
+                .unwrap();
+                for dtype in [KvDtype::F32, KvDtype::U8] {
+                    for (pre, n) in [(0, 37), (21, 37), (0, 128), (21, 128)] {
+                        let one = chunk_bits(&model, dtype, pre, n, 1);
+                        assert_eq!(one.mean_probs.len(), pre + n);
+                        for workers in [2, 3] {
+                            assert!(
+                                n / MIN_ROWS_PER_WORKER >= workers,
+                                "{n} rows split {workers} ways"
+                            );
+                            assert_eq!(
+                                chunk_bits(&model, dtype, pre, n, workers),
+                                one,
+                                "{positional} / {mode} / {dtype:?}, pre {pre}, chunk {n}, \
+                                 {workers} workers"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The attention split hands out contiguous, non-empty query ranges that
+    /// cover the chunk, with causal work within one query of an even share.
+    #[test]
+    fn causal_rows_balance_attention_work() {
+        for (n, pre, workers) in [
+            (128, 0, 2),
+            (128, 896, 2),
+            (37, 21, 3),
+            (8, 0, 8),
+            (9, 5, 4),
+        ] {
+            let ranges: Vec<Range<usize>> = causal_rows(n, pre, workers).collect();
+            assert_eq!(ranges.len(), workers);
+            assert_eq!(ranges[0].start, 0);
+            assert_eq!(ranges[workers - 1].end, n);
+            for pair in ranges.windows(2) {
+                assert_eq!(pair[0].end, pair[1].start);
+            }
+            let share = causal_slots(pre, 0..n) / workers;
+            for range in &ranges {
+                assert!(!range.is_empty());
+                let work = causal_slots(pre, range.clone());
+                let slack = pre + n;
+                assert!(
+                    work + slack >= share && work <= share + slack,
+                    "{range:?} of {n} behind {pre}: work {work}, share {share}"
+                );
             }
         }
     }

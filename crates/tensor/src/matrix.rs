@@ -172,6 +172,13 @@ impl PackedPanels {
         self.data.clear();
     }
 
+    /// Makes room for `rows` rows of width `k`, so that packing them after a
+    /// [`PackedPanels::reset`] never reallocates.
+    pub fn reserve(&mut self, k: usize, rows: usize) {
+        let needed = rows.div_ceil(GEMM_NR) * GEMM_NR * k;
+        self.data.reserve(needed.saturating_sub(self.data.len()));
+    }
+
     /// Appends one row — pure data movement, no arithmetic.
     ///
     /// # Panics
@@ -608,19 +615,63 @@ impl Matrix {
             });
         }
         out.clear();
+        out.resize(count * self.rows, 0.0);
+        if count > 1 {
+            pack.clear();
+            pack.resize(self.batch_pack_len(), 0.0);
+        }
+        self.matvec_batch_into_slice(xs, out, pack)
+    }
+
+    /// Length of the `pack` scratch [`Matrix::matvec_batch_into_slice`]
+    /// needs: one weight panel, transposed.
+    pub fn batch_pack_len(&self) -> usize {
+        self.cols * GEMM_NR
+    }
+
+    /// [`Matrix::matvec_batch_into`] into caller-sized buffers, so it never
+    /// allocates: the `count = xs.len() / cols` input vectors in `xs` map to
+    /// the `count * rows` outputs in `out`. Same chains, same bits; a single
+    /// vector takes the plain dot-product reduction and leaves `pack`
+    /// untouched. Each output row depends only on its own input vector, so
+    /// disjoint row ranges of one batch may run on different threads.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] if `xs` is not a whole number of
+    /// input vectors or `out` does not hold exactly their outputs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count > 1` and `pack` is shorter than
+    /// [`Matrix::batch_pack_len`].
+    pub fn matvec_batch_into_slice(
+        &self,
+        xs: &[f32],
+        out: &mut [f32],
+        pack: &mut [f32],
+    ) -> Result<(), TensorError> {
+        let count = xs.len().checked_div(self.cols).unwrap_or(0);
+        if xs.len() != count * self.cols || out.len() != count * self.rows {
+            return Err(TensorError::ShapeMismatch {
+                op: "matvec_batch",
+                lhs: self.shape(),
+                rhs: (count, out.len().checked_div(count).unwrap_or(0)),
+            });
+        }
         if count == 1 {
             // A single vector gains nothing from panel packing; use the plain
             // dot-product reduction (identical bits, no packing traffic).
-            out.extend(
-                self.iter_rows()
-                    .map(|row| row.iter().zip(xs).map(|(a, b)| a * b).sum::<f32>()),
-            );
+            for (o, row) in out.iter_mut().zip(self.iter_rows()) {
+                *o = row.iter().zip(xs).map(|(a, b)| a * b).sum::<f32>();
+            }
+            return Ok(());
+        }
+        if count == 0 {
             return Ok(());
         }
         let (rows, cols) = (self.rows, self.cols);
-        out.resize(count * rows, 0.0);
-        pack.clear();
-        pack.resize(cols * GEMM_NR, 0.0);
+        let pack = &mut pack[..self.batch_pack_len()];
         let mut r0 = 0;
         while r0 < rows {
             let nr = (rows - r0).min(GEMM_NR);
@@ -1010,6 +1061,38 @@ mod tests {
             w.matvec_batch_into(&[0.0; 7], 2, &mut out, &mut pack),
             Err(TensorError::ShapeMismatch { .. })
         ));
+        let mut pack = vec![0.0; w.batch_pack_len()];
+        assert!(matches!(
+            w.matvec_batch_into_slice(&[0.0; 8], &mut [0.0; 5], &mut pack),
+            Err(TensorError::ShapeMismatch { .. })
+        ));
+    }
+
+    /// Any split of a batch into row ranges — ragged, uneven, a range per
+    /// thread — gives the bits of the whole batch.
+    #[test]
+    fn matvec_batch_row_ranges_match_the_whole_batch() {
+        let mut seed = 0x5b11_7e57_u64;
+        let w = lcg_matrix(37, 19, &mut seed);
+        let count = 23;
+        let xs = lcg_matrix(count, 19, &mut seed);
+        let (mut whole, mut pack) = (Vec::new(), Vec::new());
+        w.matvec_batch_into(xs.as_slice(), count, &mut whole, &mut pack)
+            .unwrap();
+        for cuts in [&[0usize, 23][..], &[0, 7, 16, 23], &[0, 2, 3, 11, 23]] {
+            let mut split = vec![0.0; count * 37];
+            let mut pack = vec![0.0; w.batch_pack_len()];
+            for range in cuts.windows(2) {
+                let (a, b) = (range[0], range[1]);
+                w.matvec_batch_into_slice(
+                    &xs.as_slice()[a * 19..b * 19],
+                    &mut split[a * 37..b * 37],
+                    &mut pack,
+                )
+                .unwrap();
+            }
+            assert_eq!(bits(&split), bits(&whole), "cuts {cuts:?}");
+        }
     }
 
     #[test]
