@@ -6,9 +6,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use keyformer_bench::bench_samples;
 use keyformer_core::budget::CacheBudgetSpec;
 use keyformer_core::spec::PolicySpec;
-use keyformer_model::engine::InferenceEngine;
 use keyformer_model::families::ModelFamily;
 use keyformer_model::generation::GenerationConfig;
+use keyformer_model::session::Session;
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -42,9 +42,8 @@ fn bench_end_to_end(c: &mut Criterion) {
     ] {
         group.bench_function(BenchmarkId::new("generate", label), |b| {
             b.iter(|| {
-                let mut engine =
-                    InferenceEngine::new(&model, policy.build().expect("valid"), budget);
-                black_box(engine.generate(black_box(&sample.prompt), &config))
+                let mut session = Session::new(&model, policy.build().expect("valid"), budget);
+                black_box(session.generate(black_box(&sample.prompt), &config))
             });
         });
     }
@@ -76,9 +75,8 @@ fn bench_prompt_scaling(c: &mut Criterion) {
             };
             group.bench_with_input(BenchmarkId::new(label, prompt_len), &prompt, |b, prompt| {
                 b.iter(|| {
-                    let mut engine =
-                        InferenceEngine::new(&model, policy.build().expect("valid"), budget);
-                    black_box(engine.generate(black_box(prompt), &config))
+                    let mut session = Session::new(&model, policy.build().expect("valid"), budget);
+                    black_box(session.generate(black_box(prompt), &config))
                 });
             });
         }

@@ -4,9 +4,9 @@
 use crate::report::{fmt, Table};
 use keyformer_core::diagnostics::softmax_shift;
 use keyformer_core::spec::PolicySpec;
-use keyformer_model::engine::InferenceEngine;
 use keyformer_model::families::ModelFamily;
 use keyformer_model::generation::GenerationConfig;
+use keyformer_model::session::Session;
 use keyformer_tensor::top_k_indices;
 use keyformer_text::datasets::summarization::{SummarizationDataset, SummarizationSpec};
 
@@ -14,16 +14,18 @@ fn collect_stats(family: ModelFamily, samples: usize) -> keyformer_model::Attent
     let spec = SummarizationSpec::paper_default();
     let dataset = SummarizationDataset::generate(&spec, samples);
     let model = family.build(crate::accuracy::MODEL_SEED);
-    let mut engine = InferenceEngine::new(&model, PolicySpec::Full.build().expect("full"), None);
-    engine.enable_stats();
+    let mut session = Session::new(&model, PolicySpec::Full.build().expect("full"), None);
+    session.enable_stats();
     let mut merged =
         keyformer_model::AttentionStats::new(model.config().num_layers, model.config().num_heads);
     for sample in dataset.samples() {
-        engine.generate(
-            &sample.prompt,
-            &GenerationConfig::new(sample.reference.len()),
-        );
-        for record in engine.stats().expect("stats enabled").records() {
+        session
+            .generate(
+                &sample.prompt,
+                &GenerationConfig::new(sample.reference.len()),
+            )
+            .expect("generation failed");
+        for record in session.stats().expect("stats enabled").records() {
             merged.record(record.clone());
         }
     }

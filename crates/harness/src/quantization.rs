@@ -14,7 +14,7 @@
 //! Each (dtype, policy, budget) point reports the serving leg — completed
 //! requests, steady-state pool utilization, peak concurrency — plus a
 //! standalone accuracy leg (ROUGE-2 on the synthetic summarization task at
-//! that dtype/policy/budget, via [`InferenceEngine`]); u8 rows carry their
+//! that dtype/policy/budget, via a standalone [`Session`]); u8 rows carry their
 //! completed-requests multiplier and ROUGE-2 delta against the matching f32
 //! row. The headline: at least one policy/budget point completes >= 2x the
 //! requests in u8 at (near-)matched ROUGE, from the same byte pool.
@@ -24,10 +24,10 @@ use crate::serving::{request_stream, run_batch, serving_fixture, GEN_TOKENS};
 use keyformer_core::budget::CacheBudgetSpec;
 use keyformer_core::cache::KvDtype;
 use keyformer_core::spec::PolicySpec;
-use keyformer_model::engine::InferenceEngine;
 use keyformer_model::families::ModelFamily;
 use keyformer_model::generation::GenerationConfig;
 use keyformer_model::model::TransformerModel;
+use keyformer_model::session::Session;
 use keyformer_serve::ServerConfig;
 use keyformer_text::datasets::summarization::{SummarizationDataset, SummarizationSpec};
 use keyformer_text::datasets::Sample;
@@ -66,7 +66,7 @@ pub struct QuantSummary {
     /// Peak concurrently running sessions.
     pub peak_concurrency: usize,
     /// ROUGE-2 F1 of this dtype/policy/budget on the summarization task
-    /// (standalone [`InferenceEngine`] leg, not the serving workload).
+    /// (standalone [`Session`] leg, not the serving workload).
     pub rouge2: f64,
     /// `completed / completed(f32)` at the same policy/budget; 1.0 on f32
     /// rows by construction.
@@ -110,9 +110,10 @@ fn rouge2_point(
     let mut scores = Vec::with_capacity(samples.len());
     for sample in samples {
         let built = policy.build().expect("policy spec must be valid");
-        let mut engine = InferenceEngine::new_dtype(model, built, budget, dtype);
         let config = GenerationConfig::new(sample.target_generation_len());
-        let output = engine.generate(&sample.prompt, &config);
+        let output = Session::with_dtype(model, built, budget, dtype)
+            .generate(&sample.prompt, &config)
+            .expect("generation failed");
         scores.push(rouge_scores(&output.generated, &sample.reference));
     }
     RougeScores::mean(&scores).rouge2.f1

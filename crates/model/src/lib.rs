@@ -14,24 +14,24 @@
 //! evidence, which is what makes generation quality depend on *which tokens survive
 //! in the KV cache* — the property every experiment in the paper measures.
 //!
-//! The main entry point is [`engine::InferenceEngine`], which couples a
+//! The main entry point is [`session::Session`], which couples a
 //! [`model::TransformerModel`] with any [`keyformer_core::policy::KvCachePolicy`] and
-//! a [`keyformer_core::budget::CacheBudgetSpec`], and exposes prompt processing,
-//! greedy generation and continuation scoring.
+//! a [`keyformer_core::budget::CacheBudgetSpec`], and exposes stepwise or
+//! whole-request generation and continuation scoring.
 //!
 //! ```
 //! use keyformer_core::{CacheBudgetSpec, PolicySpec};
-//! use keyformer_model::engine::InferenceEngine;
 //! use keyformer_model::families::ModelFamily;
 //! use keyformer_model::generation::GenerationConfig;
+//! use keyformer_model::session::Session;
 //!
 //! let model = ModelFamily::MptLike.build(42);
 //! let policy = PolicySpec::keyformer_default().build().unwrap();
 //! let budget = CacheBudgetSpec::new(0.5, 0.3).unwrap();
-//! let mut engine = InferenceEngine::new(&model, policy, Some(budget));
+//! let mut session = Session::new(&model, policy, Some(budget));
 //!
 //! let prompt: Vec<u32> = (1..40).map(|i| (i % 50) as u32).collect();
-//! let out = engine.generate(&prompt, &GenerationConfig::new(8));
+//! let out = session.generate(&prompt, &GenerationConfig::new(8)).unwrap();
 //! assert_eq!(out.generated.len(), 8);
 //! ```
 
@@ -41,7 +41,6 @@
 pub mod attention;
 pub mod config;
 pub mod decoder;
-pub mod engine;
 pub mod families;
 pub mod generation;
 pub mod model;
@@ -52,7 +51,6 @@ pub mod weights;
 pub mod workspace;
 
 pub use config::{ModelConfig, PositionMode};
-pub use engine::InferenceEngine;
 pub use families::ModelFamily;
 pub use generation::{GenerationConfig, GenerationOutput};
 pub use model::TransformerModel;

@@ -7,26 +7,24 @@
 //! number of sessions can decode against the same weights concurrently — which is
 //! exactly what the continuous-batching scheduler in `keyformer-serve` does.
 //!
-//! Two drive styles are supported:
+//! A session is driven one way: [`Session::begin`] arms the prompt and an
+//! autoregressive decode; each [`Session::step`] then produces exactly one
+//! token, and [`Session::take_output`] harvests the finished request. A
+//! scheduler interleaves `step` calls across many sessions; a single caller
+//! runs the whole request with [`Session::generate`] (or scores a
+//! continuation with [`Session::score_continuation`]), which drive the same
+//! calls — so serving a request produces token-identical output to running it
+//! alone.
 //!
-//! * **One-shot** — [`Session::process_prompt`] / [`Session::score_continuation`],
-//!   used by the single-sequence [`crate::engine::InferenceEngine`] facade.
-//! * **Stepwise** — [`Session::begin`] runs the prefill phase and arms an
-//!   autoregressive decode; each [`Session::step`] then produces exactly one
-//!   token. A scheduler can interleave `step` calls across many sessions and
-//!   harvest each finished session with [`Session::take_output`]. The stepwise
-//!   path and [`crate::engine::InferenceEngine::generate`] share this single
-//!   implementation, so serving a request produces token-identical output to
-//!   running it alone.
-//!
-//! With [`Session::set_prefill_chunk`], the prefill phase itself becomes
-//! stepwise: [`Session::begin`] only validates and arms the prompt, and each
-//! [`Session::advance_prefill`] forwards at most one chunk of prompt tokens —
-//! resumable mid-prompt, so a scheduler can interleave long prefills with other
-//! sessions' decodes (and pause them when a strict block pool runs dry).
-//! Chunking never changes what is generated: the forward sequence is identical
-//! to one-shot prefill, and the end-of-prompt eviction still happens exactly
-//! once, after the final prompt token.
+//! Every prompt is forwarded by one prefill path, [`Session::advance_prefill`].
+//! By default `begin` runs it to completion itself, as one whole-prompt chunk.
+//! With [`Session::set_prefill_chunk`], `begin` only validates and arms the
+//! prompt, and each `advance_prefill` forwards at most one chunk of prompt
+//! tokens — resumable mid-prompt, so a scheduler can interleave long prefills
+//! with other sessions' decodes (and pause them when a strict block pool runs
+//! dry). Chunking never changes what is generated: the forward sequence is
+//! identical to one-shot prefill, and the end-of-prompt eviction still happens
+//! exactly once, after the final prompt token.
 //!
 //! Two sharing mechanisms sit on top ([`keyformer_core::prefix`]):
 //!
@@ -82,8 +80,8 @@ struct DecodeState {
     finished: bool,
 }
 
-/// An in-flight chunked prefill armed by [`Session::begin`] and advanced by
-/// [`Session::advance_prefill`].
+/// An in-flight prefill armed by [`Session::begin`] (or
+/// [`Session::begin_with_prefix`]) and advanced by [`Session::advance_prefill`].
 #[derive(Debug, Clone)]
 struct PrefillState {
     prompt: Vec<u32>,
@@ -478,59 +476,6 @@ impl<'m> Session<'m> {
         Ok(())
     }
 
-    /// Processes a prompt: fills the KV cache, derives the absolute budget from the
-    /// prompt length, reduces the cache to that budget and returns the logits of the
-    /// final prompt token (the distribution over the first generated token).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] if the prompt is empty or a shape error
-    /// occurs, and propagates policy-contract violations.
-    pub fn process_prompt(
-        &mut self,
-        prompt: &[u32],
-        total_generation_steps: usize,
-    ) -> Result<Vec<f32>, CoreError> {
-        if prompt.is_empty() {
-            return Err(CoreError::InvalidConfig("prompt must be non-empty".into()));
-        }
-        self.reset();
-        self.budget = self
-            .budget_spec
-            .map(|spec| spec.for_prompt_len(prompt.len()));
-        self.reserve_for_request(prompt.len(), total_generation_steps);
-        let mut logits = Vec::new();
-        match self.path {
-            ForwardPath::Legacy => {
-                for (pos, &tok) in prompt.iter().enumerate() {
-                    self.forward_into(
-                        tok,
-                        pos,
-                        Phase::Prompt,
-                        pos,
-                        total_generation_steps,
-                        &mut logits,
-                    )?;
-                    self.maybe_register_prefix(pos + 1)?;
-                }
-            }
-            // One-shot prefill is a single maximal chunk through the batched
-            // GEMM path (byte-identical to the per-token loop).
-            ForwardPath::Workspace => {
-                self.forward_prompt_chunk(
-                    prompt,
-                    0,
-                    prompt.len(),
-                    total_generation_steps,
-                    &mut logits,
-                )?;
-            }
-        }
-        // The paper reduces the cache once at the end of the prompt phase.
-        self.evict_to_budget()?;
-        Ok(logits)
-    }
-
     /// Forwards `n` prompt tokens starting at `start` through the
     /// chunk-batched workspace path ([`forward_chunk_ws`]), then replays the
     /// buffered per-token attention observations token-major — so policy RNG
@@ -583,47 +528,36 @@ impl<'m> Session<'m> {
     /// granularity: with the default one-shot prefill the whole prompt is
     /// forwarded here; with [`Session::set_prefill_chunk`] the prompt is only
     /// validated and armed, and [`Session::advance_prefill`] does the forwards.
-    /// Any previous per-sequence state (including an unfinished prefill or
-    /// decode) is discarded — even when `begin` returns an error, so a stale
-    /// [`Session::take_output`] can never be misattributed to the new request.
+    /// `begin` never attaches a cached prefix (see
+    /// [`Session::begin_with_prefix`]). Any previous per-sequence state
+    /// (including an unfinished prefill or decode) is discarded — even when
+    /// `begin` returns an error, so a stale [`Session::take_output`] can never
+    /// be misattributed to the new request.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] if the prompt is empty or contains
-    /// out-of-vocabulary tokens, and propagates policy-contract violations.
+    /// out-of-vocabulary tokens, and propagates forward, eviction and pool
+    /// errors.
     pub fn begin(&mut self, prompt: &[u32], config: &GenerationConfig) -> Result<(), CoreError> {
-        self.reset();
-        self.validate_prompt(prompt)?;
-        if self.prefill_chunk.is_some() {
-            self.budget = self
-                .budget_spec
-                .map(|spec| spec.for_prompt_len(prompt.len()));
-            self.reserve_for_request(prompt.len(), config.max_new_tokens);
-            self.prefill = Some(PrefillState {
-                prompt: prompt.to_vec(),
-                config: *config,
-                processed: 0,
-            });
-            return Ok(());
-        }
-        let logits = self.process_prompt(prompt, config.max_new_tokens)?;
-        self.arm_decode(prompt.len(), prompt.last().copied(), config, logits);
-        Ok(())
+        self.arm_prefill(prompt, config, false).map(|_| ())
     }
 
-    fn validate_prompt(&self, prompt: &[u32]) -> Result<(), CoreError> {
-        if prompt.is_empty() {
-            return Err(CoreError::InvalidConfig("prompt must be non-empty".into()));
+    /// Rejects an empty token list or one with out-of-vocabulary tokens;
+    /// `what` names the list in the error.
+    fn validate_tokens(&self, what: &str, tokens: &[u32]) -> Result<(), CoreError> {
+        if tokens.is_empty() {
+            return Err(CoreError::InvalidConfig(format!(
+                "{what} must be non-empty"
+            )));
         }
-        for &tok in prompt {
-            if tok as usize >= self.model.config().vocab_size {
-                return Err(CoreError::InvalidConfig(format!(
-                    "prompt token {tok} outside vocabulary of {}",
-                    self.model.config().vocab_size
-                )));
-            }
+        let vocab = self.model.config().vocab_size;
+        match tokens.iter().find(|&&tok| tok as usize >= vocab) {
+            Some(tok) => Err(CoreError::InvalidConfig(format!(
+                "{what} token {tok} outside vocabulary of {vocab}"
+            ))),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Like [`Session::begin`], but first attaches the longest prefix of
@@ -632,8 +566,7 @@ impl<'m> Session<'m> {
     /// from the registry's snapshot at that boundary, and the prefill skips the
     /// already-computed tokens. Returns how many prompt tokens were reused
     /// (0 on a registry miss or without a registry — then this is exactly
-    /// `begin`, except that one-shot prefill runs through the resumable-prefill
-    /// machinery).
+    /// `begin`).
     ///
     /// Attachment is invisible in the output: the generated tokens are
     /// identical to a cold [`Session::begin`] of the same prompt, for every
@@ -650,14 +583,27 @@ impl<'m> Session<'m> {
         prompt: &[u32],
         config: &GenerationConfig,
     ) -> Result<usize, CoreError> {
+        self.arm_prefill(prompt, config, true)
+    }
+
+    /// Shared body of [`Session::begin`] and [`Session::begin_with_prefix`]:
+    /// resets, validates, derives the budget, attaches a cached prefix when
+    /// `attach` is set, arms the prefill and — without a prefill chunk — runs
+    /// it to completion. Returns the prompt tokens attached.
+    fn arm_prefill(
+        &mut self,
+        prompt: &[u32],
+        config: &GenerationConfig,
+        attach: bool,
+    ) -> Result<usize, CoreError> {
         self.reset();
-        self.validate_prompt(prompt)?;
+        self.validate_tokens("prompt", prompt)?;
         self.budget = self
             .budget_spec
             .map(|spec| spec.for_prompt_len(prompt.len()));
         self.reserve_for_request(prompt.len(), config.max_new_tokens);
         let mut attached = 0;
-        if let Some(registry) = self.prefix_registry.clone() {
+        if let Some(registry) = self.prefix_registry.clone().filter(|_| attach) {
             // At least the final prompt token must be forwarded (its logits
             // seed the decode), so at most the preceding full blocks attach.
             let bs = self.cache.block_size();
@@ -690,7 +636,9 @@ impl<'m> Session<'m> {
         Ok(attached)
     }
 
-    /// Drives an armed prefill to completion in one call, surfacing an
+    /// Drives an armed prefill to completion through
+    /// [`Session::advance_prefill`] — without a prefill chunk, on a standalone
+    /// or `AllowTransient` pool, that is one whole-prompt chunk — surfacing an
     /// unresolvable stall as [`CoreError::PoolExhausted`].
     fn finish_prefill_inline(&mut self) -> Result<(), CoreError> {
         while self.is_prefilling() {
@@ -1115,18 +1063,22 @@ impl<'m> Session<'m> {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] if prompt or continuation is empty.
+    /// Returns [`CoreError::InvalidConfig`] if prompt or continuation is empty
+    /// or contains out-of-vocabulary tokens, and propagates forward or
+    /// eviction errors.
     pub fn score_continuation(
         &mut self,
         prompt: &[u32],
         continuation: &[u32],
     ) -> Result<ContinuationScore, CoreError> {
-        if continuation.is_empty() {
-            return Err(CoreError::InvalidConfig(
-                "continuation must be non-empty".into(),
-            ));
-        }
-        let mut logits = self.process_prompt(prompt, continuation.len())?;
+        self.validate_tokens("continuation", continuation)?;
+        self.begin(prompt, &GenerationConfig::new(continuation.len()))?;
+        self.finish_prefill_inline()?;
+        let mut logits = self
+            .decode
+            .take()
+            .expect("a completed prefill arms the decode")
+            .logits;
         let mut total_log_prob = 0.0f64;
         for (step, &tok) in continuation.iter().enumerate() {
             let log_probs = log_softmax(&logits);
@@ -1619,6 +1571,172 @@ mod tests {
             .generate(&prompt(20), &GenerationConfig::new(4))
             .unwrap();
         assert_eq!(a.generated, b.generated);
+    }
+
+    #[test]
+    fn full_attention_cache_grows_with_sequence() {
+        let model = ModelFamily::Tiny.build(1);
+        let mut session = Session::new(&model, PolicySpec::Full.build().unwrap(), None);
+        let out = session
+            .generate(&prompt(20), &GenerationConfig::new(5))
+            .unwrap();
+        assert_eq!(out.generated.len(), 5);
+        // 20 prompt tokens + 4 generated tokens are cached (the final generated token
+        // is never fed back).
+        assert!(out.final_cache_slots.iter().all(|&n| n == 24));
+    }
+
+    #[test]
+    fn budgeted_policy_caps_cache_size() {
+        let model = ModelFamily::Tiny.build(1);
+        let spec = CacheBudgetSpec::new(0.5, 0.3).unwrap();
+        let mut session = Session::new(
+            &model,
+            PolicySpec::keyformer_default().build().unwrap(),
+            Some(spec),
+        );
+        let out = session
+            .generate(&prompt(40), &GenerationConfig::new(6))
+            .unwrap();
+        let budget = session.budget().unwrap();
+        assert_eq!(budget.capacity(), 20);
+        assert!(
+            out.final_cache_slots
+                .iter()
+                .all(|&n| n <= budget.capacity()),
+            "cache exceeded budget: {:?}",
+            out.final_cache_slots
+        );
+        assert!(out.final_cache_bytes < out.peak_cache_bytes);
+    }
+
+    #[test]
+    fn greedy_generation_is_deterministic() {
+        let model = ModelFamily::Tiny.build(2);
+        let run = || {
+            Session::new(
+                &model,
+                PolicySpec::keyformer_default().build().unwrap(),
+                Some(CacheBudgetSpec::new(0.6, 0.3).unwrap()),
+            )
+            .generate(&prompt(30), &GenerationConfig::new(8))
+            .unwrap()
+            .generated
+        };
+        assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn eos_stops_generation_early() {
+        let model = ModelFamily::Tiny.build(3);
+        let mut session = Session::new(&model, PolicySpec::Full.build().unwrap(), None);
+        // Force EOS to whatever greedy picks first, so generation stops after 1 token.
+        let first = session
+            .generate(&prompt(10), &GenerationConfig::new(1))
+            .unwrap()
+            .generated[0];
+        session.reset();
+        let out = session
+            .generate(&prompt(10), &GenerationConfig::new(10).with_eos(first))
+            .unwrap();
+        assert_eq!(out.generated.len(), 1);
+    }
+
+    #[test]
+    fn top_k_sampling_is_seed_deterministic_and_varies_with_seed() {
+        let model = ModelFamily::Tiny.build(4);
+        let gen = |seed: u64| {
+            Session::new(&model, PolicySpec::Full.build().unwrap(), None)
+                .generate(
+                    &prompt(16),
+                    &GenerationConfig::new(12).with_top_k(20, 10.0, seed),
+                )
+                .unwrap()
+                .generated
+        };
+        assert_eq!(gen(5), gen(5));
+        assert_ne!(gen(5), gen(6));
+    }
+
+    #[test]
+    fn empty_prompt_is_rejected() {
+        let model = ModelFamily::Tiny.build(1);
+        let mut session = Session::new(&model, PolicySpec::Full.build().unwrap(), None);
+        assert!(session.begin(&[], &GenerationConfig::new(4)).is_err());
+        assert!(session.score_continuation(&[], &[1]).is_err());
+        assert!(session.score_continuation(&prompt(4), &[]).is_err());
+    }
+
+    #[test]
+    fn try_generate_surfaces_errors_instead_of_panicking() {
+        let model = ModelFamily::Tiny.build(1);
+        let mut session = Session::new(&model, PolicySpec::Full.build().unwrap(), None);
+        assert!(session.generate(&[], &GenerationConfig::new(4)).is_err());
+        let vocab = session.config().vocab_size as u32;
+        assert!(session
+            .generate(&[1, vocab + 3], &GenerationConfig::new(4))
+            .is_err());
+        // Out-of-vocabulary tokens in either half of a scored pair are
+        // rejected too, not indexed.
+        assert!(session.score_continuation(&[1, vocab + 3], &[2]).is_err());
+        assert!(session.score_continuation(&prompt(4), &[2, vocab]).is_err());
+        // A good request on the same session still works afterwards.
+        let out = session
+            .generate(&prompt(8), &GenerationConfig::new(3))
+            .unwrap();
+        assert_eq!(out.generated.len(), 3);
+        assert_eq!(
+            session.score_continuation(&prompt(8), &[2]).unwrap().tokens,
+            1
+        );
+    }
+
+    #[test]
+    fn score_continuation_prefers_induction_consistent_text() {
+        let model = ModelFamily::Tiny.build(7);
+        let mut session = Session::new(&model, PolicySpec::Full.build().unwrap(), None);
+        // Prompt contains the bigram (40, 41) twice; a continuation that repeats it
+        // should outscore one that pairs 40 with an unrelated token.
+        let p = vec![7u32, 40, 41, 9, 3, 40, 41, 12, 40];
+        let good = session.score_continuation(&p, &[41, 9]).unwrap();
+        session.reset();
+        let bad = session.score_continuation(&p, &[77, 78]).unwrap();
+        assert!(good.per_token() > bad.per_token());
+        assert_eq!(good.tokens, 2);
+    }
+
+    #[test]
+    fn stats_collection_is_opt_in() {
+        let model = ModelFamily::Tiny.build(1);
+        let mut session = Session::new(&model, PolicySpec::Full.build().unwrap(), None);
+        session
+            .generate(&prompt(8), &GenerationConfig::new(2))
+            .unwrap();
+        assert!(session.stats().is_none());
+        session.enable_stats();
+        session
+            .generate(&prompt(8), &GenerationConfig::new(2))
+            .unwrap();
+        assert!(!session.stats().unwrap().is_empty());
+    }
+
+    #[test]
+    fn reset_allows_reuse() {
+        let model = ModelFamily::Tiny.build(1);
+        let mut session = Session::new(
+            &model,
+            PolicySpec::h2o_default().build().unwrap(),
+            Some(CacheBudgetSpec::new(0.5, 0.3).unwrap()),
+        );
+        let a = session
+            .generate(&prompt(24), &GenerationConfig::new(4))
+            .unwrap()
+            .generated;
+        let b = session
+            .generate(&prompt(24), &GenerationConfig::new(4))
+            .unwrap()
+            .generated;
+        assert_eq!(a, b, "session state must not leak across requests");
     }
 
     /// Keyformer that also logs, by bits, the accumulated scores behind each

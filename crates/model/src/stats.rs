@@ -29,7 +29,7 @@ pub struct AttentionRecord {
 }
 
 /// Collector of [`AttentionRecord`]s with the aggregation queries the experiments
-/// need. Collection is opt-in (`InferenceEngine::enable_stats`) because recording
+/// need. Collection is opt-in (`Session::enable_stats`) because recording
 /// every head × step probability vector is memory-heavy for long prompts.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct AttentionStats {

@@ -895,8 +895,9 @@ fn split_front<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
 /// Runs `work` on every part: the first on the calling thread, each other on
 /// a scoped thread of its own, returning once all are done. A single part
 /// runs inline, with no scope and no spawn. A worker's panic resumes on the
-/// calling thread when the scope joins.
-fn fan_out<P: Send>(parts: impl Iterator<Item = P>, work: impl Fn(P) + Sync) {
+/// calling thread when the scope joins. Prefill row phases and the serving
+/// engine's decode round both split their work through it.
+pub fn fan_out<P: Send>(parts: impl Iterator<Item = P>, work: impl Fn(P) + Sync) {
     let mut parts = parts.peekable();
     let Some(first) = parts.next() else {
         return;

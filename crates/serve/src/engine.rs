@@ -84,34 +84,39 @@
 //! eviction are instantly reusable by any other sequence instead of being
 //! stranded in a contiguous per-sequence buffer.
 //!
-//! ## Parallel decode (plan → execute → commit)
+//! ## The decode round (plan → execute → commit)
 //!
-//! With [`ServerConfig::decode_workers`] above 1, the decode round of each
-//! step fans its per-session forward passes out over a scoped worker pool
-//! while every *scheduling decision* stays on the calling thread:
+//! Every step runs one decode round, at every [`ServerConfig::decode_workers`]
+//! setting. Forward passes may fan out; every *scheduling decision* stays on
+//! the calling thread:
 //!
 //! 1. **Plan** (serial): decide which running sessions take a decode token
 //!    this round — a pure read of scheduler state.
-//! 2. **Execute** (parallel): run [`Session::step`] for every planned session
-//!    on up to `decode_workers` scoped threads. Sessions are mutually
-//!    independent here: each owns its policy, RNG and private KV blocks, and
-//!    the shared block pool is a mutex-guarded allocator whose *counts* do not
-//!    depend on allocation order.
-//! 3. **Commit** (serial): replay the results in plan order — surface tokens,
-//!    retire completions and failures, return reservations — so the event
-//!    stream, completions and stats are byte-identical to `decode_workers =
-//!    1`.
+//! 2. **Execute** (parallel, or nothing): with more than one worker and more
+//!    than one planned session, run [`Session::step`] for every planned
+//!    session ahead of the commit, in contiguous shares over up to
+//!    `decode_workers` threads (the first share on the calling thread).
+//!    Sessions are mutually independent here: each owns its policy, RNG and
+//!    private KV blocks, and the shared block pool is a mutex-guarded
+//!    allocator whose *counts* do not depend on allocation order.
+//! 3. **Commit** (serial): walk every running entry in order — step a planned
+//!    session the execute phase left alone, surface its token, retire
+//!    completions (including requests that finished at arm time, with
+//!    `max_new_tokens = 0`) and failures, return reservations — so the event
+//!    stream, completions and stats are byte-identical at every worker count.
+//!    At one worker each session steps, surfaces and retires before the next
+//!    one steps.
 //!
 //! Copy-on-write forks are safe under this fan-out with no sequential
 //! fallback: a writer's fork decision is a single atomic
 //! [`SharedBlockPool::fork_block`] probe under the pool lock
 //! (probe-allocate-release in one acquisition), so racing writers to the same
 //! shared block each fork exactly once, allocation *counts* and the free-list
-//! evolution match the sequential engine, and a forker still copying a
+//! evolution match a one-worker round, and a forker still copying a
 //! payload is waited out by the other side rather than raced. Budgeted
 //! sessions that still map shared prefix blocks therefore decode in parallel
-//! too. The only quantities that may legitimately differ from the sequential
-//! engine are the pool's transient high-water marks (`peak_in_use`,
+//! too. The only quantities that may legitimately differ from a one-worker
+//! round are the pool's transient high-water marks (`peak_in_use`,
 //! `peak_reserved`, `peak_shared_blocks`): parallel execution genuinely holds
 //! more blocks at once mid-round. Everything observable at end-of-step —
 //! tokens, events, completions, live pool state, allocation totals — is
@@ -129,10 +134,10 @@ use keyformer_core::spec::PolicySpec;
 use keyformer_core::CoreError;
 use keyformer_model::model::TransformerModel;
 use keyformer_model::session::{Session, SessionStep};
+use keyformer_model::workspace::fan_out;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Default token slots per block used by the serving layer.
@@ -201,7 +206,7 @@ pub struct ServerConfig {
     /// sharing-free scheduler bit for bit.
     pub prefix_sharing: bool,
     /// Worker threads the decode round fans per-session forward passes over
-    /// (default 1 = fully sequential, today's behaviour). Scheduling stays
+    /// (default 1: every session steps on the calling thread). Scheduling stays
     /// serialized at any setting, so results are token-identical across
     /// worker counts; see the [module docs](self) for the
     /// plan → execute → commit pipeline. Zero is rejected by
@@ -397,10 +402,11 @@ impl std::fmt::Display for RequestHandle {
 /// The engine drains the mailbox at its two serialization points:
 ///
 /// * at the top of every [`Engine::step`], before deadline expiry, and
-/// * between the execute and commit phases of a parallel decode round.
+/// * between the execute and commit phases of every decode round.
 ///
-/// A cancellation that lands between plan and commit retires the request
-/// *before* its freshly computed token is surfaced: the request retires
+/// A cancellation that lands before the commit retires the request *before*
+/// its token is surfaced (a token computed in parallel is discarded; at one
+/// worker the session does not step at all): the request retires
 /// exactly once, its blocks and reservation return to the pool, and no event
 /// follows the terminal [`EventKind::Cancelled`]. Signals naming unknown or
 /// already-retired requests are ignored, exactly like [`Engine::cancel`]
@@ -1170,14 +1176,18 @@ impl<'m> Engine<'m> {
         if let Some(pos) = self.queue.iter().position(|p| p.request.id == id) {
             self.queue.remove(pos);
         } else if let Some(pos) = self.running.iter().position(|r| r.id() == id) {
-            let running = self.running.remove(pos);
-            self.pool.unreserve(running.reserved_blocks);
-            // Dropping the session releases its private blocks and its own
-            // references on shared prefix blocks.
-            drop(running);
+            self.remove_running(pos);
         } else {
             return false;
         }
+        self.retire_cancelled(id);
+        true
+    }
+
+    /// Records `id`, already out of the queue and the running set, as
+    /// cancelled: counts it, lists it in [`Engine::failures`] and emits its
+    /// terminal [`EventKind::Cancelled`].
+    fn retire_cancelled(&mut self, id: RequestId) {
         self.stats.cancelled += 1;
         self.failed.push(FailedRequest {
             id,
@@ -1185,7 +1195,21 @@ impl<'m> Engine<'m> {
             step: self.step,
         });
         self.emit(id, EventKind::Cancelled);
-        true
+    }
+
+    /// Removes the running session at `idx` and returns its reservation to
+    /// the pool. The session drops here, releasing its private blocks and its
+    /// own references on shared prefix blocks.
+    fn remove_running(&mut self, idx: usize) -> RequestId {
+        let running = self.running.remove(idx);
+        self.pool.unreserve(running.reserved_blocks);
+        running.id()
+    }
+
+    /// Retires the running session at `idx` as failed with engine error `e`.
+    fn fail_running(&mut self, idx: usize, e: CoreError) {
+        let id = self.remove_running(idx);
+        self.fail(id, FailureReason::Engine(e));
     }
 
     fn fail(&mut self, id: RequestId, reason: FailureReason) {
@@ -1228,10 +1252,8 @@ impl<'m> Engine<'m> {
         while i < self.running.len() {
             let r = &self.running[i];
             if Self::deadline_blown(now, r.submitted_step, r.options.deadline_steps) {
-                let r = self.running.remove(i);
-                self.pool.unreserve(r.reserved_blocks);
-                blown.push((r.id(), r.options.deadline_steps.expect("blown")));
-                // Dropping the session releases its blocks.
+                let deadline_steps = r.options.deadline_steps.expect("blown");
+                blown.push((self.remove_running(i), deadline_steps));
             } else {
                 i += 1;
             }
@@ -1272,11 +1294,7 @@ impl<'m> Engine<'m> {
                     }
                     i += 1;
                 }
-                Err(e) => {
-                    let running = self.running.remove(i);
-                    self.pool.unreserve(running.reserved_blocks);
-                    self.fail(running.id(), FailureReason::Engine(e));
-                }
+                Err(e) => self.fail_running(i, e),
             }
         }
     }
@@ -1668,47 +1686,10 @@ impl<'m> Engine<'m> {
         });
     }
 
-    /// The sequential decode round: each session steps, surfaces and (when
-    /// finished) retires in turn, exactly the `decode_workers = 1` semantics
-    /// every parallel round must reproduce observably.
-    fn decode_round_sequential(&mut self) -> usize {
-        let mut executed = 0;
-        let mut i = 0;
-        while i < self.running.len() {
-            if self.running[i].session.is_prefilling() {
-                // Mid-prompt: nothing to decode yet.
-                i += 1;
-                continue;
-            }
-            if self.running[i].session.is_decoding() {
-                match self.running[i].session.step() {
-                    Ok(produced) => {
-                        executed += 1;
-                        self.stats.decode_steps += 1;
-                        self.surface_token(i, produced);
-                    }
-                    Err(e) => {
-                        let running = self.running.remove(i);
-                        self.pool.unreserve(running.reserved_blocks);
-                        self.fail(running.id(), FailureReason::Engine(e));
-                        continue;
-                    }
-                }
-            }
-            if self.running[i].session.is_decoding() {
-                i += 1;
-            } else {
-                self.retire_completed(i);
-            }
-        }
-        executed
-    }
-
-    /// **Plan** phase of a parallel decode round: which running sessions take
-    /// a decode token, decided serially before any forward pass runs. A
-    /// session mid-prefill (or already drained) is skipped, exactly as in the
-    /// sequential round; a session cannot change phase under it because
-    /// execution only ever calls [`Session::step`] on planned entries.
+    /// **Plan**: which running sessions take a decode token this round — a
+    /// pure read of scheduler state, decided before any forward pass runs.
+    /// Sessions mid-prefill or already finished are left out; no session can
+    /// change phase under the plan, because only planned sessions step.
     fn plan_decode(&self) -> Vec<bool> {
         self.running
             .iter()
@@ -1716,153 +1697,100 @@ impl<'m> Engine<'m> {
             .collect()
     }
 
-    /// Workers the planned round may actually use: simply the configured
-    /// count. Copy-on-write writes need no sequential fallback — the fork
-    /// decision is one atomic [`SharedBlockPool::fork_block`] probe under the
-    /// pool lock, so sessions that may CoW-fork shared prefix blocks this very
-    /// step (budgeted sessions still mapping them) parallelize like everyone
-    /// else, with identical aggregate allocation counts.
-    fn decode_parallelism(&self, plan: &[bool]) -> usize {
-        let workers = self.config.decode_workers;
-        if workers <= 1 || plan.is_empty() {
-            return 1;
-        }
-        workers
-    }
-
-    /// **Execute** phase: runs [`Session::step`] for every planned session on
-    /// up to `workers` scoped threads, returning one result slot per running
-    /// session (`None` for unplanned entries). Threads pull jobs off a shared
-    /// cursor — work-stealing over a mutex-per-job, no unsafe — and nothing
-    /// here touches scheduler state: sessions only race on the block pool's
-    /// internal mutex, whose counts are allocation-order-independent.
-    #[allow(clippy::type_complexity)]
-    fn execute_decode(
-        &mut self,
-        plan: &[bool],
-        workers: usize,
-    ) -> Vec<Option<Result<SessionStep, CoreError>>> {
-        struct Job<'a, 'm> {
-            slot: usize,
-            session: &'a mut Session<'m>,
-            result: Option<Result<SessionStep, CoreError>>,
-        }
-        let mut results: Vec<Option<Result<SessionStep, CoreError>>> =
-            plan.iter().map(|_| None).collect();
-        let jobs: Vec<Mutex<Job<'_, 'm>>> = self
-            .running
-            .iter_mut()
-            .enumerate()
-            .filter(|&(i, _)| plan[i])
-            .map(|(i, r)| {
-                Mutex::new(Job {
-                    slot: i,
-                    session: &mut r.session,
-                    result: None,
-                })
-            })
-            .collect();
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers.min(jobs.len()) {
-                scope.spawn(|| loop {
-                    let next = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(job) = jobs.get(next) else { break };
-                    let mut job = job.lock().expect("decode job lock poisoned");
-                    let result = job.session.step();
-                    job.result = Some(result);
-                });
-            }
-        });
-        for job in jobs {
-            let job = job.into_inner().expect("decode job lock poisoned");
-            results[job.slot] = job.result;
+    /// **Execute**: with more than one worker and more than one planned
+    /// session, steps every planned session ahead of the commit, handing
+    /// contiguous shares of them to [`fan_out`] (the first share runs on the
+    /// calling thread). Returns one slot per running entry; `None` leaves the
+    /// step to the commit loop, which is every slot at one worker or with one
+    /// planned session. Nothing here touches scheduler state: sessions only
+    /// meet on the block pool's lock, whose counts do not depend on
+    /// allocation order.
+    fn execute_decode(&mut self, plan: &[bool]) -> Vec<Option<Result<SessionStep, CoreError>>> {
+        let mut results: Vec<_> = plan.iter().map(|_| None).collect();
+        let planned = plan.iter().filter(|&&p| p).count();
+        let workers = self.config.decode_workers.min(planned);
+        if workers > 1 {
+            let mut jobs: Vec<_> = self
+                .running
+                .iter_mut()
+                .zip(results.iter_mut())
+                .zip(plan)
+                .filter(|&(_, &p)| p)
+                .map(|((r, slot), _)| (&mut r.session, slot))
+                .collect();
+            fan_out(jobs.chunks_mut(planned.div_ceil(workers)), |share| {
+                for (session, slot) in share {
+                    **slot = Some(session.step());
+                }
+            });
         }
         results
     }
 
-    /// **Commit** phase: replays the executed results in plan order —
-    /// surfacing tokens, retiring completions and failures — so events and
-    /// retirement order are byte-identical to the sequential round. `doomed`
-    /// carries cancellations signalled between plan and commit: such a
-    /// request retires as [`EventKind::Cancelled`] *before* its freshly
-    /// computed token would surface (the result is discarded and not counted
-    /// as a decode step), its blocks and reservation return, and nothing
-    /// follows the terminal event.
+    /// **Commit**: walks every running entry in plan order, exactly as a
+    /// one-worker round steps them — skipping sessions mid-prefill, stepping a
+    /// planned session whose result `execute` left to it, surfacing its token
+    /// and retiring finished and failed sessions — so events, retirement
+    /// order and stats are identical at every worker count. `doomed` carries
+    /// the cancellations signalled before the commit began: a planned session
+    /// among them retires as [`EventKind::Cancelled`] before its token would
+    /// surface (a precomputed one is discarded and not counted as a decode
+    /// step), its blocks and reservation return, and nothing follows the
+    /// terminal event. The rest cancel through [`Engine::cancel`] at the end.
     fn commit_decode(
         &mut self,
+        plan: &[bool],
         results: Vec<Option<Result<SessionStep, CoreError>>>,
-        doomed: &[RequestId],
+        mut doomed: Vec<RequestId>,
     ) -> usize {
         let mut executed = 0;
-        let mut handled: Vec<RequestId> = Vec::new();
         let mut i = 0;
-        for result in results {
-            let Some(result) = result else {
-                i += 1;
-                continue;
-            };
-            let id = self.running[i].id();
-            if doomed.contains(&id) && !handled.contains(&id) {
-                let running = self.running.remove(i);
-                self.pool.unreserve(running.reserved_blocks);
-                // Dropping the session releases its blocks; the computed
-                // token is discarded unsurfaced.
-                drop(running);
-                self.stats.cancelled += 1;
-                self.failed.push(FailedRequest {
-                    id,
-                    reason: FailureReason::Cancelled,
-                    step: self.step,
-                });
-                self.emit(id, EventKind::Cancelled);
-                handled.push(id);
-                continue;
-            }
-            match result {
-                Ok(produced) => {
-                    executed += 1;
-                    self.stats.decode_steps += 1;
-                    self.surface_token(i, produced);
-                    if self.running[i].session.is_decoding() {
-                        i += 1;
-                    } else {
-                        self.retire_completed(i);
+        for (&planned, result) in plan.iter().zip(results) {
+            if planned {
+                let id = self.running[i].id();
+                if let Some(at) = doomed.iter().position(|&d| d == id) {
+                    // By index, not through `cancel(id)`: ids are
+                    // caller-chosen, and its oldest match may be another
+                    // entry.
+                    doomed.remove(at);
+                    self.remove_running(i);
+                    self.retire_cancelled(id);
+                    continue;
+                }
+                match result.unwrap_or_else(|| self.running[i].session.step()) {
+                    Ok(produced) => {
+                        executed += 1;
+                        self.stats.decode_steps += 1;
+                        self.surface_token(i, produced);
+                    }
+                    Err(e) => {
+                        self.fail_running(i, e);
+                        continue;
                     }
                 }
-                Err(e) => {
-                    let running = self.running.remove(i);
-                    self.pool.unreserve(running.reserved_blocks);
-                    self.fail(running.id(), FailureReason::Engine(e));
-                }
+            } else if self.running[i].session.is_prefilling() {
+                i += 1;
+                continue;
+            }
+            if self.running[i].session.is_decoding() {
+                i += 1;
+            } else {
+                self.retire_completed(i);
             }
         }
-        // Signalled ids not caught mid-round (queued, prefilling, or already
-        // past this round's plan) cancel through the ordinary path.
-        for &id in doomed {
-            if !handled.contains(&id) && self.cancel(id) {
-                handled.push(id);
-            }
+        for id in doomed {
+            self.cancel(id);
         }
         executed
     }
 
-    /// One decode round: sequential when `decode_workers` is 1, otherwise
-    /// plan → parallel-execute → serialized-commit. Both paths drain
-    /// [`CancelSignal`] mailbox entries at their serialization points.
+    /// One decode round: plan → execute → commit, draining the
+    /// [`CancelSignal`] mailbox between execute and commit.
     fn decode_round(&mut self) -> usize {
         let plan = self.plan_decode();
-        let workers = self.decode_parallelism(&plan);
-        if workers <= 1 {
-            let executed = self.decode_round_sequential();
-            for id in self.cancel_signal.take() {
-                self.cancel(id);
-            }
-            return executed;
-        }
-        let results = self.execute_decode(&plan, workers);
+        let results = self.execute_decode(&plan);
         let doomed = self.cancel_signal.take();
-        self.commit_decode(results, &doomed)
+        self.commit_decode(&plan, results, doomed)
     }
 
     /// Runs one batched scheduler step — deadline expiry, prefill
@@ -1873,8 +1801,8 @@ impl<'m> Engine<'m> {
     pub fn step(&mut self) -> StepReport {
         self.step += 1;
         // Cancellations signalled since the last serialization point apply
-        // before any scheduling work (the other drain point sits between a
-        // parallel round's execute and commit phases).
+        // before any scheduling work (the other drain point sits between the
+        // decode round's execute and commit phases).
         for id in self.cancel_signal.take() {
             self.cancel(id);
         }
@@ -1928,7 +1856,6 @@ impl<'m> Engine<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use keyformer_model::engine::InferenceEngine;
     use keyformer_model::families::ModelFamily;
     use keyformer_model::generation::GenerationConfig;
 
@@ -2033,12 +1960,14 @@ mod tests {
         assert_eq!(engine.pending_events(), 0);
         assert!(engine.drain_events().is_empty());
         // Solo run matches the streamed tokens bit for bit.
-        let mut solo = InferenceEngine::new(
+        let solo = Session::new(
             &model,
             PolicySpec::keyformer_default().build().unwrap(),
             Some(CacheBudgetSpec::new(0.5, 0.3).unwrap()),
-        );
-        assert_eq!(completion.output, solo.generate(&prompt(20, 0), &config));
+        )
+        .generate(&prompt(20, 0), &config)
+        .unwrap();
+        assert_eq!(completion.output, solo);
     }
 
     #[test]
@@ -2227,14 +2156,13 @@ mod tests {
         // Outputs are still bit-identical to solo runs — priority only
         // reorders, it never perturbs decoding.
         for c in engine.completions() {
-            let mut solo = InferenceEngine::new(
+            let alone = Session::new(
                 &model,
                 PolicySpec::keyformer_default().build().unwrap(),
                 Some(CacheBudgetSpec::new(0.5, 0.3).unwrap()),
-            );
-            let alone = solo
-                .try_generate(&prompt(20, c.id.raw() as u32), &GenerationConfig::new(2))
-                .unwrap();
+            )
+            .generate(&prompt(20, c.id.raw() as u32), &GenerationConfig::new(2))
+            .unwrap();
             assert_eq!(c.output, alone, "request {}", c.id);
         }
     }
@@ -2422,12 +2350,14 @@ mod tests {
         .with_prefill_chunk(5);
         let run = |workers: usize| {
             let mut engine = Engine::new(&model, base.with_decode_workers(workers)).unwrap();
-            for i in 0..4u64 {
+            // A zero-token request finishes at arm time and is never planned;
+            // it must still retire, at every worker count.
+            for (i, tokens) in [6, 6, 6, 6, 0, 1].into_iter().enumerate() {
                 engine
                     .submit(Request::new(
-                        i,
+                        i as u64,
                         prompt(18, i as u32),
-                        GenerationConfig::new(6),
+                        GenerationConfig::new(tokens),
                     ))
                     .unwrap();
             }
@@ -2502,15 +2432,11 @@ mod tests {
         engine.step += 1;
         let plan = engine.plan_decode();
         assert_eq!(plan, vec![true, true]);
-        assert_eq!(
-            engine.decode_parallelism(&plan),
-            4,
-            "budgeted-but-shared sessions must not force a sequential fallback"
-        );
-        let results = engine.execute_decode(&plan, 4);
+        // Both sessions step in the execute phase: the round fans out, with
+        // no sequential fallback for budgeted-but-shared sessions.
+        let results = engine.execute_decode(&plan);
         assert!(results.iter().all(|r| matches!(r, Some(Ok(_)))));
-        let taken = engine.cancel_signal.take();
-        engine.commit_decode(results, &taken);
+        engine.commit_decode(&plan, results, Vec::new());
 
         engine.run(10_000);
         assert!(engine.is_idle());
@@ -2554,13 +2480,14 @@ mod tests {
         engine.step += 1;
         let plan = engine.plan_decode();
         assert_eq!(plan, vec![true, true]);
-        let workers = engine.decode_parallelism(&plan);
-        assert!(workers > 1, "a 2-session plan fans out at 4 workers");
-        let results = engine.execute_decode(&plan, workers);
-        assert!(results.iter().all(|r| matches!(r, Some(Ok(_)))));
+        let results = engine.execute_decode(&plan);
+        assert!(
+            results.iter().all(|r| matches!(r, Some(Ok(_)))),
+            "a 2-session plan fans out at 4 workers"
+        );
         signal.cancel(doomed.id());
         let taken = engine.cancel_signal.take();
-        let executed = engine.commit_decode(results, &taken);
+        let executed = engine.commit_decode(&plan, results, taken);
 
         // Only the survivor's token was surfaced or counted.
         assert_eq!(executed, 1);

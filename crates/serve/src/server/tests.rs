@@ -9,10 +9,10 @@ use crate::request::{FailureReason, Request};
 use keyformer_core::budget::CacheBudgetSpec;
 use keyformer_core::spec::PolicySpec;
 use keyformer_core::CoreError;
-use keyformer_model::engine::InferenceEngine;
 use keyformer_model::families::ModelFamily;
 use keyformer_model::generation::GenerationConfig;
 use keyformer_model::model::TransformerModel;
+use keyformer_model::session::Session;
 
 fn prompt(len: usize, salt: u32) -> Vec<u32> {
     (0..len)
@@ -103,12 +103,13 @@ fn single_request_completes_identically_to_a_fresh_engine() {
     assert!(server.is_idle());
     let completions = server.completions();
     assert_eq!(completions.len(), 1);
-    let mut engine = InferenceEngine::new(
+    let alone = Session::new(
         &model,
         PolicySpec::keyformer_default().build().unwrap(),
         Some(CacheBudgetSpec::new(0.5, 0.3).unwrap()),
-    );
-    let alone = engine.generate(&prompt(24, 0), &config);
+    )
+    .generate(&prompt(24, 0), &config)
+    .unwrap();
     assert_eq!(completions[0].output, alone);
     // Retirement returned every block to the pool.
     assert_eq!(server.pool().blocks_in_use(), 0);
@@ -333,14 +334,17 @@ fn per_request_overrides_take_effect() {
         overridden_slots.iter().all(|&n| n <= 8),
         "override budget ignored: {overridden_slots:?}"
     );
-    // The overridden request matches a standalone engine with the same
+    // The overridden request matches a standalone session with the same
     // policy + budget.
-    let mut engine = InferenceEngine::new(
+    let mut session = Session::new(
         &model,
         PolicySpec::keyformer_default().build().unwrap(),
         Some(tight),
     );
-    assert_eq!(by_id(1).output, engine.generate(&prompt(32, 0), &config));
+    assert_eq!(
+        by_id(1).output,
+        session.generate(&prompt(32, 0), &config).unwrap()
+    );
     // And the unbudgeted override works in the other direction.
     let mut budgeted_server = keyformer_engine(&model, 512);
     budgeted_server
@@ -441,10 +445,9 @@ fn strict_pool_never_exceeds_capacity_and_still_drains() {
     assert_eq!(server.completions().len(), 5);
     assert!(server.failures().is_empty());
     assert_eq!(server.pool_stats().peak_overshoot(), 0);
-    // Every completion still matches the sequential engine.
-    let mut engine = InferenceEngine::new(&model, PolicySpec::Full.build().unwrap(), None);
-    let alone = engine
-        .try_generate(&prompt(20, 0), &GenerationConfig::new(4))
+    // Every completion still matches a solo session.
+    let alone = Session::new(&model, PolicySpec::Full.build().unwrap(), None)
+        .generate(&prompt(20, 0), &GenerationConfig::new(4))
         .unwrap();
     assert_eq!(server.completions()[0].output, alone);
 }
@@ -660,20 +663,19 @@ fn dry_strict_pool_preempts_youngest_and_still_completes_everything() {
         preempted > 0,
         "the scenario must actually exercise preemption"
     );
-    // Every output still matches a solo engine run — the preempted request
+    // Every output still matches a solo session run — the preempted request
     // was recomputed from scratch, token-identically.
     for (c, gen) in [(0u64, 24usize), (1, 4)] {
-        let mut engine = InferenceEngine::new(
+        let alone = Session::new(
             &model,
             PolicySpec::keyformer_default().build().unwrap(),
             Some(budget),
-        );
-        let alone = engine
-            .try_generate(
-                &prompt(if c == 0 { 16 } else { 24 }, c as u32),
-                &GenerationConfig::new(gen),
-            )
-            .unwrap();
+        )
+        .generate(
+            &prompt(if c == 0 { 16 } else { 24 }, c as u32),
+            &GenerationConfig::new(gen),
+        )
+        .unwrap();
         let completion = server
             .completions()
             .iter()

@@ -6,9 +6,9 @@ use crate::fewshot::{accuracy, FewShotTask};
 use crate::rouge::{rouge_scores, RougeScores};
 use keyformer_core::budget::CacheBudgetSpec;
 use keyformer_core::spec::PolicySpec;
-use keyformer_model::engine::InferenceEngine;
 use keyformer_model::generation::GenerationConfig;
 use keyformer_model::model::TransformerModel;
+use keyformer_model::session::Session;
 use serde::{Deserialize, Serialize};
 
 /// How a policy is applied during an evaluation run.
@@ -105,9 +105,10 @@ pub fn evaluate_generation(
     let mut scores = Vec::with_capacity(samples.len());
     for sample in samples {
         let policy = setting.policy.build().expect("policy spec must be valid");
-        let mut engine = InferenceEngine::new(model, policy, setting.budget);
         let config = GenerationConfig::new(sample.target_generation_len());
-        let output = engine.generate(&sample.prompt, &config);
+        let output = Session::new(model, policy, setting.budget)
+            .generate(&sample.prompt, &config)
+            .expect("generation failed");
         let rouge = rouge_scores(&output.generated, &sample.reference);
         scores.push(rouge);
         records.push(GenerationRecord {
@@ -150,8 +151,7 @@ pub fn evaluate_fewshot(
         let mut best: Option<(usize, f64)> = None;
         for (choice_idx, continuation) in continuations.iter().enumerate() {
             let policy = setting.policy.build().expect("policy spec must be valid");
-            let mut engine = InferenceEngine::new(model, policy, setting.budget);
-            let score = engine
+            let score = Session::new(model, policy, setting.budget)
                 .score_continuation(&prompt, continuation)
                 .expect("scoring failed")
                 .per_token();

@@ -5,7 +5,7 @@
 //! families the paper evaluates (summarization, long-document summarization and
 //! conversation), synthetic few-shot multiple-choice tasks standing in for the
 //! lm-eval-harness suite, and evaluation drivers that wire everything to the
-//! [`keyformer_model::InferenceEngine`].
+//! [`keyformer_model::Session`].
 //!
 //! ## Why synthetic tasks reproduce the paper's behaviour
 //!

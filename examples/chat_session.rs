@@ -7,9 +7,9 @@
 //! ```
 
 use keyformer::core::{CacheBudgetSpec, PolicySpec};
-use keyformer::model::engine::InferenceEngine;
 use keyformer::model::families::ModelFamily;
 use keyformer::model::generation::GenerationConfig;
+use keyformer::model::session::Session;
 use keyformer::text::datasets::dialogue::{DialogueDataset, DialogueSpec};
 use keyformer::text::rouge::rouge_scores;
 use keyformer::text::Vocabulary;
@@ -44,12 +44,12 @@ fn main() {
         ),
     ] {
         let budget = fraction.map(|f| CacheBudgetSpec::with_fraction(f).expect("valid budget"));
-        let mut engine =
-            InferenceEngine::new(&model, policy.build().expect("valid policy"), budget);
-        let output = engine.generate(
-            &sample.prompt,
-            &GenerationConfig::new(sample.reference.len()),
-        );
+        let output = Session::new(&model, policy.build().expect("valid policy"), budget)
+            .generate(
+                &sample.prompt,
+                &GenerationConfig::new(sample.reference.len()),
+            )
+            .expect("generation failed");
         let rouge = rouge_scores(&output.generated, &sample.reference);
         println!("== {label} ==");
         println!("  recap: {}", vocab.render(&output.generated));

@@ -6,9 +6,9 @@
 //! ```
 
 use keyformer::core::{CacheBudgetSpec, PolicySpec};
-use keyformer::model::engine::InferenceEngine;
 use keyformer::model::families::ModelFamily;
 use keyformer::model::generation::GenerationConfig;
+use keyformer::model::session::Session;
 use keyformer::text::datasets::summarization::{SummarizationDataset, SummarizationSpec};
 use keyformer::text::rouge::rouge_scores;
 use keyformer::text::Vocabulary;
@@ -34,12 +34,12 @@ fn main() {
             Some(CacheBudgetSpec::with_fraction(0.5).expect("valid budget")),
         ),
     ] {
-        let mut engine =
-            InferenceEngine::new(&model, policy.build().expect("valid policy"), budget);
-        let output = engine.generate(
-            &sample.prompt,
-            &GenerationConfig::new(sample.reference.len()),
-        );
+        let output = Session::new(&model, policy.build().expect("valid policy"), budget)
+            .generate(
+                &sample.prompt,
+                &GenerationConfig::new(sample.reference.len()),
+            )
+            .expect("generation failed");
         let rouge = rouge_scores(&output.generated, &sample.reference);
         println!("== {label} ==");
         println!("  generated: {}", vocab.render(&output.generated));

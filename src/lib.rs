@@ -6,7 +6,7 @@
 //! * [`core`] — KV cache, eviction-policy trait and the policy zoo (Keyformer, H2O,
 //!   window attention, StreamingLLM, …).
 //! * [`model`] — the decoder-only transformer substrate (RoPE / ALiBi / learned
-//!   positions) and the [`model::engine::InferenceEngine`].
+//!   positions) and the per-sequence [`model::session::Session`].
 //! * [`serve`] — the continuous-batching serving layer: many concurrent sequences
 //!   decoding against one shared model behind a memory-aware admission queue.
 //! * [`net`] — the `kf_serve` network front-end over [`serve`]: TCP listener, job
@@ -17,16 +17,16 @@
 //!
 //! ```
 //! use keyformer::core::{CacheBudgetSpec, PolicySpec};
-//! use keyformer::model::engine::InferenceEngine;
 //! use keyformer::model::families::ModelFamily;
 //! use keyformer::model::generation::GenerationConfig;
+//! use keyformer::model::session::Session;
 //!
 //! let model = ModelFamily::MptLike.build(7);
 //! let policy = PolicySpec::keyformer_default().build()?;
 //! let budget = CacheBudgetSpec::with_fraction(0.5)?;
-//! let mut engine = InferenceEngine::new(&model, policy, Some(budget));
+//! let mut session = Session::new(&model, policy, Some(budget));
 //! let prompt: Vec<u32> = (16..80).collect();
-//! let output = engine.generate(&prompt, &GenerationConfig::new(8));
+//! let output = session.generate(&prompt, &GenerationConfig::new(8))?;
 //! assert_eq!(output.generated.len(), 8);
 //! # Ok::<(), keyformer::core::CoreError>(())
 //! ```

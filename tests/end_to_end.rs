@@ -4,9 +4,9 @@
 
 use keyformer::core::budget::CacheBudgetSpec;
 use keyformer::core::spec::PolicySpec;
-use keyformer::model::engine::InferenceEngine;
 use keyformer::model::families::ModelFamily;
 use keyformer::model::generation::GenerationConfig;
+use keyformer::model::session::Session;
 use keyformer::text::datasets::summarization::{SummarizationDataset, SummarizationSpec};
 use keyformer::text::eval::{evaluate_generation, EvalSetting};
 
@@ -78,9 +78,11 @@ fn budgeted_policies_respect_the_cache_budget_exactly() {
         PolicySpec::streaming_default(),
     ] {
         let spec = CacheBudgetSpec::with_fraction(0.5).unwrap();
-        let mut engine = InferenceEngine::new(&model, policy.build().unwrap(), Some(spec));
-        let out = engine.generate(&sample.prompt, &GenerationConfig::new(6));
-        let budget = engine.budget().unwrap();
+        let mut session = Session::new(&model, policy.build().unwrap(), Some(spec));
+        let out = session
+            .generate(&sample.prompt, &GenerationConfig::new(6))
+            .unwrap();
+        let budget = session.budget().unwrap();
         for &slots in &out.final_cache_slots {
             assert!(
                 slots <= budget.capacity(),
@@ -99,14 +101,14 @@ fn generation_is_deterministic_across_engine_instances() {
     let sample = &dataset.samples()[0];
     let model = ModelFamily::CerebrasLike.build(9);
     let run = || {
-        let mut engine = InferenceEngine::new(
+        Session::new(
             &model,
             PolicySpec::keyformer_default().build().unwrap(),
             Some(CacheBudgetSpec::with_fraction(0.7).unwrap()),
-        );
-        engine
-            .generate(&sample.prompt, &GenerationConfig::new(9))
-            .generated
+        )
+        .generate(&sample.prompt, &GenerationConfig::new(9))
+        .unwrap()
+        .generated
     };
     assert_eq!(run(), run());
 }

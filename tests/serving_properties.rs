@@ -1,13 +1,13 @@
 //! Serving-layer properties: for every policy in the zoo, pushing N requests
 //! through the continuous-batching scheduler produces token-identical outputs to
-//! running each request alone on a fresh `InferenceEngine` — interleaving decode
+//! running each request alone on a fresh `Session` — interleaving decode
 //! steps across sessions must never change what any one sequence generates.
 
 use keyformer::core::budget::CacheBudgetSpec;
 use keyformer::core::spec::PolicySpec;
-use keyformer::model::engine::InferenceEngine;
 use keyformer::model::families::ModelFamily;
 use keyformer::model::generation::GenerationConfig;
+use keyformer::model::session::Session;
 use keyformer::serve::{Engine, Request, ServerConfig};
 use proptest::prelude::*;
 
@@ -96,10 +96,8 @@ proptest! {
                         .iter()
                         .find(|c| c.id == request.id)
                         .expect("every request completes");
-                    let mut engine =
-                        InferenceEngine::new(&model, policy.build().unwrap(), budget);
-                    let alone = engine
-                        .try_generate(&request.prompt, &request.config)
+                    let alone = Session::new(&model, policy.build().unwrap(), budget)
+                        .generate(&request.prompt, &request.config)
                         .unwrap();
                     prop_assert!(
                         completion.output == alone,
