@@ -68,6 +68,12 @@ fn direct_engine_tokens(engine_config: ServerConfig, prompt: &[u32], gen: usize)
     engine.completions()[0].output.generated.clone()
 }
 
+/// The most tokens a request with a `prompt_len`-token prompt may ask for:
+/// the rest of the model's context.
+fn longest_decode(prompt_len: usize) -> usize {
+    ModelFamily::Tiny.config(MODEL_SEED).max_seq_len - prompt_len
+}
+
 fn generate_body(prompt: &[u32], gen: usize, extra: &str) -> String {
     let tokens: Vec<String> = prompt.iter().map(u32::to_string).collect();
     format!(
@@ -260,8 +266,9 @@ fn wire_cancellation_drains_the_pool() {
     let engine_config = pool_config(4000);
     let handle = boot(engine_config, true);
     let client = handle.client();
-    // A decode far too long to finish before the cancel lands.
-    let body = generate_body(&prompt(20, 5), 100_000, "");
+    // The longest decode the context allows: far too long to finish before
+    // the cancel lands.
+    let body = generate_body(&prompt(20, 5), longest_decode(20), "");
 
     let (status, accepted) = client.generate(&body).expect("generate");
     assert_eq!(status, 202);
@@ -415,9 +422,10 @@ fn connections_past_the_cap_answer_503() {
 ///
 /// Filling loopback buffers takes tens of megabytes (the kernel grows a
 /// non-reading peer's receive buffer to `tcp_rmem[2]`), so the streams are
-/// cache-hit replays, which run at wire speed: one 4000-token job, then far
-/// more pipelined streamed repeats of it on the same NDJSON session than any
-/// buffer holds. The server only ever writes what the buffers take.
+/// cache-hit replays, which run at wire speed: one job as long as the model's
+/// context allows, then far more pipelined streamed repeats of it on the same
+/// NDJSON session than any buffer holds. The server only ever writes what the
+/// buffers take.
 #[test]
 fn a_stream_reader_that_stops_reading_is_dropped_by_the_write_timeout() {
     use std::io::Write;
@@ -430,16 +438,20 @@ fn a_stream_reader_that_stops_reading_is_dropped_by_the_write_timeout() {
     let client = handle.client();
 
     // The node's first connection, so the only slot is certainly its own.
-    // 500 streamed generates of one request, never read: the first runs, the
-    // other 499 replay it from the result cache — ~110 MB of token events
-    // asked for. The ops themselves (~75 KB) fit the socket buffers; the
-    // timeout only guards this thread should they not.
+    // 4000 streamed generates of one request, never read: the first runs,
+    // the other 3999 replay it from the result cache — ~110 MB of token
+    // events asked for. The ops themselves (~300 KB) fit the socket buffers;
+    // the timeout only guards this thread should they not.
     let mut stalled = std::net::TcpStream::connect(handle.local_addr()).expect("connect");
     stalled
         .set_write_timeout(Some(Duration::from_secs(5)))
         .unwrap();
-    let op = generate_body(&prompt(20, 9), 4000, ",\"stream\":true,\"op\":\"generate\"");
-    let _ = stalled.write_all(format!("{op}\n").repeat(500).as_bytes());
+    let op = generate_body(
+        &prompt(4, 9),
+        longest_decode(4),
+        ",\"stream\":true,\"op\":\"generate\"",
+    );
+    let _ = stalled.write_all(format!("{op}\n").repeat(4000).as_bytes());
 
     // The session holds the only slot, so everyone else is shed — until the
     // stalled write gives up and the connection thread exits.

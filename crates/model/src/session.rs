@@ -24,7 +24,8 @@
 //! with other sessions' decodes (and pause them when a strict block pool runs
 //! dry). Chunking never changes what is generated: the forward sequence is
 //! identical to one-shot prefill, and the end-of-prompt eviction still happens
-//! exactly once, after the final prompt token.
+//! exactly once, after the final prompt token. A decode step forwards its one
+//! token through the same chunk forward, as a one-row chunk.
 //!
 //! Two sharing mechanisms sit on top ([`keyformer_core::prefix`]):
 //!
@@ -43,8 +44,7 @@ use crate::generation::{GenerationConfig, GenerationOutput, SamplingStrategy};
 use crate::model::{ForwardContext, TransformerModel};
 use crate::stats::AttentionStats;
 use crate::workspace::{
-    forward_chunk_ws, forward_token_ws, machine_parallelism, with_chunk_scratch, ForwardPath,
-    ForwardWorkspace,
+    forward_chunk_ws, machine_parallelism, with_chunk_scratch, ForwardPath, ForwardWorkspace,
 };
 use keyformer_core::block::{OvercommitPolicy, SharedBlockPool};
 use keyformer_core::budget::{CacheBudget, CacheBudgetSpec};
@@ -398,6 +398,7 @@ impl<'m> Session<'m> {
         let slots = prompt_len.saturating_add(max_new_tokens);
         self.sequence.reserve(slots);
         self.ws.reserve_slots(slots);
+        with_chunk_scratch(|chunk| chunk.reserve_decode(self.model.config(), slots));
     }
 
     /// Registers the prompt prefix ending at `processed` tokens into the
@@ -420,9 +421,10 @@ impl<'m> Session<'m> {
             .map(|_| ())
     }
 
-    /// Runs one forward pass along the configured [`ForwardPath`], writing the
-    /// next-token logits into `out` (reused across steps by the decode loop,
-    /// so the workspace path allocates nothing in steady state).
+    /// Runs one token's forward pass along the configured [`ForwardPath`] —
+    /// on the workspace path a one-row [`Session::forward_chunk`] — writing
+    /// the next-token logits into `out` (reused across steps by the decode
+    /// loop, so the workspace path allocates nothing in steady state).
     fn forward_into(
         &mut self,
         token: u32,
@@ -432,6 +434,9 @@ impl<'m> Session<'m> {
         total_steps: usize,
         out: &mut Vec<f32>,
     ) -> Result<(), CoreError> {
+        if self.path == ForwardPath::Workspace {
+            return self.forward_chunk(&[token], position, phase, step, total_steps, true, out);
+        }
         self.sequence.push(token);
         let mut ctx = ForwardContext {
             cache: &mut self.cache,
@@ -442,14 +447,7 @@ impl<'m> Session<'m> {
             step,
             total_steps,
         };
-        match self.path {
-            ForwardPath::Legacy => {
-                *out = self.model.forward_token(token, position, &mut ctx)?;
-            }
-            ForwardPath::Workspace => {
-                forward_token_ws(self.model, token, position, &mut ctx, &mut self.ws, out)?;
-            }
-        }
+        *out = self.model.forward_token(token, position, &mut ctx)?;
         self.peak_cache_bytes = self.peak_cache_bytes.max(self.cache.byte_size());
         Ok(())
     }
@@ -476,23 +474,25 @@ impl<'m> Session<'m> {
         Ok(())
     }
 
-    /// Forwards `n` prompt tokens starting at `start` through the
-    /// chunk-batched workspace path ([`forward_chunk_ws`]), then replays the
-    /// buffered per-token attention observations token-major — so policy RNG
-    /// streams, statistics records and block-boundary prefix registrations
-    /// happen exactly where the token-at-a-time loop put them. Next-token
-    /// logits are produced only when the chunk reaches the end of the prompt.
-    fn forward_prompt_chunk(
+    /// Forwards `tokens` — a prompt chunk, or a decode step's one token — at
+    /// positions `start..` through [`forward_chunk_ws`], then replays the
+    /// buffered per-token attention observations token-major under `phase`,
+    /// the first at `step` — so policy RNG streams, statistics records and
+    /// (for prompt tokens) block-boundary prefix registrations happen exactly
+    /// where the token-at-a-time loop put them, before any eviction.
+    /// Next-token logits are produced only with `compute_logits`.
+    #[allow(clippy::too_many_arguments)]
+    fn forward_chunk(
         &mut self,
-        prompt: &[u32],
+        tokens: &[u32],
         start: usize,
-        n: usize,
+        phase: Phase,
+        step: usize,
         total_steps: usize,
+        compute_logits: bool,
         logits: &mut Vec<f32>,
     ) -> Result<(), CoreError> {
-        let tokens = &prompt[start..start + n];
         self.sequence.extend_from_slice(tokens);
-        let compute_logits = start + n == prompt.len();
         with_chunk_scratch(|chunk| {
             let chunk_peak = forward_chunk_ws(
                 self.model,
@@ -507,17 +507,20 @@ impl<'m> Session<'m> {
                 self.prefill_workers,
             )?;
             self.peak_cache_bytes = self.peak_cache_bytes.max(chunk_peak);
-            for i in 0..n {
+            for i in 0..tokens.len() {
                 self.ws.replay_chunk_token(
                     chunk,
                     i,
-                    start + i,
+                    phase,
+                    step + i,
                     total_steps,
                     &self.cache,
                     self.policy.as_mut(),
                     self.stats.as_mut(),
                 );
-                self.maybe_register_prefix(start + i + 1)?;
+                if phase == Phase::Prompt {
+                    self.maybe_register_prefix(start + i + 1)?;
+                }
             }
             Ok(())
         })
@@ -852,7 +855,15 @@ impl<'m> Session<'m> {
                 break;
             }
             let start = p.processed;
-            self.forward_prompt_chunk(&p.prompt, start, n, p.config.max_new_tokens, &mut logits)?;
+            self.forward_chunk(
+                &p.prompt[start..start + n],
+                start,
+                Phase::Prompt,
+                start,
+                p.config.max_new_tokens,
+                start + n == p.prompt.len(),
+                &mut logits,
+            )?;
             p.processed += n;
             processed_now += n;
         }
@@ -1149,7 +1160,9 @@ impl ContinuationScore {
 mod tests {
     use super::*;
     use crate::families::ModelFamily;
+    use crate::positional::PositionalEncoding;
     use keyformer_core::spec::PolicySpec;
+    use std::sync::{Arc, Mutex};
 
     fn prompt(len: usize) -> Vec<u32> {
         (0..len).map(|i| ((i * 13 + 5) % 120) as u32).collect()
@@ -1739,19 +1752,32 @@ mod tests {
         assert_eq!(a, b, "session state must not leak across requests");
     }
 
-    /// Keyformer that also logs, by bits, the accumulated scores behind each
-    /// eviction decision.
-    #[derive(Clone)]
-    struct ScoreTap {
+    /// One observation a policy was fed: `(layer, head, phase, step,
+    /// total_steps, logit bits)`.
+    type Observed = (usize, usize, Phase, usize, usize, Vec<u32>);
+
+    /// Keyformer that also logs, by bits, every observation it is fed and the
+    /// accumulated scores behind each eviction decision.
+    #[derive(Clone, Default)]
+    struct Tap {
         inner: keyformer_core::policies::keyformer::Keyformer,
-        log: std::sync::Arc<std::sync::Mutex<Vec<Vec<u32>>>>,
+        observations: Arc<Mutex<Vec<Observed>>>,
+        scores: Arc<Mutex<Vec<Vec<u32>>>>,
     }
 
-    impl KvCachePolicy for ScoreTap {
+    impl KvCachePolicy for Tap {
         fn name(&self) -> &'static str {
-            "score_tap"
+            "tap"
         }
         fn observe(&mut self, obs: &keyformer_core::observation::AttentionObservation<'_>) {
+            self.observations.lock().unwrap().push((
+                obs.layer,
+                obs.head,
+                obs.phase,
+                obs.step,
+                obs.total_steps,
+                obs.logits.iter().map(|l| l.to_bits()).collect(),
+            ));
             self.inner.observe(obs);
         }
         fn select_retained(
@@ -1761,7 +1787,7 @@ mod tests {
             budget: &CacheBudget,
         ) -> Vec<usize> {
             let scores = self.inner.scores(layer, live);
-            self.log
+            self.scores
                 .lock()
                 .unwrap()
                 .push(scores.iter().map(|s| s.to_bits()).collect());
@@ -1788,12 +1814,9 @@ mod tests {
         let spec = CacheBudgetSpec::new(0.5, 0.3).unwrap();
         let config = GenerationConfig::new(12);
         let run = |dtype: KvDtype, workers: usize| {
-            let log = std::sync::Arc::default();
-            let policy = ScoreTap {
-                inner: keyformer_core::policies::keyformer::Keyformer::default(),
-                log: std::sync::Arc::clone(&log),
-            };
-            let mut session = Session::with_dtype(&model, Box::new(policy), Some(spec), dtype)
+            let tap = Tap::default();
+            let log = Arc::clone(&tap.scores);
+            let mut session = Session::with_dtype(&model, Box::new(tap), Some(spec), dtype)
                 .with_prefill_chunk(37);
             session.prefill_workers = workers;
             session.begin(&prompt(128), &config).unwrap();
@@ -1812,6 +1835,59 @@ mod tests {
             let one = run(dtype, 1);
             assert!(!one.2.is_empty(), "the budget forces evictions");
             assert_eq!(run(dtype, 3), one, "{dtype:?}");
+        }
+    }
+
+    /// The policy sees the legacy token-at-a-time observation stream — every
+    /// `(layer, head, phase, step, total_steps, logits)` by bits — through a
+    /// prefill, 8 decode steps at budget and a scored continuation, on RoPE,
+    /// ALiBi and learned positions at both KV dtypes: a decode step's one-row
+    /// chunk replays what the direct observation delivered, before the
+    /// step's eviction.
+    #[test]
+    fn decode_observation_stream_matches_legacy() {
+        let spec = CacheBudgetSpec::new(0.5, 0.3).unwrap();
+        let (new_tokens, continuation) = (8, 6);
+        for positional in [
+            PositionalEncoding::Rope,
+            PositionalEncoding::Alibi,
+            PositionalEncoding::Learned,
+        ] {
+            let model = TransformerModel::new(ModelConfig {
+                positional,
+                ..ModelFamily::Tiny.config(12)
+            })
+            .unwrap();
+            let heads = model.config().num_layers * model.config().num_heads;
+            for dtype in [KvDtype::F32, KvDtype::U8] {
+                let run = |path: ForwardPath| {
+                    let tap = Tap::default();
+                    let observations = Arc::clone(&tap.observations);
+                    let mut session = Session::with_dtype(&model, Box::new(tap), Some(spec), dtype)
+                        .with_forward_path(path);
+                    let output = session
+                        .generate(&prompt(40), &GenerationConfig::new(new_tokens))
+                        .unwrap();
+                    let text = prompt(30 + continuation);
+                    let score = session
+                        .score_continuation(&text[..30], &text[30..])
+                        .unwrap();
+                    let observed = std::mem::take(&mut *observations.lock().unwrap());
+                    (output, score.total_log_prob.to_bits(), observed)
+                };
+                let legacy = run(ForwardPath::Legacy);
+                let decoded = legacy.2.iter().filter(|o| o.2 == Phase::Generation);
+                assert_eq!(
+                    decoded.count(),
+                    (new_tokens - 1 + continuation - 1) * heads,
+                    "every fed-back token is observed in the generation phase"
+                );
+                assert_eq!(
+                    run(ForwardPath::Workspace),
+                    legacy,
+                    "{positional} / {dtype:?}"
+                );
+            }
         }
     }
 

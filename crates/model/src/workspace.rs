@@ -1,13 +1,17 @@
-//! Allocation-free forward path: a reusable per-session workspace.
+//! Allocation-free forward path: one forward function over reused buffers.
 //!
 //! The legacy forward path ([`crate::model::TransformerModel::forward_token`])
 //! allocates on every token: a fresh hidden vector, per-head query/key copies,
 //! per-slot logit and probability vectors, a vocabulary-sized copy-vote table
-//! and the output logits themselves. None of those sizes change between steps,
-//! so a [`ForwardWorkspace`] owns them all and the `*_ws` functions in this
-//! module re-run the exact same arithmetic into the reused buffers. In steady
-//! state (decoding inside an already-allocated KV block) the workspace path
-//! performs **zero heap allocations per token** — see `tests/zero_alloc_decode.rs`.
+//! and the output logits themselves. None of those sizes change between steps.
+//! The product path is one function, `forward_chunk_ws`, which forwards a
+//! prompt chunk or a decode step's single token with the exact same
+//! arithmetic into reused buffers: per-session state (key rotations, per-slot
+//! attention scratch, the copy-vote table) lives in a [`ForwardWorkspace`],
+//! and the row blocks and buffered observations, dead once a chunk's replay
+//! has run, in the thread's chunk scratch. In steady state (decoding
+//! inside an already-allocated KV block) it performs **zero heap allocations
+//! per token** — see `tests/zero_alloc_decode.rs`.
 //!
 //! The workspace also caches work the legacy path recomputes every step:
 //!
@@ -26,9 +30,8 @@
 //! same logit bits (`tests/hotpath_identity.rs` proves this across the policy
 //! zoo, both KV dtypes and prefix sharing).
 
-use crate::attention::AttentionContext;
 use crate::config::{ModelConfig, PositionMode};
-use crate::model::{ForwardContext, TransformerModel};
+use crate::model::TransformerModel;
 use crate::positional::{alibi_bias, alibi_slope, PositionalEncoding, RopeRotor, ROPE_BASE};
 use crate::stats::{AttentionRecord, AttentionStats};
 use crate::weights::LayerWeights;
@@ -66,30 +69,16 @@ pub enum ForwardPath {
     Workspace,
 }
 
-/// Scratch owned by one decoder-layer forward (all widths fixed by the model
-/// configuration).
-#[derive(Debug, Clone)]
-pub(crate) struct LayerScratch {
-    normed: Vec<f32>,
-    q: Vec<f32>,
-    k: Vec<f32>,
-    v: Vec<f32>,
-    attn_out: Vec<f32>,
-    normed2: Vec<f32>,
-    inner: Vec<f32>,
-    ffn_out: Vec<f32>,
-}
-
-/// Scratch owned by one attention call. The per-slot buffers (`logits`,
-/// `probs`, `mean_probs`) grow with the live cache; their capacity is reserved
-/// up front per request so steady-state growth never reallocates.
+/// Scratch of the one-query-at-a-time attention ([`attend_chunk_query_ws`])
+/// and of the observation replay. The per-slot buffers (`logits`, `probs`,
+/// `mean_probs`) grow with the live cache; their capacity is reserved up
+/// front per request so steady-state growth never reallocates.
 #[derive(Debug, Clone)]
 pub(crate) struct AttnScratch {
     q_head: Vec<f32>,
     /// Head-width scratch for dequantizing `u8` rows and for the fused
     /// `vecmat_into` accumulator.
     dequant: Vec<f32>,
-    context: Vec<f32>,
     logits: Vec<f32>,
     probs: Vec<f32>,
     mean_probs: Vec<f32>,
@@ -104,10 +93,10 @@ pub(crate) struct AttnScratch {
 /// alone, without a spawn.
 const MIN_ROWS_PER_WORKER: usize = 8;
 
-/// Scratch owned by the chunk-batched prefill forward
-/// ([`forward_chunk_ws`]): flat `[token][feature]` row blocks sized to the
-/// chunk being forwarded, the buffered observation rows, and one private
-/// scratch per prefill worker. All buffers keep their capacity across chunks.
+/// Scratch owned by [`forward_chunk_ws`]: flat `[token][feature]` row blocks
+/// sized to the chunk being forwarded, the buffered observation rows, and one
+/// private scratch per prefill worker. All buffers keep their capacity across
+/// chunks.
 #[derive(Debug, Default)]
 pub(crate) struct ChunkScratch {
     rows: ChunkRows,
@@ -126,6 +115,17 @@ pub(crate) struct ChunkScratch {
     /// identity test.
     #[cfg(test)]
     layer_contexts: Vec<f32>,
+}
+
+impl ChunkScratch {
+    /// Reserves observation rows for one-row chunks behind up to `slots - 1`
+    /// cached slots, so a decode step never grows the buffer past a short
+    /// prompt's.
+    pub(crate) fn reserve_decode(&mut self, config: &ModelConfig, slots: usize) {
+        let rows = config.num_layers * config.num_heads * slots;
+        self.obs_data
+            .reserve(rows.saturating_sub(self.obs_data.len()));
+    }
 }
 
 /// The `[token][feature]` row blocks of [`ChunkScratch`], all `chunk` rows
@@ -274,14 +274,14 @@ impl ObsRows<'_> {
     }
 }
 
-/// Runs `f` with this thread's chunk-prefill scratch.
+/// Runs `f` with this thread's chunk scratch.
 ///
 /// A chunk's scratch is dead once its replay has run, and one thread forwards
-/// one chunk at a time, so every session that prefills on a thread shares
-/// that thread's one scratch: a server holding many decoding sessions keeps
-/// one copy, not one per session, and a long prompt's megabytes of buffered
-/// observations are reused request after request instead of being freed and
-/// faulted back in.
+/// one chunk at a time, so every session that prefills or decodes on a thread
+/// shares that thread's one scratch: a server holding many decoding sessions
+/// keeps one copy, not one per session, and a long prompt's megabytes of
+/// buffered observations are reused request after request instead of being
+/// freed and faulted back in.
 pub(crate) fn with_chunk_scratch<R>(f: impl FnOnce(&mut ChunkScratch) -> R) -> R {
     thread_local! {
         static SCRATCH: RefCell<ChunkScratch> = RefCell::new(ChunkScratch::default());
@@ -293,12 +293,12 @@ pub(crate) fn with_chunk_scratch<R>(f: impl FnOnce(&mut ChunkScratch) -> R) -> R
 /// [`crate::session::Session`].
 #[derive(Debug, Clone)]
 pub struct ForwardWorkspace {
+    /// Embedding staging row.
     hidden: Vec<f32>,
     final_hidden: Vec<f32>,
     copy_votes: Vec<f32>,
     /// `alibi_slope(head, num_heads)` for every head, computed once.
     alibi_slopes: Vec<f32>,
-    pub(crate) layer: LayerScratch,
     pub(crate) attn: AttnScratch,
     /// One rotated-key cache per decoder layer.
     rot: Vec<RotatedKeyCache>,
@@ -316,20 +316,9 @@ impl ForwardWorkspace {
             alibi_slopes: (0..config.num_heads)
                 .map(|h| alibi_slope(h, config.num_heads))
                 .collect(),
-            layer: LayerScratch {
-                normed: Vec::with_capacity(d_model),
-                q: Vec::with_capacity(d_model),
-                k: Vec::with_capacity(d_model),
-                v: Vec::with_capacity(d_model),
-                attn_out: Vec::with_capacity(d_model),
-                normed2: Vec::with_capacity(d_model),
-                inner: Vec::with_capacity(config.d_ff),
-                ffn_out: Vec::with_capacity(d_model),
-            },
             attn: AttnScratch {
                 q_head: vec![0.0; head_dim],
                 dequant: vec![0.0; head_dim],
-                context: vec![0.0; d_model],
                 logits: Vec::new(),
                 probs: Vec::new(),
                 mean_probs: Vec::new(),
@@ -382,16 +371,18 @@ impl ForwardWorkspace {
 
     /// Replays the attention observations [`forward_chunk_ws`] buffered for
     /// one chunk token against the policy (and, when enabled, the statistics
-    /// collector), in exactly the per-(layer, head) order the sequential
-    /// forward would have produced them. The buffered logit rows are the
-    /// sequential path's bits, so Gumbel-sampling policies draw the identical
-    /// RNG stream and the recomputed softmax rows match the sequential
-    /// statistics records bit-for-bit.
+    /// collector) under the caller's `phase` and `step`, in exactly the
+    /// per-(layer, head) order the sequential forward would have produced
+    /// them. The buffered logit rows are the sequential path's bits, so
+    /// Gumbel-sampling policies draw the identical RNG stream and the
+    /// recomputed softmax rows match the sequential statistics records
+    /// bit-for-bit. Call it before any eviction touches `cache`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn replay_chunk_token(
         &mut self,
         chunk: &ChunkScratch,
         chunk_index: usize,
+        phase: Phase,
         step: usize,
         total_steps: usize,
         cache: &KvCache,
@@ -408,21 +399,21 @@ impl ForwardWorkspace {
                 policy.observe(&AttentionObservation {
                     layer,
                     head,
-                    phase: Phase::Prompt,
+                    phase,
                     step,
                     total_steps,
                     logits,
                 });
                 if let Some(stats) = stats.as_deref_mut() {
                     // At this token's turn the layer held exactly `len` slots;
-                    // the prompt phase only appends, so the prefix of today's
-                    // position table is that moment's table.
+                    // a chunk only appends, so the prefix of today's position
+                    // table is that moment's table.
                     softmax_into(logits, &mut self.attn.probs);
                     stats.record(AttentionRecord {
                         layer,
                         head,
                         step,
-                        phase: Phase::Prompt,
+                        phase,
                         probs: self.attn.probs.clone(),
                         positions: cache.layer(layer).positions()[..len].to_vec(),
                     });
@@ -432,98 +423,11 @@ impl ForwardWorkspace {
     }
 }
 
-/// Workspace twin of [`TransformerModel::forward_token`]: identical arithmetic
-/// into reused buffers, with next-token logits written into `out_logits`.
-pub(crate) fn forward_token_ws(
-    model: &TransformerModel,
-    token: u32,
-    position: usize,
-    ctx: &mut ForwardContext<'_>,
-    ws: &mut ForwardWorkspace,
-    out_logits: &mut Vec<f32>,
-) -> Result<(), CoreError> {
-    let config = model.config();
-    let weights = model.weights();
-    let ForwardWorkspace {
-        hidden,
-        final_hidden,
-        copy_votes,
-        alibi_slopes,
-        layer: layer_scratch,
-        attn,
-        rot,
-        ..
-    } = ws;
-    model.embed_into(token, position, hidden);
-    copy_votes.fill(0.0);
-    let mut copy_total = 0.0f32;
-    for (layer, layer_rot) in rot.iter_mut().enumerate() {
-        let mut attn_ctx = AttentionContext {
-            policy: &mut *ctx.policy,
-            stats: ctx.stats.as_deref_mut(),
-            phase: ctx.phase,
-            step: ctx.step,
-            total_steps: ctx.total_steps,
-        };
-        decoder_layer_forward_ws(
-            config,
-            &weights.layers[layer],
-            layer,
-            position,
-            ctx.cache.layer_mut(layer),
-            &mut attn_ctx,
-            layer_rot,
-            layer_scratch,
-            attn,
-            hidden,
-            alibi_slopes,
-        )?;
-        if config.copy_strength > 0.0 {
-            let positions = ctx.cache.layer(layer).positions();
-            for (&slot_pos, &prob) in positions.iter().zip(&attn.mean_probs) {
-                if slot_pos == position {
-                    continue;
-                }
-                if let Some(&successor) = ctx.sequence.get(slot_pos + 1) {
-                    if successor < config.copy_ignore_below {
-                        continue;
-                    }
-                    let idx = successor as usize;
-                    if idx < copy_votes.len() {
-                        copy_votes[idx] += prob;
-                        copy_total += prob;
-                    }
-                }
-            }
-        }
-    }
-
-    layer_norm_into(
-        hidden,
-        &weights.final_ln_gain,
-        &weights.final_ln_bias,
-        LN_EPS,
-        final_hidden,
-    );
-    weights
-        .embedding
-        .matvec_into(final_hidden, out_logits)
-        .expect("embedding readout shape");
-
-    if config.copy_strength > 0.0 && copy_total > 1e-6 {
-        for (logit, vote) in out_logits.iter_mut().zip(copy_votes.iter()) {
-            if *vote > 0.0 {
-                *logit += config.copy_strength * vote / copy_total;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Chunk-batched prompt forward: runs `tokens` through each decoder layer
-/// *once*, with the three QKV projections, the output projection and both FFN
-/// matmuls batched into per-chunk GEMMs ([`keyformer_tensor::Matrix::matvec_batch_into`]),
-/// and appends each layer's fresh keys/values in bulk
+/// The product forward pass: runs `tokens` — a prompt chunk, or the one
+/// token of a decode step — through each decoder layer *once*, with the three
+/// QKV projections, the output projection and both FFN matmuls batched into
+/// per-chunk GEMMs ([`keyformer_tensor::Matrix::matvec_batch_into`]), and
+/// appends each layer's fresh keys/values in bulk
 /// ([`LayerKvCache::append_batch_from_slices`]).
 ///
 /// Byte-identity with the token-at-a-time path rests on five invariants:
@@ -531,7 +435,8 @@ pub(crate) fn forward_token_ws(
 /// * **GEMM bits** — every batched output element is the same single
 ///   ascending-`k` accumulation chain the per-token `matvec_into` runs, so the
 ///   projections produce identical bits (the micro-kernel only reorders
-///   *independent* chains across registers).
+///   *independent* chains across registers; a one-row batch takes the plain
+///   `dot` path).
 /// * **Causality** — each chunk query `t` attends through
 ///   [`keyformer_core::cache::KvSlice::truncated`] views of exactly the
 ///   `pre + t + 1` slots the sequential path had live at that token, and the
@@ -546,18 +451,23 @@ pub(crate) fn forward_token_ws(
 /// * **Deferred observation replay** — the per-(token, layer, head) attention
 ///   logit rows are buffered, and the caller replays them token-major via
 ///   [`ForwardWorkspace::replay_chunk_token`], preserving the sequential
-///   policy-RNG draw order and statistics stream.
+///   policy-RNG draw order and statistics stream. Policy state never feeds
+///   back into a forward, so deferring a decode step's observations to the
+///   end of its forward changes nothing either.
 /// * **Attention logits and context rows are GEMM tiles of the same chains** —
-///   on `f32` layers ([`attend_chunk_gemm`]) a query's logit against a key is
-///   the one ascending-`k` chain `dot` runs, computed a 4x16 register tile at
-///   a time against keys packed once per (layer, head), and its context row
-///   is the one ascending-slot chain `vecmat_into` runs over its own
-///   probabilities; a probability row zero-padded past its causal extent adds
-///   `±0.0` to accumulators that are never `-0.0`, exactly like
-///   `vecmat_into`'s skip of zero coefficients. `u8` layers keep the
-///   per-query path ([`attend_chunk_query_ws`]): their value read is the
-///   fused `scale·(Σc·q − zero·Σc)` factoring per block — a different chain —
-///   in seal-delimited runs of at most `block_size` tokens.
+///   in [`attend_chunk_gemm`] a query's logit against a key is the one
+///   ascending-`k` chain `dot` runs, computed a 4x16 register tile at a time
+///   against keys packed once per (layer, head), and its context row is the
+///   one ascending-slot chain `vecmat_into` runs over its own probabilities; a
+///   probability row zero-padded past its causal extent adds `±0.0` to
+///   accumulators that are never `-0.0`, exactly like `vecmat_into`'s skip of
+///   zero coefficients. A layer attends one query at a time
+///   ([`attend_chunk_query_ws`]) when it seals or the chunk is a single row.
+///   A `u8` value read is the fused `scale·(Σc·q − zero·Σc)` factoring per
+///   block — a different chain — in seal-delimited runs of at most
+///   `block_size` tokens. A single row (a decode step) has nothing to batch:
+///   it reads keys and values in place instead of packing and gathering every
+///   live row per head.
 ///
 /// **On every core.** Each layer runs as three kinds of phase. The *row
 /// phases* — LN1 and the Q/K/V projections, then `wo`, the residuals, LN2 and
@@ -565,22 +475,23 @@ pub(crate) fn forward_token_ws(
 /// own GEMM packing panel
 /// ([`keyformer_tensor::Matrix::matvec_batch_into_slice`]). The *serial
 /// phases* — the bulk KV append, the RoPE key sync and the peak-byte sample —
-/// stay on the calling thread. On `f32` layers the *attention* splits the
-/// chunk's queries into contiguous ranges of equal causal work Σ(`pre + t +
-/// 1`) (not by head: under ALiBi the subnormal probabilities crowd onto the
-/// steepest head); each worker runs [`attend_chunk_gemm`] over its range into
-/// its own context rows, its own tokens' `obs_index` entries and its own
-/// region of the observation buffer. `u8` attention stays on the calling
-/// thread: its seal-delimited runs are too short to pay for a spawn. No
-/// output element is split between workers, so each is still the one chain
-/// from `0.0` above, and the bits cannot depend on `w`. `w` is
+/// stay on the calling thread. The GEMM *attention* splits the chunk's
+/// queries into contiguous ranges of equal causal work Σ(`pre + t + 1`) (not
+/// by head: under ALiBi the subnormal probabilities crowd onto the steepest
+/// head); each worker runs [`attend_chunk_gemm`] over its range into its own
+/// context rows, its own tokens' `obs_index` entries and its own region of
+/// the observation buffer. One-query-at-a-time attention stays on the calling
+/// thread: a decode step is one query, and seal-delimited runs are too short
+/// to pay for a spawn. No output element is split between workers, so each
+/// is still the one chain from `0.0` above, and the bits cannot depend on
+/// `w`. `w` is
 /// `min(max_workers, n / MIN_ROWS_PER_WORKER)`, at least 1; with `w == 1`
 /// nothing is spawned. Every buffer a worker writes is sized before its
 /// phase fans out, so workers never allocate.
 ///
 /// Next-token logits (final LN, readout matmul and copy-vote bonus) are only
-/// computed — for the last chunk token — when `compute_logits` is set, i.e.
-/// when the chunk reaches the end of the prompt; mid-prompt logits are
+/// computed — for the last chunk token — when `compute_logits` is set: at
+/// the end of the prompt and on every decode step; mid-prompt logits are
 /// unobservable and the sequential path discards them.
 ///
 /// Returns the chunk's peak cache byte size as the sequential per-token
@@ -700,6 +611,7 @@ pub(crate) fn forward_chunk_ws(
 
         let bs = layer_cache.block_size().max(1);
         let seals = layer_cache.dtype() != KvDtype::F32;
+        let per_query = seals || n == 1;
         let mut layer_peak = 0usize;
         let mut run_start = 0usize;
         while run_start < n {
@@ -727,7 +639,7 @@ pub(crate) fn forward_chunk_ws(
             if config.positional == PositionalEncoding::Rope {
                 sync_rotated_keys(config, layer_cache, layer_rot, &mut attn.rope);
             }
-            if seals {
+            if per_query {
                 for t in run_start..run_end {
                     let obs_base = (t * num_layers + layer) * num_heads;
                     attend_chunk_query_ws(
@@ -750,7 +662,7 @@ pub(crate) fn forward_chunk_ws(
         }
         peak_bytes += layer_peak;
 
-        if !seals {
+        if !per_query {
             // Attention phase: contiguous query ranges of equal causal work.
             for scratch in worker_scratch.iter_mut() {
                 scratch.reserve_attention(pre + n, head_dim);
@@ -1043,7 +955,7 @@ fn sync_rotated_keys(
 
 /// Chunk queries `run` of [`forward_chunk_ws`] against an `f32` layer, head
 /// by head as two GEMMs on the tiled micro-kernel — the same arithmetic as
-/// [`attend_single_query_ws`] per query, laid out for the memory hierarchy:
+/// [`attend_chunk_query_ws`] per query, laid out for the memory hierarchy:
 ///
 /// 1. the head's live keys (rotated rows under RoPE) are packed into
 ///    `head_dim x 16` panels once, and its value rows gathered contiguous;
@@ -1200,14 +1112,18 @@ fn attend_chunk_gemm(view: &LayerView<'_>, part: AttnPart<'_>) {
     debug_assert_eq!(obs.used, obs.rows.len(), "observation region sized exactly");
 }
 
-/// One chunk query of [`forward_chunk_ws`] against a quantized (`u8`) layer —
-/// `f32` layers go through [`attend_chunk_gemm`]: the same per-head arithmetic
-/// as [`attend_single_query_ws`], against a `live`-slot
-/// [`keyformer_core::cache::KvSlice::truncated`] causal view of the layer, with
-/// the policy observation *buffered* (into `obs` / `obs_slots`) instead of
-/// delivered — the session replays it token-major afterwards. The rotated-key
-/// cache must already cover `live` slots (one [`RotatedKeyCache::sync`] per
-/// run).
+/// One chunk query of [`forward_chunk_ws`], head by head: every query of a
+/// quantized (`u8`) layer and the one query of a single-row chunk (a decode
+/// step); other chunks go through [`attend_chunk_gemm`]. The per-head
+/// arithmetic of the legacy [`crate::attention::attend_single_query`],
+/// against a `live`-slot [`keyformer_core::cache::KvSlice::truncated`] causal
+/// view of the layer, with the policy observation *buffered* (into `obs` /
+/// `obs_slots`) instead of delivered — the session replays it token-major
+/// afterwards. None of its differences changes a bit: RoPE keys come from the
+/// rotated-key cache (which must already cover `live` slots: one
+/// [`RotatedKeyCache::sync`] per run), other keys and the values are read
+/// through the allocation-free row visitors, and key positions straight off
+/// the cache's position table.
 #[allow(clippy::too_many_arguments)]
 fn attend_chunk_query_ws(
     config: &ModelConfig,
@@ -1306,249 +1222,13 @@ fn attend_chunk_query_ws(
     }
 }
 
-/// Workspace twin of [`crate::decoder::decoder_layer_forward`]: updates the
-/// residual stream in place (the legacy path's `hidden + attn_out` collect and
-/// `+=` loop produce the same bits) and leaves the head-averaged attention
-/// probabilities in `attn.mean_probs`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn decoder_layer_forward_ws(
-    config: &ModelConfig,
-    weights: &LayerWeights,
-    layer: usize,
-    position: usize,
-    cache: &mut LayerKvCache,
-    ctx: &mut AttentionContext<'_>,
-    rot: &mut RotatedKeyCache,
-    scratch: &mut LayerScratch,
-    attn: &mut AttnScratch,
-    hidden: &mut [f32],
-    alibi_slopes: &[f32],
-) -> Result<(), CoreError> {
-    if hidden.len() != config.d_model {
-        return Err(CoreError::InvalidConfig(format!(
-            "hidden state width {} does not match d_model {}",
-            hidden.len(),
-            config.d_model
-        )));
-    }
-
-    // Pre-norm attention block.
-    layer_norm_into(
-        hidden,
-        &weights.ln1_gain,
-        &weights.ln1_bias,
-        LN_EPS,
-        &mut scratch.normed,
-    );
-    weights
-        .wq
-        .matvec_into(&scratch.normed, &mut scratch.q)
-        .expect("wq shape");
-    weights
-        .wk
-        .matvec_into(&scratch.normed, &mut scratch.k)
-        .expect("wk shape");
-    weights
-        .wv
-        .matvec_into(&scratch.normed, &mut scratch.v)
-        .expect("wv shape");
-
-    cache.append_from_slices(position, &scratch.k, &scratch.v)?;
-
-    attend_single_query_ws(
-        config,
-        layer,
-        &scratch.q,
-        position,
-        cache,
-        ctx,
-        rot,
-        attn,
-        alibi_slopes,
-    );
-    weights
-        .wo
-        .matvec_into(&attn.context, &mut scratch.attn_out)
-        .expect("wo shape");
-    for (h, a) in hidden.iter_mut().zip(&scratch.attn_out) {
-        *h += a;
-    }
-
-    // Pre-norm feed-forward block.
-    layer_norm_into(
-        hidden,
-        &weights.ln2_gain,
-        &weights.ln2_bias,
-        LN_EPS,
-        &mut scratch.normed2,
-    );
-    weights
-        .ffn_in
-        .matvec_into(&scratch.normed2, &mut scratch.inner)
-        .expect("ffn_in shape");
-    gelu_in_place(&mut scratch.inner);
-    weights
-        .ffn_out
-        .matvec_into(&scratch.inner, &mut scratch.ffn_out)
-        .expect("ffn_out shape");
-    for (h, f) in hidden.iter_mut().zip(&scratch.ffn_out) {
-        *h += f;
-    }
-    Ok(())
-}
-
-/// Workspace twin of [`crate::attention::attend_single_query`].
-///
-/// Differences from the legacy path — none of which change a single bit:
-///
-/// * RoPE key rotations come from the per-layer [`RotatedKeyCache`] instead of
-///   being recomputed per step (the cached rows were produced by the same
-///   copy-then-rotate arithmetic).
-/// * Non-RoPE models read key rows through the allocation-free
-///   [`keyformer_core::cache::KvSlice::for_each_row`] visitor instead of
-///   per-row `Cow::to_vec`.
-/// * Effective key positions are read straight off the cache's position table
-///   (or the slot index under [`PositionMode::Remapped`]) instead of being
-///   materialized into a per-step `Vec<usize>`.
-/// * The context lands in `attn.context` via the fused
-///   [`keyformer_core::cache::KvSlice::vecmat_into`], which dequantizes `u8`
-///   blocks with the same per-block factoring as `vecmat`.
-///
-/// # Panics
-///
-/// Panics if the cache is empty or its head shape disagrees with `config`,
-/// like the legacy path.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn attend_single_query_ws(
-    config: &ModelConfig,
-    layer: usize,
-    query: &[f32],
-    query_position: usize,
-    cache: &LayerKvCache,
-    ctx: &mut AttentionContext<'_>,
-    rot: &mut RotatedKeyCache,
-    attn: &mut AttnScratch,
-    alibi_slopes: &[f32],
-) {
-    let num_heads = config.num_heads;
-    let head_dim = config.head_dim();
-    assert!(
-        !cache.is_empty(),
-        "attention requires at least one cached slot"
-    );
-    assert_eq!(cache.num_heads(), num_heads, "cache head count mismatch");
-    assert_eq!(cache.head_dim(), head_dim, "cache head dim mismatch");
-
-    let live = cache.len();
-    let scale = 1.0 / (head_dim as f32).sqrt();
-    let positions = cache.positions();
-    let effective_query_pos = match config.position_mode {
-        PositionMode::Original => query_position,
-        // Under remapping the query sits immediately after the compacted cache.
-        PositionMode::Remapped => live.saturating_sub(1),
-    };
-
-    // Keys are rotated once per (block, generation): appends top up, CoW
-    // forks and seals rebuild exactly the affected blocks, evictions move the
-    // rotated rows instead. The rotation depends only on the stored key and
-    // its effective position, never on the decode step, which is what makes
-    // it cacheable across steps.
-    if config.positional == PositionalEncoding::Rope {
-        sync_rotated_keys(config, cache, rot, &mut attn.rope);
-    }
-
-    let AttnScratch {
-        q_head,
-        dequant,
-        context,
-        logits,
-        probs,
-        mean_probs,
-        rope,
-    } = attn;
-    mean_probs.clear();
-    mean_probs.resize(live, 0.0);
-
-    for head in 0..num_heads {
-        q_head.copy_from_slice(&query[head * head_dim..(head + 1) * head_dim]);
-        if config.positional == PositionalEncoding::Rope {
-            rope.rotate(q_head, effective_query_pos as f32 * config.rope_scale);
-        }
-        let slope = alibi_slopes[head];
-        logits.clear();
-        match config.positional {
-            PositionalEncoding::Rope => {
-                for slot in 0..live {
-                    logits.push(dot(q_head, rot.row(head, slot)) * scale);
-                }
-            }
-            PositionalEncoding::Alibi => {
-                let keys = cache.keys(head);
-                match config.position_mode {
-                    PositionMode::Original => keys.for_each_row(dequant, |slot, row| {
-                        logits.push(
-                            dot(q_head, row) * scale
-                                + alibi_bias(slope, effective_query_pos, positions[slot]),
-                        );
-                    }),
-                    PositionMode::Remapped => keys.for_each_row(dequant, |slot, row| {
-                        logits.push(
-                            dot(q_head, row) * scale + alibi_bias(slope, effective_query_pos, slot),
-                        );
-                    }),
-                }
-            }
-            PositionalEncoding::Learned => {
-                let keys = cache.keys(head);
-                keys.for_each_row(dequant, |_slot, row| {
-                    logits.push(dot(q_head, row) * scale);
-                });
-            }
-        }
-
-        ctx.policy.observe(&AttentionObservation {
-            layer,
-            head,
-            phase: ctx.phase,
-            step: ctx.step,
-            total_steps: ctx.total_steps,
-            logits,
-        });
-
-        softmax_into(logits, probs);
-        if let Some(stats) = ctx.stats.as_deref_mut() {
-            stats.record(AttentionRecord {
-                layer,
-                head,
-                step: ctx.step,
-                phase: ctx.phase,
-                probs: probs.clone(),
-                positions: cache.positions().to_vec(),
-            });
-        }
-
-        let values = cache.values(head);
-        values
-            .vecmat_into(
-                probs,
-                &mut context[head * head_dim..(head + 1) * head_dim],
-                dequant,
-            )
-            .expect("value matrix shape mismatch");
-        for (m, &p) in mean_probs.iter_mut().zip(probs.iter()) {
-            *m += p / num_heads as f32;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attention::attend_single_query;
+    use crate::attention::{attend_single_query, AttentionContext, AttentionOutput};
     use crate::config::ModelConfig;
     use crate::families::ModelFamily;
-    use keyformer_core::observation::Phase;
-    use keyformer_core::policies::full::FullAttention;
+    use keyformer_tensor::ops::softmax;
 
     fn filled_cache(config: &ModelConfig, n: usize) -> LayerKvCache {
         let head_dim = config.head_dim();
@@ -1572,8 +1252,74 @@ mod tests {
             .collect()
     }
 
-    /// The workspace attention must be bit-identical to the legacy attention
-    /// for every positional family and position mode.
+    /// The legacy attention of `query` over all of `cache`: its output and
+    /// every head's observed logit row.
+    fn legacy_attention(
+        config: &ModelConfig,
+        layer: usize,
+        query: &[f32],
+        query_position: usize,
+        cache: &LayerKvCache,
+    ) -> (AttentionOutput, Vec<Vec<f32>>) {
+        let mut policy = RecordingPolicy::default();
+        let mut ctx = AttentionContext {
+            policy: &mut policy,
+            stats: None,
+            phase: Phase::Generation,
+            step: 2,
+            total_steps: 4,
+        };
+        let out = attend_single_query(config, layer, query, query_position, cache, &mut ctx);
+        (out, policy.rows)
+    }
+
+    /// A decode step's attention: `query` as the one row of a chunk against
+    /// all of `cache`, after the chunk's rotated-key sync. Returns the context
+    /// row and every head's buffered observation row; `mean_probs` lands in
+    /// `ws.attn.mean_probs`.
+    fn one_row_attention(
+        config: &ModelConfig,
+        layer: usize,
+        query: &[f32],
+        query_position: usize,
+        cache: &LayerKvCache,
+        ws: &mut ForwardWorkspace,
+    ) -> (Vec<f32>, Vec<Vec<f32>>) {
+        if config.positional == PositionalEncoding::Rope {
+            sync_rotated_keys(config, cache, &mut ws.rot[layer], &mut ws.attn.rope);
+        }
+        let num_heads = config.num_heads;
+        let mut context = vec![0.0; config.d_model];
+        let mut obs_data = vec![0.0; num_heads * cache.len()];
+        let mut obs_slots = vec![(0, 0); num_heads];
+        attend_chunk_query_ws(
+            config,
+            query,
+            query_position,
+            cache,
+            cache.len(),
+            &ws.rot[layer],
+            &mut ws.attn,
+            &ws.alibi_slopes,
+            &mut context,
+            &mut ObsRows {
+                rows: &mut obs_data,
+                offset: 0,
+                used: 0,
+            },
+            &mut obs_slots,
+            true,
+        );
+        let rows = obs_slots
+            .iter()
+            .map(|&(offset, len)| obs_data[offset..offset + len].to_vec())
+            .collect();
+        (context, rows)
+    }
+
+    /// The workspace's one-query attention — a decode step's — must be
+    /// bit-identical to the legacy attention for every positional family and
+    /// position mode: context, `mean_probs` and every observed logit row.
     #[test]
     fn attend_ws_is_bit_identical_to_legacy() {
         for positional in [
@@ -1592,62 +1338,27 @@ mod tests {
                 cache.retain_slots(&[0, 2, 3, 5, 6, 7, 8]).unwrap();
                 let q = query(&config);
 
-                let mut legacy_policy = FullAttention::new();
-                let mut legacy_ctx = AttentionContext {
-                    policy: &mut legacy_policy,
-                    stats: None,
-                    phase: Phase::Generation,
-                    step: 2,
-                    total_steps: 4,
-                };
-                let legacy = attend_single_query(&config, 0, &q, 9, &cache, &mut legacy_ctx);
-
+                let (legacy, legacy_rows) = legacy_attention(&config, 0, &q, 9, &cache);
                 let mut ws = ForwardWorkspace::new(&config, cache.block_size());
-                let mut ws_policy = FullAttention::new();
-                let mut ws_ctx = AttentionContext {
-                    policy: &mut ws_policy,
-                    stats: None,
-                    phase: Phase::Generation,
-                    step: 2,
-                    total_steps: 4,
-                };
-                attend_single_query_ws(
-                    &config,
-                    0,
-                    &q,
-                    9,
-                    &cache,
-                    &mut ws_ctx,
-                    &mut ws.rot[0],
-                    &mut ws.attn,
-                    &ws.alibi_slopes,
-                );
+                let (context, rows) = one_row_attention(&config, 0, &q, 9, &cache, &mut ws);
                 assert_eq!(
-                    legacy
-                        .context
-                        .iter()
-                        .map(|x| x.to_bits())
-                        .collect::<Vec<_>>(),
-                    ws.attn
-                        .context
-                        .iter()
-                        .map(|x| x.to_bits())
-                        .collect::<Vec<_>>(),
+                    bits(&legacy.context),
+                    bits(&context),
                     "{positional} / {mode} context diverged"
                 );
                 assert_eq!(
-                    legacy
-                        .mean_probs
-                        .iter()
-                        .map(|x| x.to_bits())
-                        .collect::<Vec<_>>(),
-                    ws.attn
-                        .mean_probs
-                        .iter()
-                        .map(|x| x.to_bits())
-                        .collect::<Vec<_>>(),
+                    bits(&legacy.mean_probs),
+                    bits(&ws.attn.mean_probs),
                     "{positional} / {mode} mean_probs diverged"
                 );
+                assert_eq!(legacy_rows.len(), config.num_heads);
+                for (head, (want, got)) in legacy_rows.iter().zip(&rows).enumerate() {
+                    assert_eq!(
+                        bits(want),
+                        bits(got),
+                        "{positional} / {mode} observation of head {head} diverged"
+                    );
+                }
             }
         }
     }
@@ -1684,13 +1395,13 @@ mod tests {
         xs.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// The two-GEMM chunk attention must reproduce the single-query attention
-    /// token by token — context rows, buffered observation rows and the last
-    /// token's `mean_probs`, all by bits — for every positional family and
-    /// position mode, starting behind a prefix (`pre > 0`) with `pre` and the
-    /// chunk length off the 4-row / 16-slot tile sizes. The prefix keys sit
-    /// 2000 positions apart, so under ALiBi the far ones get probabilities
-    /// that are subnormal or exactly zero on both heads.
+    /// The two-GEMM chunk attention must reproduce the legacy single-query
+    /// attention token by token — context rows, buffered observation rows and
+    /// the last token's `mean_probs`, all by bits — for every positional
+    /// family and position mode, starting behind a prefix (`pre > 0`) with
+    /// `pre` and the chunk length off the 4-row / 16-slot tile sizes. The
+    /// prefix keys sit 2000 positions apart, so under ALiBi the far ones get
+    /// probabilities that are subnormal or exactly zero on both heads.
     #[test]
     fn chunk_attention_is_bit_identical_to_single_query_attention() {
         let (pre, n, layer) = (21usize, 37usize, 1usize);
@@ -1768,10 +1479,11 @@ mod tests {
                     },
                 );
 
-                // Reference: one append and one single-query attention per token.
+                // Reference: one append and one legacy single-query
+                // attention per token.
                 let mut cache = prefixed();
-                let mut ws = ForwardWorkspace::new(&config, cache.block_size());
                 let (mut subnormal, mut zero) = (0, 0);
+                let mut last_mean_probs = Vec::new();
                 for t in 0..n {
                     let token = t * d_model..(t + 1) * d_model;
                     cache
@@ -1781,31 +1493,19 @@ mod tests {
                             &v[token.clone()],
                         )
                         .unwrap();
-                    let mut policy = RecordingPolicy::default();
-                    let mut ctx = AttentionContext {
-                        policy: &mut policy,
-                        stats: None,
-                        phase: Phase::Prompt,
-                        step: start_position + t,
-                        total_steps: 4,
-                    };
-                    attend_single_query_ws(
+                    let (legacy, observed) = legacy_attention(
                         &config,
                         layer,
                         &q[token.clone()],
                         start_position + t,
                         &cache,
-                        &mut ctx,
-                        &mut ws.rot[layer],
-                        &mut ws.attn,
-                        &ws.alibi_slopes,
                     );
                     assert_eq!(
                         bits(&context[token]),
-                        bits(&ws.attn.context),
+                        bits(&legacy.context),
                         "{positional} / {mode} context of token {t}"
                     );
-                    for (head, want) in policy.rows.iter().enumerate() {
+                    for (head, want) in observed.iter().enumerate() {
                         let (offset, len) =
                             obs_index[(t * config.num_layers + layer) * num_heads + head];
                         assert_eq!(
@@ -1813,13 +1513,15 @@ mod tests {
                             bits(want),
                             "{positional} / {mode} observation of token {t} head {head}"
                         );
+                        let probs = softmax(want);
+                        subnormal += probs.iter().filter(|p| p.is_subnormal()).count();
+                        zero += probs.iter().filter(|p| **p == 0.0).count();
                     }
-                    subnormal += ws.attn.probs.iter().filter(|p| p.is_subnormal()).count();
-                    zero += ws.attn.probs.iter().filter(|p| **p == 0.0).count();
+                    last_mean_probs = legacy.mean_probs;
                 }
                 assert_eq!(
                     bits(&chunk_mean_probs),
-                    bits(&ws.attn.mean_probs),
+                    bits(&last_mean_probs),
                     "{positional} / {mode} mean_probs of the last token"
                 );
                 if (positional, mode) == (PositionalEncoding::Alibi, PositionMode::Original) {
@@ -1992,40 +1694,21 @@ mod tests {
     }
 
     /// Re-attending with the same workspace must give the same bits (the
-    /// rotated-key cache serves instead of recomputing).
+    /// rotated-key cache serves instead of recomputing), and the legacy
+    /// attention's.
     #[test]
     fn cached_rotations_serve_repeat_queries() {
         let config = ModelConfig::tiny();
         let cache = filled_cache(&config, 7);
         let q = query(&config);
         let mut ws = ForwardWorkspace::new(&config, cache.block_size());
-        let run = |ws: &mut ForwardWorkspace| {
-            let mut policy = FullAttention::new();
-            let mut ctx = AttentionContext {
-                policy: &mut policy,
-                stats: None,
-                phase: Phase::Generation,
-                step: 0,
-                total_steps: 1,
-            };
-            attend_single_query_ws(
-                &config,
-                0,
-                &q,
-                7,
-                &cache,
-                &mut ctx,
-                &mut ws.rot[0],
-                &mut ws.attn,
-                &ws.alibi_slopes,
-            );
-            ws.attn.context.clone()
-        };
-        let first = run(&mut ws);
+        let first = one_row_attention(&config, 0, &q, 7, &cache, &mut ws).0;
         let covered = ws.rot[0].covered_slots();
         assert_eq!(covered, 7);
-        let second = run(&mut ws);
+        let second = one_row_attention(&config, 0, &q, 7, &cache, &mut ws).0;
         assert_eq!(first, second);
+        let legacy = legacy_attention(&config, 0, &q, 7, &cache).0;
+        assert_eq!(bits(&first), bits(&legacy.context));
     }
 
     #[test]

@@ -1130,16 +1130,29 @@ impl<'m> Engine<'m> {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] if the request's overrides are
-    /// invalid, or if [`SubmitOptions::kv_dtype`] asks for *more* bytes per
-    /// value than the engine's [`ServerConfig::kv_dtype`] — the pool was
-    /// sized at the config dtype, so wider requests would silently overcommit
-    /// it; the request is not enqueued.
+    /// invalid, if its prompt plus `max_new_tokens` exceeds the model's
+    /// context (`max_seq_len`), or if [`SubmitOptions::kv_dtype`] asks for
+    /// *more* bytes per value than the engine's [`ServerConfig::kv_dtype`] —
+    /// the pool was sized at the config dtype, so wider requests would
+    /// silently overcommit it; the request is not enqueued.
     pub fn submit_with(
         &mut self,
         request: Request,
         options: SubmitOptions,
     ) -> Result<RequestHandle, CoreError> {
         request.overrides.validate()?;
+        // Bounds every per-request reservation and slot count downstream.
+        let max_seq_len = self.model.config().max_seq_len;
+        let (prompt_len, max_new_tokens) = (request.prompt.len(), request.config.max_new_tokens);
+        if prompt_len
+            .checked_add(max_new_tokens)
+            .is_none_or(|total| total > max_seq_len)
+        {
+            return Err(CoreError::InvalidConfig(format!(
+                "a {prompt_len}-token prompt plus max_new_tokens {max_new_tokens} exceeds \
+                 the model's context of {max_seq_len} tokens"
+            )));
+        }
         if let Some(dtype) = options.kv_dtype {
             if dtype.bytes_per_value() > self.config.kv_dtype.bytes_per_value() {
                 return Err(CoreError::InvalidConfig(format!(
@@ -2686,6 +2699,35 @@ mod tests {
             .unwrap();
         f32_engine.run(10_000);
         assert_eq!(f32_engine.completions().len(), 1);
+    }
+
+    /// A request longer than the model's context is refused at submission —
+    /// before it can reserve `prompt + max_new_tokens` slots — at sizes that
+    /// would abort the process or overflow, and one token past the limit.
+    /// The engine stays idle; a request that exactly fills the context runs.
+    #[test]
+    fn requests_longer_than_the_context_are_rejected_at_submission() {
+        let model = ModelFamily::Tiny.build(34);
+        let max_seq_len = model.config().max_seq_len;
+        let mut engine = keyformer_engine(&model, 256);
+        for max_new_tokens in [10_000_000_000, u64::MAX as usize, max_seq_len - 11] {
+            let request = Request::new(0, prompt(12, 0), GenerationConfig::new(max_new_tokens));
+            let err = engine.submit(request).unwrap_err();
+            assert!(
+                matches!(err, CoreError::InvalidConfig(_)),
+                "{max_new_tokens}: {err}"
+            );
+            assert!(engine.is_idle());
+        }
+        let fits = GenerationConfig::new(max_seq_len - 12);
+        engine.submit(Request::new(1, prompt(12, 1), fits)).unwrap();
+        engine.run(10_000);
+        assert_eq!(engine.completions().len(), 1);
+        assert_eq!(
+            engine.completions()[0].output.generated.len(),
+            max_seq_len - 12
+        );
+        assert!(engine.is_idle());
     }
 
     /// Prefix entries are keyed by (policy, dtype): requests of different

@@ -7,7 +7,8 @@
 //! request up front) and a few warm-up decode steps have filled the
 //! fixed-capacity scratch buffers and crossed the first block boundary, the
 //! counter is armed and several more decode steps run entirely inside one KV
-//! block. The assertion is exact: not "few allocations", zero.
+//! block. The assertion is exact: not "few allocations", zero. It holds
+//! behind a prompt that fills a block and behind one shorter than its reply.
 //!
 //! A second test pins the eviction data path itself: a single-slot
 //! `retain_slots` on a warmed `f32` layer with private blocks, plus the
@@ -32,6 +33,7 @@ use keyformer::core::cache::LayerKvCache;
 use keyformer::core::RotatedKeyCache;
 use keyformer::model::families::ModelFamily;
 use keyformer::model::generation::GenerationConfig;
+use keyformer::model::model::TransformerModel;
 use keyformer::model::session::Session;
 use keyformer::model::workspace::ForwardPath;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -83,27 +85,49 @@ static WINDOW: Mutex<()> = Mutex::new(());
 fn steady_state_workspace_decode_allocates_nothing() {
     let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
     let model = ModelFamily::Tiny.build(11);
-    let policy = keyformer::core::spec::PolicySpec::Full.build().unwrap();
-    let mut session = Session::new(&model, policy, None).with_forward_path(ForwardPath::Workspace);
+    // (prompt tokens, new tokens, warm-up steps), both with 8 counted steps.
+    // A 16-token prompt is one full 16-slot block: its first decode forward
+    // opens block 1 (an allowed boundary allocation) and the counted steps
+    // append into block 1 (slots 16..=31 — positions 20..=27 here). A
+    // 3-token prompt is shorter than its reply: the counted steps append
+    // inside block 0 (slots 5..=12), and from slot 6 on a step buffers more
+    // observation rows than the whole prompt did, so decode scratch grows
+    // past the prefill's.
+    for (prompt_len, new_tokens, warm_up) in [(16u32, 14, 4), (3, 14, 2)] {
+        // Each request runs on a fresh thread, whose chunk scratch starts
+        // empty: no earlier prefill on the thread has grown it.
+        std::thread::scope(|scope| {
+            scope
+                .spawn(|| decode_allocates_nothing(&model, prompt_len, new_tokens, warm_up))
+                .join()
+                .unwrap()
+        });
+    }
+}
 
-    // One full 16-slot block of prompt; begin() reserves sequence and
-    // per-slot attention scratch for the whole request.
-    let prompt: Vec<u32> = (0..16).map(|i| (i * 7 + 3) % 128).collect();
-    let config = GenerationConfig::new(14);
+/// Runs one request and asserts that 8 decode steps after `warm_up` steps
+/// allocate nothing.
+fn decode_allocates_nothing(
+    model: &TransformerModel,
+    prompt_len: u32,
+    new_tokens: usize,
+    warm_up: usize,
+) {
+    let policy = keyformer::core::spec::PolicySpec::Full.build().unwrap();
+    let mut session = Session::new(model, policy, None).with_forward_path(ForwardPath::Workspace);
+    // begin() reserves sequence and per-slot scratch for the whole request.
+    let prompt: Vec<u32> = (0..prompt_len).map(|i| (i * 7 + 3) % 128).collect();
+    let config = GenerationConfig::new(new_tokens);
     session.begin(&prompt, &config).unwrap();
     while session.is_prefilling() {
         session.advance_prefill().unwrap();
     }
 
-    // Warm-up: the first decode forward opens block 1 (an allowed boundary
-    // allocation) and later steps settle every scratch buffer at its final
-    // capacity.
-    for _ in 0..4 {
+    // Warm-up: settles every scratch buffer at its final capacity.
+    for _ in 0..warm_up {
         session.step().unwrap();
     }
 
-    // Counted window: 8 decode steps, all appending into block 1
-    // (slots 16..=31 — positions 20..=27 here).
     ALLOCATIONS.store(0, Ordering::SeqCst);
     COUNTING.store(true, Ordering::SeqCst);
     for _ in 0..8 {
@@ -115,7 +139,8 @@ fn steady_state_workspace_decode_allocates_nothing() {
     assert_eq!(
         allocations, 0,
         "steady-state decode on the workspace path must not touch the \
-         allocator; counted {allocations} allocation(s) over 8 steps"
+         allocator; counted {allocations} allocation(s) over 8 steps behind a \
+         {prompt_len}-token prompt"
     );
 
     // The request itself stayed healthy.
@@ -123,7 +148,7 @@ fn steady_state_workspace_decode_allocates_nothing() {
         session.step().unwrap();
     }
     let out = session.take_output().unwrap();
-    assert_eq!(out.generated.len(), 14);
+    assert_eq!(out.generated.len(), new_tokens);
 }
 
 #[test]
