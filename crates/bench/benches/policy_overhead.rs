@@ -6,7 +6,7 @@ use keyformer_bench::{observation, synthetic_logits};
 use keyformer_core::accumulator::ScoreScope;
 use keyformer_core::adjustment::LogitAdjustment;
 use keyformer_core::budget::CacheBudget;
-use keyformer_core::policies::keyformer::{Keyformer, KeyformerConfig};
+use keyformer_core::policies::scored::{KeyformerConfig, ScoredPolicy};
 use keyformer_core::policy::KvCachePolicy;
 use keyformer_core::spec::PolicySpec;
 use keyformer_core::temperature::TemperatureSchedule;
@@ -32,7 +32,7 @@ fn bench_score_function(c: &mut Criterion) {
         LogitAdjustment::paper_gaussian(),
         LogitAdjustment::Gumbel,
     ] {
-        let mut policy = Keyformer::new(
+        let mut policy = ScoredPolicy::keyformer(
             KeyformerConfig::default()
                 .with_adjustment(adjustment)
                 .with_temperature(TemperatureSchedule::default())

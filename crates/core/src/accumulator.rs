@@ -1,9 +1,15 @@
 //! Score-function accumulation across decode steps, heads and (optionally) layers.
 //!
-//! Both H2O and Keyformer identify key tokens from a score that is *accumulated* over
-//! decoding steps (Section 3.3.2 of the paper). The accumulator also has to survive
-//! cache compaction: when slots are evicted, the per-slot running totals must be
-//! gathered down to the retained subset, exactly like the keys and values themselves.
+//! Every scored policy (H2O, Damped, Key-only and Keyformer, the four configurations
+//! of [`crate::policies::scored::ScoredPolicy`]) identifies key tokens from a score
+//! that is *accumulated* over decoding steps (Section 3.3.2 of the paper): the sum of
+//! one softmax row per observed head and step. Damped scales every row by the same
+//! α, so its totals are H2O's times α (up to rounding) and rank the slots the same
+//! way. With [`ScoreScope::Shared`] the rows of every layer go into one bucket.
+//!
+//! The accumulator also has to survive cache compaction: when slots are evicted, the
+//! per-slot running totals must be gathered down to the retained subset, exactly like
+//! the keys and values themselves.
 
 use serde::{Deserialize, Serialize};
 
@@ -94,11 +100,15 @@ impl ScoreAccumulator {
     /// Gathers the running totals of `layer`'s bucket down to the retained slots,
     /// mirroring a cache compaction.
     ///
-    /// With [`ScoreScope::Shared`] every layer maps to the same bucket, so the caller
-    /// must take care to compact the shared bucket exactly once per eviction decision
-    /// (the Keyformer and H2O policies do this by only compacting on `layer == 0`
-    /// when sharing).
+    /// With [`ScoreScope::Shared`] every layer maps to the same bucket, which must
+    /// be compacted exactly once per eviction round: only `layer == 0` compacts it
+    /// and every other layer's call is a no-op. The caller therefore selects every
+    /// layer's survivors (all equal, read from the same scores) before it compacts
+    /// layer 0.
     pub fn compact(&mut self, layer: usize, retained: &[usize]) {
+        if self.scope == ScoreScope::Shared && layer != 0 {
+            return;
+        }
         let idx = self.bucket_index(layer);
         if let Some(bucket) = self.buckets.get_mut(idx) {
             let gathered: Vec<f32> = retained
@@ -162,6 +172,17 @@ mod tests {
         assert_eq!(acc.scores(0, 2), vec![1.0, 4.0]);
         // Padding applies when asked for more live slots than stored.
         assert_eq!(acc.scores(0, 3), vec![1.0, 4.0, 0.0]);
+    }
+
+    #[test]
+    fn shared_bucket_is_compacted_by_layer_zero_only() {
+        let mut acc = ScoreAccumulator::new(ScoreScope::Shared);
+        acc.accumulate(0, &[1.0, 2.0, 3.0, 4.0]);
+        acc.accumulate(1, &[1.0, 2.0, 3.0, 4.0]);
+        // One round over two layers: both select [1, 3] from the same scores.
+        acc.compact(0, &[1, 3]);
+        acc.compact(1, &[1, 3]);
+        assert_eq!(acc.scores(1, 2), vec![4.0, 8.0]);
     }
 
     #[test]

@@ -14,18 +14,21 @@
 //!    implements: it observes the unnormalized attention logits produced at each
 //!    decode step and, when asked, returns the set of slots to retain.
 //! 3. The policy zoo in [`policies`] — Full attention, Window / Dilated-window
-//!    attention, key-token-only attention, H2O (heavy hitters), a damped-score
-//!    variant (Figure 5), StreamingLLM-style attention sinks, and **Keyformer**
-//!    itself.
+//!    attention, StreamingLLM-style attention sinks, and one
+//!    [`ScoredPolicy`] that accumulates a softmax score per slot and keeps the
+//!    recent window plus the top-scoring older slots. Its four configurations are
+//!    key-token-only attention (no recent window), H2O (heavy hitters), a
+//!    damped-score variant (Figure 5; it selects what H2O selects) and
+//!    **Keyformer** itself (Gumbel noise and an annealed temperature).
 //!
 //! ```
 //! use keyformer_core::budget::CacheBudget;
 //! use keyformer_core::observation::{AttentionObservation, Phase};
-//! use keyformer_core::policies::keyformer::{Keyformer, KeyformerConfig};
+//! use keyformer_core::policies::scored::{KeyformerConfig, ScoredPolicy};
 //! use keyformer_core::policy::KvCachePolicy;
 //!
 //! // A Keyformer policy with a 4-slot budget, 2 of which are a recent window.
-//! let mut policy = Keyformer::new(KeyformerConfig::default().with_seed(7));
+//! let mut policy = ScoredPolicy::keyformer(KeyformerConfig::default().with_seed(7));
 //! let budget = CacheBudget::new(4, 2);
 //!
 //! // Observe one decode step over a 6-token cache, then compact 6 -> 4.
@@ -94,8 +97,7 @@ pub use budget::{CacheBudget, CacheBudgetSpec};
 pub use cache::{KvBlockMeta, KvCache, LayerKvCache};
 pub use observation::{AttentionObservation, Phase};
 pub use policies::full::FullAttention;
-pub use policies::h2o::H2O;
-pub use policies::keyformer::{Keyformer, KeyformerConfig};
+pub use policies::scored::{KeyformerConfig, ScoredPolicy};
 pub use policies::streaming::StreamingLlm;
 pub use policies::window::WindowAttention;
 pub use policy::KvCachePolicy;

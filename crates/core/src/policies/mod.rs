@@ -4,16 +4,30 @@
 //! |---|---|---|
 //! | [`full`] | Full Attention | never evicts (gold-standard baseline) |
 //! | [`window`] | Window / Dilated Window Attention | most recent `k` slots (optionally dilated) |
-//! | [`key_only`] | Key Attention (Figure 3c) | top-`k` slots by accumulated attention, no recent window |
-//! | [`h2o`] | H2O heavy hitters | recent window + top accumulated softmax attention |
-//! | [`damped`] | Damped score function (Figure 5) | H2O with the score multiplied by a damping factor α |
 //! | [`streaming`] | StreamingLLM attention sinks | first `s` sink tokens + recent window |
-//! | [`keyformer`] | **Keyformer** | recent window + top accumulated Gumbel-softmax score with temperature annealing |
+//! | [`scored`] | Key Attention (Figure 3c) | top-`k` slots by accumulated softmax attention, no recent window |
+//! | [`scored`] | H2O heavy hitters | recent window + top accumulated softmax attention |
+//! | [`scored`] | Damped score function (Figure 5) | H2O with every step's contribution multiplied by α (selects what H2O selects) |
+//! | [`scored`] | **Keyformer** | recent window + top accumulated Gumbel-softmax score with temperature annealing |
+//!
+//! The last four are configurations of one [`scored::ScoredPolicy`].
 
-pub mod damped;
 pub mod full;
-pub mod h2o;
-pub mod key_only;
-pub mod keyformer;
+pub mod scored;
 pub mod streaming;
 pub mod window;
+
+// The unit tests of the four scored configurations, one module each, so a
+// configuration's test ids read `policies::<configuration>::tests::…`.
+#[cfg(test)]
+#[path = "scored_tests/damped.rs"]
+mod damped;
+#[cfg(test)]
+#[path = "scored_tests/h2o.rs"]
+mod h2o;
+#[cfg(test)]
+#[path = "scored_tests/key_only.rs"]
+mod key_only;
+#[cfg(test)]
+#[path = "scored_tests/keyformer.rs"]
+mod keyformer;

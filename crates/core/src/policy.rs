@@ -14,7 +14,9 @@ use crate::observation::AttentionObservation;
 ///    [`select_retained`](KvCachePolicy::select_retained) to get the surviving slots;
 /// 3. after compacting the cache the model calls
 ///    [`compact`](KvCachePolicy::compact) so the policy can gather its own per-slot
-///    state (accumulated scores) down to the same subset.
+///    state (accumulated scores) down to the same subset. The model selects every
+///    layer of an eviction round before it compacts any, so a score shared across
+///    layers is read uncompacted by all of them.
 ///
 /// The retained-slot contract: the returned vector must be sorted, contain unique
 /// in-bounds indices, and have length `min(live, budget.capacity())`.

@@ -6,11 +6,8 @@
 
 use crate::accumulator::ScoreScope;
 use crate::adjustment::LogitAdjustment;
-use crate::policies::damped::DampedAttention;
 use crate::policies::full::FullAttention;
-use crate::policies::h2o::{H2OConfig, H2O};
-use crate::policies::key_only::KeyOnlyAttention;
-use crate::policies::keyformer::{Keyformer, KeyformerConfig};
+use crate::policies::scored::{KeyformerConfig, ScoredPolicy};
 use crate::policies::streaming::StreamingLlm;
 use crate::policies::window::{DilatedWindowAttention, WindowAttention};
 use crate::policy::KvCachePolicy;
@@ -115,9 +112,9 @@ impl PolicySpec {
             PolicySpec::DilatedWindow { dilation } => {
                 Box::new(DilatedWindowAttention::new(dilation))
             }
-            PolicySpec::KeyOnly => Box::new(KeyOnlyAttention::new()),
-            PolicySpec::H2O { scope } => Box::new(H2O::new(H2OConfig { scope })),
-            PolicySpec::Damped { alpha } => Box::new(DampedAttention::new(alpha)?),
+            PolicySpec::KeyOnly => Box::new(ScoredPolicy::key_only()),
+            PolicySpec::H2O { scope } => Box::new(ScoredPolicy::h2o(scope)),
+            PolicySpec::Damped { alpha } => Box::new(ScoredPolicy::damped(alpha)?),
             PolicySpec::StreamingLlm { sinks } => Box::new(StreamingLlm::new(sinks)),
             PolicySpec::Keyformer {
                 adjustment,
@@ -132,7 +129,7 @@ impl PolicySpec {
                     seed,
                 };
                 config.validate()?;
-                Box::new(Keyformer::new(config))
+                Box::new(ScoredPolicy::keyformer(config))
             }
         })
     }

@@ -456,6 +456,9 @@ impl<'m> Session<'m> {
         let Some(budget) = self.budget else {
             return Ok(());
         };
+        // Every layer selects before any compacts: a shared score bucket is
+        // compacted once per round, and each layer must read it uncompacted.
+        let mut selections = Vec::new();
         for layer in 0..self.cache.num_layers() {
             let live = self.cache.layer(layer).len();
             if !budget.needs_eviction(live) {
@@ -463,6 +466,9 @@ impl<'m> Session<'m> {
             }
             let retained = self.policy.select_retained(layer, live, &budget);
             keyformer_core::cache::validate_selection(&retained, live)?;
+            selections.push((layer, retained));
+        }
+        for (layer, retained) in selections {
             self.ws.retain_slots(
                 self.model.config(),
                 layer,
@@ -1161,6 +1167,8 @@ mod tests {
     use super::*;
     use crate::families::ModelFamily;
     use crate::positional::PositionalEncoding;
+    use keyformer_core::accumulator::ScoreScope;
+    use keyformer_core::policies::scored::{KeyformerConfig, ScoredPolicy};
     use keyformer_core::spec::PolicySpec;
     use std::sync::{Arc, Mutex};
 
@@ -1756,13 +1764,18 @@ mod tests {
     /// total_steps, logit bits)`.
     type Observed = (usize, usize, Phase, usize, usize, Vec<u32>);
 
-    /// Keyformer that also logs, by bits, every observation it is fed and the
-    /// accumulated scores behind each eviction decision.
+    /// One layer's eviction decision: `(layer, retained slots)`.
+    type Kept = (usize, Vec<usize>);
+
+    /// A scored policy (Keyformer by default) that also logs, by bits, every
+    /// observation it is fed, and the accumulated scores behind and the slots
+    /// kept by each layer's eviction decision.
     #[derive(Clone, Default)]
     struct Tap {
-        inner: keyformer_core::policies::keyformer::Keyformer,
+        inner: ScoredPolicy,
         observations: Arc<Mutex<Vec<Observed>>>,
         scores: Arc<Mutex<Vec<Vec<u32>>>>,
+        selections: Arc<Mutex<Vec<Kept>>>,
     }
 
     impl KvCachePolicy for Tap {
@@ -1791,7 +1804,12 @@ mod tests {
                 .lock()
                 .unwrap()
                 .push(scores.iter().map(|s| s.to_bits()).collect());
-            self.inner.select_retained(layer, live, budget)
+            let retained = self.inner.select_retained(layer, live, budget);
+            self.selections
+                .lock()
+                .unwrap()
+                .push((layer, retained.clone()));
+            retained
         }
         fn compact(&mut self, layer: usize, retained: &[usize]) {
             self.inner.compact(layer, retained);
@@ -1801,6 +1819,48 @@ mod tests {
         }
         fn clone_box(&self) -> Box<dyn KvCachePolicy> {
             Box::new(self.clone())
+        }
+    }
+
+    /// A Shared-scope Keyformer keeps one score bucket for every layer and
+    /// compacts it once per eviction round: in every round, at the prompt-end
+    /// cut and at each decode step at budget, all layers read the same
+    /// uncompacted scores, so they keep the same slots, and every live slot
+    /// (each one observed before the eviction) has a nonzero score rather than
+    /// a zero pad.
+    #[test]
+    fn shared_scope_layers_select_from_the_same_uncompacted_scores() {
+        let model = ModelFamily::Tiny.build(1);
+        let layers = model.config().num_layers;
+        assert!(layers > 1);
+        let tap = Tap {
+            inner: ScoredPolicy::keyformer(
+                KeyformerConfig::default().with_scope(ScoreScope::Shared),
+            ),
+            ..Tap::default()
+        };
+        let (scores, selections) = (Arc::clone(&tap.scores), Arc::clone(&tap.selections));
+        let budget = CacheBudgetSpec::new(0.5, 0.3).unwrap();
+        Session::new(&model, Box::new(tap), Some(budget))
+            .generate(&prompt(40), &GenerationConfig::new(8))
+            .unwrap();
+        let (scores, selections) = (scores.lock().unwrap(), selections.lock().unwrap());
+        // The prompt-end cut, then one round per decode forward: 7 of the 8
+        // generated tokens are fed back.
+        assert_eq!(selections.len(), 8 * layers);
+        for (round, (kept, scores)) in selections
+            .chunks(layers)
+            .zip(scores.chunks(layers))
+            .enumerate()
+        {
+            for (layer, ((l, retained), layer_scores)) in kept.iter().zip(scores).enumerate() {
+                assert_eq!(*l, layer, "round {round}");
+                assert_eq!(retained, &kept[0].1, "round {round}, layer {layer}");
+                assert!(
+                    layer_scores.iter().all(|&s| f32::from_bits(s) > 0.0),
+                    "round {round}, layer {layer} read a zero-padded score"
+                );
+            }
         }
     }
 

@@ -10,7 +10,11 @@
 //! block. The assertion is exact: not "few allocations", zero. It holds
 //! behind a prompt that fills a block and behind one shorter than its reply.
 //!
-//! A second test pins the eviction data path itself: a single-slot
+//! A second test pins the score function: every scored policy (Key-only, H2O,
+//! Damped, Keyformer; both accumulation scopes) observes a warmed-up logit row
+//! through its own scratch, without allocating.
+//!
+//! A third test pins the eviction data path itself: a single-slot
 //! `retain_slots` on a warmed `f32` layer with private blocks, plus the
 //! rotated-row hand-off that lets RoPE rows follow their keys, moves rows in
 //! place and never touches the allocator either. (A whole Keyformer decode
@@ -28,9 +32,13 @@
 // delegates straight to the system allocator.
 #![allow(unsafe_code)]
 
+use keyformer::core::accumulator::ScoreScope;
 use keyformer::core::block::SharedBlockPool;
 use keyformer::core::cache::LayerKvCache;
-use keyformer::core::RotatedKeyCache;
+use keyformer::core::observation::{AttentionObservation, Phase};
+use keyformer::core::policy::KvCachePolicy;
+use keyformer::core::spec::PolicySpec;
+use keyformer::core::{KeyformerConfig, RotatedKeyCache};
 use keyformer::model::families::ModelFamily;
 use keyformer::model::generation::GenerationConfig;
 use keyformer::model::model::TransformerModel;
@@ -113,7 +121,7 @@ fn decode_allocates_nothing(
     new_tokens: usize,
     warm_up: usize,
 ) {
-    let policy = keyformer::core::spec::PolicySpec::Full.build().unwrap();
+    let policy = PolicySpec::Full.build().unwrap();
     let mut session = Session::new(model, policy, None).with_forward_path(ForwardPath::Workspace);
     // begin() reserves sequence and per-slot scratch for the whole request.
     let prompt: Vec<u32> = (0..prompt_len).map(|i| (i * 7 + 3) % 128).collect();
@@ -149,6 +157,68 @@ fn decode_allocates_nothing(
     }
     let out = session.take_output().unwrap();
     assert_eq!(out.generated.len(), new_tokens);
+}
+
+#[test]
+fn scored_policy_observe_allocates_nothing() {
+    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
+    let c = KeyformerConfig::default();
+    let keyformer = |scope| PolicySpec::Keyformer {
+        adjustment: c.adjustment,
+        temperature: c.temperature,
+        scope,
+        seed: c.seed,
+    };
+    let logits: Vec<f32> = (0..97)
+        .map(|i| ((i * 11) % 13) as f32 * 0.3 - 1.5)
+        .collect();
+    for spec in [
+        PolicySpec::KeyOnly,
+        PolicySpec::h2o_default(),
+        PolicySpec::H2O {
+            scope: ScoreScope::Shared,
+        },
+        PolicySpec::Damped { alpha: 0.9 },
+        keyformer(ScoreScope::PerLayer),
+        keyformer(ScoreScope::Shared),
+    ] {
+        let mut policy = spec.build().unwrap();
+        let observe = |policy: &mut dyn KvCachePolicy, head: usize, step: usize| {
+            policy.observe(&AttentionObservation {
+                layer: 0,
+                head,
+                phase: Phase::Generation,
+                step,
+                total_steps: 16,
+                logits: &logits,
+            });
+        };
+        // One warm-up observation sizes the scratch and the score bucket.
+        observe(policy.as_mut(), 0, 0);
+
+        // The counter is process-global, and these windows are short enough
+        // to overlap the test harness still recording the previous test's
+        // result: keep the quietest of three. A policy that allocates when it
+        // observes counts in every window.
+        let windows: Vec<usize> = (0..3)
+            .map(|window| {
+                ALLOCATIONS.store(0, Ordering::SeqCst);
+                COUNTING.store(true, Ordering::SeqCst);
+                for step in 0..8 {
+                    observe(policy.as_mut(), step % 2, 8 * window + step);
+                }
+                COUNTING.store(false, Ordering::SeqCst);
+                ALLOCATIONS.load(Ordering::SeqCst)
+            })
+            .collect();
+
+        assert_eq!(
+            windows.iter().min(),
+            Some(&0),
+            "{spec}: a warmed policy must observe without allocating; counted \
+             {windows:?} allocation(s) in three windows of 8 observations"
+        );
+    }
 }
 
 #[test]
