@@ -79,10 +79,20 @@ impl ScoreAccumulator {
     /// The bucket grows automatically if the cache has gained slots since the last
     /// call, so newly appended tokens start with a zero score.
     pub fn accumulate(&mut self, layer: usize, contribution: &[f32]) {
-        let bucket = self.ensure_bucket(layer, contribution.len());
-        for (total, &c) in bucket.iter_mut().zip(contribution) {
-            *total += c;
-        }
+        add_row(self.ensure_bucket(layer, contribution.len()), contribution);
+    }
+
+    /// Grows `layer`'s bucket to at least `len` slots, as accumulating a
+    /// `len`-slot row would, without adding anything.
+    pub(crate) fn grow(&mut self, layer: usize, len: usize) {
+        self.ensure_bucket(layer, len);
+    }
+
+    /// Every bucket, in layer order under [`ScoreScope::PerLayer`], so worker
+    /// threads can each take the buckets of their own layers (grown first
+    /// with [`ScoreAccumulator::grow`]) and [`add_row`] into them.
+    pub(crate) fn buckets_mut(&mut self) -> &mut [Vec<f32>] {
+        &mut self.buckets
     }
 
     /// Current per-slot scores for `layer`, padded with zeros up to `live` slots.
@@ -98,7 +108,8 @@ impl ScoreAccumulator {
     }
 
     /// Gathers the running totals of `layer`'s bucket down to the retained slots,
-    /// mirroring a cache compaction.
+    /// mirroring a cache compaction, in place. `retained` is strictly increasing,
+    /// as the retained-slot contract of [`crate::policy::KvCachePolicy`] requires.
     ///
     /// With [`ScoreScope::Shared`] every layer maps to the same bucket, which must
     /// be compacted exactly once per eviction round: only `layer == 0` compacts it
@@ -111,17 +122,30 @@ impl ScoreAccumulator {
         }
         let idx = self.bucket_index(layer);
         if let Some(bucket) = self.buckets.get_mut(idx) {
-            let gathered: Vec<f32> = retained
-                .iter()
-                .map(|&i| bucket.get(i).copied().unwrap_or(0.0))
-                .collect();
-            *bucket = gathered;
+            // In place, front to back: `retained` is strictly increasing, so
+            // `retained[to] >= to` and no total is overwritten before it is
+            // read. Slots past the bucket's end gather as zero.
+            if bucket.len() < retained.len() {
+                bucket.resize(retained.len(), 0.0);
+            }
+            for (to, &from) in retained.iter().enumerate() {
+                bucket[to] = bucket.get(from).copied().unwrap_or(0.0);
+            }
+            bucket.truncate(retained.len());
         }
     }
 
     /// Resets every bucket.
     pub fn reset(&mut self) {
         self.buckets.clear();
+    }
+}
+
+/// Adds `contribution[i]` to `bucket[i]`: the one accumulation every row of
+/// every scored policy goes through, on whichever thread.
+pub(crate) fn add_row(bucket: &mut [f32], contribution: &[f32]) {
+    for (total, &c) in bucket.iter_mut().zip(contribution) {
+        *total += c;
     }
 }
 
@@ -172,6 +196,17 @@ mod tests {
         assert_eq!(acc.scores(0, 2), vec![1.0, 4.0]);
         // Padding applies when asked for more live slots than stored.
         assert_eq!(acc.scores(0, 3), vec![1.0, 4.0, 0.0]);
+    }
+
+    #[test]
+    fn compact_in_place_keeps_every_retained_total() {
+        let mut acc = ScoreAccumulator::new(ScoreScope::PerLayer);
+        acc.accumulate(0, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        acc.compact(0, &[1, 2, 4, 5]);
+        assert_eq!(acc.scores(0, 4), vec![2.0, 3.0, 5.0, 6.0]);
+        // Retained slots past the bucket's end gather as zero.
+        acc.compact(0, &[0, 3, 4, 6]);
+        assert_eq!(acc.scores(0, 4), vec![2.0, 6.0, 0.0, 0.0]);
     }
 
     #[test]

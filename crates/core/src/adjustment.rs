@@ -55,6 +55,18 @@ impl LogitAdjustment {
         }
     }
 
+    /// How many `next_u64` words one [`sample`](LogitAdjustment::sample) takes
+    /// from the RNG, always the same for a variant. A worker that skips another
+    /// worker's rows steps its RNG copy past `len × draws_per_logit()` words and
+    /// stays on the sequential stream.
+    pub fn draws_per_logit(&self) -> usize {
+        match self {
+            LogitAdjustment::None | LogitAdjustment::Constant(_) => 0,
+            LogitAdjustment::Gaussian { .. } => 2,
+            LogitAdjustment::Gumbel => 1,
+        }
+    }
+
     /// Returns `x_i + ζ_i` for every logit, drawing independent samples per position.
     pub fn adjust<R: Rng>(&self, logits: &[f32], rng: &mut R) -> Vec<f32> {
         let mut out = Vec::with_capacity(logits.len());
@@ -163,6 +175,32 @@ mod tests {
         assert_eq!(LogitAdjustment::paper_gaussian().label(), "gaussian");
         assert!(LogitAdjustment::Gumbel.to_string().contains("gumbel"));
         assert!(LogitAdjustment::Constant(1.5).to_string().contains("1.5"));
+    }
+
+    /// The invariant the layer-split replay rests on: adjusting `n` logits
+    /// moves the RNG exactly `n × draws_per_logit()` words, for every variant
+    /// (a rejection sampler would break it, and must fail here).
+    #[test]
+    fn adjusting_n_logits_takes_exactly_n_times_draws_per_logit_words() {
+        use rand::RngCore;
+        let logits: Vec<f32> = (0..37).map(|i| i as f32 * 0.25 - 3.0).collect();
+        let mut out = Vec::new();
+        for adjustment in [
+            LogitAdjustment::None,
+            LogitAdjustment::paper_constant(),
+            LogitAdjustment::paper_gaussian(),
+            LogitAdjustment::Gumbel,
+        ] {
+            for n in [0, 1, 2, 37] {
+                let mut rng = StdRng::seed_from_u64(n as u64 + 17);
+                let mut skipped = rng.clone();
+                adjustment.adjust_into(&logits[..n], &mut rng, &mut out);
+                for _ in 0..n * adjustment.draws_per_logit() {
+                    skipped.next_u64();
+                }
+                assert_eq!(rng, skipped, "{adjustment} over {n} logits");
+            }
+        }
     }
 
     #[test]

@@ -83,6 +83,7 @@ pub mod budget;
 pub mod cache;
 pub mod diagnostics;
 pub mod observation;
+pub mod parallel;
 pub mod policies;
 pub mod policy;
 pub mod prefix;
@@ -95,7 +96,7 @@ pub use adjustment::LogitAdjustment;
 pub use block::{BlockId, BlockPool, BlockPoolStats, OvercommitPolicy, SharedBlockPool};
 pub use budget::{CacheBudget, CacheBudgetSpec};
 pub use cache::{KvBlockMeta, KvCache, LayerKvCache};
-pub use observation::{AttentionObservation, Phase};
+pub use observation::{AttentionObservation, ObservationRows, Phase};
 pub use policies::full::FullAttention;
 pub use policies::scored::{KeyformerConfig, ScoredPolicy};
 pub use policies::streaming::StreamingLlm;

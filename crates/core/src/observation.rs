@@ -61,6 +61,63 @@ impl<'a> AttentionObservation<'a> {
     }
 }
 
+/// The buffered observations of a run of consecutive tokens: for each token,
+/// one logit row per `(layer, head)`, in the order a token-at-a-time forward
+/// would have produced them. Token `t` of the run is decode iteration
+/// `first_step + t`.
+#[derive(Debug, Clone, Copy)]
+pub struct ObservationRows<'a> {
+    /// Inference phase of every token in the run.
+    pub phase: Phase,
+    /// Decode iteration of the run's first token.
+    pub first_step: usize,
+    /// Planned text-generation length `T`, used by temperature schedules.
+    pub total_steps: usize,
+    /// Decoder layers per token.
+    pub num_layers: usize,
+    /// Attention heads per layer.
+    pub num_heads: usize,
+    /// `(offset, len)` of each row in `data`, indexed
+    /// `(token * num_layers + layer) * num_heads + head`.
+    pub index: &'a [(usize, usize)],
+    /// The logit rows the index points into.
+    pub data: &'a [f32],
+}
+
+impl<'a> ObservationRows<'a> {
+    /// Number of tokens in the run.
+    pub fn tokens(&self) -> usize {
+        self.index.len() / (self.num_layers * self.num_heads)
+    }
+
+    /// Total logits over every row of the run.
+    pub fn total_logits(&self) -> usize {
+        self.index.iter().map(|&(_, len)| len).sum()
+    }
+
+    /// The logit row of `(token, layer, head)`.
+    pub fn logits(&self, token: usize, layer: usize, head: usize) -> &'a [f32] {
+        let (offset, len) = self.index[(token * self.num_layers + layer) * self.num_heads + head];
+        &self.data[offset..offset + len]
+    }
+
+    /// Every row as an observation, token-major: the sequential order.
+    pub fn iter(self) -> impl Iterator<Item = AttentionObservation<'a>> {
+        (0..self.tokens()).flat_map(move |token| {
+            (0..self.num_layers).flat_map(move |layer| {
+                (0..self.num_heads).map(move |head| AttentionObservation {
+                    layer,
+                    head,
+                    phase: self.phase,
+                    step: self.first_step + token,
+                    total_steps: self.total_steps,
+                    logits: self.logits(token, layer, head),
+                })
+            })
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

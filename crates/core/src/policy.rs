@@ -1,14 +1,21 @@
 //! The [`KvCachePolicy`] trait and shared selection helpers.
 
 use crate::budget::CacheBudget;
-use crate::observation::AttentionObservation;
+use crate::observation::{AttentionObservation, ObservationRows};
 
 /// A KV-cache reduction strategy.
 ///
 /// A policy is driven by the attention module of a decoder:
 ///
 /// 1. after each head computes its unnormalized logits against the live cache slots,
-///    the model calls [`observe`](KvCachePolicy::observe);
+///    the model calls [`observe`](KvCachePolicy::observe). A forward that batches
+///    a run of tokens buffers their rows and hands them over in one
+///    [`observe_rows`](KvCachePolicy::observe_rows) call, which must leave the
+///    policy in exactly the state the token-major sequence of `observe` calls
+///    would have. The default method *is* that loop; the scored policy overrides
+///    it to split per-layer score accumulation across worker threads by layer,
+///    each worker stepping its copy of the noise RNG past the other layers' draws
+///    so every row still sees the sequential stream;
 /// 2. once the step's new token has been appended and the layer's slot count exceeds
 ///    the [`CacheBudget`], the model calls
 ///    [`select_retained`](KvCachePolicy::select_retained) to get the surviving slots;
@@ -27,6 +34,16 @@ pub trait KvCachePolicy: Send {
 
     /// Records one head's attention logits for one decode step.
     fn observe(&mut self, obs: &AttentionObservation<'_>);
+
+    /// Records a run of buffered rows, with up to `workers` threads: the same
+    /// state as [`observe`](KvCachePolicy::observe) on every row in token-major
+    /// order, which is what this default does (on the calling thread).
+    fn observe_rows(&mut self, rows: &ObservationRows<'_>, workers: usize) {
+        let _ = workers;
+        for obs in rows.iter() {
+            self.observe(&obs);
+        }
+    }
 
     /// Chooses which cache slots of `layer` survive, given `live` current slots and
     /// the target budget. Must satisfy the retained-slot contract described above.

@@ -59,6 +59,12 @@ use keyformer_tensor::vector::argmax;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Fewest buffered logits worth an observation-replay worker of their own:
+/// about 0.5 ms of Gumbel scoring, against a spawn of tens of microseconds.
+/// No decode step comes near it (16 heads behind 500 slots are 8 k logits),
+/// so decode replays on the calling thread.
+const MIN_LOGITS_PER_WORKER: usize = 16 * 1024;
+
 /// The sampling-loop state of an in-flight autoregressive decode.
 ///
 /// Created by [`Session::begin`], advanced by [`Session::step`], consumed by
@@ -482,10 +488,13 @@ impl<'m> Session<'m> {
 
     /// Forwards `tokens` — a prompt chunk, or a decode step's one token — at
     /// positions `start..` through [`forward_chunk_ws`], then replays the
-    /// buffered per-token attention observations token-major under `phase`,
-    /// the first at `step` — so policy RNG streams, statistics records and
-    /// (for prompt tokens) block-boundary prefix registrations happen exactly
-    /// where the token-at-a-time loop put them, before any eviction.
+    /// buffered attention observations under `phase`, the first at `step`,
+    /// before any eviction: the policy takes them through
+    /// [`KvCachePolicy::observe_rows`] in runs cut at every block-boundary
+    /// prefix registration (so each snapshot holds the policy state of its
+    /// token), on up to one worker per [`MIN_LOGITS_PER_WORKER`] logits of the
+    /// run, and statistics records replay token-major. Policy RNG streams,
+    /// records and registrations are exactly the token-at-a-time loop's.
     /// Next-token logits are produced only with `compute_logits`.
     #[allow(clippy::too_many_arguments)]
     fn forward_chunk(
@@ -513,20 +522,42 @@ impl<'m> Session<'m> {
                 self.prefill_workers,
             )?;
             self.peak_cache_bytes = self.peak_cache_bytes.max(chunk_peak);
-            for i in 0..tokens.len() {
-                self.ws.replay_chunk_token(
-                    chunk,
-                    i,
+            let registers = phase == Phase::Prompt && self.prefix_registry.is_some();
+            let block = self.cache.block_size();
+            let mut from = 0;
+            while from < tokens.len() {
+                // Cut the run where a prompt token completes a block.
+                let to = if registers {
+                    (from + block - (start + from) % block).min(tokens.len())
+                } else {
+                    tokens.len()
+                };
+                let rows = chunk.observation_rows(
+                    self.model.config(),
+                    from..to,
                     phase,
-                    step + i,
+                    step + from,
                     total_steps,
-                    &self.cache,
-                    self.policy.as_mut(),
-                    self.stats.as_mut(),
                 );
-                if phase == Phase::Prompt {
-                    self.maybe_register_prefix(start + i + 1)?;
+                let workers = self
+                    .prefill_workers
+                    .min(rows.total_logits() / MIN_LOGITS_PER_WORKER)
+                    .max(1);
+                self.policy.observe_rows(&rows, workers);
+                if registers {
+                    self.maybe_register_prefix(start + to)?;
                 }
+                from = to;
+            }
+            if let Some(stats) = self.stats.as_mut() {
+                let rows = chunk.observation_rows(
+                    self.model.config(),
+                    0..tokens.len(),
+                    phase,
+                    step,
+                    total_steps,
+                );
+                self.ws.replay_stats(&rows, &self.cache, stats);
             }
             Ok(())
         })
@@ -1168,6 +1199,7 @@ mod tests {
     use crate::families::ModelFamily;
     use crate::positional::PositionalEncoding;
     use keyformer_core::accumulator::ScoreScope;
+    use keyformer_core::observation::{AttentionObservation, ObservationRows};
     use keyformer_core::policies::scored::{KeyformerConfig, ScoredPolicy};
     use keyformer_core::spec::PolicySpec;
     use std::sync::{Arc, Mutex};
@@ -1768,21 +1800,21 @@ mod tests {
     type Kept = (usize, Vec<usize>);
 
     /// A scored policy (Keyformer by default) that also logs, by bits, every
-    /// observation it is fed, and the accumulated scores behind and the slots
-    /// kept by each layer's eviction decision.
+    /// observation it is fed, the worker count of every `observe_rows` run,
+    /// and the accumulated scores behind and the slots kept by each layer's
+    /// eviction decision. Runs go on to the inner policy's `observe_rows`, so
+    /// the pins below test the parallel replay the product runs.
     #[derive(Clone, Default)]
     struct Tap {
         inner: ScoredPolicy,
         observations: Arc<Mutex<Vec<Observed>>>,
+        replay_workers: Arc<Mutex<Vec<usize>>>,
         scores: Arc<Mutex<Vec<Vec<u32>>>>,
         selections: Arc<Mutex<Vec<Kept>>>,
     }
 
-    impl KvCachePolicy for Tap {
-        fn name(&self) -> &'static str {
-            "tap"
-        }
-        fn observe(&mut self, obs: &keyformer_core::observation::AttentionObservation<'_>) {
+    impl Tap {
+        fn log(&self, obs: &AttentionObservation<'_>) {
             self.observations.lock().unwrap().push((
                 obs.layer,
                 obs.head,
@@ -1791,7 +1823,21 @@ mod tests {
                 obs.total_steps,
                 obs.logits.iter().map(|l| l.to_bits()).collect(),
             ));
+        }
+    }
+
+    impl KvCachePolicy for Tap {
+        fn name(&self) -> &'static str {
+            "tap"
+        }
+        fn observe(&mut self, obs: &AttentionObservation<'_>) {
+            self.log(obs);
             self.inner.observe(obs);
+        }
+        fn observe_rows(&mut self, rows: &ObservationRows<'_>, workers: usize) {
+            rows.iter().for_each(|obs| self.log(&obs));
+            self.replay_workers.lock().unwrap().push(workers);
+            self.inner.observe_rows(rows, workers);
         }
         fn select_retained(
             &mut self,
@@ -1864,37 +1910,93 @@ mod tests {
         }
     }
 
-    /// Prefill on one worker and on three gives the same tokens, the same
-    /// peak cache bytes and the same policy scores at every eviction, on
-    /// both KV dtypes — chunks of 37 split unevenly, the 17-token tail runs
-    /// on two workers.
+    /// Prefill on one worker and on two or three gives the same tokens, the
+    /// same peak cache bytes and the same policy scores at every eviction, on
+    /// both KV dtypes. Tiny in chunks of 37 splits rows unevenly (the
+    /// 17-token tail runs on two workers) but stays below the replay
+    /// threshold; GPT-J-like in chunks of 128 also replays its observations
+    /// on more than one worker.
     #[test]
     fn prefill_worker_count_changes_no_bit() {
-        let model = ModelFamily::Tiny.build(9);
         let spec = CacheBudgetSpec::new(0.5, 0.3).unwrap();
         let config = GenerationConfig::new(12);
-        let run = |dtype: KvDtype, workers: usize| {
-            let tap = Tap::default();
-            let log = Arc::clone(&tap.scores);
-            let mut session = Session::with_dtype(&model, Box::new(tap), Some(spec), dtype)
-                .with_prefill_chunk(37);
-            session.prefill_workers = workers;
-            session.begin(&prompt(128), &config).unwrap();
-            while session.is_prefilling() {
-                session.advance_prefill().unwrap();
+        for (family, prompt_len, chunk, replay_splits) in [
+            (ModelFamily::Tiny, 128, 37, false),
+            (ModelFamily::GptJLike, 256, 128, true),
+        ] {
+            let model = family.build(9);
+            let run = |dtype: KvDtype, workers: usize| {
+                let tap = Tap::default();
+                let (log, replay_workers) =
+                    (Arc::clone(&tap.scores), Arc::clone(&tap.replay_workers));
+                let mut session = Session::with_dtype(&model, Box::new(tap), Some(spec), dtype)
+                    .with_prefill_chunk(chunk);
+                session.prefill_workers = workers;
+                session.begin(&prompt(prompt_len), &config).unwrap();
+                while session.is_prefilling() {
+                    session.advance_prefill().unwrap();
+                }
+                while session.is_decoding() {
+                    session.step().unwrap();
+                }
+                let peak = session.peak_cache_bytes();
+                let output = session.take_output().unwrap();
+                let scores = std::mem::take(&mut *log.lock().unwrap());
+                let most = replay_workers.lock().unwrap().iter().copied().max();
+                ((output, peak, scores), most.unwrap())
+            };
+            for dtype in [KvDtype::F32, KvDtype::U8] {
+                let (one, most) = run(dtype, 1);
+                assert!(!one.2.is_empty(), "the budget forces evictions");
+                assert_eq!(most, 1);
+                for workers in [2, 3] {
+                    let (many, most) = run(dtype, workers);
+                    assert_eq!(many, one, "{family:?} / {dtype:?} at {workers} workers");
+                    assert_eq!(most > 1, replay_splits, "{family:?} at {workers} workers");
+                }
             }
-            while session.is_decoding() {
-                session.step().unwrap();
+        }
+    }
+
+    /// Prefix snapshots registered by a donor that replays on one worker and
+    /// on two hold the same policy state: a second session attaching to them
+    /// decodes the same tokens, which are the cold start's.
+    #[test]
+    fn prefix_snapshots_are_the_same_at_every_replay_worker_count() {
+        use keyformer_core::prefix::SharedPrefixRegistry;
+        let model = ModelFamily::GptJLike.build(4);
+        let spec = CacheBudgetSpec::new(0.5, 0.3).unwrap();
+        let config = GenerationConfig::new(8);
+        let full = prompt(200);
+        let cold = Session::new(&model, Box::new(Tap::default()), Some(spec))
+            .generate(&full, &config)
+            .unwrap();
+        for workers in [1, 2] {
+            let pool = SharedBlockPool::unbounded(32);
+            let registry = SharedPrefixRegistry::new(&pool);
+            let donor_tap = Tap::default();
+            let replay_workers = Arc::clone(&donor_tap.replay_workers);
+            let mut donor =
+                Session::with_pool(&model, Box::new(donor_tap), Some(spec), pool.clone())
+                    .with_prefix_registry(registry.clone(), 1)
+                    .with_prefill_chunk(128);
+            donor.prefill_workers = workers;
+            donor.begin(&full[..192], &config).unwrap();
+            while donor.is_prefilling() {
+                donor.advance_prefill().unwrap();
             }
-            let peak = session.peak_cache_bytes();
-            let output = session.take_output().unwrap();
-            let scores = std::mem::take(&mut *log.lock().unwrap());
-            (output, peak, scores)
-        };
-        for dtype in [KvDtype::F32, KvDtype::U8] {
-            let one = run(dtype, 1);
-            assert!(!one.2.is_empty(), "the budget forces evictions");
-            assert_eq!(run(dtype, 3), one, "{dtype:?}");
+            let most = replay_workers.lock().unwrap().iter().copied().max();
+            assert_eq!(most, Some(workers), "the donor's runs replay on {workers}");
+
+            let mut attacher =
+                Session::with_pool(&model, Box::new(Tap::default()), Some(spec), pool.clone())
+                    .with_prefix_registry(registry, 1);
+            attacher.prefill_workers = 1;
+            assert_eq!(attacher.begin_with_prefix(&full, &config).unwrap(), 192);
+            while attacher.is_decoding() {
+                attacher.step().unwrap();
+            }
+            assert_eq!(attacher.take_output().unwrap(), cold, "{workers} workers");
         }
     }
 

@@ -36,8 +36,8 @@ use crate::positional::{alibi_bias, alibi_slope, PositionalEncoding, RopeRotor, 
 use crate::stats::{AttentionRecord, AttentionStats};
 use crate::weights::LayerWeights;
 use keyformer_core::cache::{KvCache, KvDtype, LayerKvCache};
-use keyformer_core::observation::{AttentionObservation, Phase};
-use keyformer_core::policy::KvCachePolicy;
+use keyformer_core::observation::{ObservationRows, Phase};
+use keyformer_core::parallel::fan_out;
 use keyformer_core::{CoreError, RotatedKeyCache};
 use keyformer_tensor::matrix::{matmul_packed_bt, matmul_strided, PackedPanels};
 use keyformer_tensor::ops::{
@@ -118,6 +118,28 @@ pub(crate) struct ChunkScratch {
 }
 
 impl ChunkScratch {
+    /// The rows [`forward_chunk_ws`] buffered for chunk tokens `tokens`, token
+    /// `tokens.start` observed as decode iteration `first_step`.
+    pub(crate) fn observation_rows(
+        &self,
+        config: &ModelConfig,
+        tokens: Range<usize>,
+        phase: Phase,
+        first_step: usize,
+        total_steps: usize,
+    ) -> ObservationRows<'_> {
+        let per_token = config.num_layers * config.num_heads;
+        ObservationRows {
+            phase,
+            first_step,
+            total_steps,
+            num_layers: config.num_layers,
+            num_heads: config.num_heads,
+            index: &self.obs_index[tokens.start * per_token..tokens.end * per_token],
+            data: &self.obs_data,
+        }
+    }
+
     /// Reserves observation rows for one-row chunks behind up to `slots - 1`
     /// cached slots, so a decode step never grows the buffer past a short
     /// prompt's.
@@ -369,56 +391,30 @@ impl ForwardWorkspace {
         }
     }
 
-    /// Replays the attention observations [`forward_chunk_ws`] buffered for
-    /// one chunk token against the policy (and, when enabled, the statistics
-    /// collector) under the caller's `phase` and `step`, in exactly the
-    /// per-(layer, head) order the sequential forward would have produced
-    /// them. The buffered logit rows are the sequential path's bits, so
-    /// Gumbel-sampling policies draw the identical RNG stream and the
-    /// recomputed softmax rows match the sequential statistics records
-    /// bit-for-bit. Call it before any eviction touches `cache`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn replay_chunk_token(
+    /// Records the statistics of `rows`, the attention logit rows
+    /// [`forward_chunk_ws`] buffered, token-major: the recomputed softmax
+    /// rows match the sequential records bit-for-bit. Call it before any
+    /// eviction touches `cache`.
+    pub(crate) fn replay_stats(
         &mut self,
-        chunk: &ChunkScratch,
-        chunk_index: usize,
-        phase: Phase,
-        step: usize,
-        total_steps: usize,
+        rows: &ObservationRows<'_>,
         cache: &KvCache,
-        policy: &mut dyn KvCachePolicy,
-        mut stats: Option<&mut AttentionStats>,
+        stats: &mut AttentionStats,
     ) {
-        let num_layers = self.rot.len();
-        let num_heads = self.alibi_slopes.len();
-        for layer in 0..num_layers {
-            for head in 0..num_heads {
-                let (offset, len) =
-                    chunk.obs_index[(chunk_index * num_layers + layer) * num_heads + head];
-                let logits = &chunk.obs_data[offset..offset + len];
-                policy.observe(&AttentionObservation {
-                    layer,
-                    head,
-                    phase,
-                    step,
-                    total_steps,
-                    logits,
-                });
-                if let Some(stats) = stats.as_deref_mut() {
-                    // At this token's turn the layer held exactly `len` slots;
-                    // a chunk only appends, so the prefix of today's position
-                    // table is that moment's table.
-                    softmax_into(logits, &mut self.attn.probs);
-                    stats.record(AttentionRecord {
-                        layer,
-                        head,
-                        step,
-                        phase,
-                        probs: self.attn.probs.clone(),
-                        positions: cache.layer(layer).positions()[..len].to_vec(),
-                    });
-                }
-            }
+        for obs in rows.iter() {
+            // At this token's turn the layer held exactly `len` slots; a chunk
+            // only appends, so the prefix of today's position table is that
+            // moment's table.
+            let len = obs.logits.len();
+            softmax_into(obs.logits, &mut self.attn.probs);
+            stats.record(AttentionRecord {
+                layer: obs.layer,
+                head: obs.head,
+                step: obs.step,
+                phase: obs.phase,
+                probs: self.attn.probs.clone(),
+                positions: cache.layer(obs.layer).positions()[..len].to_vec(),
+            });
         }
     }
 }
@@ -449,9 +445,17 @@ impl ForwardWorkspace {
 ///   same sealed/unsealed state the sequential interleaving exposed. `f32`
 ///   layers are seal-invariant: one run covers the chunk.
 /// * **Deferred observation replay** — the per-(token, layer, head) attention
-///   logit rows are buffered, and the caller replays them token-major via
-///   [`ForwardWorkspace::replay_chunk_token`], preserving the sequential
-///   policy-RNG draw order and statistics stream. Policy state never feeds
+///   logit rows are buffered ([`ChunkScratch::observation_rows`]) and the
+///   caller hands them to the policy's
+///   [`observe_rows`](keyformer_core::policy::KvCachePolicy::observe_rows),
+///   which must leave the state of token-major `observe` calls. A per-layer
+///   scored policy splits the layers between workers; each walks every row in
+///   order with its own RNG copy, scoring its own layers' rows and stepping
+///   past `len × draws_per_logit` words for the rest, so every row draws the
+///   sequential noise. The caller fans out only above a fixed number of
+///   logits per worker (a decode step never does), and a shared score bucket
+///   stays serial. Statistics records replay token-major via
+///   [`ForwardWorkspace::replay_stats`]. Policy state never feeds
 ///   back into a forward, so deferring a decode step's observations to the
 ///   end of its forward changes nothing either.
 /// * **Attention logits and context rows are GEMM tiles of the same chains** —
@@ -804,28 +808,6 @@ fn split_front<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
     front
 }
 
-/// Runs `work` on every part: the first on the calling thread, each other on
-/// a scoped thread of its own, returning once all are done. A single part
-/// runs inline, with no scope and no spawn. A worker's panic resumes on the
-/// calling thread when the scope joins. Prefill row phases and the serving
-/// engine's decode round both split their work through it.
-pub fn fan_out<P: Send>(parts: impl Iterator<Item = P>, work: impl Fn(P) + Sync) {
-    let mut parts = parts.peekable();
-    let Some(first) = parts.next() else {
-        return;
-    };
-    if parts.peek().is_none() {
-        return work(first);
-    }
-    let work = &work;
-    std::thread::scope(|scope| {
-        for part in parts {
-            scope.spawn(move || work(part));
-        }
-        work(first);
-    });
-}
-
 /// Runs a row phase: `phase` over `all`'s `n` rows, split evenly between the
 /// `scratch.len()` workers, each handed its own GEMM packing panel.
 fn row_phase(
@@ -962,8 +944,8 @@ fn sync_rotated_keys(
 /// 2. per band of [`ATTN_BAND_ROWS`] queries, raw logits against every key up
 ///    to the band's causal extent come from [`matmul_packed_bt`]; each query
 ///    then applies the unchanged `d * scale (+ alibi_bias)` expression over
-///    the `pre + t + 1` slots it may see, buffers that row for
-///    [`ForwardWorkspace::replay_chunk_token`] and softmaxes it into a
+///    the `pre + t + 1` slots it may see, buffers that row for the
+///    observation replay and softmaxes it into a
 ///    probability row zero-padded to the band's extent;
 /// 3. the band's context rows are [`matmul_strided`] of the probability
 ///    rectangle with the gathered values.
@@ -1228,6 +1210,8 @@ mod tests {
     use crate::attention::{attend_single_query, AttentionContext, AttentionOutput};
     use crate::config::ModelConfig;
     use crate::families::ModelFamily;
+    use keyformer_core::observation::AttentionObservation;
+    use keyformer_core::policy::KvCachePolicy;
     use keyformer_tensor::ops::softmax;
 
     fn filled_cache(config: &ModelConfig, n: usize) -> LayerKvCache {

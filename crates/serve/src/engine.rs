@@ -129,12 +129,12 @@ use keyformer_core::block::{
 };
 use keyformer_core::budget::CacheBudgetSpec;
 use keyformer_core::cache::KvDtype;
+use keyformer_core::parallel::fan_out;
 use keyformer_core::prefix::{policy_context, PrefixRegistryStats, SharedPrefixRegistry};
 use keyformer_core::spec::PolicySpec;
 use keyformer_core::CoreError;
 use keyformer_model::model::TransformerModel;
 use keyformer_model::session::{Session, SessionStep};
-use keyformer_model::workspace::fan_out;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{HashMap, VecDeque};

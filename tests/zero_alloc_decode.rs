@@ -12,13 +12,17 @@
 //!
 //! A second test pins the score function: every scored policy (Key-only, H2O,
 //! Damped, Keyformer; both accumulation scopes) observes a warmed-up logit row
-//! through its own scratch, without allocating.
+//! through its own scratch, and compacts its scores in place, without
+//! allocating. A third pins the prefill replay: a warmed Keyformer's
+//! two-worker `observe_rows` allocates exactly what spawning the second
+//! worker does, so the workers themselves allocate nothing.
 //!
-//! A third test pins the eviction data path itself: a single-slot
+//! A fourth test pins the eviction data path itself: a single-slot
 //! `retain_slots` on a warmed `f32` layer with private blocks, plus the
 //! rotated-row hand-off that lets RoPE rows follow their keys, moves rows in
 //! place and never touches the allocator either. (A whole Keyformer decode
-//! step at budget still allocates the policy's `select_retained` result.)
+//! step at budget still allocates the policy's `select_retained` result and
+//! its working sets: the score copy, the top-k candidates and the keep mask.)
 //!
 //! The window deliberately avoids the two places the hot path *is* allowed to
 //! allocate: block boundaries (a fresh KV block, its rotated-key entry and a
@@ -35,7 +39,8 @@
 use keyformer::core::accumulator::ScoreScope;
 use keyformer::core::block::SharedBlockPool;
 use keyformer::core::cache::LayerKvCache;
-use keyformer::core::observation::{AttentionObservation, Phase};
+use keyformer::core::observation::{AttentionObservation, ObservationRows, Phase};
+use keyformer::core::parallel::fan_out;
 use keyformer::core::policy::KvCachePolicy;
 use keyformer::core::spec::PolicySpec;
 use keyformer::core::{KeyformerConfig, RotatedKeyCache};
@@ -196,29 +201,78 @@ fn scored_policy_observe_allocates_nothing() {
         // One warm-up observation sizes the scratch and the score bucket.
         observe(policy.as_mut(), 0, 0);
 
-        // The counter is process-global, and these windows are short enough
-        // to overlap the test harness still recording the previous test's
-        // result: keep the quietest of three. A policy that allocates when it
-        // observes counts in every window.
-        let windows: Vec<usize> = (0..3)
-            .map(|window| {
-                ALLOCATIONS.store(0, Ordering::SeqCst);
-                COUNTING.store(true, Ordering::SeqCst);
-                for step in 0..8 {
-                    observe(policy.as_mut(), step % 2, 8 * window + step);
-                }
-                COUNTING.store(false, Ordering::SeqCst);
-                ALLOCATIONS.load(Ordering::SeqCst)
-            })
-            .collect();
-
+        let windows = quietest_of_three(|window| {
+            for step in 0..8 {
+                observe(policy.as_mut(), step % 2, 8 * window + step);
+            }
+        });
         assert_eq!(
             windows.iter().min(),
             Some(&0),
             "{spec}: a warmed policy must observe without allocating; counted \
              {windows:?} allocation(s) in three windows of 8 observations"
         );
+
+        // Compaction gathers the totals in place: every window drops slot 0.
+        let cuts: Vec<Vec<usize>> = (0..3).map(|w| (1..logits.len() - w).collect()).collect();
+        let windows = quietest_of_three(|window| policy.compact(0, &cuts[window]));
+        assert_eq!(
+            windows.iter().min(),
+            Some(&0),
+            "{spec}: compaction must gather in place; counted {windows:?}"
+        );
     }
+}
+
+/// Counts the allocations of `work(window)` in three windows. The counter is
+/// process-global, and these windows are short enough to overlap the test
+/// harness still recording the previous test's result, so callers keep the
+/// quietest; code that allocates counts in every window.
+fn quietest_of_three(mut work: impl FnMut(usize)) -> Vec<usize> {
+    (0..3)
+        .map(|window| {
+            ALLOCATIONS.store(0, Ordering::SeqCst);
+            COUNTING.store(true, Ordering::SeqCst);
+            work(window);
+            COUNTING.store(false, Ordering::SeqCst);
+            ALLOCATIONS.load(Ordering::SeqCst)
+        })
+        .collect()
+}
+
+#[test]
+fn parallel_replay_workers_allocate_nothing() {
+    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
+    let (layers, heads, tokens) = (4, 4, 8);
+    let (mut index, mut data) = (Vec::new(), Vec::new());
+    for token in 0..tokens {
+        for _ in 0..layers * heads {
+            let len = 100 + token;
+            index.push((data.len(), len));
+            data.extend((0..len).map(|i| ((i * 7 + token) % 19) as f32 * 0.2 - 1.5));
+        }
+    }
+    let rows = ObservationRows {
+        phase: Phase::Prompt,
+        first_step: 0,
+        total_steps: 16,
+        num_layers: layers,
+        num_heads: heads,
+        index: &index,
+        data: &data,
+    };
+    let mut policy = PolicySpec::keyformer_default().build().unwrap();
+    // One warm-up run sizes the buckets and both workers' scratch.
+    policy.observe_rows(&rows, 2);
+
+    let spawn_only = quietest_of_three(|_| fan_out([(), ()].into_iter(), |()| {}));
+    let replay = quietest_of_three(|_| policy.observe_rows(&rows, 2));
+    assert_eq!(
+        replay.iter().min(),
+        spawn_only.iter().min(),
+        "a warmed two-worker replay may allocate only what spawning its \
+         second worker does: counted {replay:?}, a bare spawn {spawn_only:?}"
+    );
 }
 
 #[test]
