@@ -1,13 +1,12 @@
-//! Forward hot-path microbenchmarks: the legacy allocating forward pass versus
-//! the zero-allocation workspace path on the same model and weights.
+//! Forward hot-path microbenchmarks of the zero-allocation product forward.
 //!
-//! Two granularities. `forward_path` times a full request (prompt + decode) on
-//! each [`ForwardPath`], which is where the cached RoPE key rotations and the
-//! eliminated per-token allocations show up end to end. `decode_tail` isolates
-//! steady-state decode by timing only the generated-token steps after a fixed
-//! prompt — the regime the zero-allocation claim is about — once with the full
-//! cache and once with Keyformer at a 50 % budget, where every step evicts
-//! one key: the difference between the two is the eviction tax in isolation.
+//! Two granularities. `forward_path` times a full request (prompt + decode)
+//! on each positional family, where the cached RoPE key rotations and the
+//! chunk GEMMs show up end to end. `decode_tail` isolates steady-state decode
+//! by timing only the generated-token steps after a fixed prompt — the regime
+//! the zero-allocation claim is about — once with the full cache and once
+//! with Keyformer at a 50 % budget, where every step evicts one key: the
+//! difference between the two is the eviction tax in isolation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use keyformer_core::budget::CacheBudgetSpec;
@@ -15,7 +14,6 @@ use keyformer_core::spec::PolicySpec;
 use keyformer_model::families::ModelFamily;
 use keyformer_model::generation::GenerationConfig;
 use keyformer_model::session::Session;
-use keyformer_model::workspace::ForwardPath;
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -28,7 +26,7 @@ fn prompt(vocab: usize) -> Vec<u32> {
         .collect()
 }
 
-/// Full request latency, legacy vs workspace, across the positional families.
+/// Full request latency across the positional families.
 fn bench_forward_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("forward_path");
     group
@@ -43,23 +41,17 @@ fn bench_forward_path(c: &mut Criterion) {
     ] {
         let model = family.build(3);
         let prompt = prompt(model.config().vocab_size);
-        for (label, path) in [
-            ("legacy", ForwardPath::Legacy),
-            ("workspace", ForwardPath::Workspace),
-        ] {
-            group.bench_with_input(
-                BenchmarkId::new(label, format!("{family:?}")),
-                &prompt,
-                |b, prompt| {
-                    b.iter(|| {
-                        let policy = PolicySpec::Full.build().expect("valid");
-                        let mut session =
-                            Session::new(&model, policy, None).with_forward_path(path);
-                        black_box(session.generate(black_box(prompt), &config))
-                    });
-                },
-            );
-        }
+        group.bench_with_input(
+            BenchmarkId::new("workspace", format!("{family:?}")),
+            &prompt,
+            |b, prompt| {
+                b.iter(|| {
+                    let policy = PolicySpec::Full.build().expect("valid");
+                    let mut session = Session::new(&model, policy, None);
+                    black_box(session.generate(black_box(prompt), &config))
+                });
+            },
+        );
     }
     group.finish();
 }
@@ -86,28 +78,23 @@ fn bench_decode_tail(c: &mut Criterion) {
             Some(half),
         ),
     ] {
-        for (label, path) in [
-            ("legacy", ForwardPath::Legacy),
-            ("workspace", ForwardPath::Workspace),
-        ] {
-            // Prefill once into a template session; each iteration forks it (a
-            // cheap copy-on-write block attach) and times only the decode steps.
-            let policy = spec.build().expect("valid");
-            let mut template = Session::new(&model, policy, budget).with_forward_path(path);
-            template.begin(&prompt, &config).expect("prompt admits");
-            while template.is_prefilling() {
-                template.advance_prefill().expect("prefill advances");
-            }
-            group.bench_function(BenchmarkId::new(case, label), |b| {
-                b.iter(|| {
-                    let mut session = template.fork().expect("fork");
-                    while session.is_decoding() {
-                        session.step().expect("decode step");
-                    }
-                    black_box(session.take_output())
-                });
-            });
+        // Prefill once into a template session; each iteration forks it (a
+        // cheap copy-on-write block attach) and times only the decode steps.
+        let policy = spec.build().expect("valid");
+        let mut template = Session::new(&model, policy, budget);
+        template.begin(&prompt, &config).expect("prompt admits");
+        while template.is_prefilling() {
+            template.advance_prefill().expect("prefill advances");
         }
+        group.bench_function(BenchmarkId::new(case, "workspace"), |b| {
+            b.iter(|| {
+                let mut session = template.fork().expect("fork");
+                while session.is_decoding() {
+                    session.step().expect("decode step");
+                }
+                black_box(session.take_output())
+            });
+        });
     }
     group.finish();
 }

@@ -2,14 +2,15 @@
 //! chunk-batched prefill, and the chunked prompt pass end to end.
 //!
 //! Three granularities. `prefill_gemm` times one projection's worth of work
-//! at real transformer shapes — `n` per-token `matvec_into` calls (what the
-//! sequential prompt pass does) against one `matvec_batch_into` GEMM (what
-//! the batched pass does), plus the square `matmul_into` kernel the GEMM is
+//! at real transformer shapes — `n` per-token `matvec_into` calls (what a
+//! one-token chunk runs) against one `matvec_batch_into` GEMM (what a
+//! multi-token chunk runs), plus the square `matmul_into` kernel the GEMM is
 //! built on. `chunk_attention` times one layer's prompt attention for a
 //! 128-token chunk over 1k live slots, as the per-query `dot` / `vecmat_into`
 //! loop and as the two tiled GEMMs the chunk forward runs on `f32` layers.
 //! `chunked_prefill` times the full prompt pass through a session at each
-//! chunk size, which is where the per-chunk savings show up end to end.
+//! chunk size, which is where the per-chunk savings show up end to end;
+//! `batched/1` forwards one token per chunk, the per-token baseline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use keyformer_core::cache::LayerKvCache;
@@ -21,7 +22,6 @@ use keyformer_model::positional::{
     alibi_bias, alibi_slope, PositionalEncoding, RopeRotor, ROPE_BASE,
 };
 use keyformer_model::session::Session;
-use keyformer_model::workspace::ForwardPath;
 use keyformer_tensor::matrix::{matmul_packed_bt, matmul_strided, PackedPanels};
 use keyformer_tensor::ops::{softmax_into, softmax_slice};
 use keyformer_tensor::{dot, Matrix};
@@ -248,8 +248,8 @@ fn bench_chunk_attention(c: &mut Criterion) {
 }
 
 /// The chunked prompt pass end to end: arm a prompt and drive
-/// `advance_prefill` to completion on the batched path at each chunk size,
-/// with the sequential path as the baseline.
+/// `advance_prefill` to completion at each chunk size; a chunk of 1 is the
+/// per-token baseline.
 fn bench_chunked_prefill(c: &mut Criterion) {
     let mut group = c.benchmark_group("chunked_prefill");
     group
@@ -262,10 +262,9 @@ fn bench_chunked_prefill(c: &mut Criterion) {
         .map(|t| ((t * 13 + 5) % vocab) as u32)
         .collect();
     let gen = GenerationConfig::new(1);
-    let run = |path: ForwardPath, chunk: usize| {
+    let run = |chunk: usize| {
         let mut session =
             Session::new(&model, PolicySpec::Full.build().expect("full builds"), None)
-                .with_forward_path(path)
                 .with_prefill_chunk(chunk);
         session
             .begin(black_box(&prompt), &gen)
@@ -275,12 +274,9 @@ fn bench_chunked_prefill(c: &mut Criterion) {
         }
         black_box(session);
     };
-    group.bench_function(BenchmarkId::new("sequential", PROMPT_LEN), |b| {
-        b.iter(|| run(ForwardPath::Legacy, PROMPT_LEN));
-    });
     for &chunk in &CHUNKS {
         group.bench_with_input(BenchmarkId::new("batched", chunk), &chunk, |b, &chunk| {
-            b.iter(|| run(ForwardPath::Workspace, chunk));
+            b.iter(|| run(chunk));
         });
     }
     group.finish();

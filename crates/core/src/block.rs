@@ -814,6 +814,50 @@ mod tests {
         for id in decoder.into_iter().chain(prefiller) {
             pool.release(id).unwrap();
         }
+
+        // Everywhere, not just at the headroom: on every discipline and for
+        // callers inside, at and outside their reservation, the per-need check
+        // admits `n` exactly when `n` is at most the headroom — so a chunk
+        // sized to the headroom stalls on the token a per-token pre-flight
+        // would have refused.
+        let capacity = 10;
+        let pools = [
+            BlockPool::bounded(4, capacity, OvercommitPolicy::Strict).unwrap(),
+            BlockPool::bounded(4, capacity, OvercommitPolicy::AllowTransient).unwrap(),
+            BlockPool::unbounded(4),
+        ];
+        for mut pool in pools {
+            // The decoder and the prefiller from above: 5 of 7 reserved blocks
+            // allocated, 2 still owed to the decoder.
+            assert!(pool.try_reserve(4) && pool.try_reserve(3));
+            let held: Vec<_> = (0..5).map(|_| pool.alloc().unwrap()).collect();
+            let strict =
+                pool.overcommit() == OvercommitPolicy::Strict && pool.capacity_blocks != usize::MAX;
+            for (own_in_use, own_reserved) in [
+                (0, 0),
+                (3, 3),
+                (2, 4),
+                (1, 4),
+                (3, 0),
+                (5, 3),
+                (5, 7),
+                (0, 7),
+            ] {
+                let headroom = pool.max_transient_blocks(own_in_use, own_reserved);
+                assert_eq!(headroom == usize::MAX, !strict);
+                for n in 0..=capacity + 1 {
+                    assert_eq!(
+                        pool.can_allocate_transient(n, own_in_use, own_reserved),
+                        n <= headroom,
+                        "{:?}, n {n}, own ({own_in_use}, {own_reserved})",
+                        pool.overcommit()
+                    );
+                }
+            }
+            for id in held {
+                pool.release(id).unwrap();
+            }
+        }
     }
 
     #[test]

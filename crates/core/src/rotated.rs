@@ -165,8 +165,9 @@ impl RotatedKeyCache {
     /// The rows only move when they are known to be current: the layer is
     /// `f32` (a `u8` compaction reseals, which changes the dequantised keys)
     /// and this cache was in sync with `cache` on entry. Otherwise — a `u8`
-    /// layer, a cache never synced (legacy forward path, fresh prefix
-    /// attach) — the entries are left to the generation-keyed rebuild.
+    /// layer, a cache never synced (a fresh prefix attach, or the model
+    /// crate's test-only reference forward) — the entries are left to the
+    /// generation-keyed rebuild.
     ///
     /// # Errors
     ///

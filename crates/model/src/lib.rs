@@ -17,7 +17,12 @@
 //! The main entry point is [`session::Session`], which couples a
 //! [`model::TransformerModel`] with any [`keyformer_core::policy::KvCachePolicy`] and
 //! a [`keyformer_core::budget::CacheBudgetSpec`], and exposes stepwise or
-//! whole-request generation and continuation scoring.
+//! whole-request generation and continuation scoring. A session runs one
+//! forward pass ([`workspace`]): a prompt chunk, or a decode step's one token,
+//! goes through each decoder layer once over reused buffers, and the policy
+//! replays the chunk's attention logits afterwards. The crate's unit tests
+//! keep a token-at-a-time forward as a test-only reference and prove the two
+//! byte-identical.
 //!
 //! ```
 //! use keyformer_core::{CacheBudgetSpec, PolicySpec};
@@ -38,9 +43,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod attention;
 pub mod config;
-pub mod decoder;
 pub mod families;
 pub mod generation;
 pub mod model;
@@ -50,6 +53,19 @@ pub mod stats;
 pub mod weights;
 pub mod workspace;
 
+// The reference forward — an allocating, token-at-a-time pass the product
+// forward is proven byte-identical against — exists only in test builds: its
+// attention, its decoder layer, the model-level driver and the session-level
+// differential tests.
+#[cfg(test)]
+mod attention;
+#[cfg(test)]
+mod decoder;
+#[cfg(test)]
+mod reference;
+#[cfg(test)]
+mod reference_identity;
+
 pub use config::{ModelConfig, PositionMode};
 pub use families::ModelFamily;
 pub use generation::{GenerationConfig, GenerationOutput};
@@ -57,4 +73,4 @@ pub use model::TransformerModel;
 pub use positional::PositionalEncoding;
 pub use session::{Session, SessionStep};
 pub use stats::AttentionStats;
-pub use workspace::{ForwardPath, ForwardWorkspace};
+pub use workspace::ForwardWorkspace;

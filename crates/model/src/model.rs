@@ -1,38 +1,11 @@
 //! The decoder-only transformer model.
 
-use crate::attention::AttentionContext;
 use crate::config::ModelConfig;
-use crate::decoder::decoder_layer_forward;
 use crate::positional::PositionalEncoding;
-use crate::stats::AttentionStats;
 use crate::weights::ModelWeights;
 use keyformer_core::block::{SharedBlockPool, DEFAULT_BLOCK_SIZE};
 use keyformer_core::cache::{KvCache, KvDtype};
-use keyformer_core::observation::Phase;
-use keyformer_core::policy::KvCachePolicy;
 use keyformer_core::CoreError;
-use keyformer_tensor::ops::layer_norm;
-
-const LN_EPS: f32 = 1e-5;
-
-/// Mutable state threaded through a single-token forward pass.
-pub struct ForwardContext<'a> {
-    /// KV cache being filled/read.
-    pub cache: &'a mut KvCache,
-    /// Eviction policy observing attention.
-    pub policy: &'a mut dyn KvCachePolicy,
-    /// Optional statistics collector.
-    pub stats: Option<&'a mut AttentionStats>,
-    /// Full token history of the sequence so far, *including* the token currently
-    /// being processed (used by the copy head to resolve successor tokens).
-    pub sequence: &'a [u32],
-    /// Phase of this step.
-    pub phase: Phase,
-    /// Decode step within the phase.
-    pub step: usize,
-    /// Planned generation length `T`.
-    pub total_steps: usize,
-}
 
 /// A decoder-only transformer with constructed weights (see [`crate::weights`]).
 #[derive(Debug, Clone)]
@@ -100,31 +73,9 @@ impl TransformerModel {
         )
     }
 
-    /// Embeds a token at a sequence position (adding the learned position embedding
-    /// when the model uses [`PositionalEncoding::Learned`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `token` is outside the vocabulary.
-    pub fn embed(&self, token: u32, position: usize) -> Vec<f32> {
-        let token = token as usize;
-        assert!(
-            token < self.config.vocab_size,
-            "token {token} outside vocabulary of {}",
-            self.config.vocab_size
-        );
-        let mut x = self.weights.embedding.row(token).to_vec();
-        if self.config.positional == PositionalEncoding::Learned {
-            let pos = position.min(self.weights.position_embedding.rows().saturating_sub(1));
-            for (xi, pi) in x.iter_mut().zip(self.weights.position_embedding.row(pos)) {
-                *xi += pi;
-            }
-        }
-        x
-    }
-
-    /// [`TransformerModel::embed`] into a reused buffer — the same arithmetic
-    /// without the per-token allocation.
+    /// Embeds a token at a sequence position into a reused buffer, adding the
+    /// learned position embedding when the model uses
+    /// [`PositionalEncoding::Learned`].
     ///
     /// # Panics
     ///
@@ -145,101 +96,39 @@ impl TransformerModel {
             }
         }
     }
-
-    /// Runs one token through the full decoder stack, appending its keys/values to
-    /// the cache and returning next-token logits over the vocabulary.
-    ///
-    /// The returned logits combine the usual tied-embedding readout with the
-    /// induction-style copy head: attention mass on a cached slot whose original
-    /// position was `p` contributes evidence for the token that followed position `p`
-    /// in the full sequence history (`ctx.sequence[p + 1]`). See DESIGN.md for why
-    /// this substitution preserves the paper's accuracy-vs-cache-budget behaviour.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] on shape mismatches.
-    pub fn forward_token(
-        &self,
-        token: u32,
-        position: usize,
-        ctx: &mut ForwardContext<'_>,
-    ) -> Result<Vec<f32>, CoreError> {
-        let mut hidden = self.embed(token, position);
-        let num_layers = self.config.num_layers;
-        // The copy head is an explicit induction head: attention mass on a
-        // *historical* slot (the current token's own slot is excluded) votes for the
-        // token that followed that slot in the original sequence. Votes are gathered
-        // from every layer using that layer's own retained slots, so layers that
-        // evicted different tokens contribute different evidence.
-        let mut copy_votes = vec![0.0f32; self.config.vocab_size];
-        let mut copy_total = 0.0f32;
-        for layer in 0..num_layers {
-            let mut attn_ctx = AttentionContext {
-                policy: &mut *ctx.policy,
-                stats: ctx.stats.as_deref_mut(),
-                phase: ctx.phase,
-                step: ctx.step,
-                total_steps: ctx.total_steps,
-            };
-            let out = decoder_layer_forward(
-                &self.config,
-                &self.weights.layers[layer],
-                layer,
-                &hidden,
-                position,
-                ctx.cache.layer_mut(layer),
-                &mut attn_ctx,
-            )?;
-            hidden = out.hidden;
-            if self.config.copy_strength > 0.0 {
-                let positions = ctx.cache.layer(layer).positions();
-                for (&slot_pos, &prob) in positions.iter().zip(&out.mean_probs) {
-                    if slot_pos == position {
-                        continue;
-                    }
-                    if let Some(&successor) = ctx.sequence.get(slot_pos + 1) {
-                        if successor < self.config.copy_ignore_below {
-                            continue;
-                        }
-                        let idx = successor as usize;
-                        if idx < copy_votes.len() {
-                            copy_votes[idx] += prob;
-                            copy_total += prob;
-                        }
-                    }
-                }
-            }
-        }
-
-        let final_hidden = layer_norm(
-            &hidden,
-            &self.weights.final_ln_gain,
-            &self.weights.final_ln_bias,
-            LN_EPS,
-        );
-        let mut logits = self
-            .weights
-            .embedding
-            .matvec(&final_hidden)
-            .expect("embedding readout shape");
-
-        if self.config.copy_strength > 0.0 && copy_total > 1e-6 {
-            for (logit, vote) in logits.iter_mut().zip(&copy_votes) {
-                if *vote > 0.0 {
-                    *logit += self.config.copy_strength * vote / copy_total;
-                }
-            }
-        }
-        Ok(logits)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::ForwardContext;
+    use crate::workspace::{forward_chunk_ws, with_chunk_scratch, ForwardWorkspace};
+    use keyformer_core::observation::Phase;
     use keyformer_core::policies::full::FullAttention;
 
-    fn forward_sequence(model: &TransformerModel, tokens: &[u32]) -> Vec<f32> {
+    /// The next-token logits after `tokens` and the cache they leave, from
+    /// the product forward (the whole sequence as one chunk) and from the
+    /// reference forward (token by token), in that order.
+    fn forward_sequence(model: &TransformerModel, tokens: &[u32]) -> [(Vec<f32>, KvCache); 2] {
+        let mut product_cache = model.empty_cache();
+        let mut ws = ForwardWorkspace::new(model.config(), product_cache.block_size());
+        let mut product = Vec::new();
+        with_chunk_scratch(|chunk| {
+            forward_chunk_ws(
+                model,
+                tokens,
+                0,
+                &mut product_cache,
+                tokens,
+                &mut ws,
+                chunk,
+                true,
+                &mut product,
+                1,
+            )
+        })
+        .unwrap();
+
         let mut cache = model.empty_cache();
         let mut policy = FullAttention::new();
         let mut logits = Vec::new();
@@ -255,7 +144,13 @@ mod tests {
             };
             logits = model.forward_token(tok, pos, &mut ctx).unwrap();
         }
-        logits
+        [(product, product_cache), (logits, cache)]
+    }
+
+    fn embedded(model: &TransformerModel, token: u32, position: usize) -> Vec<f32> {
+        let mut out = Vec::new();
+        model.embed_into(token, position, &mut out);
+        out
     }
 
     #[test]
@@ -270,9 +165,15 @@ mod tests {
     fn forward_produces_vocab_sized_logits_and_fills_cache() {
         let model = TransformerModel::new(ModelConfig::tiny()).unwrap();
         let tokens = [3u32, 17, 42, 9];
-        let logits = forward_sequence(&model, &tokens);
-        assert_eq!(logits.len(), model.config().vocab_size);
-        assert!(logits.iter().all(|x| x.is_finite()));
+        let [product, reference] = forward_sequence(&model, &tokens);
+        for (logits, cache) in [&product, &reference] {
+            assert_eq!(logits.len(), model.config().vocab_size);
+            assert!(logits.iter().all(|x| x.is_finite()));
+            assert_eq!(cache.num_layers(), model.config().num_layers);
+            assert!(cache.iter().all(|layer| layer.positions() == [0, 1, 2, 3]));
+        }
+        let bits = |l: &[f32]| l.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&product.0), bits(&reference.0));
     }
 
     #[test]
@@ -282,12 +183,13 @@ mod tests {
         let a = 11u32;
         let b = 87u32;
         let tokens = [5u32, a, b, 23, 61, 40, 19, a];
-        let logits = forward_sequence(&model, &tokens);
-        let b_rank = logits.iter().filter(|&&x| x > logits[b as usize]).count();
-        assert!(
-            b_rank < 10,
-            "successor token should rank near the top, rank {b_rank}"
-        );
+        for (logits, _) in forward_sequence(&model, &tokens) {
+            let b_rank = logits.iter().filter(|&&x| x > logits[b as usize]).count();
+            assert!(
+                b_rank < 10,
+                "successor token should rank near the top, rank {b_rank}"
+            );
+        }
     }
 
     #[test]
@@ -299,7 +201,9 @@ mod tests {
         let tokens = [5u32, 11, 87, 23, 11];
         let l1 = forward_sequence(&with_copy, &tokens);
         let l2 = forward_sequence(&without_copy, &tokens);
-        assert_ne!(l1, l2);
+        for (a, b) in l1.iter().zip(&l2) {
+            assert_ne!(a.0, b.0);
+        }
     }
 
     #[test]
@@ -309,11 +213,13 @@ mod tests {
             TransformerModel::new(ModelConfig::tiny().with_positional(PositionalEncoding::Learned))
                 .unwrap();
         // RoPE models embed tokens position-independently.
-        assert_eq!(rope.embed(3, 0), rope.embed(3, 10));
+        assert_eq!(embedded(&rope, 3, 0), embedded(&rope, 3, 10));
         // Learned-position models do not.
-        assert_ne!(learned.embed(3, 0), learned.embed(3, 10));
+        assert_ne!(embedded(&learned, 3, 0), embedded(&learned, 3, 10));
     }
 
+    /// The product embedding equals the reference forward's, with a reused
+    /// buffer across calls.
     #[test]
     fn embed_into_matches_embed() {
         for config in [
@@ -333,7 +239,7 @@ mod tests {
     #[should_panic(expected = "outside vocabulary")]
     fn embedding_out_of_vocab_panics() {
         let model = TransformerModel::new(ModelConfig::tiny()).unwrap();
-        model.embed(10_000, 0);
+        embedded(&model, 10_000, 0);
     }
 
     #[test]

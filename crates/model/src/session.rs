@@ -41,10 +41,10 @@
 
 use crate::config::ModelConfig;
 use crate::generation::{GenerationConfig, GenerationOutput, SamplingStrategy};
-use crate::model::{ForwardContext, TransformerModel};
+use crate::model::TransformerModel;
 use crate::stats::AttentionStats;
 use crate::workspace::{
-    forward_chunk_ws, machine_parallelism, with_chunk_scratch, ForwardPath, ForwardWorkspace,
+    forward_chunk_ws, machine_parallelism, with_chunk_scratch, ForwardWorkspace,
 };
 use keyformer_core::block::{OvercommitPolicy, SharedBlockPool};
 use keyformer_core::budget::{CacheBudget, CacheBudgetSpec};
@@ -153,13 +153,15 @@ pub struct Session<'m> {
     prefix_context: u64,
     /// Prompt tokens of the current request served from attached shared blocks.
     prefix_tokens_reused: usize,
-    /// Which forward implementation [`Session::step`] and friends run.
-    path: ForwardPath,
-    /// Reusable buffers and cached key rotations of the workspace path.
+    /// Reusable buffers and cached key rotations of the forward pass.
     ws: ForwardWorkspace,
     /// Most threads one prefill chunk runs on (the machine's parallelism;
     /// tests pin it to compare worker counts).
     pub(crate) prefill_workers: usize,
+    /// Forward token by token through the reference forward instead (the
+    /// differential tests' oracle; see `crate::reference`).
+    #[cfg(test)]
+    pub(crate) reference_forward: bool,
 }
 
 impl<'m> Session<'m> {
@@ -237,29 +239,11 @@ impl<'m> Session<'m> {
             prefix_registry: None,
             prefix_context: 0,
             prefix_tokens_reused: 0,
-            path: ForwardPath::default(),
             ws,
             prefill_workers: machine_parallelism(),
+            #[cfg(test)]
+            reference_forward: false,
         }
-    }
-
-    /// Selects which forward implementation this session runs. The default is
-    /// [`ForwardPath::Workspace`]; [`ForwardPath::Legacy`] keeps the original
-    /// allocating path callable for in-process baseline comparisons. The two
-    /// paths are byte-identical, so switching never changes tokens.
-    pub fn set_forward_path(&mut self, path: ForwardPath) {
-        self.path = path;
-    }
-
-    /// Builder form of [`Session::set_forward_path`].
-    pub fn with_forward_path(mut self, path: ForwardPath) -> Self {
-        self.set_forward_path(path);
-        self
-    }
-
-    /// The forward implementation this session runs.
-    pub fn forward_path(&self) -> ForwardPath {
-        self.path
     }
 
     /// Sets the chunked-prefill granularity: `Some(n)` makes [`Session::begin`]
@@ -427,37 +411,6 @@ impl<'m> Session<'m> {
             .map(|_| ())
     }
 
-    /// Runs one token's forward pass along the configured [`ForwardPath`] —
-    /// on the workspace path a one-row [`Session::forward_chunk`] — writing
-    /// the next-token logits into `out` (reused across steps by the decode
-    /// loop, so the workspace path allocates nothing in steady state).
-    fn forward_into(
-        &mut self,
-        token: u32,
-        position: usize,
-        phase: Phase,
-        step: usize,
-        total_steps: usize,
-        out: &mut Vec<f32>,
-    ) -> Result<(), CoreError> {
-        if self.path == ForwardPath::Workspace {
-            return self.forward_chunk(&[token], position, phase, step, total_steps, true, out);
-        }
-        self.sequence.push(token);
-        let mut ctx = ForwardContext {
-            cache: &mut self.cache,
-            policy: self.policy.as_mut(),
-            stats: self.stats.as_mut(),
-            sequence: &self.sequence,
-            phase,
-            step,
-            total_steps,
-        };
-        *out = self.model.forward_token(token, position, &mut ctx)?;
-        self.peak_cache_bytes = self.peak_cache_bytes.max(self.cache.byte_size());
-        Ok(())
-    }
-
     fn evict_to_budget(&mut self) -> Result<(), CoreError> {
         let Some(budget) = self.budget else {
             return Ok(());
@@ -507,6 +460,10 @@ impl<'m> Session<'m> {
         compute_logits: bool,
         logits: &mut Vec<f32>,
     ) -> Result<(), CoreError> {
+        #[cfg(test)]
+        if self.reference_forward {
+            return self.forward_reference(tokens, start, phase, step, total_steps, logits);
+        }
         self.sequence.extend_from_slice(tokens);
         with_chunk_scratch(|chunk| {
             let chunk_peak = forward_chunk_ws(
@@ -561,6 +518,40 @@ impl<'m> Session<'m> {
             }
             Ok(())
         })
+    }
+
+    /// [`Session::forward_chunk`] on the reference forward: each token is
+    /// forwarded on its own, its observations and statistics records reach
+    /// the policy and collector directly, the peak bytes are sampled after it,
+    /// and a prompt token that completes a block registers its prefix.
+    #[cfg(test)]
+    fn forward_reference(
+        &mut self,
+        tokens: &[u32],
+        start: usize,
+        phase: Phase,
+        step: usize,
+        total_steps: usize,
+        logits: &mut Vec<f32>,
+    ) -> Result<(), CoreError> {
+        for (i, &token) in tokens.iter().enumerate() {
+            self.sequence.push(token);
+            let mut ctx = crate::reference::ForwardContext {
+                cache: &mut self.cache,
+                policy: self.policy.as_mut(),
+                stats: self.stats.as_mut(),
+                sequence: &self.sequence,
+                phase,
+                step: step + i,
+                total_steps,
+            };
+            *logits = self.model.forward_token(token, start + i, &mut ctx)?;
+            self.peak_cache_bytes = self.peak_cache_bytes.max(self.cache.byte_size());
+            if phase == Phase::Prompt {
+                self.maybe_register_prefix(start + i + 1)?;
+            }
+        }
+        Ok(())
     }
 
     /// Arms a stepwise decode of up to `config.max_new_tokens` tokens for
@@ -730,11 +721,12 @@ impl<'m> Session<'m> {
             prefix_registry: self.prefix_registry.clone(),
             prefix_context: self.prefix_context,
             prefix_tokens_reused: self.prefix_tokens_reused,
-            path: self.path,
             // The fork shares every block (same ids, same generations), so the
             // cloned rotated-key caches stay valid until either side writes.
             ws: self.ws.clone(),
             prefill_workers: self.prefill_workers,
+            #[cfg(test)]
+            reference_forward: self.reference_forward,
         })
     }
 
@@ -774,81 +766,24 @@ impl<'m> Session<'m> {
     /// cover the next token; the prefill stays resumable and should be retried
     /// once another sequence frees blocks.
     ///
+    /// Admission is one exact [`KvCache::blocks_needed_for_next_n_tokens`]
+    /// query against the pool's transient headroom per chunk, not a pool
+    /// round-trip per token: the call forwards the largest prefix of its
+    /// chunk whose block need fits, through `forward_chunk_ws` in one pass
+    /// per decoder layer. The need is monotone in `n` and the pool state is
+    /// constant between registrations, so the prefix stalls on exactly the
+    /// token a chunk of 1 stalls on. The one event that changes pool state
+    /// *inside* a chunk is a successful prefix registration on a bounded
+    /// strict pool (it reserves pins); registrations only fire at block
+    /// boundaries, so in that configuration the chunk is split at block
+    /// boundaries and the headroom re-read per segment.
+    ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] if no prefill is in progress, and
     /// propagates forward and eviction errors — after which the session holds
     /// neither a prefill nor a decode, so a scheduler can retire it safely.
     pub fn advance_prefill(&mut self) -> Result<PrefillProgress, CoreError> {
-        match self.path {
-            ForwardPath::Legacy => self.advance_prefill_sequential(),
-            ForwardPath::Workspace => self.advance_prefill_batched(),
-        }
-    }
-
-    /// The token-at-a-time prefill loop of the [`ForwardPath::Legacy`] path:
-    /// per-token pool pre-flight, forward, prefix registration. The batched
-    /// path reproduces its admission decisions, stall points and every emitted
-    /// bit.
-    fn advance_prefill_sequential(&mut self) -> Result<PrefillProgress, CoreError> {
-        let Some(mut p) = self.prefill.take() else {
-            return Err(CoreError::InvalidConfig(
-                "no prefill in progress; call begin() with a prefill chunk first".into(),
-            ));
-        };
-        let chunk = self.prefill_chunk.unwrap_or(usize::MAX).max(1);
-        let mut processed_now = 0;
-        let mut logits = Vec::new();
-        let mut stalled = false;
-        while p.processed < p.prompt.len() && processed_now < chunk {
-            // Pre-flight the worst-case block need of one token so a strict
-            // pool pauses the prefill cleanly instead of failing it mid-layer.
-            // The reservation-aware check also refuses to grow the prefill
-            // transient into blocks other sessions have reserved but not yet
-            // allocated (a decoder's capacity+1 step would otherwise fail).
-            let needed = self.cache.blocks_needed_for_next_token();
-            if needed > 0
-                && !self.cache.pool().can_allocate_transient(
-                    needed,
-                    self.cache.total_blocks(),
-                    self.block_reservation,
-                )
-            {
-                stalled = true;
-                break;
-            }
-            let pos = p.processed;
-            self.forward_into(
-                p.prompt[pos],
-                pos,
-                Phase::Prompt,
-                pos,
-                p.config.max_new_tokens,
-                &mut logits,
-            )?;
-            p.processed += 1;
-            processed_now += 1;
-            self.maybe_register_prefix(p.processed)?;
-        }
-        self.finish_or_report_prefill(p, logits, processed_now, stalled)
-    }
-
-    /// Chunk-batched prefill: admits the largest prompt prefix of this call's
-    /// chunk that the block pool can cover — decided by *one* exact
-    /// [`KvCache::blocks_needed_for_next_n_tokens`] query against the pool's
-    /// transient headroom instead of a per-token pool round-trip — and
-    /// forwards it through [`forward_chunk_ws`] in one pass per decoder layer.
-    ///
-    /// The cumulative block need of `n` appends is monotone in `n` and the
-    /// pool state is constant between registrations, so the largest admissible
-    /// prefix stalls on exactly the token the sequential per-token pre-flight
-    /// would have refused. The one event that changes pool state *inside* a
-    /// chunk is a successful prefix registration on a bounded strict pool
-    /// (it reserves pins); registrations only fire at block boundaries, so in
-    /// that configuration the chunk is split at block boundaries and the
-    /// headroom re-read per segment, which reproduces the sequential admission
-    /// exactly.
-    fn advance_prefill_batched(&mut self) -> Result<PrefillProgress, CoreError> {
         let Some(mut p) = self.prefill.take() else {
             return Err(CoreError::InvalidConfig(
                 "no prefill in progress; call begin() with a prefill chunk first".into(),
@@ -904,60 +839,46 @@ impl<'m> Session<'m> {
             p.processed += n;
             processed_now += n;
         }
-        self.finish_or_report_prefill(p, logits, processed_now, stalled)
-    }
-
-    /// Shared tail of both prefill drivers: arms the decode once the final
-    /// prompt token has been forwarded (after the CoW-fork pre-flight and the
-    /// paper's single end-of-prompt eviction), or re-arms the prefill state
-    /// and reports progress.
-    fn finish_or_report_prefill(
-        &mut self,
-        p: PrefillState,
-        logits: Vec<f32>,
-        processed_now: usize,
-        stalled: bool,
-    ) -> Result<PrefillProgress, CoreError> {
-        if p.processed == p.prompt.len() {
-            // The end-of-prompt eviction may have to CoW-fork blocks this
-            // session shares (an attached prefix compacted in place), and each
-            // fork allocates while the shared original stays pinned. Pre-flight
-            // the worst case so a dry strict pool pauses here — resumable, like
-            // any other stall — instead of failing the request mid-eviction.
-            let may_fork = self.cache.shared_block_count();
-            if may_fork > 0
-                && self.budget.is_some()
-                && !self.cache.pool().can_allocate_transient(
-                    may_fork,
-                    self.cache.total_blocks(),
-                    self.block_reservation,
-                )
-            {
-                self.prefill = Some(p);
-                return Ok(PrefillProgress {
-                    processed: processed_now,
-                    remaining: 0,
-                    ready: false,
-                    stalled: true,
-                });
-            }
-            // The paper reduces the cache once, at the end of the prompt phase.
-            self.evict_to_budget()?;
-            self.arm_decode(p.prompt.len(), p.prompt.last().copied(), &p.config, logits);
+        if p.processed < p.prompt.len() {
+            let remaining = p.prompt.len() - p.processed;
+            self.prefill = Some(p);
+            return Ok(PrefillProgress {
+                processed: processed_now,
+                remaining,
+                ready: false,
+                stalled,
+            });
+        }
+        // The end-of-prompt eviction may have to CoW-fork blocks this session
+        // shares (an attached prefix compacted in place), and each fork
+        // allocates while the shared original stays pinned. Pre-flight the
+        // worst case so a dry strict pool pauses here — resumable, like any
+        // other stall — instead of failing the request mid-eviction.
+        let may_fork = self.cache.shared_block_count();
+        if may_fork > 0
+            && self.budget.is_some()
+            && !self.cache.pool().can_allocate_transient(
+                may_fork,
+                self.cache.total_blocks(),
+                self.block_reservation,
+            )
+        {
+            self.prefill = Some(p);
             return Ok(PrefillProgress {
                 processed: processed_now,
                 remaining: 0,
-                ready: true,
-                stalled: false,
+                ready: false,
+                stalled: true,
             });
         }
-        let remaining = p.prompt.len() - p.processed;
-        self.prefill = Some(p);
+        // The paper reduces the cache once, at the end of the prompt phase.
+        self.evict_to_budget()?;
+        self.arm_decode(p.prompt.len(), p.prompt.last().copied(), &p.config, logits);
         Ok(PrefillProgress {
             processed: processed_now,
-            remaining,
-            ready: false,
-            stalled,
+            remaining: 0,
+            ready: true,
+            stalled: false,
         })
     }
 
@@ -1041,12 +962,13 @@ impl<'m> Session<'m> {
         }
         let position = d.prompt_len + step;
         let forwarded = self
-            .forward_into(
-                next,
+            .forward_chunk(
+                &[next],
                 position,
                 Phase::Generation,
                 step,
                 d.config.max_new_tokens,
+                true,
                 &mut d.logits,
             )
             .and_then(|()| self.evict_to_budget());
@@ -1135,12 +1057,13 @@ impl<'m> Session<'m> {
                 break;
             }
             let position = prompt.len() + step;
-            self.forward_into(
-                tok,
+            self.forward_chunk(
+                &[tok],
                 position,
                 Phase::Generation,
                 step,
                 continuation.len(),
+                true,
                 &mut logits,
             )?;
             self.evict_to_budget()?;
@@ -2000,12 +1923,12 @@ mod tests {
         }
     }
 
-    /// The policy sees the legacy token-at-a-time observation stream — every
-    /// `(layer, head, phase, step, total_steps, logits)` by bits — through a
-    /// prefill, 8 decode steps at budget and a scored continuation, on RoPE,
-    /// ALiBi and learned positions at both KV dtypes: a decode step's one-row
-    /// chunk replays what the direct observation delivered, before the
-    /// step's eviction.
+    /// The policy sees the reference forward's token-at-a-time observation
+    /// stream — every `(layer, head, phase, step, total_steps, logits)` by
+    /// bits — through a prefill, 8 decode steps at budget and a scored
+    /// continuation, on RoPE, ALiBi and learned positions at both KV dtypes:
+    /// a decode step's one-row chunk replays what the direct observation
+    /// delivered, before the step's eviction.
     #[test]
     fn decode_observation_stream_matches_legacy() {
         let spec = CacheBudgetSpec::new(0.5, 0.3).unwrap();
@@ -2022,11 +1945,12 @@ mod tests {
             .unwrap();
             let heads = model.config().num_layers * model.config().num_heads;
             for dtype in [KvDtype::F32, KvDtype::U8] {
-                let run = |path: ForwardPath| {
+                let run = |reference: bool| {
                     let tap = Tap::default();
                     let observations = Arc::clone(&tap.observations);
-                    let mut session = Session::with_dtype(&model, Box::new(tap), Some(spec), dtype)
-                        .with_forward_path(path);
+                    let replays = Arc::clone(&tap.replay_workers);
+                    let mut session = Session::with_dtype(&model, Box::new(tap), Some(spec), dtype);
+                    session.reference_forward = reference;
                     let output = session
                         .generate(&prompt(40), &GenerationConfig::new(new_tokens))
                         .unwrap();
@@ -2034,21 +1958,20 @@ mod tests {
                     let score = session
                         .score_continuation(&text[..30], &text[30..])
                         .unwrap();
+                    // The reference delivers every row through `observe`,
+                    // the product forward through replayed `observe_rows`.
+                    assert_eq!(replays.lock().unwrap().is_empty(), reference);
                     let observed = std::mem::take(&mut *observations.lock().unwrap());
                     (output, score.total_log_prob.to_bits(), observed)
                 };
-                let legacy = run(ForwardPath::Legacy);
-                let decoded = legacy.2.iter().filter(|o| o.2 == Phase::Generation);
+                let reference = run(true);
+                let decoded = reference.2.iter().filter(|o| o.2 == Phase::Generation);
                 assert_eq!(
                     decoded.count(),
                     (new_tokens - 1 + continuation - 1) * heads,
                     "every fed-back token is observed in the generation phase"
                 );
-                assert_eq!(
-                    run(ForwardPath::Workspace),
-                    legacy,
-                    "{positional} / {dtype:?}"
-                );
+                assert_eq!(run(false), reference, "{positional} / {dtype:?}");
             }
         }
     }

@@ -1,19 +1,15 @@
-//! Allocation-free forward path: one forward function over reused buffers.
+//! The product forward pass: one forward function over reused buffers.
 //!
-//! The legacy forward path ([`crate::model::TransformerModel::forward_token`])
-//! allocates on every token: a fresh hidden vector, per-head query/key copies,
-//! per-slot logit and probability vectors, a vocabulary-sized copy-vote table
-//! and the output logits themselves. None of those sizes change between steps.
-//! The product path is one function, `forward_chunk_ws`, which forwards a
-//! prompt chunk or a decode step's single token with the exact same
-//! arithmetic into reused buffers: per-session state (key rotations, per-slot
-//! attention scratch, the copy-vote table) lives in a [`ForwardWorkspace`],
-//! and the row blocks and buffered observations, dead once a chunk's replay
-//! has run, in the thread's chunk scratch. In steady state (decoding
-//! inside an already-allocated KV block) it performs **zero heap allocations
-//! per token** — see `tests/zero_alloc_decode.rs`.
+//! `forward_chunk_ws` forwards a prompt chunk or a decode step's single
+//! token. Per-session state (key rotations, per-slot attention scratch, the
+//! copy-vote table) lives in a [`ForwardWorkspace`], and the row blocks and
+//! buffered observations, dead once a chunk's replay has run, in the thread's
+//! chunk scratch. In steady state (decoding inside an already-allocated KV
+//! block) it performs **zero heap allocations per token** — see
+//! `tests/zero_alloc_decode.rs`.
 //!
-//! The workspace also caches work the legacy path recomputes every step:
+//! The workspace also caches work a naive per-token forward would redo every
+//! step:
 //!
 //! * a per-layer [`RotatedKeyCache`] memoizes the RoPE rotation of every cached
 //!   key, keyed on KV-block `(id, generation)` so appends top up incrementally
@@ -25,10 +21,12 @@
 //!   `(sin, cos)` once per position, multiplies only per row;
 //! * per-head ALiBi slopes are precomputed once per model configuration.
 //!
-//! Every buffer reuse preserves the exact f32 operation order of the legacy
-//! path, so the two paths are *byte-identical*: the same token streams, the
-//! same logit bits (`tests/hotpath_identity.rs` proves this across the policy
-//! zoo, both KV dtypes and prefix sharing).
+//! Every batching and buffer reuse preserves the exact f32 operation order of
+//! a token-at-a-time forward that allocates every buffer afresh. The crate's
+//! unit tests keep that forward as a test-only reference and prove the two
+//! *byte-identical* — the same token streams, the same logit bits, the same
+//! observation stream — across the policy zoo, both KV dtypes, chunk sizes
+//! and prefix sharing.
 
 use crate::config::{ModelConfig, PositionMode};
 use crate::model::TransformerModel;
@@ -55,19 +53,6 @@ const LN_EPS: f32 = 1e-5;
 /// not `chunk` rows, so it stays L1-resident at a thousand live slots and off
 /// the peak RSS. Prefill time is flat from 4 to 32 rows.
 const ATTN_BAND_ROWS: usize = 8;
-
-/// Which forward implementation a [`crate::session::Session`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ForwardPath {
-    /// The original allocating path ([`TransformerModel::forward_token`]).
-    /// Kept callable so the `attention_hotpath` bench can measure both paths
-    /// in one process and identity tests can compare them bit-for-bit.
-    Legacy,
-    /// The workspace path: reused buffers, cached key rotations, fused
-    /// block-row iteration. Byte-identical output to `Legacy`.
-    #[default]
-    Workspace,
-}
 
 /// Scratch of the one-query-at-a-time attention ([`attend_chunk_query_ws`])
 /// and of the observation replay. The per-slot buffers (`logits`, `probs`,
@@ -1097,8 +1082,7 @@ fn attend_chunk_gemm(view: &LayerView<'_>, part: AttnPart<'_>) {
 /// One chunk query of [`forward_chunk_ws`], head by head: every query of a
 /// quantized (`u8`) layer and the one query of a single-row chunk (a decode
 /// step); other chunks go through [`attend_chunk_gemm`]. The per-head
-/// arithmetic of the legacy [`crate::attention::attend_single_query`],
-/// against a `live`-slot [`keyformer_core::cache::KvSlice::truncated`] causal
+/// arithmetic of the reference forward's single-query attention, against a `live`-slot [`keyformer_core::cache::KvSlice::truncated`] causal
 /// view of the layer, with the policy observation *buffered* (into `obs` /
 /// `obs_slots`) instead of delivered — the session replays it token-major
 /// afterwards. None of its differences changes a bit: RoPE keys come from the

@@ -1,5 +1,5 @@
-//! Proof that steady-state decode on the workspace path performs **zero heap
-//! allocations per token**.
+//! Proof that steady-state decode performs **zero heap allocations per
+//! token**.
 //!
 //! A counting wrapper around the system allocator is installed as the global
 //! allocator for this test binary. After a request is admitted
@@ -27,10 +27,7 @@
 //! The window deliberately avoids the two places the hot path *is* allowed to
 //! allocate: block boundaries (a fresh KV block, its rotated-key entry and a
 //! per-block `positions` reservation) and the stats collector (off here, as
-//! in serving). Allocation-freedom is a property of the default
-//! [`ForwardPath::Workspace`] only — the legacy path allocates per token by
-//! design, which is what the `attention_hotpath` Criterion target's
-//! `forward_path/*` group quantifies.
+//! in serving).
 
 // The GlobalAlloc trait is unsafe to implement; this thin counting wrapper
 // delegates straight to the system allocator.
@@ -48,7 +45,6 @@ use keyformer::model::families::ModelFamily;
 use keyformer::model::generation::GenerationConfig;
 use keyformer::model::model::TransformerModel;
 use keyformer::model::session::Session;
-use keyformer::model::workspace::ForwardPath;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -127,7 +123,7 @@ fn decode_allocates_nothing(
     warm_up: usize,
 ) {
     let policy = PolicySpec::Full.build().unwrap();
-    let mut session = Session::new(model, policy, None).with_forward_path(ForwardPath::Workspace);
+    let mut session = Session::new(model, policy, None);
     // begin() reserves sequence and per-slot scratch for the whole request.
     let prompt: Vec<u32> = (0..prompt_len).map(|i| (i * 7 + 3) % 128).collect();
     let config = GenerationConfig::new(new_tokens);
