@@ -218,13 +218,7 @@ pub fn spawn_pump(
                 }
             };
             engine.record_events(true);
-            let mut pump = Pump {
-                engine,
-                shared,
-                done_cursor: 0,
-                failed_cursor: 0,
-            };
-            pump.run(&rx);
+            Pump { engine, shared }.run(&rx);
         })
         .expect("spawning the pump thread");
     match init_rx.recv() {
@@ -263,8 +257,6 @@ impl Drop for PumpDeathGuard {
 struct Pump<'m> {
     engine: Engine<'m>,
     shared: Arc<PumpShared>,
-    done_cursor: usize,
-    failed_cursor: usize,
 }
 
 impl Pump<'_> {
@@ -378,8 +370,8 @@ impl Pump<'_> {
             match event.kind {
                 EventKind::Queued | EventKind::Completed { .. } | EventKind::Failed { .. } => {
                     // Queued is the job's birth state; terminal retirements
-                    // are harvested from completions()/failures(), which
-                    // carry the payload.
+                    // are harvested from `drain_retired`, which carries the
+                    // payload.
                 }
                 EventKind::PrefillStarted | EventKind::Resumed => {
                     self.shared
@@ -399,24 +391,24 @@ impl Pump<'_> {
         }
     }
 
-    /// Applies completions and failures the engine retired since last poll.
+    /// Applies completions and failures the engine retired since last poll,
+    /// taking them out of the engine: a node runs for its whole life, so the
+    /// engine must not keep every request's result.
     fn harvest_retirements(&mut self) {
-        let completions: Vec<(JobId, Vec<u32>)> = self.engine.completions()[self.done_cursor..]
-            .iter()
-            .map(|c| (c.id.raw(), c.output.generated.clone()))
-            .collect();
-        self.done_cursor = self.engine.completions().len();
-        for (job, tokens) in completions {
-            self.finish_completed(job, tokens);
+        let (completions, failures) = self.engine.drain_retired();
+        for completion in completions {
+            self.finish_completed(completion.id.raw(), completion.output.generated);
         }
-        let failures: Vec<(JobId, keyformer_serve::WireCode, String)> = self.engine.failures()
-            [self.failed_cursor..]
-            .iter()
-            .filter(|f| !matches!(f.reason, FailureReason::Cancelled))
-            .map(|f| (f.id.raw(), f.reason.wire(), f.reason.to_string()))
-            .collect();
-        self.failed_cursor = self.engine.failures().len();
-        for (job, wire, message) in failures {
+        for failure in failures {
+            // A cancellation is finished from its event.
+            if matches!(failure.reason, FailureReason::Cancelled) {
+                continue;
+            }
+            let (job, wire, message) = (
+                failure.id.raw(),
+                failure.reason.wire(),
+                failure.reason.to_string(),
+            );
             let group = self.shared.dedup().take_group_of_primary(job);
             self.fail_job(job, wire, message.clone());
             for (follower, _) in group.into_iter().flat_map(|g| g.followers) {
@@ -611,6 +603,58 @@ mod tests {
         assert_eq!(jobs.live(), 0);
         let refused = crate::api::admit(spec(), &node).err().unwrap();
         assert_eq!((refused.status, refused.code), (503, "unavailable"));
+    }
+
+    /// After a pump has served requests, the engine holds none of their
+    /// retirements; the job table has each result.
+    #[test]
+    fn a_pump_leaves_no_retirement_in_the_engine() {
+        let model = ModelFamily::Tiny.build(1);
+        let config = keyformer_serve::ServerConfig::new(PolicySpec::Full, None, 1 << 20);
+        let jobs = Arc::new(JobTable::new(64));
+        let shared = Arc::new(PumpShared {
+            jobs: Arc::clone(&jobs),
+            dedup: Arc::new(Mutex::new(DedupState::new(
+                true,
+                ResultCache::new(16, 1_000),
+            ))),
+            snapshot: Arc::new(Mutex::new(EngineSnapshot::default())),
+            started: std::time::Instant::now(),
+        });
+        let (tx, rx) = mpsc::channel();
+        let submit = |salt: u32, options: SubmitOptions| {
+            let job = jobs.create(3, Some(key(salt)), JobState::Queued);
+            let key = key(salt);
+            tx.send(Command::Submit { job, key, options }).unwrap();
+            job
+        };
+        let served: Vec<JobId> = (0..6)
+            .map(|salt| submit(salt, SubmitOptions::new()))
+            .collect();
+        let expired = submit(6, SubmitOptions::new().with_deadline_steps(0));
+        let cancelled = submit(7, SubmitOptions::new());
+        tx.send(Command::Cancel { job: cancelled }).unwrap();
+        // With every sender gone the pump serves what is queued, then exits.
+        drop(tx);
+        let mut pump = Pump {
+            engine: Engine::new(&model, config).unwrap(),
+            shared,
+        };
+        pump.run(&rx);
+
+        assert!(pump.engine.is_idle());
+        assert!(pump.engine.completions().is_empty(), "completions kept");
+        assert!(pump.engine.failures().is_empty(), "failures kept");
+        for job in served {
+            let (state, tokens) = jobs.with_job(job, |r| (r.state, r.tokens.len())).unwrap();
+            assert_eq!(state, JobState::Done, "job {job}");
+            assert!(tokens > 0, "job {job} has no tokens");
+        }
+        assert_eq!(jobs.with_job(expired, |r| r.state), Some(JobState::Failed));
+        assert_eq!(
+            jobs.with_job(cancelled, |r| r.state),
+            Some(JobState::Cancelled)
+        );
     }
 
     #[test]

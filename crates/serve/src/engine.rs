@@ -44,7 +44,8 @@
 //! [`Engine::completions`]. The buffer grows until drained; a driver that
 //! never drains — submit, [`Engine::run`] to idle, harvest
 //! [`Engine::completions`] — should disable recording with
-//! [`Engine::record_events`].
+//! [`Engine::record_events`]. Completions and failures likewise stay until
+//! [`Engine::drain_retired`] takes them, which a long-lived driver must do.
 //!
 //! A request preempted mid-decode is recomputed token-identically on
 //! re-admission; tokens that were already surfaced before the preemption are
@@ -134,11 +135,10 @@ use keyformer_core::prefix::{policy_context, PrefixRegistryStats, SharedPrefixRe
 use keyformer_core::spec::PolicySpec;
 use keyformer_core::CoreError;
 use keyformer_model::model::TransformerModel;
-use keyformer_model::session::{Session, SessionStep};
+use keyformer_model::session::{PrefillProgress, Session, SessionStep};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::collections::VecDeque;
 
 /// Default token slots per block used by the serving layer.
 ///
@@ -183,6 +183,7 @@ pub struct ServerConfig {
     /// of `pool_bytes / (block_size * per-layer slot bytes)` blocks.
     pub pool_bytes: usize,
     /// Hard cap on concurrently running sessions (defaults to unlimited).
+    /// Zero is rejected by [`ServerConfig::validate`].
     pub max_concurrency: usize,
     /// Prefill work units (whole prompts, or chunks when chunked) executed per
     /// scheduler step (defaults to 1). Zero is rejected by
@@ -190,9 +191,10 @@ pub struct ServerConfig {
     pub prefills_per_step: usize,
     /// Token slots per block (defaults to [`DEFAULT_SERVE_BLOCK_SIZE`]).
     pub block_size: usize,
-    /// Prompt tokens forwarded per prefill work unit. `None` (the default) runs
-    /// each prompt one-shot inside its admission step; `Some(n)` spreads it
-    /// over `ceil(prompt_len / n)` steps, resumable mid-prompt.
+    /// Prompt tokens forwarded per prefill work unit. `None` (the default)
+    /// makes the whole prompt one work unit, run in its admission step;
+    /// `Some(n)` spreads it over `ceil(prompt_len / n)` steps, resumable
+    /// mid-prompt.
     pub prefill_chunk: Option<usize>,
     /// When `true`, the block pool hard-enforces its capacity: allocations past
     /// it fail and chunked prefills pause instead. Requires `prefill_chunk`.
@@ -233,7 +235,7 @@ pub struct ServerConfig {
 impl ServerConfig {
     /// A configuration with the given policy, per-session budget and byte pool,
     /// unlimited concurrency, one prefill per step, the default block size and
-    /// one-shot prefill.
+    /// whole-prompt prefill.
     pub fn new(policy: PolicySpec, budget: Option<CacheBudgetSpec>, pool_bytes: usize) -> Self {
         ServerConfig {
             policy,
@@ -285,9 +287,10 @@ impl ServerConfig {
             .filter(|&w| w > 0)
     }
 
-    /// Caps the number of concurrently running sessions.
+    /// Caps the number of concurrently running sessions. Zero is not clamped
+    /// — it fails [`ServerConfig::validate`].
     pub fn with_max_concurrency(mut self, max: usize) -> Self {
-        self.max_concurrency = max.max(1);
+        self.max_concurrency = max;
         self
     }
 
@@ -327,8 +330,9 @@ impl ServerConfig {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] if the pool is empty, the block
-    /// size or prefill chunk is zero, `prefills_per_step` is zero, a strict
-    /// pool lacks chunked prefill, or the policy spec itself does not build.
+    /// size or prefill chunk is zero, `max_concurrency`, `prefills_per_step`
+    /// or `decode_workers` is zero, a strict pool lacks chunked prefill, or
+    /// the policy spec itself does not build.
     pub fn validate(&self) -> Result<(), CoreError> {
         if self.pool_bytes == 0 {
             return Err(CoreError::InvalidConfig(
@@ -338,6 +342,13 @@ impl ServerConfig {
         if self.block_size == 0 {
             return Err(CoreError::InvalidConfig(
                 "block size must be at least 1 token slot".into(),
+            ));
+        }
+        if self.max_concurrency == 0 {
+            return Err(CoreError::InvalidConfig(
+                "max_concurrency must be at least 1; a zero-session server could never \
+                 admit a request"
+                    .into(),
             ));
         }
         if self.prefills_per_step == 0 {
@@ -373,8 +384,8 @@ impl ServerConfig {
 /// The handle is a lightweight token (the engine is driven from one thread,
 /// so it carries no channel): pass it — or its [`RequestHandle::id`] — back
 /// into [`Engine::drain_events_for`] to stream the request's events and into
-/// [`Engine::cancel`] to retire it early. To cancel from *another* thread,
-/// pair the id with a [`CancelSignal`].
+/// [`Engine::cancel`] to retire it early. Another thread cancels by sending
+/// the id to the thread that drives the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RequestHandle {
     id: RequestId,
@@ -390,53 +401,6 @@ impl RequestHandle {
 impl std::fmt::Display for RequestHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}", self.id)
-    }
-}
-
-/// A clonable, thread-safe cancellation mailbox for an [`Engine`].
-///
-/// [`Engine::cancel`] needs `&mut Engine`, so it can only run between steps
-/// on the driving thread. A `CancelSignal` (from [`Engine::cancel_signal`])
-/// can be handed to *any* thread — a client timeout task, a worker — and
-/// fired at any moment, including while a parallel decode step is executing.
-/// The engine drains the mailbox at its two serialization points:
-///
-/// * at the top of every [`Engine::step`], before deadline expiry, and
-/// * between the execute and commit phases of every decode round.
-///
-/// A cancellation that lands before the commit retires the request *before*
-/// its token is surfaced (a token computed in parallel is discarded; at one
-/// worker the session does not step at all): the request retires
-/// exactly once, its blocks and reservation return to the pool, and no event
-/// follows the terminal [`EventKind::Cancelled`]. Signals naming unknown or
-/// already-retired requests are ignored, exactly like [`Engine::cancel`]
-/// returning `false`.
-#[derive(Debug, Clone, Default)]
-pub struct CancelSignal {
-    inner: Arc<Mutex<Vec<RequestId>>>,
-}
-
-impl CancelSignal {
-    /// Requests cancellation of `id` at the engine's next serialization
-    /// point. Callable from any thread; never blocks on engine work.
-    pub fn cancel(&self, id: RequestId) {
-        self.inner
-            .lock()
-            .expect("cancel signal lock poisoned")
-            .push(id);
-    }
-
-    /// Number of signalled cancellations not yet applied by the engine.
-    pub fn pending(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("cancel signal lock poisoned")
-            .len()
-    }
-
-    /// Takes every signalled id, in signalling order.
-    fn take(&self) -> Vec<RequestId> {
-        std::mem::take(&mut *self.inner.lock().expect("cancel signal lock poisoned"))
     }
 }
 
@@ -573,8 +537,8 @@ pub struct ServerStats {
     pub decode_steps: usize,
     /// Prefills completed (one per admitted request, however many chunks).
     pub prefills: usize,
-    /// Prefill work units executed (chunk advances; equals `prefills` for
-    /// one-shot prefill).
+    /// Prefill work units executed (chunk advances; equals `prefills`
+    /// without a prefill chunk).
     pub prefill_chunks: usize,
     /// Times a chunked prefill paused because a strict pool had no block.
     pub prefill_stalls: usize,
@@ -673,8 +637,7 @@ pub struct StepReport {
     /// Running sessions swapped out under pool pressure.
     pub preempted: usize,
     /// Live token slots in physical blocks at end of step — shared blocks
-    /// counted once, registry-pinned blocks included (see
-    /// [`Engine::physical_live_slots`]).
+    /// counted once, registry-pinned blocks counted as full.
     pub live_slots: usize,
     /// Token slots covered by allocated blocks at end of step.
     pub allocated_slots: usize,
@@ -741,14 +704,6 @@ pub struct Engine<'m> {
     stats: ServerStats,
     events: VecDeque<Event>,
     record_events: bool,
-    /// Cap on *buffered* (undrained) events per request (`None` = unbounded).
-    event_buffer_limit: Option<usize>,
-    /// Events dropped to the per-request buffer cap, total.
-    events_dropped: usize,
-    /// Events dropped per request, cumulative over the engine's lifetime.
-    events_dropped_by_request: HashMap<RequestId, usize>,
-    /// Cross-thread cancellation mailbox; see [`CancelSignal`].
-    cancel_signal: CancelSignal,
 }
 
 impl<'m> Engine<'m> {
@@ -798,10 +753,6 @@ impl<'m> Engine<'m> {
             stats: ServerStats::default(),
             events: VecDeque::new(),
             record_events: true,
-            event_buffer_limit: None,
-            events_dropped: 0,
-            events_dropped_by_request: HashMap::new(),
-            cancel_signal: CancelSignal::default(),
         })
     }
 
@@ -848,7 +799,7 @@ impl<'m> Engine<'m> {
     /// Prompt tokens of `request` a prefix-cache attach would reuse right now
     /// (full blocks only, and never the final prompt token). 0 without prefix
     /// sharing.
-    pub fn reusable_prefix_tokens(&self, request: &Request) -> usize {
+    fn reusable_prefix_tokens(&self, request: &Request) -> usize {
         let Some(registry) = &self.registry else {
             return 0;
         };
@@ -889,13 +840,13 @@ impl<'m> Engine<'m> {
 
     /// Blocks reserved for `request` at admission: its steady-state slots
     /// rounded up to whole blocks, per layer.
-    pub fn reserved_blocks_for(&self, request: &Request) -> usize {
+    fn reserved_blocks_for(&self, request: &Request) -> usize {
         self.num_layers * blocks_for_slots(self.steady_state_slots(request), self.config.block_size)
     }
 
     /// Worst-case blocks `request` ever holds, including the prefill transient
     /// (the whole prompt is live just before the end-of-prompt eviction).
-    pub fn peak_blocks_for(&self, request: &Request) -> usize {
+    fn peak_blocks_for(&self, request: &Request) -> usize {
         let peak_slots = self.steady_state_slots(request).max(request.prompt.len());
         self.num_layers * blocks_for_slots(peak_slots, self.config.block_size)
     }
@@ -911,7 +862,7 @@ impl<'m> Engine<'m> {
     /// blocks that the reservation must cover. Strict pools also keep the full
     /// reservation, because their no-overshoot guarantee is proven against
     /// reservations covering every private block a session can hold.
-    pub fn admission_reservation(&self, request: &Request) -> usize {
+    fn admission_reservation(&self, request: &Request) -> usize {
         let full = self.reserved_blocks_for(request);
         if self.config.strict_pool || request.effective_budget(self.config.budget).is_some() {
             return full;
@@ -921,19 +872,13 @@ impl<'m> Engine<'m> {
         full.saturating_sub(shared_blocks)
     }
 
-    /// Steady-state byte reservation of `request` at block granularity — the
-    /// quantity admission holds below the pool.
-    pub fn projected_kv_bytes(&self, request: &Request) -> usize {
-        self.reserved_blocks_for(request) * self.bytes_per_block
-    }
-
     /// Bytes currently reserved by admitted requests, at block granularity.
     pub fn reserved_bytes(&self) -> usize {
         self.pool.blocks_reserved() * self.bytes_per_block
     }
 
     /// Actual live KV bytes across running sessions right now.
-    pub fn live_kv_bytes(&self) -> usize {
+    fn live_kv_bytes(&self) -> usize {
         self.running.iter().map(|r| r.session.cache_bytes()).sum()
     }
 
@@ -942,7 +887,7 @@ impl<'m> Engine<'m> {
     /// a per-session sum past the allocated total), plus the registry's pinned
     /// blocks, which hold a full block of valid cached rows each. This is the
     /// numerator of the pool-utilization metric.
-    pub fn physical_live_slots(&self) -> usize {
+    fn physical_live_slots(&self) -> usize {
         let mut seen: std::collections::HashSet<BlockId> = std::collections::HashSet::new();
         let mut live = 0;
         for r in &self.running {
@@ -989,15 +934,28 @@ impl<'m> Engine<'m> {
         &self.stats
     }
 
-    /// Completed requests, in completion order.
+    /// Completed requests not yet taken by [`Engine::drain_retired`], in
+    /// completion order.
     pub fn completions(&self) -> &[Completion] {
         &self.completed
     }
 
     /// Requests retired without completing (failures, cancellations and
-    /// deadline expiries), in retirement order.
+    /// deadline expiries) not yet taken by [`Engine::drain_retired`], in
+    /// retirement order.
     pub fn failures(&self) -> &[FailedRequest] {
         &self.failed
+    }
+
+    /// Takes every completion and failure retired so far, each in retirement
+    /// order, leaving [`Engine::completions`] and [`Engine::failures`] empty.
+    /// A long-lived driver harvests through this; otherwise the engine keeps
+    /// every request's result, tokens included, until it is dropped.
+    pub fn drain_retired(&mut self) -> (Vec<Completion>, Vec<FailedRequest>) {
+        (
+            std::mem::take(&mut self.completed),
+            std::mem::take(&mut self.failed),
+        )
     }
 
     /// Enables or disables event recording. Recording is on by default;
@@ -1010,56 +968,6 @@ impl<'m> Engine<'m> {
         if !record {
             self.events.clear();
         }
-    }
-
-    /// `true` while events are being recorded.
-    pub fn is_recording_events(&self) -> bool {
-        self.record_events
-    }
-
-    /// Number of buffered (undrained) events.
-    pub fn pending_events(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Caps how many events may sit *buffered* (undrained) per request
-    /// (`None`, the default, is unbounded). When a request's buffer is full,
-    /// emitting a new event drops that request's **oldest non-terminal**
-    /// buffered event first — a slow or absent reader loses the oldest
-    /// tokens, never the terminal — and the drop is counted in
-    /// [`Engine::events_dropped`] / [`Engine::events_dropped_for`]. This is
-    /// the backpressure story for long-lived streams: without a cap, a
-    /// never-drained handle grows the buffer by one event per token forever.
-    ///
-    /// A cap of 0 is treated as 1: the terminal event is always retained.
-    pub fn set_event_buffer_limit(&mut self, limit: Option<usize>) {
-        self.event_buffer_limit = limit.map(|cap| cap.max(1));
-    }
-
-    /// The per-request buffered-event cap, when one is set.
-    pub fn event_buffer_limit(&self) -> Option<usize> {
-        self.event_buffer_limit
-    }
-
-    /// Events dropped to the per-request buffer cap over the engine's
-    /// lifetime (0 unless [`Engine::set_event_buffer_limit`] was used and a
-    /// reader fell behind).
-    pub fn events_dropped(&self) -> usize {
-        self.events_dropped
-    }
-
-    /// Events of `id` dropped to the per-request buffer cap, cumulative.
-    pub fn events_dropped_for(&self, id: RequestId) -> usize {
-        self.events_dropped_by_request
-            .get(&id)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// A clonable, thread-safe cancellation mailbox for this engine; see
-    /// [`CancelSignal`].
-    pub fn cancel_signal(&self) -> CancelSignal {
-        self.cancel_signal.clone()
     }
 
     /// Drains every buffered event, in emission order.
@@ -1085,23 +993,6 @@ impl<'m> Engine<'m> {
     fn emit(&mut self, id: RequestId, kind: EventKind) {
         if !self.record_events {
             return;
-        }
-        if let Some(cap) = self.event_buffer_limit {
-            let buffered = self.events.iter().filter(|e| e.id == id).count();
-            if buffered >= cap {
-                // Overflow: make room by dropping this request's oldest
-                // non-terminal buffered event (terminals are never dropped;
-                // at most one exists, so room can always be made).
-                if let Some(pos) = self
-                    .events
-                    .iter()
-                    .position(|e| e.id == id && !e.kind.is_terminal())
-                {
-                    self.events.remove(pos);
-                    self.events_dropped += 1;
-                    *self.events_dropped_by_request.entry(id).or_insert(0) += 1;
-                }
-            }
         }
         self.events.push_back(Event {
             id,
@@ -1193,14 +1084,6 @@ impl<'m> Engine<'m> {
         } else {
             return false;
         }
-        self.retire_cancelled(id);
-        true
-    }
-
-    /// Records `id`, already out of the queue and the running set, as
-    /// cancelled: counts it, lists it in [`Engine::failures`] and emits its
-    /// terminal [`EventKind::Cancelled`].
-    fn retire_cancelled(&mut self, id: RequestId) {
         self.stats.cancelled += 1;
         self.failed.push(FailedRequest {
             id,
@@ -1208,6 +1091,7 @@ impl<'m> Engine<'m> {
             step: self.step,
         });
         self.emit(id, EventKind::Cancelled);
+        true
     }
 
     /// Removes the running session at `idx` and returns its reservation to
@@ -1458,6 +1342,41 @@ impl<'m> Engine<'m> {
             .position(|p| self.effective_priority(p) == best)
     }
 
+    /// Builds the session of the admitted request `pending`, with `reserved`
+    /// blocks reserved for it, arms its prompt and runs the first prefill work
+    /// unit. Without a configured chunk the whole prompt is that one unit.
+    fn start_session(
+        &mut self,
+        pending: &Pending,
+        reserved: usize,
+    ) -> Result<(Session<'m>, PrefillProgress), CoreError> {
+        let request = &pending.request;
+        let policy_spec = request.effective_policy(self.config.policy);
+        // Cannot fail after validate()/submit(); a config error still only
+        // fails the request.
+        let policy = policy_spec.build()?;
+        let budget_spec = request.effective_budget(self.config.budget);
+        let dtype = pending.options.kv_dtype.unwrap_or(self.config.kv_dtype);
+        let mut session =
+            Session::with_pool_dtype(self.model, policy, budget_spec, self.pool.clone(), dtype);
+        session.set_prefill_chunk(Some(self.config.prefill_chunk.unwrap_or(usize::MAX)));
+        session.set_block_reservation(reserved);
+        if let Some(registry) = &self.registry {
+            // Prefix entries are only shareable between sessions that store
+            // blocks at the same dtype: mixing the dtype into the context
+            // keys u8 and f32 prefixes apart.
+            session.set_prefix_registry(
+                registry.clone(),
+                policy_context(&policy_spec) ^ dtype_context(dtype),
+            );
+        }
+        // Without a registry this is exactly `begin`.
+        session.begin_with_prefix(&request.prompt, &request.config)?;
+        self.stats.prefix_tokens_reused += session.prefix_tokens_reused() as u64;
+        let progress = session.advance_prefill()?;
+        Ok((session, progress))
+    }
+
     fn admit(&mut self, budget: &mut usize) -> usize {
         let mut admitted = 0;
         while *budget > 0 && self.running.len() < self.config.max_concurrency {
@@ -1544,99 +1463,45 @@ impl<'m> Engine<'m> {
                     EventKind::PrefillStarted
                 },
             );
-            let policy_spec = pending.request.effective_policy(self.config.policy);
-            let budget_spec = pending.request.effective_budget(self.config.budget);
-            let policy = match policy_spec.build() {
-                Ok(policy) => policy,
+            let (session, progress) = match self.start_session(&pending, reserved) {
+                Ok(started) => started,
                 Err(e) => {
-                    // Unreachable after validate()/submit(), but a config error
-                    // must not take the server down.
                     self.pool.unreserve(reserved);
                     self.fail(pending.request.id, FailureReason::Engine(e));
                     continue;
                 }
             };
-            let dtype = pending.options.kv_dtype.unwrap_or(self.config.kv_dtype);
-            let mut session =
-                Session::with_pool_dtype(self.model, policy, budget_spec, self.pool.clone(), dtype);
-            session.set_prefill_chunk(self.config.prefill_chunk);
-            session.set_block_reservation(reserved);
-            let begun = match &self.registry {
-                Some(registry) => {
-                    // Prefix entries are only shareable between sessions that
-                    // store blocks at the same dtype: mixing the dtype into
-                    // the context keys u8 and f32 prefixes apart.
-                    session.set_prefix_registry(
-                        registry.clone(),
-                        policy_context(&policy_spec) ^ dtype_context(dtype),
-                    );
-                    session
-                        .begin_with_prefix(&pending.request.prompt, &pending.request.config)
-                        .map(|_| ())
-                }
-                None => session.begin(&pending.request.prompt, &pending.request.config),
-            };
-            match begun {
-                Ok(()) => {
-                    self.stats.prefix_tokens_reused += session.prefix_tokens_reused() as u64;
-                    let mut stall_streak = 0;
-                    if session.is_prefilling() {
-                        // Chunked: the first chunk runs in this step's prefill
-                        // budget, right here at admission.
-                        match session.advance_prefill() {
-                            Ok(progress) => {
-                                *budget -= 1;
-                                self.stats.prefill_chunks += 1;
-                                if progress.stalled {
-                                    self.stats.prefill_stalls += 1;
-                                    if progress.processed == 0 {
-                                        stall_streak = 1;
-                                    }
-                                }
-                                if progress.ready {
-                                    self.stats.prefills += 1;
-                                }
-                            }
-                            Err(e) => {
-                                self.pool.unreserve(reserved);
-                                self.fail(pending.request.id, FailureReason::Engine(e));
-                                continue;
-                            }
-                        }
-                    } else {
-                        // One-shot: the whole prompt ran inside begin(), so
-                        // only a successful begin consumes the prefill slot.
-                        *budget -= 1;
-                        self.stats.prefills += 1;
-                        self.stats.prefill_chunks += 1;
-                    }
-                    admitted += 1;
-                    let running = Running {
-                        request: pending.request,
-                        options: pending.options,
-                        session,
-                        reserved_blocks: reserved,
-                        submitted_step: pending.submitted_step,
-                        admitted_step: self.step,
-                        stall_streak,
-                        token_steps: pending.token_steps,
-                    };
-                    // Keep `running` ordered by descending priority (stable in
-                    // admission order within a level), so prefill continuation
-                    // and the decode round serve urgent sessions first. With
-                    // level priorities this is exactly a push to the back.
-                    let at = self
-                        .running
-                        .iter()
-                        .rposition(|r| r.options.priority >= running.options.priority)
-                        .map_or(0, |p| p + 1);
-                    self.running.insert(at, running);
-                }
-                Err(e) => {
-                    self.pool.unreserve(reserved);
-                    self.fail(pending.request.id, FailureReason::Engine(e));
-                }
+            // The first work unit runs in this step's prefill budget, right
+            // here at admission.
+            *budget -= 1;
+            self.stats.prefill_chunks += 1;
+            if progress.stalled {
+                self.stats.prefill_stalls += 1;
             }
+            if progress.ready {
+                self.stats.prefills += 1;
+            }
+            admitted += 1;
+            let running = Running {
+                request: pending.request,
+                options: pending.options,
+                session,
+                reserved_blocks: reserved,
+                submitted_step: pending.submitted_step,
+                admitted_step: self.step,
+                stall_streak: usize::from(progress.stalled && progress.processed == 0),
+                token_steps: pending.token_steps,
+            };
+            // Keep `running` ordered by descending priority (stable in
+            // admission order within a level), so prefill continuation and
+            // the decode round serve urgent sessions first. With level
+            // priorities this is exactly a push to the back.
+            let at = self
+                .running
+                .iter()
+                .rposition(|r| r.options.priority >= running.options.priority)
+                .map_or(0, |p| p + 1);
+            self.running.insert(at, running);
         }
         admitted
     }
@@ -1744,32 +1609,16 @@ impl<'m> Engine<'m> {
     /// one-worker round steps them — skipping sessions mid-prefill, stepping a
     /// planned session whose result `execute` left to it, surfacing its token
     /// and retiring finished and failed sessions — so events, retirement
-    /// order and stats are identical at every worker count. `doomed` carries
-    /// the cancellations signalled before the commit began: a planned session
-    /// among them retires as [`EventKind::Cancelled`] before its token would
-    /// surface (a precomputed one is discarded and not counted as a decode
-    /// step), its blocks and reservation return, and nothing follows the
-    /// terminal event. The rest cancel through [`Engine::cancel`] at the end.
+    /// order and stats are identical at every worker count.
     fn commit_decode(
         &mut self,
         plan: &[bool],
         results: Vec<Option<Result<SessionStep, CoreError>>>,
-        mut doomed: Vec<RequestId>,
     ) -> usize {
         let mut executed = 0;
         let mut i = 0;
         for (&planned, result) in plan.iter().zip(results) {
             if planned {
-                let id = self.running[i].id();
-                if let Some(at) = doomed.iter().position(|&d| d == id) {
-                    // By index, not through `cancel(id)`: ids are
-                    // caller-chosen, and its oldest match may be another
-                    // entry.
-                    doomed.remove(at);
-                    self.remove_running(i);
-                    self.retire_cancelled(id);
-                    continue;
-                }
                 match result.unwrap_or_else(|| self.running[i].session.step()) {
                     Ok(produced) => {
                         executed += 1;
@@ -1791,19 +1640,14 @@ impl<'m> Engine<'m> {
                 self.retire_completed(i);
             }
         }
-        for id in doomed {
-            self.cancel(id);
-        }
         executed
     }
 
-    /// One decode round: plan → execute → commit, draining the
-    /// [`CancelSignal`] mailbox between execute and commit.
+    /// One decode round: plan → execute → commit.
     fn decode_round(&mut self) -> usize {
         let plan = self.plan_decode();
         let results = self.execute_decode(&plan);
-        let doomed = self.cancel_signal.take();
-        self.commit_decode(&plan, results, doomed)
+        self.commit_decode(&plan, results)
     }
 
     /// Runs one batched scheduler step — deadline expiry, prefill
@@ -1813,12 +1657,6 @@ impl<'m> Engine<'m> {
     /// every transition are buffered for [`Engine::drain_events`].
     pub fn step(&mut self) -> StepReport {
         self.step += 1;
-        // Cancellations signalled since the last serialization point apply
-        // before any scheduling work (the other drain point sits between the
-        // decode round's execute and commit phases).
-        for id in self.cancel_signal.take() {
-            self.cancel(id);
-        }
         let completed_before = self.completed.len();
         let failed_before = self.failed.len();
         let preempted_before = self.stats.preemptions;
@@ -1970,7 +1808,6 @@ mod tests {
         assert!(completion.ttft_steps().unwrap() >= 1);
         assert!(completion.token_steps.windows(2).all(|w| w[0] < w[1]));
         // Everything drained; nothing left globally.
-        assert_eq!(engine.pending_events(), 0);
         assert!(engine.drain_events().is_empty());
         // Solo run matches the streamed tokens bit for bit.
         let solo = Session::new(
@@ -1998,7 +1835,7 @@ mod tests {
         }
         engine.run(64);
         let all = engine.drain_events();
-        assert_eq!(engine.pending_events(), 0);
+        assert!(engine.drain_events().is_empty());
         for id in 0..3u64 {
             let per: Vec<Event> = all.iter().filter(|e| e.id.raw() == id).cloned().collect();
             check_well_formed(&per);
@@ -2449,155 +2286,11 @@ mod tests {
         // no sequential fallback for budgeted-but-shared sessions.
         let results = engine.execute_decode(&plan);
         assert!(results.iter().all(|r| matches!(r, Some(Ok(_)))));
-        engine.commit_decode(&plan, results, Vec::new());
+        engine.commit_decode(&plan, results);
 
         engine.run(10_000);
         assert!(engine.is_idle());
         assert_eq!(engine.completions().len(), 2);
-    }
-
-    /// The cancel-races-parallel-step contract, deterministically: a
-    /// cancellation signalled *between* the execute and commit phases retires
-    /// the request exactly once, returns its blocks and reservation, and
-    /// emits nothing after the terminal `Cancelled` — the freshly computed
-    /// token is discarded unsurfaced.
-    #[test]
-    fn cancel_signalled_between_plan_and_commit_retires_exactly_once() {
-        let model = ModelFamily::Tiny.build(43);
-        let bytes = model.empty_cache().bytes_per_token();
-        let mut engine = Engine::new(
-            &model,
-            ServerConfig::new(
-                PolicySpec::keyformer_default(),
-                Some(CacheBudgetSpec::new(0.5, 0.3).unwrap()),
-                256 * bytes,
-            )
-            .with_block_size(4)
-            .with_decode_workers(4),
-        )
-        .unwrap();
-        let doomed = engine
-            .submit(Request::new(0, prompt(16, 0), GenerationConfig::new(12)))
-            .unwrap();
-        let survivor = engine
-            .submit(Request::new(1, prompt(16, 1), GenerationConfig::new(12)))
-            .unwrap();
-        // Admit both and surface their first tokens.
-        engine.step();
-        engine.step();
-        assert_eq!(engine.running(), 2);
-        let signal = engine.cancel_signal();
-
-        // Drive the round stage by stage: plan, execute, *then* signal the
-        // cancellation, then commit — the exact window the signal exists for.
-        engine.step += 1;
-        let plan = engine.plan_decode();
-        assert_eq!(plan, vec![true, true]);
-        let results = engine.execute_decode(&plan);
-        assert!(
-            results.iter().all(|r| matches!(r, Some(Ok(_)))),
-            "a 2-session plan fans out at 4 workers"
-        );
-        signal.cancel(doomed.id());
-        let taken = engine.cancel_signal.take();
-        let executed = engine.commit_decode(&plan, results, taken);
-
-        // Only the survivor's token was surfaced or counted.
-        assert_eq!(executed, 1);
-        assert_eq!(engine.running(), 1);
-        assert_eq!(engine.failures().len(), 1);
-        assert_eq!(engine.failures()[0].id, doomed.id());
-        assert!(matches!(
-            engine.failures()[0].reason,
-            FailureReason::Cancelled
-        ));
-        assert_eq!(engine.stats().cancelled, 1);
-        let events = engine.drain_events_for(doomed.id());
-        let terminal = check_well_formed(&events);
-        assert_eq!(terminal.kind, EventKind::Cancelled);
-        // A second cancel (signalled or direct) is a no-op: retired once.
-        signal.cancel(doomed.id());
-        engine.step();
-        assert_eq!(engine.stats().cancelled, 1, "double retirement");
-        assert!(!engine.cancel(doomed.id()));
-        // The survivor still drains to completion and nothing leaked.
-        engine.run(10_000);
-        assert!(engine.is_idle());
-        assert_eq!(engine.completions().len(), 1);
-        assert_eq!(engine.completions()[0].id, survivor.id());
-        assert_eq!(engine.pool().blocks_in_use(), 0, "cancelled blocks leaked");
-        assert_eq!(engine.pool().blocks_reserved(), 0, "reservation leaked");
-    }
-
-    #[test]
-    fn cancel_signal_applies_at_the_top_of_the_next_step() {
-        let model = ModelFamily::Tiny.build(44);
-        let mut engine = keyformer_engine(&model, 256);
-        let handle = engine
-            .submit(Request::new(0, prompt(16, 0), GenerationConfig::new(8)))
-            .unwrap();
-        let signal = engine.cancel_signal();
-        engine.step();
-        // Signalled from "elsewhere" between steps (same thread here; the
-        // mailbox is Send + Sync and the property suite exercises the real
-        // cross-thread race).
-        signal.cancel(handle.id());
-        assert_eq!(signal.pending(), 1);
-        engine.step();
-        assert_eq!(signal.pending(), 0);
-        assert!(engine.is_idle());
-        let events = engine.drain_events_for(handle.id());
-        assert_eq!(events.last().unwrap().kind, EventKind::Cancelled);
-        assert_eq!(engine.pool().blocks_in_use(), 0);
-    }
-
-    /// PR 5 follow-up regression: with a per-request buffer cap, a reader
-    /// that never drains loses the *oldest* non-terminal events — counted,
-    /// never silently — and always keeps the terminal.
-    #[test]
-    fn bounded_event_buffers_drop_oldest_and_account_for_overflow() {
-        let model = ModelFamily::Tiny.build(45);
-        let mut engine = keyformer_engine(&model, 256);
-        engine.set_event_buffer_limit(Some(4));
-        assert_eq!(engine.event_buffer_limit(), Some(4));
-        let gen = 12;
-        let handle = engine
-            .submit(Request::new(0, prompt(16, 0), GenerationConfig::new(gen)))
-            .unwrap();
-        engine.run(10_000);
-        assert!(engine.is_idle());
-        let events = engine.drain_events_for(handle.id());
-        assert_eq!(events.len(), 4, "buffer respected the cap");
-        assert_eq!(
-            events.last().unwrap().kind,
-            EventKind::Completed { tokens: gen },
-            "the terminal is never dropped"
-        );
-        // Accounting closes the books: emitted = buffered + dropped.
-        // Emitted: Queued, PrefillStarted, FirstToken, gen-1 Tokens, Completed.
-        let emitted = 3 + (gen - 1) + 1;
-        let dropped = engine.events_dropped_for(handle.id());
-        assert_eq!(events.len() + dropped, emitted);
-        assert_eq!(engine.events_dropped(), dropped);
-        // The survivors are the *newest* events: the tail of the token
-        // stream, in order, capped by the terminal.
-        let tokens: Vec<usize> = events
-            .iter()
-            .filter_map(|e| match e.kind {
-                EventKind::Token { index, .. } => Some(index),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(tokens, vec![gen - 3, gen - 2, gen - 1]);
-
-        // An unbounded engine drops nothing (the pre-cap behaviour).
-        let mut unbounded = keyformer_engine(&model, 256);
-        let h = unbounded
-            .submit(Request::new(0, prompt(16, 0), GenerationConfig::new(gen)))
-            .unwrap();
-        unbounded.run(10_000);
-        assert_eq!(unbounded.events_dropped(), 0);
-        assert_eq!(unbounded.drain_events_for(h.id()).len(), emitted);
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub mod engine;
 pub mod request;
 
 pub use engine::{
-    CancelSignal, Engine, Event, EventKind, RequestHandle, ServerConfig, ServerStats, StepReport,
+    Engine, Event, EventKind, RequestHandle, ServerConfig, ServerStats, StepReport,
     DEFAULT_SERVE_BLOCK_SIZE, PRIORITY_AGING_STEPS,
 };
 pub use request::{

@@ -79,6 +79,16 @@ fn degenerate_configs_are_rejected() {
         ServerConfig::new(PolicySpec::Full, None, 64 * bytes).with_strict_pool(true),
     )
     .is_err());
+    // Zero concurrency could never admit a request, so `run` would step
+    // forever: rejected whether set through the public field or the builder,
+    // which does not clamp.
+    let mut zero_concurrency = ServerConfig::new(PolicySpec::Full, None, 64 * bytes);
+    zero_concurrency.max_concurrency = 0;
+    assert_eq!(zero_concurrency, zero_concurrency.with_max_concurrency(0));
+    let err = Engine::new(&model, zero_concurrency)
+        .map(|_| ())
+        .unwrap_err();
+    assert!(matches!(err, CoreError::InvalidConfig(_)), "{err}");
 }
 
 #[test]
@@ -380,15 +390,24 @@ fn chunked_prefill_serves_identically_and_spreads_prefill_cost() {
                 ))
                 .unwrap();
         }
-        server.run(1024);
+        let mut reports = Vec::new();
+        while !server.is_idle() && reports.len() < 1024 {
+            reports.push(server.step());
+        }
         assert!(server.is_idle());
         assert!(server.failures().is_empty());
         let mut completions = server.completions().to_vec();
         completions.sort_by_key(|c| c.id);
-        (completions, *server.stats())
+        (completions, *server.stats(), reports)
     };
-    let (one_shot, one_shot_stats) = run(base);
-    let (chunked, chunked_stats) = run(base.with_prefill_chunk(7));
+    let (one_shot, one_shot_stats, one_shot_reports) = run(base);
+    let (chunked, chunked_stats, _) = run(base.with_prefill_chunk(7));
+    // Without a chunk the engine arms the whole prompt as one chunk, so a
+    // chunk of exactly the prompt length is the same run, step for step.
+    let (whole, whole_stats, whole_reports) = run(base.with_prefill_chunk(28));
+    assert_eq!(whole, one_shot);
+    assert_eq!(whole_stats, one_shot_stats);
+    assert_eq!(whole_reports, one_shot_reports);
     assert_eq!(one_shot.len(), chunked.len());
     for (a, b) in one_shot.iter().zip(&chunked) {
         assert_eq!(a.id, b.id);

@@ -16,18 +16,17 @@
 //!    pool with sharing enabled (forcing preemption and copy-on-write forks)
 //!    drain to an empty pool and registry every time, with every request
 //!    retiring exactly once.
-//! 3. **Cancel racing an in-flight step** — a `CancelSignal` fired from
-//!    another thread at arbitrary points (including between a round's plan
-//!    and commit) retires the request exactly once, returns its blocks, and
-//!    never emits an event after the terminal one.
+//!
+//! Cancellation is serialized with the round: `Engine::cancel` takes the
+//! engine mutably, so it lands between steps, never inside one.
 
 use keyformer::core::budget::CacheBudgetSpec;
 use keyformer::core::spec::PolicySpec;
 use keyformer::model::families::ModelFamily;
 use keyformer::model::generation::GenerationConfig;
 use keyformer::serve::{
-    Completion, Engine, Event, EventKind, FailedRequest, FailureReason, Request, RequestId,
-    ServerConfig, ServerStats, SubmitOptions,
+    Completion, Engine, Event, FailedRequest, Request, RequestId, ServerConfig, ServerStats,
+    SubmitOptions,
 };
 use proptest::prelude::*;
 
@@ -357,88 +356,5 @@ fn soak_tight_strict_pool_never_leaks() {
             engine.pool_stats().total_frees,
             "seed {seed}: alloc/free imbalance"
         );
-    }
-}
-
-/// Property 4: a `CancelSignal` fired from another thread while the engine
-/// steps — landing before a round, between its plan and commit, or after the
-/// request already retired — always yields exactly-once retirement, a
-/// well-formed stream with nothing after the terminal event, and a drained
-/// pool.
-#[test]
-fn threaded_cancel_racing_a_parallel_step_retires_exactly_once() {
-    let model = ModelFamily::Tiny.build(53);
-    let bytes_per_token = model.empty_cache().bytes_per_token();
-    let workers = ServerConfig::decode_workers_from_env().unwrap_or(4);
-    for delay_us in [
-        0u64, 20, 50, 100, 200, 400, 800, 1_600, 3_200, 6_400, 12_800, 25_600,
-    ] {
-        let config = ServerConfig::new(
-            PolicySpec::keyformer_default(),
-            Some(CacheBudgetSpec::new(0.5, 0.3).unwrap()),
-            96 * bytes_per_token,
-        )
-        .with_block_size(4)
-        .with_prefill_chunk(4)
-        .with_decode_workers(workers);
-        let mut engine = Engine::new(&model, config).unwrap();
-        let requests = shared_prefix_requests(3, 12, 20, 16, delay_us);
-        let mut ids = Vec::new();
-        for request in &requests {
-            ids.push(engine.submit(request.clone()).unwrap().id());
-        }
-        let doomed = ids[1];
-        let signal = engine.cancel_signal();
-        let canceller = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_micros(delay_us));
-            signal.cancel(doomed);
-        });
-        engine.run(10_000);
-        canceller.join().unwrap();
-        // The signal may have landed after the engine drained: apply it the
-        // way the next step would, then settle.
-        engine.step();
-        assert!(engine.is_idle(), "delay {delay_us}us: engine did not drain");
-        let retirements = engine
-            .completions()
-            .iter()
-            .filter(|c| c.id == doomed)
-            .count()
-            + engine.failures().iter().filter(|f| f.id == doomed).count();
-        assert_eq!(
-            retirements, 1,
-            "delay {delay_us}us: doomed request retired {retirements} times"
-        );
-        // Whichever way the race went, the stream is well-formed: exactly one
-        // terminal event and nothing after it.
-        let events = engine.drain_events_for(doomed);
-        let terminal_at = events
-            .iter()
-            .position(|e| e.kind.is_terminal())
-            .expect("doomed request has a terminal event");
-        assert_eq!(
-            terminal_at,
-            events.len() - 1,
-            "delay {delay_us}us: events after the terminal: {events:?}"
-        );
-        if let Some(failure) = engine.failures().iter().find(|f| f.id == doomed) {
-            assert!(
-                matches!(failure.reason, FailureReason::Cancelled),
-                "delay {delay_us}us: unexpected failure reason {failure:?}"
-            );
-            assert!(
-                matches!(events[terminal_at].kind, EventKind::Cancelled),
-                "delay {delay_us}us: terminal event is not Cancelled: {events:?}"
-            );
-        }
-        // The survivors complete and the pool drains.
-        for &id in &[ids[0], ids[2]] {
-            assert!(
-                engine.completions().iter().any(|c| c.id == id),
-                "delay {delay_us}us: survivor {id} did not complete"
-            );
-        }
-        assert_eq!(engine.pool().blocks_in_use(), 0, "delay {delay_us}us");
-        assert_eq!(engine.pool().blocks_reserved(), 0, "delay {delay_us}us");
     }
 }
