@@ -51,16 +51,20 @@ fn decode_block_churn(c: &mut Criterion) {
             |b, &block_size| {
                 let pool = SharedBlockPool::unbounded(block_size);
                 let mut layer = LayerKvCache::with_pool(4, 64, pool);
-                let keys: Vec<Vec<f32>> = (0..4).map(|h| vec![h as f32; 64]).collect();
+                let keys: Vec<f32> = (0..4 * 64).map(|c| (c / 64) as f32).collect();
                 let values = keys.clone();
                 for i in 0..32 {
-                    layer.append(i, &keys, &values).expect("unbounded pool");
+                    layer
+                        .append_from_slices(i, &keys, &values)
+                        .expect("unbounded pool");
                 }
                 // Sliding-window shape: drop slot 0, keep the 32 newest.
                 let retained: Vec<usize> = (1..=32).collect();
                 let mut position = 32;
                 b.iter(|| {
-                    layer.append(position, &keys, &values).expect("unbounded");
+                    layer
+                        .append_from_slices(position, &keys, &values)
+                        .expect("unbounded");
                     position += 1;
                     layer.retain_slots(&retained).expect("valid selection");
                     layer.len()

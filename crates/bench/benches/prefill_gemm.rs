@@ -139,14 +139,15 @@ fn bench_chunk_attention(c: &mut Criterion) {
         let slopes: Vec<f32> = (0..heads).map(|h| alibi_slope(h, heads)).collect();
         let q = random_matrix(CHUNK, d_model, 13).into_vec();
         let mut cache = LayerKvCache::new(heads, hd);
-        cache
-            .append_batch_from_slices(
-                0,
-                LIVE,
-                random_matrix(LIVE, d_model, 17).as_slice(),
-                random_matrix(LIVE, d_model, 19).as_slice(),
-            )
-            .expect("unbounded pool");
+        let (keys, values) = (
+            random_matrix(LIVE, d_model, 17),
+            random_matrix(LIVE, d_model, 19),
+        );
+        for slot in 0..LIVE {
+            cache
+                .append_from_slices(slot, keys.row(slot), values.row(slot))
+                .expect("unbounded pool");
+        }
         let mut rot = RotatedKeyCache::new(heads, hd, cache.block_size());
         if rotary {
             let mut rotor = RopeRotor::new(hd, ROPE_BASE);

@@ -10,7 +10,7 @@
 //! ## Paged storage
 //!
 //! Logically the cache is still a flat, insertion-ordered list of slots — the API
-//! ([`LayerKvCache::append`], [`LayerKvCache::retain_slots`], the
+//! ([`LayerKvCache::append_from_slices`], [`LayerKvCache::retain_slots`], the
 //! [`LayerKvCache::keys`] / [`LayerKvCache::values`] views) is unchanged, so the
 //! eviction-policy zoo never sees the difference. Physically, each layer owns a
 //! *block table*: a list of fixed-size blocks allocated from a (possibly shared,
@@ -27,7 +27,7 @@
 //! mapped into several sequences' block tables (and into the
 //! [`crate::prefix::PrefixRegistry`]) at once — the pool refcount and the `Arc`
 //! count track the same sharing. Reads never care. Any *write* — an
-//! [`LayerKvCache::append`] into a partially-filled shared block, or an
+//! [`LayerKvCache::append_from_slices`] into a partially-filled shared block, or an
 //! eviction-driven compaction touching shared rows — first forks a private copy
 //! ([`LayerKvCache::cow_forks`] counts these): a fresh block is allocated from
 //! the pool, the payload is cloned, and the shared original is released. Every
@@ -42,11 +42,16 @@
 //! [`KvDtype::U8`] a block's rows are stored as `u8` codes under a per-block,
 //! per-tensor affine map `f = (q - zero_point) * scale`. Quantization happens
 //! when a block *seals* — fills its last row — so the partially-filled tail
-//! block stays `f32` and appends never requantize earlier rows. Reads
-//! dequantize on the fly: [`KvSlice::row`] hands out a [`Cow`] (borrowed for
-//! `f32`, a dequantized copy of one row for `u8`) and [`KvSlice::vecmat`]
-//! fuses dequantization into the accumulation so attention never materializes
-//! an `f32` copy of a block. Compaction unseals the blocks it rewrites,
+//! block stays `f32` and appends never requantize earlier rows.
+//!
+//! The block format is decoded in one place: a private view of one head's
+//! keys or values in one block, `f32` rows or `u8` codes with their map. It
+//! has one row decode, `(q - zero_point) * scale` element-wise, behind
+//! [`KvSlice::copy_row_into`] and [`KvSlice::for_each_row`] (which borrows
+//! `f32` rows in place), and one fused value product: [`KvSlice::vecmat_into`]
+//! accumulates `scale * (Σ c·q - zero_point * Σ c)` per block, so attention
+//! never materializes an `f32` copy of a block. Compaction unseals the blocks
+//! it rewrites through the same row decode,
 //! moves rows in `f32`, and reseals the full ones with fresh parameters;
 //! untouched shared blocks keep their sealed payload byte-identical, which is
 //! what keeps copy-on-write sharing and the prefix registry dtype-oblivious.
@@ -55,7 +60,6 @@ use crate::block::{BlockId, SharedBlockPool, DEFAULT_BLOCK_SIZE};
 use crate::CoreError;
 use keyformer_tensor::{Matrix, TensorError};
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -114,9 +118,12 @@ pub(crate) struct Affine {
 impl Affine {
     /// Parameters covering `[min, max]` exactly: `min` maps to code 0 and
     /// `max` to code 255. A degenerate range gets `scale = 1`, which encodes
-    /// the constant exactly.
+    /// the constant exactly. So does a range so narrow that `(max - min) / 255`
+    /// underflows to zero (a subnormal width): dividing by a zero scale would
+    /// make the zero point NaN or infinite and every row decode to NaN.
     fn for_range(min: f32, max: f32) -> Affine {
-        let scale = if max > min { (max - min) / 255.0 } else { 1.0 };
+        let scale = (max - min) / 255.0;
+        let scale = if scale > 0.0 { scale } else { 1.0 };
         Affine {
             scale,
             zero_point: -min / scale,
@@ -240,16 +247,15 @@ impl KvBlockData {
         }
     }
 
-    /// One row of one head's keys or values, dequantized if sealed.
-    fn row(&self, component: KvComponent, head: usize, row: usize) -> Cow<'_, [f32]> {
+    /// One head's keys or values: the only way any read reaches the block
+    /// format.
+    #[inline(always)]
+    fn head_rows(&self, component: KvComponent, head: usize) -> HeadRows<'_> {
         match self {
-            KvBlockData::F32 { keys, values } => {
-                let m = match component {
-                    KvComponent::Keys => &keys[head],
-                    KvComponent::Values => &values[head],
-                };
-                Cow::Borrowed(m.row(row))
-            }
+            KvBlockData::F32 { keys, values } => HeadRows::F32(match component {
+                KvComponent::Keys => &keys[head],
+                KvComponent::Values => &values[head],
+            }),
             KvBlockData::U8 {
                 keys,
                 values,
@@ -262,39 +268,10 @@ impl KvBlockData {
                     KvComponent::Keys => (&keys[head], key_map),
                     KvComponent::Values => (&values[head], value_map),
                 };
-                let row = &codes[row * head_dim..(row + 1) * head_dim];
-                Cow::Owned(row.iter().map(|&q| map.dequantize(q)).collect())
-            }
-        }
-    }
-
-    /// Copies one row of one head's keys or values into `out`, dequantizing
-    /// sealed codes element-wise — the arithmetic of [`KvBlockData::row`]
-    /// without its `Cow::Owned` allocation.
-    fn copy_row_into(&self, component: KvComponent, head: usize, row: usize, out: &mut [f32]) {
-        match self {
-            KvBlockData::F32 { keys, values } => {
-                let m = match component {
-                    KvComponent::Keys => &keys[head],
-                    KvComponent::Values => &values[head],
-                };
-                out.copy_from_slice(m.row(row));
-            }
-            KvBlockData::U8 {
-                keys,
-                values,
-                head_dim,
-                key_map,
-                value_map,
-                ..
-            } => {
-                let (codes, map) = match component {
-                    KvComponent::Keys => (&keys[head], key_map),
-                    KvComponent::Values => (&values[head], value_map),
-                };
-                let src = &codes[row * head_dim..(row + 1) * head_dim];
-                for (o, &q) in out.iter_mut().zip(src) {
-                    *o = map.dequantize(q);
+                HeadRows::U8 {
+                    codes,
+                    head_dim: *head_dim,
+                    map: *map,
                 }
             }
         }
@@ -327,39 +304,113 @@ impl KvBlockData {
     }
 
     /// Dequantizes a sealed payload back to full-precision staging (no-op
-    /// when already `f32`) so compaction can rewrite rows.
+    /// when already `f32`) so compaction can rewrite rows. Each head's matrix
+    /// is sized once and decoded row by row in place.
     fn unseal(&mut self) {
-        let KvBlockData::U8 {
-            keys,
-            values,
-            rows,
-            head_dim,
-            key_map,
-            value_map,
-        } = self
-        else {
+        if self.storage_dtype() == KvDtype::F32 {
             return;
-        };
-        let dequantize = |codes: &[Vec<u8>], map: &Affine| -> Vec<Matrix> {
-            codes
-                .iter()
+        }
+        let (rows, head_dim) = (self.rows(), self.head_dim());
+        let decode = |component| -> Vec<Matrix> {
+            (0..self.num_heads())
                 .map(|head| {
-                    let mut m = Matrix::zeros(0, 0);
-                    for r in 0..*rows {
-                        let row: Vec<f32> = head[r * *head_dim..(r + 1) * *head_dim]
-                            .iter()
-                            .map(|&q| map.dequantize(q))
-                            .collect();
-                        m.push_row(&row);
+                    let src = self.head_rows(component, head);
+                    let mut m = Matrix::zeros(rows, head_dim);
+                    for r in 0..rows {
+                        src.row_into(r, m.row_mut(r));
                     }
                     m
                 })
                 .collect()
         };
-        *self = KvBlockData::F32 {
-            keys: dequantize(keys, key_map),
-            values: dequantize(values, value_map),
-        };
+        let keys = decode(KvComponent::Keys);
+        let values = decode(KvComponent::Values);
+        *self = KvBlockData::F32 { keys, values };
+    }
+}
+
+/// One head's keys or values inside one block, as [`KvBlockData::head_rows`]
+/// hands them out. Its two methods hold the only element-wise decode of the
+/// `u8` format and the only fused value product.
+#[derive(Clone, Copy)]
+enum HeadRows<'a> {
+    /// Full-precision rows.
+    F32(&'a Matrix),
+    /// Sealed rows: `rows * head_dim` codes, row-major, under one affine map.
+    U8 {
+        codes: &'a [u8],
+        head_dim: usize,
+        map: Affine,
+    },
+}
+
+impl HeadRows<'_> {
+    /// Writes row `row` into `out`: a copy of `f32` rows, `(q - zero_point) *
+    /// scale` per element of sealed ones.
+    #[inline]
+    fn row_into(&self, row: usize, out: &mut [f32]) {
+        match *self {
+            HeadRows::F32(m) => out.copy_from_slice(m.row(row)),
+            HeadRows::U8 {
+                codes,
+                head_dim,
+                map,
+            } => {
+                let src = &codes[row * head_dim..(row + 1) * head_dim];
+                for (o, &q) in out.iter_mut().zip(src) {
+                    *o = map.dequantize(q);
+                }
+            }
+        }
+    }
+
+    /// Adds `Σ_r coeffs[r] * row(r)` over the first `coeffs.len()` rows into
+    /// `out`, skipping zero coefficients. `f32` rows accumulate in ascending
+    /// row order, the chain [`Matrix::vecmat`] runs. Sealed rows fuse the
+    /// decode: `sum(coeff * (q - zero) * scale)` factors into `scale *
+    /// (sum(coeff * q) - zero * sum(coeff))`, accumulated raw in `scratch`,
+    /// so no `f32` copy of the block is made.
+    ///
+    /// Forced inline, with `head_rows` and `block_rows`: left to the
+    /// compiler, a call per block made `vecmat_into` over a 512-slot `u8`
+    /// head about 5 % slower than the inline match it replaced (2-core
+    /// x86-64 VM).
+    #[inline(always)]
+    fn accumulate(&self, coeffs: &[f32], out: &mut [f32], scratch: &mut [f32]) {
+        match *self {
+            HeadRows::F32(m) => {
+                for (r, &coeff) in coeffs.iter().enumerate() {
+                    if coeff == 0.0 {
+                        continue;
+                    }
+                    for (o, &x) in out.iter_mut().zip(m.row(r)) {
+                        *o += coeff * x;
+                    }
+                }
+            }
+            HeadRows::U8 {
+                codes,
+                head_dim,
+                map,
+            } => {
+                scratch.fill(0.0);
+                let mut coeff_sum = 0.0f32;
+                for (r, &coeff) in coeffs.iter().enumerate() {
+                    if coeff == 0.0 {
+                        continue;
+                    }
+                    coeff_sum += coeff;
+                    let row = &codes[r * head_dim..(r + 1) * head_dim];
+                    for (a, &q) in scratch.iter_mut().zip(row) {
+                        *a += coeff * f32::from(q);
+                    }
+                }
+                let offset = map.zero_point * coeff_sum;
+                for (o, &a) in out.iter_mut().zip(scratch.iter()) {
+                    *o += map.scale * (a - offset);
+                }
+            }
+        }
     }
 }
 
@@ -477,7 +528,7 @@ impl<'a> KvSlice<'a> {
     /// Chunk-batched prefill uses this to give query `i` of a chunk a causal
     /// view over exactly the slots the sequential path would have seen —
     /// `prior + i + 1` of them — even though the whole chunk's rows are
-    /// already appended. Every read primitive ([`KvSlice::row`],
+    /// already appended. Every read primitive ([`KvSlice::copy_row_into`],
     /// [`KvSlice::vecmat_into`], [`KvSlice::for_each_row`]) is bounded by
     /// `len`, so the later rows are invisible through the truncated view.
     ///
@@ -493,99 +544,15 @@ impl<'a> KvSlice<'a> {
         KvSlice { len, ..self }
     }
 
-    /// Row of logical slot `slot`: a borrow for `f32` blocks, a dequantized
-    /// copy of the single row for sealed `u8` blocks (never a whole block).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot >= len()`.
-    #[inline]
-    pub fn row(&self, slot: usize) -> Cow<'a, [f32]> {
-        assert!(slot < self.len, "slot index out of bounds");
-        self.blocks[slot / self.block_size].data.row(
-            self.component,
-            self.head,
-            slot % self.block_size,
-        )
-    }
-
-    /// Vector-matrix product `v * self` (treats `v` as a row vector of per-slot
-    /// coefficients), mirroring [`Matrix::vecmat`] across block boundaries. This
-    /// is attention's value-aggregation primitive.
-    ///
-    /// For sealed `u8` blocks the dequantization is fused into the accumulation:
-    /// per block the codes are accumulated raw (`acc += coeff * q`, alongside a
-    /// running coefficient sum) and the affine map is applied once at the end,
-    /// so no `f32` copy of a block is ever materialized. The `f32` arm is the
-    /// exact pre-quantization loop, preserving bit-identical results.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if `v.len() != len()`.
-    pub fn vecmat(&self, v: &[f32]) -> Result<Vec<f32>, TensorError> {
-        if v.len() != self.len {
-            return Err(TensorError::ShapeMismatch {
-                op: "vecmat",
-                lhs: (1, v.len()),
-                rhs: self.shape(),
-            });
-        }
-        let mut out = vec![0.0f32; self.head_dim];
-        for (block_idx, coeffs) in v.chunks(self.block_size).enumerate() {
-            match &*self.blocks[block_idx].data {
-                KvBlockData::F32 { keys, values } => {
-                    let m = match self.component {
-                        KvComponent::Keys => &keys[self.head],
-                        KvComponent::Values => &values[self.head],
-                    };
-                    for (r, &coeff) in coeffs.iter().enumerate() {
-                        if coeff == 0.0 {
-                            continue;
-                        }
-                        for (o, &x) in out.iter_mut().zip(m.row(r)) {
-                            *o += coeff * x;
-                        }
-                    }
-                }
-                KvBlockData::U8 {
-                    keys,
-                    values,
-                    head_dim,
-                    key_map,
-                    value_map,
-                    ..
-                } => {
-                    let (codes, map) = match self.component {
-                        KvComponent::Keys => (&keys[self.head], key_map),
-                        KvComponent::Values => (&values[self.head], value_map),
-                    };
-                    // sum(coeff * (q - zero) * scale) over rows factors into
-                    // scale * (sum(coeff * q) - zero * sum(coeff)).
-                    let mut acc = vec![0.0f32; *head_dim];
-                    let mut coeff_sum = 0.0f32;
-                    for (r, &coeff) in coeffs.iter().enumerate() {
-                        if coeff == 0.0 {
-                            continue;
-                        }
-                        coeff_sum += coeff;
-                        let row = &codes[r * *head_dim..(r + 1) * *head_dim];
-                        for (a, &q) in acc.iter_mut().zip(row) {
-                            *a += coeff * f32::from(q);
-                        }
-                    }
-                    let offset = map.zero_point * coeff_sum;
-                    for (o, a) in out.iter_mut().zip(acc) {
-                        *o += map.scale * (a - offset);
-                    }
-                }
-            }
-        }
-        Ok(out)
+    /// This view's head in block `idx` of the table.
+    #[inline(always)]
+    fn block_rows(&self, idx: usize) -> HeadRows<'a> {
+        let blocks: &'a [KvBlock] = self.blocks;
+        blocks[idx].data.head_rows(self.component, self.head)
     }
 
     /// Copies the row of logical slot `slot` into `out`, dequantizing sealed
-    /// `u8` rows element-wise — the same arithmetic as [`KvSlice::row`]
-    /// without the per-row allocation its `Cow::Owned` arm pays.
+    /// `u8` rows element-wise.
     ///
     /// # Panics
     ///
@@ -593,19 +560,15 @@ impl<'a> KvSlice<'a> {
     pub fn copy_row_into(&self, slot: usize, out: &mut [f32]) {
         assert!(slot < self.len, "slot index out of bounds");
         assert_eq!(out.len(), self.head_dim, "output width must match head_dim");
-        self.blocks[slot / self.block_size].data.copy_row_into(
-            self.component,
-            self.head,
-            slot % self.block_size,
-            out,
-        );
+        self.block_rows(slot / self.block_size)
+            .row_into(slot % self.block_size, out);
     }
 
     /// Visits every live row in slot order without allocating: `f32` rows are
     /// passed as direct borrows into the block, sealed `u8` rows are
-    /// dequantized into `scratch` first (the same element-wise arithmetic as
-    /// [`KvSlice::row`]). This is the visitor attention's score loop uses
-    /// instead of per-row `Cow::to_vec`.
+    /// dequantized into `scratch` first (the arithmetic of
+    /// [`KvSlice::copy_row_into`]). This is the visitor attention's score
+    /// loop and the chunk forward's key/value packing use.
     ///
     /// # Panics
     ///
@@ -617,38 +580,17 @@ impl<'a> KvSlice<'a> {
             "scratch width must match head_dim"
         );
         let mut slot = 0;
-        for block in self.blocks.iter() {
-            if slot == self.len {
-                break;
-            }
+        for idx in 0..self.len.div_ceil(self.block_size) {
             let rows_here = (self.len - slot).min(self.block_size);
-            match &*block.data {
-                KvBlockData::F32 { keys, values } => {
-                    let m = match self.component {
-                        KvComponent::Keys => &keys[self.head],
-                        KvComponent::Values => &values[self.head],
-                    };
+            match self.block_rows(idx) {
+                HeadRows::F32(m) => {
                     for r in 0..rows_here {
                         f(slot + r, m.row(r));
                     }
                 }
-                KvBlockData::U8 {
-                    keys,
-                    values,
-                    head_dim,
-                    key_map,
-                    value_map,
-                    ..
-                } => {
-                    let (codes, map) = match self.component {
-                        KvComponent::Keys => (&keys[self.head], key_map),
-                        KvComponent::Values => (&values[self.head], value_map),
-                    };
+                rows => {
                     for r in 0..rows_here {
-                        let src = &codes[r * head_dim..(r + 1) * head_dim];
-                        for (o, &q) in scratch.iter_mut().zip(src) {
-                            *o = map.dequantize(q);
-                        }
+                        rows.row_into(r, scratch);
                         f(slot + r, scratch);
                     }
                 }
@@ -657,10 +599,11 @@ impl<'a> KvSlice<'a> {
         }
     }
 
-    /// [`KvSlice::vecmat`] into caller-owned buffers: the product lands in
-    /// `out` and `scratch` holds the fused-dequantization accumulator, so
-    /// steady-state attention pays no allocation. Bit-identical to
-    /// [`KvSlice::vecmat`] — same per-block accumulation order in both arms.
+    /// Vector-matrix product `v * self` into `out` (treats `v` as a row
+    /// vector of per-slot coefficients), mirroring [`Matrix::vecmat`] across
+    /// block boundaries: attention's value-aggregation primitive. `scratch`
+    /// holds the fused-dequantization accumulator of sealed `u8` blocks, so
+    /// no call allocates; the `f32` arm is the exact pre-quantization loop.
     ///
     /// # Errors
     ///
@@ -689,66 +632,10 @@ impl<'a> KvSlice<'a> {
             "scratch width must match head_dim"
         );
         out.fill(0.0);
-        for (block_idx, coeffs) in v.chunks(self.block_size).enumerate() {
-            match &*self.blocks[block_idx].data {
-                KvBlockData::F32 { keys, values } => {
-                    let m = match self.component {
-                        KvComponent::Keys => &keys[self.head],
-                        KvComponent::Values => &values[self.head],
-                    };
-                    for (r, &coeff) in coeffs.iter().enumerate() {
-                        if coeff == 0.0 {
-                            continue;
-                        }
-                        for (o, &x) in out.iter_mut().zip(m.row(r)) {
-                            *o += coeff * x;
-                        }
-                    }
-                }
-                KvBlockData::U8 {
-                    keys,
-                    values,
-                    head_dim,
-                    key_map,
-                    value_map,
-                    ..
-                } => {
-                    let (codes, map) = match self.component {
-                        KvComponent::Keys => (&keys[self.head], key_map),
-                        KvComponent::Values => (&values[self.head], value_map),
-                    };
-                    // Same factoring as `vecmat`:
-                    // sum(coeff * (q - zero) * scale) over rows is
-                    // scale * (sum(coeff * q) - zero * sum(coeff)).
-                    scratch.fill(0.0);
-                    let mut coeff_sum = 0.0f32;
-                    for (r, &coeff) in coeffs.iter().enumerate() {
-                        if coeff == 0.0 {
-                            continue;
-                        }
-                        coeff_sum += coeff;
-                        let row = &codes[r * *head_dim..(r + 1) * *head_dim];
-                        for (a, &q) in scratch.iter_mut().zip(row) {
-                            *a += coeff * f32::from(q);
-                        }
-                    }
-                    let offset = map.zero_point * coeff_sum;
-                    for (o, &a) in out.iter_mut().zip(scratch.iter()) {
-                        *o += map.scale * (a - offset);
-                    }
-                }
-            }
+        for (idx, coeffs) in v.chunks(self.block_size).enumerate() {
+            self.block_rows(idx).accumulate(coeffs, out, scratch);
         }
         Ok(())
-    }
-
-    /// Copies the view into a dense matrix (diagnostics / tests).
-    pub fn to_matrix(&self) -> Matrix {
-        let mut m = Matrix::zeros(0, 0);
-        for slot in 0..self.len {
-            m.push_row(&self.row(slot));
-        }
-        m
     }
 }
 
@@ -764,8 +651,8 @@ pub struct LayerKvCache {
     head_dim: usize,
     pool: SharedBlockPool,
     /// Cached copy of the pool's immutable block size, so the attention hot
-    /// path (`keys`/`values`/`append`) never touches the pool's lock just to
-    /// read a constant.
+    /// path (`keys`/`values`/`append_from_slices`) never touches the pool's
+    /// lock just to read a constant.
     block_size: usize,
     /// Storage precision of sealed blocks (the partially-filled tail always
     /// stages in `f32` and seals when it fills).
@@ -881,7 +768,8 @@ impl LayerKvCache {
         self.blocks.len() * self.block_size()
     }
 
-    /// `true` when the next [`LayerKvCache::append`] must allocate a new block.
+    /// `true` when the next [`LayerKvCache::append_from_slices`] must allocate
+    /// a new block.
     pub fn needs_block_for_append(&self) -> bool {
         self.len() == self.allocated_slots()
     }
@@ -1079,54 +967,10 @@ impl LayerKvCache {
         }
     }
 
-    /// Appends one token's per-head key and value vectors, allocating a fresh
-    /// block from the pool when the last one is full.
-    ///
-    /// `keys_per_head[h]` and `values_per_head[h]` must each have length `head_dim`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] if the number of heads or any vector
-    /// length is wrong, and [`CoreError::PoolExhausted`] if a strict pool has no
-    /// block left.
-    pub fn append(
-        &mut self,
-        position: usize,
-        keys_per_head: &[Vec<f32>],
-        values_per_head: &[Vec<f32>],
-    ) -> Result<(), CoreError> {
-        if keys_per_head.len() != self.num_heads || values_per_head.len() != self.num_heads {
-            return Err(CoreError::InvalidConfig(format!(
-                "expected {} heads, got {} keys / {} values",
-                self.num_heads,
-                keys_per_head.len(),
-                values_per_head.len()
-            )));
-        }
-        for (k, v) in keys_per_head.iter().zip(values_per_head) {
-            if k.len() != self.head_dim || v.len() != self.head_dim {
-                return Err(CoreError::InvalidConfig(format!(
-                    "expected head_dim {}, got key {} / value {}",
-                    self.head_dim,
-                    k.len(),
-                    v.len()
-                )));
-            }
-        }
-        self.append_with(position, |keys, values| {
-            for h in 0..keys_per_head.len() {
-                keys[h].push_row(&keys_per_head[h]);
-                values[h].push_row(&values_per_head[h]);
-            }
-        })
-    }
-
     /// Appends one token's keys and values from flat slices laid out
-    /// `[head 0 | head 1 | ...]`, each `num_heads * head_dim` long.
-    ///
-    /// Identical to [`LayerKvCache::append`] — the same rows land in the same
-    /// order — without requiring the caller to materialize per-head `Vec`s;
-    /// this is the allocation-free form the forward workspace uses.
+    /// `[head 0 | head 1 | ...]`, each `num_heads * head_dim` long, allocating
+    /// a fresh block from the pool when the last one is full. On a `u8` layer
+    /// the append that fills a block seals (quantizes) it.
     ///
     /// # Errors
     ///
@@ -1148,72 +992,6 @@ impl LayerKvCache {
                 values.len()
             )));
         }
-        let head_dim = self.head_dim;
-        self.append_with(position, |bk, bv| {
-            for h in 0..bk.len() {
-                bk[h].push_row(&keys[h * head_dim..(h + 1) * head_dim]);
-                bv[h].push_row(&values[h * head_dim..(h + 1) * head_dim]);
-            }
-        })
-    }
-
-    /// Appends `rows` consecutive tokens' keys and values in one call, from
-    /// flat slices laid out `[token 0: head 0 | head 1 | ... | token 1: ...]`
-    /// (each token contributing `num_heads * head_dim` values), with the first
-    /// row taking `start_position` and subsequent rows consecutive positions.
-    ///
-    /// Bit-identical to calling [`LayerKvCache::append_from_slices`] once per
-    /// row: the same rows land in the same slots of the same blocks, blocks
-    /// seal (quantize) at exactly the same fills, and copy-on-write forks
-    /// trigger at the same appends. The batch form validates once and lets
-    /// chunk-batched prefill push a whole chunk's KV per layer pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] if either slice length differs
-    /// from `rows * num_heads * head_dim`, and [`CoreError::PoolExhausted`]
-    /// if a strict pool runs out of blocks part-way (rows appended before the
-    /// failure remain appended, exactly as a per-row loop would leave them).
-    pub fn append_batch_from_slices(
-        &mut self,
-        start_position: usize,
-        rows: usize,
-        keys: &[f32],
-        values: &[f32],
-    ) -> Result<(), CoreError> {
-        let stride = self.num_heads * self.head_dim;
-        let want = rows * stride;
-        if keys.len() != want || values.len() != want {
-            return Err(CoreError::InvalidConfig(format!(
-                "expected {rows} rows x {} heads x head_dim {} = {want} values, \
-                 got {} keys / {} values",
-                self.num_heads,
-                self.head_dim,
-                keys.len(),
-                values.len()
-            )));
-        }
-        let head_dim = self.head_dim;
-        for r in 0..rows {
-            let krow = &keys[r * stride..(r + 1) * stride];
-            let vrow = &values[r * stride..(r + 1) * stride];
-            self.append_with(start_position + r, |bk, bv| {
-                for h in 0..bk.len() {
-                    bk[h].push_row(&krow[h * head_dim..(h + 1) * head_dim]);
-                    bv[h].push_row(&vrow[h * head_dim..(h + 1) * head_dim]);
-                }
-            })?;
-        }
-        Ok(())
-    }
-
-    /// Shared tail of the append paths: allocates a tail block when needed,
-    /// forks it private, lets `push` add one row per head, then seals on fill.
-    fn append_with(
-        &mut self,
-        position: usize,
-        push: impl FnOnce(&mut Vec<Matrix>, &mut Vec<Matrix>),
-    ) -> Result<(), CoreError> {
         if self.needs_block_for_append() {
             let id = self.pool.alloc()?;
             self.blocks.push(KvBlock::new(
@@ -1228,22 +1006,23 @@ impl LayerKvCache {
         }
         // Appending into a partially-filled block another sequence still maps
         // (a fork sharing our tail) must not mutate the shared rows: fork first.
-        let block_size = self.block_size;
-        let dtype = self.dtype;
+        let (head_dim, block_size, dtype) = (self.head_dim, self.block_size, self.dtype);
         let block = self.block_data_mut(self.blocks.len() - 1)?;
-        {
-            let KvBlockData::F32 { keys, values } = &mut *block else {
-                // The tail block of any layer stages in f32 until it fills; a
-                // sealed tail would mean the seal-on-full invariant was broken.
-                unreachable!("append reached a sealed block");
-            };
-            push(keys, values);
+        let KvBlockData::F32 {
+            keys: block_keys,
+            values: block_values,
+        } = &mut *block
+        else {
+            // The tail block of any layer stages in f32 until it fills; a
+            // sealed tail would mean the seal-on-full invariant was broken.
+            unreachable!("append reached a sealed block");
+        };
+        for (h, (bk, bv)) in block_keys.iter_mut().zip(block_values).enumerate() {
+            bk.push_row(&keys[h * head_dim..(h + 1) * head_dim]);
+            bv.push_row(&values[h * head_dim..(h + 1) * head_dim]);
         }
-        let sealed = dtype == KvDtype::U8 && block.rows() == block_size;
-        if sealed {
+        if dtype == KvDtype::U8 && block.rows() == block_size {
             block.seal();
-        }
-        if sealed {
             // Quantize-on-seal changes the dequantized value of every row
             // already in the block: derived per-row state is stale.
             let last = self.blocks.len() - 1;
@@ -1324,8 +1103,9 @@ impl LayerKvCache {
                 }
                 Some(src_data) => {
                     for h in 0..keys.len() {
-                        src_data.copy_row_into(KvComponent::Keys, h, sr, keys[h].row_mut(dr));
-                        src_data.copy_row_into(KvComponent::Values, h, sr, values[h].row_mut(dr));
+                        let (k, v) = (keys[h].row_mut(dr), values[h].row_mut(dr));
+                        src_data.head_rows(KvComponent::Keys, h).row_into(sr, k);
+                        src_data.head_rows(KvComponent::Values, h).row_into(sr, v);
                     }
                 }
             }
@@ -1652,6 +1432,60 @@ mod tests {
     use super::*;
     use crate::block::OvercommitPolicy;
 
+    impl KvSlice<'_> {
+        /// Row `slot` as an owned vector, read through `copy_row_into`.
+        pub(crate) fn row_vec(&self, slot: usize) -> Vec<f32> {
+            let mut row = vec![0.0; self.head_dim];
+            self.copy_row_into(slot, &mut row);
+            row
+        }
+    }
+
+    /// The rows of `view` as a dense matrix, decoded here rather than by the
+    /// cache's readers: `f32` rows as stored, sealed codes as
+    /// `(q - zero_point) * scale` per element. The reference every slice
+    /// read is checked against.
+    fn dense(view: &KvSlice<'_>) -> Matrix {
+        let mut m = Matrix::zeros(0, view.head_dim);
+        m.reserve_rows(view.len);
+        fn pick<T>(component: KvComponent, keys: T, values: T) -> T {
+            match component {
+                KvComponent::Keys => keys,
+                KvComponent::Values => values,
+            }
+        }
+        for slot in 0..view.len {
+            let r = slot % view.block_size;
+            match &*view.blocks[slot / view.block_size].data {
+                KvBlockData::F32 { keys, values } => {
+                    m.push_row(pick(view.component, keys, values)[view.head].row(r));
+                }
+                KvBlockData::U8 {
+                    keys,
+                    values,
+                    head_dim,
+                    key_map,
+                    value_map,
+                    ..
+                } => {
+                    let codes = &pick(view.component, keys, values)[view.head]
+                        [r * head_dim..(r + 1) * head_dim];
+                    let map = pick(view.component, key_map, value_map);
+                    let row: Vec<f32> = codes
+                        .iter()
+                        .map(|&q| (f32::from(q) - map.zero_point) * map.scale)
+                        .collect();
+                    m.push_row(&row);
+                }
+            }
+        }
+        m
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
     fn filled_layer(slots: usize) -> LayerKvCache {
         filled_layer_in(slots, SharedBlockPool::unbounded(DEFAULT_BLOCK_SIZE))
     }
@@ -1659,9 +1493,9 @@ mod tests {
     fn filled_layer_in(slots: usize, pool: SharedBlockPool) -> LayerKvCache {
         let mut layer = LayerKvCache::with_pool(2, 3, pool);
         for i in 0..slots {
-            let k = vec![vec![i as f32; 3], vec![i as f32 + 0.5; 3]];
-            let v = vec![vec![10.0 + i as f32; 3], vec![20.0 + i as f32; 3]];
-            layer.append(i, &k, &v).unwrap();
+            let k = [[i as f32; 3], [i as f32 + 0.5; 3]].concat();
+            let v = [[10.0 + i as f32; 3], [20.0 + i as f32; 3]].concat();
+            layer.append_from_slices(i, &k, &v).unwrap();
         }
         layer
     }
@@ -1678,16 +1512,13 @@ mod tests {
     #[test]
     fn append_validates_shapes() {
         let mut layer = LayerKvCache::new(2, 3);
-        // Wrong number of heads.
-        assert!(layer.append(0, &[vec![0.0; 3]], &[vec![0.0; 3]]).is_err());
-        // Wrong head_dim.
-        assert!(layer
-            .append(
-                0,
-                &[vec![0.0; 2], vec![0.0; 3]],
-                &[vec![0.0; 3], vec![0.0; 3]]
-            )
-            .is_err());
+        // One head's worth, or one element short, of either tensor.
+        assert!(layer.append_from_slices(0, &[0.0; 3], &[0.0; 3]).is_err());
+        assert!(layer.append_from_slices(0, &[0.0; 5], &[0.0; 6]).is_err());
+        assert!(layer.append_from_slices(0, &[0.0; 6], &[0.0; 5]).is_err());
+        assert!(layer.is_empty());
+        layer.append_from_slices(0, &[0.0; 6], &[0.0; 6]).unwrap();
+        assert_eq!(layer.len(), 1);
     }
 
     #[test]
@@ -1698,63 +1529,9 @@ mod tests {
         assert_eq!(layer.allocated_slots(), 9);
         // Rows read back identically across the block seams.
         for slot in 0..8 {
-            assert_eq!(&*layer.keys(0).row(slot), &[slot as f32; 3]);
-            assert_eq!(&*layer.values(1).row(slot), &[20.0 + slot as f32; 3]);
+            assert_eq!(layer.keys(0).row_vec(slot), [slot as f32; 3]);
+            assert_eq!(layer.values(1).row_vec(slot), [20.0 + slot as f32; 3]);
         }
-        assert_eq!(layer.keys(0).to_matrix().shape(), (8, 3));
-    }
-
-    #[test]
-    fn append_batch_is_bit_identical_to_per_row_appends() {
-        for dtype in [KvDtype::F32, KvDtype::U8] {
-            // Block size 3, 8 rows: the batch spans block boundaries and (for
-            // u8) triggers two quantize-on-seal events mid-batch.
-            let mk = || LayerKvCache::with_pool_dtype(2, 3, SharedBlockPool::unbounded(3), dtype);
-            let row = |r: usize, salt: f32| -> Vec<f32> {
-                (0..6).map(|c| salt + r as f32 + 0.125 * c as f32).collect()
-            };
-            let mut looped = mk();
-            let mut batched = mk();
-            let mut flat_k = Vec::new();
-            let mut flat_v = Vec::new();
-            for r in 0..8 {
-                let (k, v) = (row(r, 1.0), row(r, 50.0));
-                looped.append_from_slices(10 + r, &k, &v).unwrap();
-                flat_k.extend_from_slice(&k);
-                flat_v.extend_from_slice(&v);
-            }
-            batched
-                .append_batch_from_slices(10, 8, &flat_k, &flat_v)
-                .unwrap();
-            assert_eq!(batched.len(), looped.len());
-            assert_eq!(batched.positions(), looped.positions());
-            for head in 0..2 {
-                for slot in 0..8 {
-                    assert_eq!(
-                        &*batched.keys(head).row(slot),
-                        &*looped.keys(head).row(slot),
-                        "{dtype:?} key diverged at head {head}, slot {slot}"
-                    );
-                    assert_eq!(
-                        &*batched.values(head).row(slot),
-                        &*looped.values(head).row(slot),
-                        "{dtype:?} value diverged at head {head}, slot {slot}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn append_batch_validates_slice_lengths() {
-        let mut layer = LayerKvCache::new(2, 3);
-        assert!(layer
-            .append_batch_from_slices(0, 2, &[0.0; 11], &[0.0; 12])
-            .is_err());
-        assert!(layer
-            .append_batch_from_slices(0, 2, &[0.0; 12], &[0.0; 12])
-            .is_ok());
-        assert_eq!(layer.len(), 2);
     }
 
     #[test]
@@ -1764,14 +1541,17 @@ mod tests {
         let full = layer.keys(0);
         let causal = full.truncated(5);
         assert_eq!(causal.shape(), (5, 3));
-        assert_eq!(&*causal.row(4), &*full.row(4));
-        // vecmat over the truncated view only covers the visible slots.
-        let paged = causal.vecmat(&[1.0; 5]).unwrap();
-        let dense = full.to_matrix().gather_rows(&[0, 1, 2, 3, 4]);
-        let reference = dense.vecmat(&[1.0; 5]).unwrap();
-        for (a, b) in paged.iter().zip(&reference) {
-            assert!((a - b).abs() < 1e-5);
-        }
+        assert_eq!(causal.row_vec(4), full.row_vec(4));
+        let mut visited = 0;
+        causal.for_each_row(&mut [0.0; 3], |_, _| visited += 1);
+        assert_eq!(visited, 5);
+        // vecmat_into over the truncated view only covers the visible slots.
+        let (mut paged, mut scratch) = ([0.0; 3], [0.0; 3]);
+        causal
+            .vecmat_into(&[1.0; 5], &mut paged, &mut scratch)
+            .unwrap();
+        let reference = dense(&full).gather_rows(&[0, 1, 2, 3, 4]);
+        assert_eq!(bits(&paged), bits(&reference.vecmat(&[1.0; 5]).unwrap()));
         assert_eq!(full.truncated(8).len(), 8);
     }
 
@@ -1788,8 +1568,7 @@ mod tests {
         let mut cache = KvCache::with_pool(2, 2, 3, pool);
         for layer in cache.layers.iter_mut() {
             for i in 0..6 {
-                let k = vec![vec![0.0; 3]; 2];
-                layer.append(i, &k, &k).unwrap();
+                layer.append_from_slices(i, &[0.0; 6], &[0.0; 6]).unwrap();
             }
         }
         // 6 slots fill 1.5 blocks of 4: 2 free slots per layer remain.
@@ -1810,12 +1589,12 @@ mod tests {
         let layer = filled_layer_in(7, pool);
         let coeffs: Vec<f32> = (0..7).map(|i| 0.1 * i as f32).collect();
         let view = layer.values(0);
-        let paged = view.vecmat(&coeffs).unwrap();
-        let dense = view.to_matrix().vecmat(&coeffs).unwrap();
-        for (a, b) in paged.iter().zip(&dense) {
-            assert!((a - b).abs() < 1e-5, "{paged:?} vs {dense:?}");
-        }
-        assert!(view.vecmat(&[1.0]).is_err());
+        let (mut paged, mut scratch) = ([0.0; 3], [0.0; 3]);
+        view.vecmat_into(&coeffs, &mut paged, &mut scratch).unwrap();
+        // The f32 arm runs the dense product's chain across block seams.
+        let reference = dense(&view).vecmat(&coeffs).unwrap();
+        assert_eq!(bits(&paged), bits(&reference), "{paged:?} vs {reference:?}");
+        assert!(view.vecmat_into(&[1.0], &mut paged, &mut scratch).is_err());
     }
 
     /// The P·V GEMM of chunk attention — `matmul_strided` over value rows
@@ -1873,8 +1652,8 @@ mod tests {
         layer.retain_slots(&[0, 3, 4]).unwrap();
         assert_eq!(layer.len(), 3);
         assert_eq!(layer.positions(), &[0, 3, 4]);
-        assert_eq!(&*layer.keys(0).row(1), &[3.0, 3.0, 3.0]);
-        assert_eq!(&*layer.values(1).row(2), &[24.0, 24.0, 24.0]);
+        assert_eq!(layer.keys(0).row_vec(1), [3.0, 3.0, 3.0]);
+        assert_eq!(layer.values(1).row_vec(2), [24.0, 24.0, 24.0]);
     }
 
     #[test]
@@ -1887,16 +1666,16 @@ mod tests {
         assert_eq!(layer.num_blocks(), 2);
         assert_eq!(pool.blocks_in_use(), 2, "emptied blocks returned instantly");
         assert_eq!(layer.positions(), &[1, 4, 6]);
-        assert_eq!(&*layer.keys(0).row(0), &[1.0; 3]);
-        assert_eq!(&*layer.keys(0).row(1), &[4.0; 3]);
-        assert_eq!(&*layer.keys(0).row(2), &[6.0; 3]);
-        assert_eq!(&*layer.values(1).row(2), &[26.0; 3]);
+        assert_eq!(layer.keys(0).row_vec(0), [1.0; 3]);
+        assert_eq!(layer.keys(0).row_vec(1), [4.0; 3]);
+        assert_eq!(layer.keys(0).row_vec(2), [6.0; 3]);
+        assert_eq!(layer.values(1).row_vec(2), [26.0; 3]);
         // Appending after compaction reuses the partially-filled tail block.
-        let k = vec![vec![9.0; 3], vec![9.5; 3]];
-        let v = vec![vec![19.0; 3], vec![29.0; 3]];
-        layer.append(9, &k, &v).unwrap();
+        let k = [[9.0; 3], [9.5; 3]].concat();
+        let v = [[19.0; 3], [29.0; 3]].concat();
+        layer.append_from_slices(9, &k, &v).unwrap();
         assert_eq!(layer.num_blocks(), 2);
-        assert_eq!(&*layer.keys(0).row(3), &[9.0; 3]);
+        assert_eq!(layer.keys(0).row_vec(3), [9.0; 3]);
     }
 
     #[test]
@@ -1933,9 +1712,10 @@ mod tests {
         let mut cache = KvCache::new(3, 2, 3);
         assert_eq!(cache.bytes_per_token(), 3 * 2 * 2 * 3 * 4);
         for l in 0..3 {
-            let k = vec![vec![0.0; 3], vec![0.0; 3]];
-            let v = k.clone();
-            cache.layer_mut(l).append(0, &k, &v).unwrap();
+            cache
+                .layer_mut(l)
+                .append_from_slices(0, &[0.0; 6], &[0.0; 6])
+                .unwrap();
         }
         assert_eq!(cache.byte_size(), cache.bytes_per_token());
     }
@@ -1965,13 +1745,12 @@ mod tests {
     fn strict_pool_exhaustion_surfaces_as_error() {
         let pool = SharedBlockPool::bounded(2, 2, OvercommitPolicy::Strict).unwrap();
         let mut layer = LayerKvCache::with_pool(2, 3, pool);
-        let k = vec![vec![0.0; 3], vec![0.0; 3]];
-        let v = k.clone();
+        let (k, v) = ([0.0; 6], [0.0; 6]);
         for i in 0..4 {
-            layer.append(i, &k, &v).unwrap();
+            layer.append_from_slices(i, &k, &v).unwrap();
         }
         assert!(matches!(
-            layer.append(4, &k, &v),
+            layer.append_from_slices(4, &k, &v),
             Err(CoreError::PoolExhausted { .. })
         ));
         assert_eq!(layer.len(), 4, "failed append leaves the cache consistent");
@@ -1982,9 +1761,10 @@ mod tests {
         let pool = SharedBlockPool::unbounded(4);
         let mut cache = KvCache::with_pool(3, 2, 3, pool);
         for l in 0..3 {
-            let k = vec![vec![0.0; 3], vec![0.0; 3]];
-            let v = k.clone();
-            cache.layer_mut(l).append(0, &k, &v).unwrap();
+            cache
+                .layer_mut(l)
+                .append_from_slices(0, &[0.0; 6], &[0.0; 6])
+                .unwrap();
         }
         assert_eq!(cache.num_layers(), 3);
         assert_eq!(cache.total_slots(), 3);
@@ -2011,18 +1791,18 @@ mod tests {
         assert_eq!(pool.blocks_in_use(), 2);
         assert_eq!(pool.shared_blocks(), 2);
         assert_eq!(layer.shared_block_count(), 2);
-        assert_eq!(fork.keys(0).row(5), layer.keys(0).row(5));
+        assert_eq!(fork.keys(0).row_vec(5), layer.keys(0).row_vec(5));
         // The fork appends into the shared partial tail block: CoW forks it.
-        let k = vec![vec![9.0; 3], vec![9.5; 3]];
-        let v = vec![vec![19.0; 3], vec![29.0; 3]];
-        fork.append(6, &k, &v).unwrap();
+        let k = [[9.0; 3], [9.5; 3]].concat();
+        let v = [[19.0; 3], [29.0; 3]].concat();
+        fork.append_from_slices(6, &k, &v).unwrap();
         assert_eq!(fork.cow_forks(), 1);
         assert_eq!(pool.blocks_in_use(), 3, "fork owns a private tail now");
         assert_eq!(pool.shared_blocks(), 1, "the full block stays shared");
         // The original never sees the fork's write.
         assert_eq!(layer.len(), 6);
-        assert_eq!(&*layer.keys(0).row(5), &[5.0; 3]);
-        assert_eq!(&*fork.keys(0).row(6), &[9.0; 3]);
+        assert_eq!(layer.keys(0).row_vec(5), [5.0; 3]);
+        assert_eq!(fork.keys(0).row_vec(6), [9.0; 3]);
         drop(fork);
         assert_eq!(pool.blocks_in_use(), 2);
         assert_eq!(pool.shared_blocks(), 0);
@@ -2037,12 +1817,12 @@ mod tests {
         fork.retain_slots(&[0, 2, 5]).unwrap();
         assert!(fork.cow_forks() >= 1);
         assert_eq!(fork.positions(), &[0, 2, 5]);
-        assert_eq!(&*fork.keys(0).row(1), &[2.0; 3]);
+        assert_eq!(fork.keys(0).row_vec(1), [2.0; 3]);
         // The donor still reads its original six slots, bit-identical.
         assert_eq!(layer.len(), 6);
         for slot in 0..6 {
-            assert_eq!(&*layer.keys(0).row(slot), &[slot as f32; 3]);
-            assert_eq!(&*layer.values(1).row(slot), &[20.0 + slot as f32; 3]);
+            assert_eq!(layer.keys(0).row_vec(slot), [slot as f32; 3]);
+            assert_eq!(layer.values(1).row_vec(slot), [20.0 + slot as f32; 3]);
         }
         // An aligned identity prefix stays shared: retaining [0, 1] keeps the
         // first block byte-identical, so no fork for it.
@@ -2062,7 +1842,7 @@ mod tests {
         reader.push_shared_block(donor.shared_block(1)).unwrap();
         assert_eq!(reader.len(), 6);
         assert_eq!(reader.positions(), &[0, 1, 2, 3, 4, 5]);
-        assert_eq!(&*reader.keys(0).row(4), &[4.0; 3]);
+        assert_eq!(reader.keys(0).row_vec(4), [4.0; 3]);
         assert_eq!(pool.blocks_in_use(), 2, "no new physical blocks");
         assert_eq!(pool.shared_blocks(), 2);
         // Shape and density violations are rejected.
@@ -2081,9 +1861,8 @@ mod tests {
         let mut cache = KvCache::with_pool(2, 2, 3, pool.clone());
         for l in 0..2 {
             for i in 0..5 {
-                let k = vec![vec![i as f32; 3], vec![i as f32; 3]];
-                let v = k.clone();
-                cache.layer_mut(l).append(i, &k, &v).unwrap();
+                let k = [i as f32; 6];
+                cache.layer_mut(l).append_from_slices(i, &k, &k).unwrap();
             }
         }
         let fork = cache.fork().unwrap();
@@ -2094,7 +1873,7 @@ mod tests {
         drop(cache);
         // The fork keeps every block alive on its own.
         assert_eq!(pool.blocks_in_use(), 4);
-        assert_eq!(&*fork.layer(1).keys(0).row(4), &[4.0; 3]);
+        assert_eq!(fork.layer(1).keys(0).row_vec(4), [4.0; 3]);
         drop(fork);
         assert_eq!(pool.blocks_in_use(), 0);
     }
@@ -2123,13 +1902,9 @@ mod tests {
     fn append_wiggles(layer: &mut LayerKvCache, slots: usize) {
         let start = layer.len();
         for i in start..start + slots {
-            let k: Vec<Vec<f32>> = (0..2)
-                .map(|h| (0..3).map(|d| wiggle(i, h, d)).collect())
-                .collect();
-            let v: Vec<Vec<f32>> = (0..2)
-                .map(|h| (0..3).map(|d| wiggle(i, h, d + 7)).collect())
-                .collect();
-            layer.append(i, &k, &v).unwrap();
+            let k: Vec<f32> = (0..6).map(|c| wiggle(i, c / 3, c % 3)).collect();
+            let v: Vec<f32> = (0..6).map(|c| wiggle(i, c / 3, c % 3 + 7)).collect();
+            layer.append_from_slices(i, &k, &v).unwrap();
         }
     }
 
@@ -2172,7 +1947,7 @@ mod tests {
         // staged tail reads are exact.
         for slot in 0..6 {
             for h in 0..2 {
-                let key = layer.keys(h).row(slot);
+                let key = layer.keys(h).row_vec(slot);
                 for (d, got) in key.iter().enumerate() {
                     let want = wiggle(slot, h, d);
                     let tol = if slot < 4 { 0.05 } else { 0.0 };
@@ -2194,12 +1969,13 @@ mod tests {
             .collect();
         for h in 0..2 {
             let view = layer.values(h);
-            let fused = view.vecmat(&coeffs).unwrap();
-            // to_matrix() dequantizes row-by-row; its vecmat is the unfused
+            let (mut fused, mut scratch) = ([0.0; 3], [0.0; 3]);
+            view.vecmat_into(&coeffs, &mut fused, &mut scratch).unwrap();
+            // The element-wise decode's dense product is the unfused
             // reference the factored accumulation must agree with.
-            let dense = view.to_matrix().vecmat(&coeffs).unwrap();
-            for (a, b) in fused.iter().zip(&dense) {
-                assert!((a - b).abs() < 1e-4, "{fused:?} vs {dense:?}");
+            let unfused = dense(&view).vecmat(&coeffs).unwrap();
+            for (a, b) in fused.iter().zip(&unfused) {
+                assert!((a - b).abs() < 1e-4, "{fused:?} vs {unfused:?}");
             }
         }
     }
@@ -2217,14 +1993,17 @@ mod tests {
         // never shared: CoW forking + unseal/reseal is deterministic.
         for slot in 0..keep.len() {
             for h in 0..2 {
-                assert_eq!(shared.keys(h).row(slot), control.keys(h).row(slot));
-                assert_eq!(shared.values(h).row(slot), control.values(h).row(slot));
+                assert_eq!(shared.keys(h).row_vec(slot), control.keys(h).row_vec(slot));
+                assert_eq!(
+                    shared.values(h).row_vec(slot),
+                    control.values(h).row_vec(slot)
+                );
             }
         }
         // The fork still reads the pre-compaction content of its sealed blocks.
         let expected = filled_layer_u8(11, SharedBlockPool::unbounded(4));
         for slot in 0..11 {
-            assert_eq!(fork.keys(0).row(slot), expected.keys(0).row(slot));
+            assert_eq!(fork.keys(0).row_vec(slot), expected.keys(0).row_vec(slot));
         }
         assert!(
             shared.cow_forks() > 0,
@@ -2285,22 +2064,30 @@ mod tests {
                 .collect();
             for h in 0..2 {
                 for view in [layer.keys(h), layer.values(h)] {
+                    let reference = dense(&view);
                     let mut buf = vec![0.0f32; 3];
                     let mut scratch = vec![0.0f32; 3];
                     for slot in 0..n {
                         view.copy_row_into(slot, &mut buf);
-                        assert_eq!(buf.as_slice(), &*view.row(slot));
+                        assert_eq!(bits(&buf), bits(reference.row(slot)));
                     }
                     let mut visited = 0;
                     view.for_each_row(&mut scratch, |slot, row| {
                         assert_eq!(slot, visited);
-                        assert_eq!(row, &*view.row(slot));
+                        assert_eq!(bits(row), bits(reference.row(slot)));
                         visited += 1;
                     });
                     assert_eq!(visited, n);
                     let mut out = vec![9.0f32; 3];
                     view.vecmat_into(&coeffs, &mut out, &mut scratch).unwrap();
-                    assert_eq!(out, view.vecmat(&coeffs).unwrap());
+                    let unfused = reference.vecmat(&coeffs).unwrap();
+                    if layer.dtype() == KvDtype::F32 {
+                        assert_eq!(bits(&out), bits(&unfused));
+                    } else {
+                        for (a, b) in out.iter().zip(&unfused) {
+                            assert!((a - b).abs() < 1e-4, "{out:?} vs {unfused:?}");
+                        }
+                    }
                     assert!(view.vecmat_into(&[1.0], &mut out, &mut scratch).is_err());
                 }
             }
@@ -2308,28 +2095,35 @@ mod tests {
     }
 
     #[test]
-    fn append_from_slices_matches_append() {
-        for dtype in [KvDtype::F32, KvDtype::U8] {
-            let pool = SharedBlockPool::unbounded(3);
-            let mut a = LayerKvCache::with_pool_dtype(2, 3, pool.clone(), dtype);
-            let mut b = LayerKvCache::with_pool_dtype(2, 3, pool, dtype);
-            for i in 0..7 {
-                let k: Vec<Vec<f32>> = (0..2)
-                    .map(|h| (0..3).map(|d| wiggle(i, h, d)).collect())
-                    .collect();
-                let v: Vec<Vec<f32>> = (0..2)
-                    .map(|h| (0..3).map(|d| wiggle(i, h, d + 7)).collect())
-                    .collect();
-                a.append(i, &k, &v).unwrap();
-                b.append_from_slices(i, &k.concat(), &v.concat()).unwrap();
-            }
-            for slot in 0..7 {
-                for h in 0..2 {
-                    assert_eq!(a.keys(h).row(slot), b.keys(h).row(slot));
-                    assert_eq!(a.values(h).row(slot), b.values(h).row(slot));
+    fn subnormal_value_range_decodes_finite_and_within_range() {
+        let tiny = f32::from_bits(1);
+        let map = Affine::for_range(0.0, tiny);
+        for f in [0.0, tiny] {
+            let dq = map.dequantize(map.quantize(f));
+            assert!(
+                dq.is_finite() && (0.0..=tiny).contains(&dq),
+                "{f:e} -> {dq:e}"
+            );
+        }
+        // A sealed block whose values span a subnormal width reads finite.
+        let mut layer =
+            LayerKvCache::with_pool_dtype(1, 2, SharedBlockPool::unbounded(2), KvDtype::U8);
+        layer
+            .append_from_slices(0, &[0.0, tiny], &[tiny; 2])
+            .unwrap();
+        layer
+            .append_from_slices(1, &[tiny, 0.0], &[0.0; 2])
+            .unwrap();
+        assert_eq!(layer.blocks[0].data.storage_dtype(), KvDtype::U8);
+        for view in [layer.keys(0), layer.values(0)] {
+            for slot in 0..2 {
+                for x in view.row_vec(slot) {
+                    assert!(
+                        x.is_finite() && (0.0..=tiny).contains(&x),
+                        "slot {slot}: {x:e}"
+                    );
                 }
             }
-            assert!(b.append_from_slices(9, &[0.0; 5], &[0.0; 6]).is_err());
         }
     }
 

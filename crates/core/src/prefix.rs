@@ -635,9 +635,9 @@ mod tests {
     fn fill(cache: &mut KvCache, tokens: &[u32]) {
         for l in 0..cache.num_layers() {
             for (pos, &tok) in tokens.iter().enumerate() {
-                let k = vec![vec![tok as f32 + l as f32 * 100.0; DIM]; HEADS];
-                let v = vec![vec![tok as f32 + 0.5; DIM]; HEADS];
-                cache.layer_mut(l).append(pos, &k, &v).unwrap();
+                let k = [tok as f32 + l as f32 * 100.0; DIM * HEADS];
+                let v = [tok as f32 + 0.5; DIM * HEADS];
+                cache.layer_mut(l).append_from_slices(pos, &k, &v).unwrap();
             }
         }
     }
@@ -673,8 +673,8 @@ mod tests {
         assert_eq!(attached.tokens, 8);
         assert_eq!(reader.total_slots(), 8 * LAYERS);
         assert_eq!(
-            reader.layer(1).keys(0).row(5),
-            donor.layer(1).keys(0).row(5)
+            reader.layer(1).keys(0).row_vec(5),
+            donor.layer(1).keys(0).row_vec(5)
         );
         // No new physical blocks were allocated for the attachment.
         assert_eq!(pool.blocks_in_use(), 3 * LAYERS);
@@ -745,7 +745,7 @@ mod tests {
         assert_eq!(registry.stats().evictions, 2);
         // The reader still reads valid data from its own pins.
         assert_eq!(reader.total_slots(), 8 * LAYERS);
-        assert_eq!(reader.layer(0).keys(0).row(7).len(), DIM);
+        assert_eq!(reader.layer(0).keys(0).row_vec(7).len(), DIM);
         assert_eq!(pool.blocks_in_use(), 2 * LAYERS);
         drop(reader);
         assert_eq!(pool.blocks_in_use(), 0, "all pins released");

@@ -86,7 +86,7 @@ impl RotatedKeyCache {
     /// away from block boundaries) during decode without eviction. This is
     /// also the batch-rotate primitive of chunk-batched prefill: after a bulk
     /// append of a whole chunk's key rows
-    /// ([`LayerKvCache::append_batch_from_slices`]), one `sync` call tops up
+    /// ([`LayerKvCache::append_from_slices`] per row), one `sync` call tops up
     /// every appended row (and rebuilds any block a quantize-on-seal
     /// generation bump invalidated) in a single pass.
     ///
@@ -256,7 +256,7 @@ mod tests {
     }
 
     fn expected_row(layer: &LayerKvCache, head: usize, slot: usize) -> Vec<f32> {
-        let mut row = layer.keys(head).row(slot).into_owned();
+        let mut row = layer.keys(head).row_vec(slot);
         fake_rotate(&mut row, slot);
         row
     }
@@ -277,9 +277,8 @@ mod tests {
     fn append_tokens(layer: &mut LayerKvCache, n: usize) {
         let start = layer.len();
         for i in start..start + n {
-            let k: Vec<Vec<f32>> = (0..2).map(|h| vec![i as f32 + h as f32 * 0.5; 3]).collect();
-            let v = k.clone();
-            layer.append(i, &k, &v).unwrap();
+            let k = [[i as f32; 3], [i as f32 + 0.5; 3]].concat();
+            layer.append_from_slices(i, &k, &k).unwrap();
         }
     }
 
@@ -348,7 +347,7 @@ mod tests {
         assert_eq!(rot.covered_slots(), layer.len(), "{context}");
         for head in 0..layer.num_heads() {
             for slot in 0..layer.len() {
-                let mut want = layer.keys(head).row(slot).into_owned();
+                let mut want = layer.keys(head).row_vec(slot);
                 rotate_at_position(&mut want, key_of(slot));
                 assert_eq!(
                     bits(rot.row(head, slot)),
@@ -408,12 +407,11 @@ mod tests {
                         let mut evicted = false;
                         if op == 0 || layer.is_empty() {
                             for _ in 0..rng.gen_range(1..6) {
-                                let k: Vec<Vec<f32>> = (0..2)
-                                    .map(|_| (0..3).map(|_| rng.gen_range(-2.0f32..2.0)).collect())
-                                    .collect();
+                                let k: Vec<f32> =
+                                    (0..6).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
                                 // Positions advance in strides so they never
                                 // coincide with slot indices.
-                                layer.append(next_position, &k, &k).unwrap();
+                                layer.append_from_slices(next_position, &k, &k).unwrap();
                                 next_position += 3;
                             }
                         } else if op == 3 {

@@ -134,10 +134,11 @@ fn opt_str<'v>(body: &'v Value, field: &str) -> Result<Option<&'v str>, WireFaul
     }
 }
 
-/// Parses a policy name into a [`PolicySpec`] with the paper-default
-/// parameters for the parameterised families.
-fn parse_policy(name: &str) -> Result<PolicySpec, WireFault> {
-    Ok(match name {
+/// The eviction policy a wire or command-line name selects: `full`,
+/// `window`, `dilated`, `key_only`, `h2o`, `damped`, `streaming_llm` or
+/// `keyformer`, each at its default parameters. `None` for any other name.
+pub fn policy_by_name(name: &str) -> Option<PolicySpec> {
+    Some(match name {
         "full" => PolicySpec::Full,
         "window" => PolicySpec::Window,
         "dilated" => PolicySpec::DilatedWindow { dilation: 1 },
@@ -146,12 +147,18 @@ fn parse_policy(name: &str) -> Result<PolicySpec, WireFault> {
         "damped" => PolicySpec::Damped { alpha: 0.9 },
         "streaming_llm" => PolicySpec::streaming_default(),
         "keyformer" => PolicySpec::keyformer_default(),
-        other => {
-            return Err(WireFault::bad_request(format!(
-                "unknown policy `{other}` (expected one of full, window, dilated, key_only, \
-                 h2o, damped, streaming_llm, keyformer)"
-            )))
-        }
+        _ => return None,
+    })
+}
+
+/// [`policy_by_name`] on the wire: an unknown name is a 400 that lists the
+/// known ones.
+fn parse_policy(name: &str) -> Result<PolicySpec, WireFault> {
+    policy_by_name(name).ok_or_else(|| {
+        WireFault::bad_request(format!(
+            "unknown policy `{name}` (expected one of full, window, dilated, key_only, \
+             h2o, damped, streaming_llm, keyformer)"
+        ))
     })
 }
 
@@ -574,5 +581,33 @@ pub fn drive_stream(
         if snapshot.state.is_terminal() {
             return Ok(());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn policy_names_map_to_the_zoo_and_unknown_names_fail() {
+        let table = [
+            ("full", PolicySpec::Full),
+            ("window", PolicySpec::Window),
+            ("dilated", PolicySpec::DilatedWindow { dilation: 1 }),
+            ("key_only", PolicySpec::KeyOnly),
+            ("h2o", PolicySpec::h2o_default()),
+            ("damped", PolicySpec::Damped { alpha: 0.9 }),
+            ("streaming_llm", PolicySpec::streaming_default()),
+            ("keyformer", PolicySpec::keyformer_default()),
+        ];
+        for (name, spec) in table {
+            assert_eq!(policy_by_name(name), Some(spec), "{name}");
+            assert_eq!(parse_policy(name).ok(), Some(spec), "{name}");
+        }
+        assert_eq!(policy_by_name("Keyformer"), None);
+        assert_eq!(policy_by_name("lru"), None);
+        let fault = parse_policy("lru").expect_err("an unknown name is a fault");
+        assert_eq!(fault.status, 400);
+        assert!(fault.message.contains("`lru`"), "{}", fault.message);
     }
 }

@@ -7,6 +7,7 @@ use keyformer_core::cache::KvDtype;
 use keyformer_core::spec::PolicySpec;
 use keyformer_model::families::ModelFamily;
 use keyformer_serve::ServerConfig;
+use kf_serve::api::policy_by_name;
 use kf_serve::NodeConfig;
 
 const USAGE: &str = "\
@@ -53,17 +54,7 @@ fn parse_family(name: &str) -> ModelFamily {
 }
 
 fn parse_policy(name: &str) -> PolicySpec {
-    match name {
-        "full" => PolicySpec::Full,
-        "window" => PolicySpec::Window,
-        "dilated" => PolicySpec::DilatedWindow { dilation: 1 },
-        "key_only" => PolicySpec::KeyOnly,
-        "h2o" => PolicySpec::h2o_default(),
-        "damped" => PolicySpec::Damped { alpha: 0.9 },
-        "streaming_llm" => PolicySpec::streaming_default(),
-        "keyformer" => PolicySpec::keyformer_default(),
-        other => fail(&format!("unknown policy `{other}`")),
-    }
+    policy_by_name(name).unwrap_or_else(|| fail(&format!("unknown policy `{name}`")))
 }
 
 struct Flags {

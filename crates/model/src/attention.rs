@@ -84,6 +84,7 @@ pub fn attend_single_query(
         PositionMode::Remapped => live.saturating_sub(1),
     };
 
+    let (mut k, mut scratch) = (vec![0.0f32; head_dim], vec![0.0f32; head_dim]);
     for head in 0..num_heads {
         let mut q_head: Vec<f32> = query[head * head_dim..(head + 1) * head_dim].to_vec();
         if config.positional == PositionalEncoding::Rope {
@@ -97,7 +98,7 @@ pub fn attend_single_query(
         let keys = cache.keys(head);
         let mut logits = Vec::with_capacity(live);
         for (slot, &k_pos) in key_positions.iter().enumerate().take(live) {
-            let mut k: Vec<f32> = keys.row(slot).to_vec();
+            keys.copy_row_into(slot, &mut k);
             let mut logit = match config.positional {
                 PositionalEncoding::Rope => {
                     apply_rope_scaled(&mut k, k_pos as f32 * config.rope_scale, ROPE_BASE);
@@ -132,9 +133,14 @@ pub fn attend_single_query(
             });
         }
 
-        let values = cache.values(head);
-        let head_context = values.vecmat(&probs).expect("value matrix shape mismatch");
-        context[head * head_dim..(head + 1) * head_dim].copy_from_slice(&head_context);
+        cache
+            .values(head)
+            .vecmat_into(
+                &probs,
+                &mut context[head * head_dim..(head + 1) * head_dim],
+                &mut scratch,
+            )
+            .expect("value matrix shape mismatch");
         for (m, &p) in mean_probs.iter_mut().zip(&probs) {
             *m += p / num_heads as f32;
         }
@@ -155,10 +161,7 @@ mod tests {
         let head_dim = config.head_dim();
         let mut cache = LayerKvCache::new(config.num_heads, head_dim);
         for (pos, emb) in token_embeddings.iter().enumerate() {
-            let per_head: Vec<Vec<f32>> = (0..config.num_heads)
-                .map(|h| emb[h * head_dim..(h + 1) * head_dim].to_vec())
-                .collect();
-            cache.append(pos, &per_head, &per_head).unwrap();
+            cache.append_from_slices(pos, emb, emb).unwrap();
         }
         cache
     }

@@ -46,21 +46,13 @@ pub fn decoder_layer_forward(
             config.d_model
         )));
     }
-    let head_dim = config.head_dim();
 
     // Pre-norm attention block.
     let normed = layer_norm(hidden, &weights.ln1_gain, &weights.ln1_bias, LN_EPS);
     let q = weights.wq.matvec(&normed).expect("wq shape");
     let k = weights.wk.matvec(&normed).expect("wk shape");
     let v = weights.wv.matvec(&normed).expect("wv shape");
-
-    let keys_per_head: Vec<Vec<f32>> = (0..config.num_heads)
-        .map(|h| k[h * head_dim..(h + 1) * head_dim].to_vec())
-        .collect();
-    let values_per_head: Vec<Vec<f32>> = (0..config.num_heads)
-        .map(|h| v[h * head_dim..(h + 1) * head_dim].to_vec())
-        .collect();
-    cache.append(position, &keys_per_head, &values_per_head)?;
+    cache.append_from_slices(position, &k, &v)?;
 
     let AttentionOutput {
         context,

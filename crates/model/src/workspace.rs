@@ -408,8 +408,8 @@ impl ForwardWorkspace {
 /// token of a decode step — through each decoder layer *once*, with the three
 /// QKV projections, the output projection and both FFN matmuls batched into
 /// per-chunk GEMMs ([`keyformer_tensor::Matrix::matvec_batch_into`]), and
-/// appends each layer's fresh keys/values in bulk
-/// ([`LayerKvCache::append_batch_from_slices`]).
+/// appends each layer's fresh keys/values run by run, one
+/// [`LayerKvCache::append_from_slices`] per row.
 ///
 /// Byte-identity with the token-at-a-time path rests on five invariants:
 ///
@@ -463,7 +463,7 @@ impl ForwardWorkspace {
 /// the FFN — split the chunk's rows evenly between `w` workers, each with its
 /// own GEMM packing panel
 /// ([`keyformer_tensor::Matrix::matvec_batch_into_slice`]). The *serial
-/// phases* — the bulk KV append, the RoPE key sync and the peak-byte sample —
+/// phases* — the KV appends, the RoPE key sync and the peak-byte sample —
 /// stay on the calling thread. The GEMM *attention* splits the chunk's
 /// queries into contiguous ranges of equal causal work Σ(`pre + t + 1`) (not
 /// by head: under ALiBi the subnormal probabilities crowd onto the steepest
@@ -618,12 +618,10 @@ pub(crate) fn forward_chunk_ws(
                     i += 1;
                 }
             }
-            layer_cache.append_batch_from_slices(
-                start_position + run_start,
-                run_end - run_start,
-                &k[run_start * d_model..run_end * d_model],
-                &v[run_start * d_model..run_end * d_model],
-            )?;
+            for t in run_start..run_end {
+                let token = t * d_model..(t + 1) * d_model;
+                layer_cache.append_from_slices(start_position + t, &k[token.clone()], &v[token])?;
+            }
             layer_peak = layer_peak.max(layer_cache.byte_size());
             if config.positional == PositionalEncoding::Rope {
                 sync_rotated_keys(config, layer_cache, layer_rot, &mut attn.rope);
@@ -1202,14 +1200,10 @@ mod tests {
         let head_dim = config.head_dim();
         let mut cache = LayerKvCache::new(config.num_heads, head_dim);
         for pos in 0..n {
-            let per_head: Vec<Vec<f32>> = (0..config.num_heads)
-                .map(|h| {
-                    (0..head_dim)
-                        .map(|d| ((pos * 7 + h * 3 + d) % 11) as f32 * 0.1 - 0.4)
-                        .collect()
-                })
+            let row: Vec<f32> = (0..config.d_model)
+                .map(|c| ((pos * 7 + c / head_dim * 3 + c % head_dim) % 11) as f32 * 0.1 - 0.4)
                 .collect();
-            cache.append(pos, &per_head, &per_head).unwrap();
+            cache.append_from_slices(pos, &row, &row).unwrap();
         }
         cache
     }
@@ -1407,12 +1401,16 @@ mod tests {
                     cache
                 };
 
-                // Chunk path: bulk append, one sync, two GEMMs per head.
+                // Chunk path: every row appended, one sync, two GEMMs per head.
                 let mut cache = prefixed();
                 let mut ws = ForwardWorkspace::new(&config, cache.block_size());
-                cache
-                    .append_batch_from_slices(start_position, n, &k, &v)
-                    .unwrap();
+                for (t, (k, v)) in k
+                    .chunks_exact(d_model)
+                    .zip(v.chunks_exact(d_model))
+                    .enumerate()
+                {
+                    cache.append_from_slices(start_position + t, k, v).unwrap();
+                }
                 if positional == PositionalEncoding::Rope {
                     sync_rotated_keys(&config, &cache, &mut ws.rot[layer], &mut ws.attn.rope);
                 }

@@ -35,7 +35,7 @@
 
 use keyformer::core::accumulator::ScoreScope;
 use keyformer::core::block::SharedBlockPool;
-use keyformer::core::cache::LayerKvCache;
+use keyformer::core::cache::{KvDtype, LayerKvCache};
 use keyformer::core::observation::{AttentionObservation, ObservationRows, Phase};
 use keyformer::core::parallel::fan_out;
 use keyformer::core::policy::KvCachePolicy;
@@ -320,4 +320,46 @@ fn single_slot_eviction_with_rotated_hand_off_allocates_nothing() {
     );
     assert_eq!(layer.len(), 42);
     assert_eq!(rotate(&layer, &mut rot), 0, "the moved rows stay current");
+}
+
+#[test]
+fn u8_compaction_allocates_per_block_not_per_row() {
+    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
+    let (heads, head_dim) = (4, 16);
+    let row = |pos: usize| -> Vec<f32> {
+        (0..heads * head_dim)
+            .map(|i| ((pos * 13 + i * 7) % 29) as f32 * 0.07 - 1.0)
+            .collect()
+    };
+    let counted = |block: usize| -> usize {
+        // Four sealed blocks and a half-full f32 tail. The warm-up evicts a
+        // slot of block 0; the counted eviction then evicts a slot of block
+        // 1, which unseals, rewrites and reseals exactly the three sealed
+        // blocks 1, 2 and 3 at either block size.
+        let slots = 4 * block + block / 2;
+        let warm: Vec<usize> = (0..slots).filter(|&s| s != 1).collect();
+        let kept: Vec<usize> = (0..slots - 1).filter(|&s| s != block + 1).collect();
+        let mut layers: Vec<LayerKvCache> = (0..3)
+            .map(|_| {
+                let pool = SharedBlockPool::unbounded(block);
+                let mut layer = LayerKvCache::with_pool_dtype(heads, head_dim, pool, KvDtype::U8);
+                for pos in 0..slots {
+                    layer
+                        .append_from_slices(pos, &row(pos), &row(pos + 1))
+                        .unwrap();
+                }
+                layer.retain_slots(&warm).unwrap();
+                layer
+            })
+            .collect();
+        let windows = quietest_of_three(|window| layers[window].retain_slots(&kept).unwrap());
+        assert!(layers.iter().all(|l| l.len() == slots - 2));
+        windows.into_iter().min().unwrap()
+    };
+    let (small, large) = (counted(8), counted(32));
+    assert_eq!(
+        small, large,
+        "a u8 compaction must allocate per rewritten block, not per row: \
+         {small} allocation(s) at 8-slot blocks, {large} at 32-slot blocks"
+    );
 }
