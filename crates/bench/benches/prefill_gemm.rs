@@ -2,10 +2,10 @@
 //! chunk-batched prefill, and the chunked prompt pass end to end.
 //!
 //! Three granularities. `prefill_gemm` times one projection's worth of work
-//! at real transformer shapes — `n` per-token `matvec_into` calls (what a
-//! one-token chunk runs) against one `matvec_batch_into` GEMM (what a
-//! multi-token chunk runs), plus the square `matmul_into` kernel the GEMM is
-//! built on. `chunk_attention` times one layer's prompt attention for a
+//! at real transformer shapes — one `matmul_strided` over the weight as the
+//! model stores it (what every chunk and every decode step runs) against `n`
+//! per-row `matvec_into` calls on the row-major weight — plus the square
+//! `matmul_into` kernel. `chunk_attention` times one layer's prompt attention for a
 //! 128-token chunk over 1k live slots, as the per-query `dot` / `vecmat_into`
 //! loop and as the two tiled GEMMs the chunk forward runs on `f32` layers.
 //! `chunked_prefill` times the full prompt pass through a session at each
@@ -28,7 +28,7 @@ use keyformer_tensor::{dot, Matrix};
 use std::hint::black_box;
 use std::time::Duration;
 
-/// Chunk sizes swept by both benchmark groups.
+/// Chunk sizes swept by the end-to-end chunked prefill bench.
 const CHUNKS: [usize; 4] = [1, 8, 32, 128];
 /// Prompt length of the end-to-end chunked prefill bench.
 const PROMPT_LEN: usize = 128;
@@ -47,56 +47,70 @@ fn random_matrix(rows: usize, cols: usize, mut seed: u64) -> Matrix {
     Matrix::from_vec(rows, cols, data).expect("shape matches data")
 }
 
-/// One projection at transformer shapes: `n` sequential GEMVs vs one batched
-/// GEMM over the same inputs. Shapes are the headline GPT-J-like family's
-/// QKV (128×128) and FFN (256×128) projections.
+/// Row counts of one projection: a decode step, a 32-token prefill chunk and
+/// a 128-token one.
+const PROJECTION_ROWS: [usize; 3] = [1, 32, 128];
+
+/// One projection at transformer shapes, `n` rows through a weight: one
+/// `matmul_strided` over the weight as the model stores it (`d_in x d_out`,
+/// what the forward runs at every `n`, a decode step included) against `n`
+/// `matvec_into` calls on the row-major `d_out x d_in` matrix (the per-row
+/// `sum` chain a decode step ran before the weights were stored as the
+/// GEMM's right operand). Shapes are the headline GPT-J-like family's QKV
+/// (128 → 128), FFN input (128 → 256) and tied readout (128 → 1024).
 fn bench_prefill_gemm(c: &mut Criterion) {
     let mut group = c.benchmark_group("prefill_gemm");
     group
         .sample_size(30)
         .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_millis(800));
-    for (label, rows, cols) in [
+    for (label, d_in, d_out) in [
         ("qkv_128x128", 128usize, 128usize),
-        ("ffn_256x128", 256, 128),
+        ("ffn_in_128x256", 128, 256),
+        ("readout_128x1024", 128, 1024),
     ] {
-        let weights = random_matrix(rows, cols, 7);
-        for &n in &CHUNKS {
-            let xs: Vec<f32> = random_matrix(n, cols, 11).into_vec();
+        let row_major = random_matrix(d_out, d_in, 7);
+        let stored = row_major.transpose();
+        for &n in &PROJECTION_ROWS {
+            let xs: Vec<f32> = random_matrix(n, d_in, 11).into_vec();
             group.bench_with_input(
-                BenchmarkId::new(format!("{label}/sequential_gemv"), n),
+                BenchmarkId::new(format!("{label}/matmul_strided"), n),
                 &n,
                 |b, &n| {
-                    let mut out = vec![0.0f32; rows];
+                    let mut out = vec![0.0f32; n * d_out];
                     b.iter(|| {
-                        for x in xs.chunks_exact(cols).take(n) {
-                            let mut row_out = std::mem::take(&mut out);
-                            weights
-                                .matvec_into(black_box(x), &mut row_out)
+                        matmul_strided(
+                            black_box(&xs),
+                            d_in,
+                            n,
+                            d_in,
+                            stored.as_slice(),
+                            d_out,
+                            &mut out,
+                            d_out,
+                        );
+                        black_box(&out);
+                    });
+                },
+            );
+            group.bench_with_input(
+                BenchmarkId::new(format!("{label}/matvec_rows"), n),
+                &n,
+                |b, _| {
+                    let mut out = Vec::with_capacity(d_out);
+                    b.iter(|| {
+                        for x in xs.chunks_exact(d_in) {
+                            row_major
+                                .matvec_into(black_box(x), &mut out)
                                 .expect("shape agrees");
-                            out = row_out;
                             black_box(&out);
                         }
                     });
                 },
             );
-            group.bench_with_input(
-                BenchmarkId::new(format!("{label}/batched_gemm"), n),
-                &n,
-                |b, &n| {
-                    let mut out = Vec::with_capacity(n * rows);
-                    let mut pack = Vec::new();
-                    b.iter(|| {
-                        weights
-                            .matvec_batch_into(black_box(&xs), n, &mut out, &mut pack)
-                            .expect("shape agrees");
-                        black_box(&out);
-                    });
-                },
-            );
         }
     }
-    // The square kernel the batched projections are built on.
+    // The square kernel.
     for n in [64usize, 128, 256] {
         let a = random_matrix(n, n, 3);
         let b_m = random_matrix(n, n, 5);

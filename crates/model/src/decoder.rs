@@ -21,7 +21,9 @@ pub struct LayerOutput {
 
 /// Runs one decoder layer for a single token.
 ///
-/// The layer projects the (pre-norm) hidden state to q/k/v, appends k/v to the
+/// The layer projects the (pre-norm) hidden state to q/k/v (each a
+/// [`keyformer_tensor::Matrix::vecmat`] over the stored `(d_in, d_out)`
+/// weight), appends k/v to the
 /// layer's KV cache, attends over the cache (reporting logits to the policy), applies
 /// the output projection and the feed-forward block, and returns the updated residual
 /// stream.
@@ -49,16 +51,16 @@ pub fn decoder_layer_forward(
 
     // Pre-norm attention block.
     let normed = layer_norm(hidden, &weights.ln1_gain, &weights.ln1_bias, LN_EPS);
-    let q = weights.wq.matvec(&normed).expect("wq shape");
-    let k = weights.wk.matvec(&normed).expect("wk shape");
-    let v = weights.wv.matvec(&normed).expect("wv shape");
+    let q = weights.wq.vecmat(&normed).expect("wq shape");
+    let k = weights.wk.vecmat(&normed).expect("wk shape");
+    let v = weights.wv.vecmat(&normed).expect("wv shape");
     cache.append_from_slices(position, &k, &v)?;
 
     let AttentionOutput {
         context,
         mean_probs,
     } = attend_single_query(config, layer, &q, position, cache, ctx);
-    let attn_out = weights.wo.matvec(&context).expect("wo shape");
+    let attn_out = weights.wo.vecmat(&context).expect("wo shape");
     let mut hidden_after_attn: Vec<f32> =
         hidden.iter().zip(&attn_out).map(|(a, b)| a + b).collect();
 
@@ -69,9 +71,9 @@ pub fn decoder_layer_forward(
         &weights.ln2_bias,
         LN_EPS,
     );
-    let mut inner = weights.ffn_in.matvec(&normed2).expect("ffn_in shape");
+    let mut inner = weights.ffn_in.vecmat(&normed2).expect("ffn_in shape");
     gelu_in_place(&mut inner);
-    let ffn_out = weights.ffn_out.matvec(&inner).expect("ffn_out shape");
+    let ffn_out = weights.ffn_out.vecmat(&inner).expect("ffn_out shape");
     for (h, f) in hidden_after_attn.iter_mut().zip(&ffn_out) {
         *h += f;
     }

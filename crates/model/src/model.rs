@@ -88,7 +88,8 @@ impl TransformerModel {
             self.config.vocab_size
         );
         out.clear();
-        out.extend_from_slice(self.weights.embedding.row(token));
+        // The embedding is column `token` of the `(d_model, vocab_size)` table.
+        out.extend(self.weights.embedding.iter_rows().map(|row| row[token]));
         if self.config.positional == PositionalEncoding::Learned {
             let pos = position.min(self.weights.position_embedding.rows().saturating_sub(1));
             for (xi, pi) in out.iter_mut().zip(self.weights.position_embedding.row(pos)) {

@@ -3,7 +3,9 @@
 //! A token-at-a-time forward that shares no buffer or batching with the
 //! product: it embeds one token, runs it through every decoder layer
 //! (`decoder::decoder_layer_forward`, whose attention is
-//! `attention::attend_single_query`), allocates every buffer it needs, hands
+//! `attention::attend_single_query`; every projection and the readout are
+//! `Matrix::vecmat` over the stored `(d_in, d_out)` weights, a loop written
+//! apart from the product's GEMM kernel), allocates every buffer it needs, hands
 //! each attention-logit row to the policy the moment it exists and records
 //! statistics directly. The product forward
 //! ([`crate::workspace::forward_chunk_ws`]) batches a whole chunk per layer
@@ -59,7 +61,7 @@ impl TransformerModel {
             "token {token} outside vocabulary of {}",
             config.vocab_size
         );
-        let mut x = weights.embedding.row(token).to_vec();
+        let mut x = weights.embedding.col(token);
         if config.positional == PositionalEncoding::Learned {
             let pos = position.min(weights.position_embedding.rows().saturating_sub(1));
             for (xi, pi) in x.iter_mut().zip(weights.position_embedding.row(pos)) {
@@ -142,7 +144,7 @@ impl TransformerModel {
         );
         let mut logits = weights
             .embedding
-            .matvec(&final_hidden)
+            .vecmat(&final_hidden)
             .expect("embedding readout shape");
 
         if config.copy_strength > 0.0 && copy_total > 1e-6 {

@@ -3,7 +3,7 @@
 //! The substrate is not trained. Instead its weights are *constructed* so that the
 //! attention mechanism behaves associatively out of the box:
 //!
-//! * token embeddings are unit-norm Gaussian rows, so distinct tokens are nearly
+//! * token embeddings are unit-norm Gaussian vectors, so distinct tokens are nearly
 //!   orthogonal while repeated tokens match strongly;
 //! * the query/key projections are scaled identities plus small noise, so a query
 //!   attends most strongly to cached tokens whose embeddings resemble the current
@@ -16,12 +16,21 @@
 //! This gives the sparse, key-token-dominated attention structure the paper's
 //! Figures 3 and 14–15 show for real checkpoints, without requiring gigabytes of
 //! pretrained weights (see DESIGN.md, substitution table).
+//!
+//! Every matrix the forward multiplies is stored `(d_in, d_out)`, the layout of
+//! the GEMM's right operand, so a chunk of rows and a decode step's single row
+//! run through the same kernel. Each is drawn straight into that layout: the
+//! draws of output `j` fill column `j`, in the order they would fill row `j` of
+//! the `(d_out, d_in)` matrix, so the stored matrix is exactly that matrix's
+//! transpose.
 
 use crate::config::ModelConfig;
 use crate::positional::PositionalEncoding;
-use keyformer_tensor::init::{gaussian_matrix, xavier_matrix};
+use keyformer_tensor::init::gaussian_sample;
 use keyformer_tensor::vector::l2_norm;
 use keyformer_tensor::Matrix;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Scale applied to the identity component of the query/key projections. The product
 /// of the two scales (divided by `sqrt(head_dim)`) sets how sharply a query attends
@@ -33,6 +42,10 @@ const PROJECTION_NOISE: f32 = 0.08;
 const FFN_SCALE: f32 = 0.05;
 
 /// Weights of a single decoder layer.
+///
+/// Every projection is stored `(d_in, d_out)`: an input row times the matrix
+/// is the projected row, so the matrix is the right operand of
+/// [`keyformer_tensor::matrix::matmul_strided`] as it is.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerWeights {
     /// Query projection, `(d_model, d_model)`.
@@ -43,9 +56,9 @@ pub struct LayerWeights {
     pub wv: Matrix,
     /// Output projection, `(d_model, d_model)`.
     pub wo: Matrix,
-    /// Feed-forward input projection, `(d_ff, d_model)`.
+    /// Feed-forward input projection, `(d_model, d_ff)`.
     pub ffn_in: Matrix,
-    /// Feed-forward output projection, `(d_model, d_ff)`.
+    /// Feed-forward output projection, `(d_ff, d_model)`.
     pub ffn_out: Matrix,
     /// Pre-attention LayerNorm gain.
     pub ln1_gain: Vec<f32>,
@@ -60,8 +73,8 @@ pub struct LayerWeights {
 /// All weights of the substrate model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelWeights {
-    /// Token embedding table, `(vocab_size, d_model)`; also used (transposed) as the
-    /// output head.
+    /// Token embedding table, `(d_model, vocab_size)`: a token's embedding is
+    /// its column, and the table as stored is the tied output head.
     pub embedding: Matrix,
     /// Learned position embedding table, `(max_seq_len, d_model)`; empty unless the
     /// model uses [`PositionalEncoding::Learned`].
@@ -74,8 +87,28 @@ pub struct ModelWeights {
     pub final_ln_bias: Vec<f32>,
 }
 
+/// Builds the `(d_in, d_out)` matrix whose column `j` is the `j`-th
+/// `d_in`-wide row `fill` writes: the transpose of the row-major
+/// `(d_out, d_in)` matrix the same calls would fill, without building it.
+fn from_columns(d_in: usize, d_out: usize, mut fill: impl FnMut(&mut [f32])) -> Matrix {
+    let mut m = Matrix::zeros(d_in, d_out);
+    let mut column = vec![0.0; d_in];
+    let data = m.as_mut_slice();
+    for j in 0..d_out {
+        fill(&mut column);
+        for (dst, &x) in data[j..].iter_mut().step_by(d_out).zip(&column) {
+            *dst = x;
+        }
+    }
+    m
+}
+
+/// `(n, n)` scaled identity plus `N(0, noise²)` entries drawn from `seed`.
 fn scaled_identity_plus_noise(n: usize, identity_scale: f32, noise: f32, seed: u64) -> Matrix {
-    let mut m = gaussian_matrix(n, n, noise, seed);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut m = from_columns(n, n, |column| {
+        column.fill_with(|| noise * gaussian_sample(&mut rng));
+    });
     for i in 0..n {
         let v = m.get(i, i);
         m.set(i, i, v + identity_scale);
@@ -83,14 +116,25 @@ fn scaled_identity_plus_noise(n: usize, identity_scale: f32, noise: f32, seed: u
     m
 }
 
-fn unit_norm_rows(mut m: Matrix) -> Matrix {
-    for r in 0..m.rows() {
-        let norm = l2_norm(m.row(r)).max(1e-6);
-        for x in m.row_mut(r) {
+/// `(d_in, d_out)` Xavier/Glorot uniform entries drawn from `seed`.
+fn xavier(d_in: usize, d_out: usize, seed: u64) -> Matrix {
+    let scale = (6.0 / (d_out + d_in) as f32).sqrt();
+    let mut rng = StdRng::seed_from_u64(seed);
+    from_columns(d_in, d_out, |column| {
+        column.fill_with(|| rng.gen_range(-scale..=scale));
+    })
+}
+
+/// `(d_model, vocab_size)` unit-norm Gaussian columns drawn from `seed`.
+fn unit_norm_embeddings(d_model: usize, vocab_size: usize, seed: u64) -> Matrix {
+    let mut rng = StdRng::seed_from_u64(seed);
+    from_columns(d_model, vocab_size, |token| {
+        token.fill_with(|| gaussian_sample(&mut rng));
+        let norm = l2_norm(token).max(1e-6);
+        for x in token {
             *x /= norm;
         }
-    }
-    m
+    })
 }
 
 impl ModelWeights {
@@ -98,7 +142,7 @@ impl ModelWeights {
     pub fn build(config: &ModelConfig) -> Self {
         let d = config.d_model;
         let seed = config.seed;
-        let embedding = unit_norm_rows(gaussian_matrix(config.vocab_size, d, 1.0, seed));
+        let embedding = unit_norm_embeddings(d, config.vocab_size, seed);
         let position_embedding = match config.positional {
             PositionalEncoding::Learned => {
                 let mut table = Matrix::zeros(config.max_seq_len, d);
@@ -130,9 +174,9 @@ impl ModelWeights {
                     ),
                     wv: scaled_identity_plus_noise(d, 1.0, PROJECTION_NOISE, ls ^ 0x03),
                     wo: scaled_identity_plus_noise(d, 1.0, PROJECTION_NOISE, ls ^ 0x04),
-                    ffn_in: xavier_matrix(config.d_ff, d, ls ^ 0x05),
+                    ffn_in: xavier(d, config.d_ff, ls ^ 0x05),
                     ffn_out: {
-                        let mut m = xavier_matrix(d, config.d_ff, ls ^ 0x06);
+                        let mut m = xavier(config.d_ff, d, ls ^ 0x06);
                         m.scale_in_place(FFN_SCALE);
                         m
                     },
@@ -171,6 +215,8 @@ impl ModelWeights {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::families::ModelFamily;
+    use keyformer_tensor::init::{gaussian_matrix, xavier_matrix};
     use keyformer_tensor::vector::dot;
 
     #[test]
@@ -185,14 +231,16 @@ mod tests {
 
     #[test]
     fn embeddings_are_unit_norm_and_near_orthogonal() {
-        let w = ModelWeights::build(&ModelConfig::tiny());
+        let config = ModelConfig::tiny();
+        let w = ModelWeights::build(&config);
         let e = &w.embedding;
-        for r in 0..8 {
-            assert!((keyformer_tensor::vector::l2_norm(e.row(r)) - 1.0).abs() < 1e-4);
+        assert_eq!(e.shape(), (config.d_model, config.vocab_size));
+        for token in 0..8 {
+            assert!((l2_norm(&e.col(token)) - 1.0).abs() < 1e-4);
         }
         // Distinct tokens correlate far less than a token with itself.
-        let self_sim = dot(e.row(3), e.row(3));
-        let cross_sim = dot(e.row(3), e.row(4)).abs();
+        let self_sim = dot(&e.col(3), &e.col(3));
+        let cross_sim = dot(&e.col(3), &e.col(4)).abs();
         assert!(self_sim > 0.99);
         assert!(cross_sim < 0.7);
     }
@@ -200,9 +248,20 @@ mod tests {
     #[test]
     fn qk_projections_are_identity_dominated() {
         let w = ModelWeights::build(&ModelConfig::tiny());
-        let wq = &w.layers[0].wq;
-        let diag_mean: f32 = (0..wq.rows()).map(|i| wq.get(i, i)).sum::<f32>() / wq.rows() as f32;
-        assert!(diag_mean > 1.5, "diag mean {diag_mean}");
+        for wq in [&w.layers[0].wq, &w.layers[0].wk] {
+            // Output `j` reads column `j`, and its own input dominates it.
+            let d = wq.cols();
+            let diag_mean: f32 = (0..d).map(|j| wq.col(j)[j]).sum::<f32>() / d as f32;
+            assert!(diag_mean > 1.5, "diag mean {diag_mean}");
+            for j in 0..d {
+                let column = wq.col(j);
+                let off_diag = (0..d)
+                    .filter(|&i| i != j)
+                    .map(|i| column[i].abs())
+                    .fold(0.0f32, f32::max);
+                assert!(off_diag < column[j], "output {j}");
+            }
+        }
     }
 
     #[test]
@@ -220,5 +279,71 @@ mod tests {
         let w = ModelWeights::build(&config);
         assert_eq!(w.layers.len(), config.num_layers);
         assert!(w.byte_size() > config.vocab_size * config.d_model * 4);
+    }
+
+    /// Shape and element bits, so `-0.0` and `0.0` differ.
+    fn bits(m: &Matrix) -> ((usize, usize), Vec<u32>) {
+        (
+            m.shape(),
+            m.as_slice().iter().map(|x| x.to_bits()).collect(),
+        )
+    }
+
+    /// A projection built row-major, `(d_out, d_in)`: the weight-major layout
+    /// the stored matrices transpose.
+    fn identity_plus_noise_rows(n: usize, identity_scale: f32, seed: u64) -> Matrix {
+        let mut m = gaussian_matrix(n, n, PROJECTION_NOISE, seed);
+        for i in 0..n {
+            let v = m.get(i, i);
+            m.set(i, i, v + identity_scale);
+        }
+        m
+    }
+
+    #[test]
+    fn stored_matrices_are_transposes_of_the_row_major_construction() {
+        for family in [ModelFamily::Tiny, ModelFamily::GptJLike] {
+            for seed in [5, 31] {
+                let config = family.config(seed);
+                let (d, d_ff) = (config.d_model, config.d_ff);
+                let w = ModelWeights::build(&config);
+                let mut embedding = gaussian_matrix(config.vocab_size, d, 1.0, seed);
+                for r in 0..embedding.rows() {
+                    let norm = l2_norm(embedding.row(r)).max(1e-6);
+                    for x in embedding.row_mut(r) {
+                        *x /= norm;
+                    }
+                }
+                assert_eq!(bits(&w.embedding), bits(&embedding.transpose()));
+                for (l, lw) in w.layers.iter().enumerate() {
+                    let ls = seed
+                        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                        .wrapping_add(l as u64 + 1);
+                    let mut ffn_out = xavier_matrix(d, d_ff, ls ^ 0x06);
+                    ffn_out.scale_in_place(FFN_SCALE);
+                    let row_major = [
+                        (
+                            &lw.wq,
+                            identity_plus_noise_rows(d, QK_IDENTITY_SCALE, ls ^ 0x01),
+                        ),
+                        (
+                            &lw.wk,
+                            identity_plus_noise_rows(d, QK_IDENTITY_SCALE, ls ^ 0x02),
+                        ),
+                        (&lw.wv, identity_plus_noise_rows(d, 1.0, ls ^ 0x03)),
+                        (&lw.wo, identity_plus_noise_rows(d, 1.0, ls ^ 0x04)),
+                        (&lw.ffn_in, xavier_matrix(d_ff, d, ls ^ 0x05)),
+                        (&lw.ffn_out, ffn_out),
+                    ];
+                    for (i, (stored, reference)) in row_major.iter().enumerate() {
+                        assert_eq!(
+                            bits(stored),
+                            bits(&reference.transpose()),
+                            "{family:?} seed {seed} layer {l} matrix {i}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -42,6 +42,7 @@ use keyformer_tensor::ops::{
     gelu_in_place, layer_norm_into, layer_norm_slice, softmax_into, softmax_slice,
 };
 use keyformer_tensor::vector::dot;
+use keyformer_tensor::Matrix;
 use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -214,14 +215,13 @@ impl<'a> RowBlock<'a> {
     }
 }
 
-/// One prefill worker's private scratch: the GEMM packing panel and the
-/// operands of the two attention GEMMs. Everything here is sized on the
-/// calling thread before a phase fans out, so workers never allocate — and a
-/// thread that never calls `malloc` never gets a glibc arena of its own.
+/// One prefill worker's private scratch: the operands of the two attention
+/// GEMMs. (The projections need none: each weight is stored as the GEMM's
+/// right operand.) Everything here is sized on the calling thread before a
+/// phase fans out, so workers never allocate — and a thread that never calls
+/// `malloc` never gets a glibc arena of its own.
 #[derive(Debug)]
 struct WorkerScratch {
-    /// Weight-panel packing scratch of the batched GEMM.
-    pack: Vec<f32>,
     /// Head-width row scratch of the KV cache's row visitor.
     dequant: Vec<f32>,
     /// Rotates this worker's queries under RoPE.
@@ -240,10 +240,8 @@ struct WorkerScratch {
 }
 
 impl WorkerScratch {
-    fn new(config: &ModelConfig, pack_len: usize) -> Self {
-        let head_dim = config.head_dim();
+    fn new(head_dim: usize) -> Self {
         WorkerScratch {
-            pack: vec![0.0; pack_len],
             dequant: vec![0.0; head_dim],
             rope: RopeRotor::new(head_dim, ROPE_BASE),
             key_panels: PackedPanels::new(),
@@ -406,18 +404,21 @@ impl ForwardWorkspace {
 
 /// The product forward pass: runs `tokens` — a prompt chunk, or the one
 /// token of a decode step — through each decoder layer *once*, with the three
-/// QKV projections, the output projection and both FFN matmuls batched into
-/// per-chunk GEMMs ([`keyformer_tensor::Matrix::matvec_batch_into`]), and
-/// appends each layer's fresh keys/values run by run, one
-/// [`LayerKvCache::append_from_slices`] per row.
+/// QKV projections, the output projection, both FFN matmuls and the readout
+/// each one [`matmul_strided`] over the chunk's rows (one row for a decode
+/// step) against a weight stored `(d_in, d_out)`, and appends each layer's
+/// fresh keys/values run by run, one [`LayerKvCache::append_from_slices`] per
+/// row.
 ///
 /// Byte-identity with the token-at-a-time path rests on five invariants:
 ///
-/// * **GEMM bits** — every batched output element is the same single
-///   ascending-`k` accumulation chain the per-token `matvec_into` runs, so the
-///   projections produce identical bits (the micro-kernel only reorders
-///   *independent* chains across registers; a one-row batch takes the plain
-///   `dot` path).
+/// * **GEMM bits** — every projected element, of a chunk row or of a decode
+///   step's single row, is one accumulation chain over ascending `k` started
+///   from `+0.0`: the loop the reference forward runs with
+///   [`Matrix::vecmat`] over the same stored weight. The micro-kernel only
+///   reorders *independent* chains across registers, and one row takes the
+///   same kernel as many, so a token's projections do not depend on the
+///   chunk it was forwarded in.
 /// * **Causality** — each chunk query `t` attends through
 ///   [`keyformer_core::cache::KvSlice::truncated`] views of exactly the
 ///   `pre + t + 1` slots the sequential path had live at that token, and the
@@ -460,11 +461,10 @@ impl ForwardWorkspace {
 ///
 /// **On every core.** Each layer runs as three kinds of phase. The *row
 /// phases* — LN1 and the Q/K/V projections, then `wo`, the residuals, LN2 and
-/// the FFN — split the chunk's rows evenly between `w` workers, each with its
-/// own GEMM packing panel
-/// ([`keyformer_tensor::Matrix::matvec_batch_into_slice`]). The *serial
-/// phases* — the KV appends, the RoPE key sync and the peak-byte sample —
-/// stay on the calling thread. The GEMM *attention* splits the chunk's
+/// the FFN — split the chunk's rows evenly between `w` workers, each
+/// projecting its own rows with [`matmul_strided`] straight from the shared
+/// weights (no packing, no scratch). The *serial phases* — the KV appends,
+/// the RoPE key sync and the peak-byte sample — stay on the calling thread. The GEMM *attention* splits the chunk's
 /// queries into contiguous ranges of equal causal work Σ(`pre + t + 1`) (not
 /// by head: under ALiBi the subnormal probabilities crowd onto the steepest
 /// head); each worker runs [`attend_chunk_gemm`] over its range into its own
@@ -472,10 +472,9 @@ impl ForwardWorkspace {
 /// the observation buffer. One-query-at-a-time attention stays on the calling
 /// thread: a decode step is one query, and seal-delimited runs are too short
 /// to pay for a spawn. No output element is split between workers, so each
-/// is still the one chain from `0.0` above, and the bits cannot depend on
-/// `w`. `w` is
-/// `min(max_workers, n / MIN_ROWS_PER_WORKER)`, at least 1; with `w == 1`
-/// nothing is spawned. Every buffer a worker writes is sized before its
+/// is still the one chain from `+0.0` above, and the bits cannot depend on
+/// `w`. `w` is `min(max_workers, n / MIN_ROWS_PER_WORKER)`, at least 1; with
+/// `w == 1` nothing is spawned. Every buffer a worker writes is sized before its
 /// phase fans out, so workers never allocate.
 ///
 /// Next-token logits (final LN, readout matmul and copy-vote bonus) are only
@@ -545,19 +544,16 @@ pub(crate) fn forward_chunk_ws(
 
     // Everything the workers write is sized here, on the calling thread.
     rows.resize(n, d_model, d_ff);
-    // `ffn_out` reads `d_ff`-wide rows, every other projection `d_model`-wide.
-    let lw0 = &weights.layers[0];
-    let pack_len = lw0.wq.batch_pack_len().max(lw0.ffn_out.batch_pack_len());
     // Worker scratch is shaped by the model, and a thread may prefill for
     // more than one.
     if worker_scratch
         .first()
-        .is_some_and(|w| w.pack.len() != pack_len || w.dequant.len() != head_dim)
+        .is_some_and(|w| w.dequant.len() != head_dim)
     {
         worker_scratch.clear();
     }
     while worker_scratch.len() < workers {
-        worker_scratch.push(WorkerScratch::new(config, pack_len));
+        worker_scratch.push(WorkerScratch::new(head_dim));
     }
     let worker_scratch = &mut worker_scratch[..workers];
     let obs_total: usize = (0..num_layers)
@@ -583,8 +579,8 @@ pub(crate) fn forward_chunk_ws(
         let pre = layer_cache.len();
 
         // Row phase: LN1 and the Q/K/V projections.
-        row_phase(rows.block(), n, config, worker_scratch, |block, pack| {
-            attention_inputs(lw, d_model, block, pack)
+        row_phase(rows.block(), n, config, workers, |block| {
+            attention_inputs(lw, d_model, block)
         });
 
         let layer_obs = num_heads * causal_slots(pre, 0..n);
@@ -701,8 +697,8 @@ pub(crate) fn forward_chunk_ws(
 
         // Row phase: the output projection and its residual, then the
         // pre-norm feed-forward block and its residual.
-        row_phase(rows.block(), n, config, worker_scratch, |block, pack| {
-            attention_outputs_and_ffn(lw, d_model, block, pack)
+        row_phase(rows.block(), n, config, workers, |block| {
+            attention_outputs_and_ffn(lw, d_model, block)
         });
 
         if gather_copy {
@@ -734,10 +730,9 @@ pub(crate) fn forward_chunk_ws(
             LN_EPS,
             final_hidden,
         );
-        weights
-            .embedding
-            .matvec_into(final_hidden, out_logits)
-            .expect("embedding readout shape");
+        out_logits.clear();
+        out_logits.resize(config.vocab_size, 0.0);
+        project(final_hidden, &weights.embedding, out_logits);
         if config.copy_strength > 0.0 && copy_total > 1e-6 {
             for (logit, vote) in out_logits.iter_mut().zip(copy_votes.iter()) {
                 if *vote > 0.0 {
@@ -791,28 +786,34 @@ fn split_front<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
     front
 }
 
-/// Runs a row phase: `phase` over `all`'s `n` rows, split evenly between the
-/// `scratch.len()` workers, each handed its own GEMM packing panel.
+/// Runs a row phase: `phase` over `all`'s `n` rows, split evenly between
+/// `workers` workers.
 fn row_phase(
     mut all: RowBlock<'_>,
     n: usize,
     config: &ModelConfig,
-    scratch: &mut [WorkerScratch],
-    phase: impl Fn(RowBlock<'_>, &mut [f32]) + Sync,
+    workers: usize,
+    phase: impl Fn(RowBlock<'_>) + Sync,
 ) {
-    let workers = scratch.len();
-    let parts = scratch.iter_mut().enumerate().map(|(i, scratch)| {
+    let parts = (0..workers).map(|i| {
         let rows = (i + 1) * n / workers - i * n / workers;
-        (
-            all.split_front(rows, config.d_model, config.d_ff),
-            &mut scratch.pack[..],
-        )
+        all.split_front(rows, config.d_model, config.d_ff)
     });
-    fan_out(parts, |(block, pack)| phase(block, pack));
+    fan_out(parts, phase);
+}
+
+/// `out = rows · w`: the rows of `rows` projected through `w`, stored
+/// `(d_in, d_out)`, in one [`matmul_strided`] — the forward's one projection
+/// kernel, for a chunk's rows and a decode step's single row alike.
+fn project(rows: &[f32], w: &Matrix, out: &mut [f32]) {
+    let (d_in, d_out) = w.shape();
+    let m = rows.len() / d_in;
+    debug_assert!(rows.len() == m * d_in && out.len() == m * d_out);
+    matmul_strided(rows, d_in, m, d_in, w.as_slice(), d_out, out, d_out);
 }
 
 /// Row phase before attention: LN1 of each row, then its Q/K/V projections.
-fn attention_inputs(lw: &LayerWeights, d_model: usize, rows: RowBlock<'_>, pack: &mut [f32]) {
+fn attention_inputs(lw: &LayerWeights, d_model: usize, rows: RowBlock<'_>) {
     for (row, out) in rows
         .hidden
         .chunks_exact(d_model)
@@ -820,25 +821,14 @@ fn attention_inputs(lw: &LayerWeights, d_model: usize, rows: RowBlock<'_>, pack:
     {
         layer_norm_slice(row, &lw.ln1_gain, &lw.ln1_bias, LN_EPS, out);
     }
-    lw.wq
-        .matvec_batch_into_slice(rows.normed, rows.q, pack)
-        .expect("wq shape");
-    lw.wk
-        .matvec_batch_into_slice(rows.normed, rows.k, pack)
-        .expect("wk shape");
-    lw.wv
-        .matvec_batch_into_slice(rows.normed, rows.v, pack)
-        .expect("wv shape");
+    project(rows.normed, &lw.wq, rows.q);
+    project(rows.normed, &lw.wk, rows.k);
+    project(rows.normed, &lw.wv, rows.v);
 }
 
 /// Row phase after attention: the output projection and its residual, then
 /// the pre-norm feed-forward block and its residual.
-fn attention_outputs_and_ffn(
-    lw: &LayerWeights,
-    d_model: usize,
-    rows: RowBlock<'_>,
-    pack: &mut [f32],
-) {
+fn attention_outputs_and_ffn(lw: &LayerWeights, d_model: usize, rows: RowBlock<'_>) {
     let RowBlock {
         hidden,
         normed,
@@ -847,9 +837,7 @@ fn attention_outputs_and_ffn(
         inner,
         ..
     } = rows;
-    lw.wo
-        .matvec_batch_into_slice(context, proj, pack)
-        .expect("wo shape");
+    project(context, &lw.wo, proj);
     for (h, a) in hidden.iter_mut().zip(proj.iter()) {
         *h += a;
     }
@@ -859,13 +847,9 @@ fn attention_outputs_and_ffn(
     {
         layer_norm_slice(row, &lw.ln2_gain, &lw.ln2_bias, LN_EPS, out);
     }
-    lw.ffn_in
-        .matvec_batch_into_slice(normed, inner, pack)
-        .expect("ffn_in shape");
+    project(normed, &lw.ffn_in, inner);
     gelu_in_place(inner);
-    lw.ffn_out
-        .matvec_batch_into_slice(inner, proj, pack)
-        .expect("ffn_out shape");
+    project(inner, &lw.ffn_out, proj);
     for (h, f) in hidden.iter_mut().zip(proj.iter()) {
         *h += f;
     }
@@ -1418,7 +1402,7 @@ mod tests {
                 let mut obs_index = vec![(0, 0); n * config.num_layers * num_heads];
                 let mut obs_data = vec![0.0; num_heads * causal_slots(pre, 0..n)];
                 let mut chunk_mean_probs = vec![0.0; pre + n];
-                let mut scratch = WorkerScratch::new(&config, 0);
+                let mut scratch = WorkerScratch::new(config.head_dim());
                 scratch.reserve_attention(pre + n, config.head_dim());
                 attend_chunk_gemm(
                     &LayerView {

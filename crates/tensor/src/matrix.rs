@@ -36,11 +36,14 @@ const GEMM_NR: usize = 16;
 /// stride `ldo`.
 ///
 /// Every output element accumulates its `k` products through a **single chain
-/// in ascending-`k` order**, which makes the tile bit-identical to the
-/// `row.iter().zip(v).map(|(a, b)| a * b).sum::<f32>()` reduction used by
-/// [`Matrix::matvec`] — the contract that lets the chunk-batched prefill path
-/// reproduce the sequential path's tokens exactly. Register blocking only
-/// reorders *independent* chains, never splits one.
+/// in ascending-`k` order, started from `+0.0`**: `((0.0 + a₀·b₀) + a₁·b₁) +
+/// …`, written out in full by the loop of [`Matrix::vecmat`]. A tile of one
+/// row and a tile of four run the same chains, so a row's outputs do not
+/// depend on the rows it is multiplied with — the contract that lets a decode
+/// step and a prefill chunk share one kernel bit for bit. Register blocking
+/// only reorders *independent* chains, never splits one. (`Iterator::sum`
+/// starts from `-0.0`, so it is not this chain: an all-`-0.0` sum stays
+/// `-0.0` there and becomes `+0.0` here.)
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn gemm_tile(
@@ -89,7 +92,9 @@ fn gemm_tile(
 }
 
 /// Tiled GEMM `out = a * b` over strided operands — the micro-kernel's
-/// `A·B` entry point, and the P·V half of chunk attention.
+/// `A·B` entry point: the model's projections and readout (`b` a weight
+/// stored `d_in x d_out`, `m` the chunk's rows, one for a decode step) and
+/// the P·V half of chunk attention.
 ///
 /// `a` holds `m` rows at stride `lda`, of which the first `k` columns are
 /// read; `b` is `k x n` row-major (further rows are ignored); `out` receives
@@ -99,10 +104,10 @@ fn gemm_tile(
 /// product to a causal extent.
 ///
 /// **Single-chain contract:** every output element is one accumulation chain
-/// over ascending `kk < k`, started from `0.0`: `((0.0 + a[i][0]·b[0][j]) +
-/// a[i][1]·b[1][j]) + …`. That is bit-for-bit the loop of
-/// [`Matrix::vecmat`] (and of the `f32` arm of the KV cache's `vecmat_into`)
-/// *including* their skip of exactly-zero coefficients: a zero coefficient
+/// over ascending `kk < k`, started from `+0.0`: `((0.0 + a[i][0]·b[0][j]) +
+/// a[i][1]·b[1][j]) + …`, for any `m`, one row included. That is
+/// bit-for-bit the loop of [`Matrix::vecmat`] (and of the `f32` arm of the
+/// KV cache's `vecmat_into`) *including* their skip of exactly-zero coefficients: a zero coefficient
 /// times a finite value adds `±0.0` to an accumulator that started at `+0.0`
 /// and so is never `-0.0`, which leaves its bits unchanged. Zero-padding a
 /// row of `a` past its own extent is therefore free of consequence, as long
@@ -212,10 +217,10 @@ impl PackedPanels {
 /// with packed row `j`, for the first `n` packed rows.
 ///
 /// **Single-chain contract:** every output element is one accumulation chain
-/// over ascending `kk`, started from `0.0` — the bits of
-/// [`crate::vector::dot`] on the same two rows. (`dot`'s `sum` starts from
-/// `-0.0`, so the one value that differs is a dot product whose every term is
-/// `-0.0`: it is `+0.0` here, as it is in [`Matrix::matvec_batch_into`].)
+/// over ascending `kk`, started from `+0.0`, as in [`matmul_strided`]. It
+/// has the bits of [`crate::vector::dot`] on the same two rows except where
+/// every term is `-0.0`: `dot` is an `Iterator::sum`, which starts from
+/// `-0.0` and keeps it, while this chain gives `+0.0`.
 ///
 /// # Panics
 ///
@@ -584,119 +589,6 @@ impl Matrix {
         Ok(())
     }
 
-    /// Batched matrix-vector product: applies `self * x` to `count` input
-    /// vectors stored back to back in `xs` (each of length `cols`), writing
-    /// the `count` output vectors (each of length `rows`) back to back into
-    /// `out`.
-    ///
-    /// Bit-identical to calling [`Matrix::matvec_into`] once per input vector
-    /// — every output element accumulates its products through a single
-    /// ascending-column chain — but streams the weight matrix through the
-    /// cache once per register tile of inputs instead of once per vector, and
-    /// transposes weight panels into `pack` so the inner loop reads
-    /// unit-stride memory. This is the GEMM behind chunk-batched prefill's
-    /// QKV/FFN projections.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if `xs.len() != count * cols`.
-    pub fn matvec_batch_into(
-        &self,
-        xs: &[f32],
-        count: usize,
-        out: &mut Vec<f32>,
-        pack: &mut Vec<f32>,
-    ) -> Result<(), TensorError> {
-        if xs.len() != count * self.cols {
-            return Err(TensorError::ShapeMismatch {
-                op: "matvec_batch",
-                lhs: self.shape(),
-                rhs: (count, xs.len().checked_div(count).unwrap_or(0)),
-            });
-        }
-        out.clear();
-        out.resize(count * self.rows, 0.0);
-        if count > 1 {
-            pack.clear();
-            pack.resize(self.batch_pack_len(), 0.0);
-        }
-        self.matvec_batch_into_slice(xs, out, pack)
-    }
-
-    /// Length of the `pack` scratch [`Matrix::matvec_batch_into_slice`]
-    /// needs: one weight panel, transposed.
-    pub fn batch_pack_len(&self) -> usize {
-        self.cols * GEMM_NR
-    }
-
-    /// [`Matrix::matvec_batch_into`] into caller-sized buffers, so it never
-    /// allocates: the `count = xs.len() / cols` input vectors in `xs` map to
-    /// the `count * rows` outputs in `out`. Same chains, same bits; a single
-    /// vector takes the plain dot-product reduction and leaves `pack`
-    /// untouched. Each output row depends only on its own input vector, so
-    /// disjoint row ranges of one batch may run on different threads.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if `xs` is not a whole number of
-    /// input vectors or `out` does not hold exactly their outputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count > 1` and `pack` is shorter than
-    /// [`Matrix::batch_pack_len`].
-    pub fn matvec_batch_into_slice(
-        &self,
-        xs: &[f32],
-        out: &mut [f32],
-        pack: &mut [f32],
-    ) -> Result<(), TensorError> {
-        let count = xs.len().checked_div(self.cols).unwrap_or(0);
-        if xs.len() != count * self.cols || out.len() != count * self.rows {
-            return Err(TensorError::ShapeMismatch {
-                op: "matvec_batch",
-                lhs: self.shape(),
-                rhs: (count, out.len().checked_div(count).unwrap_or(0)),
-            });
-        }
-        if count == 1 {
-            // A single vector gains nothing from panel packing; use the plain
-            // dot-product reduction (identical bits, no packing traffic).
-            for (o, row) in out.iter_mut().zip(self.iter_rows()) {
-                *o = row.iter().zip(xs).map(|(a, b)| a * b).sum::<f32>();
-            }
-            return Ok(());
-        }
-        if count == 0 {
-            return Ok(());
-        }
-        let (rows, cols) = (self.rows, self.cols);
-        let pack = &mut pack[..self.batch_pack_len()];
-        let mut r0 = 0;
-        while r0 < rows {
-            let nr = (rows - r0).min(GEMM_NR);
-            // Transpose the panel of `nr` weight rows into `pack`
-            // (`cols x nr`, padded to stride `GEMM_NR`) — pure data movement,
-            // no arithmetic, so bit-compatibility is untouched.
-            for (ri, wrow) in self.data[r0 * cols..(r0 + nr) * cols]
-                .chunks_exact(cols.max(1))
-                .enumerate()
-            {
-                for (kk, &w) in wrow.iter().enumerate() {
-                    pack[kk * GEMM_NR + ri] = w;
-                }
-            }
-            let mut i0 = 0;
-            while i0 < count {
-                let mr = (count - i0).min(GEMM_MR);
-                gemm_tile(xs, pack, out, cols, GEMM_NR, rows, i0, 0, r0, mr, nr, cols);
-                i0 += mr;
-            }
-            r0 += nr;
-        }
-        Ok(())
-    }
-
     /// Matrix-vector product `self * v`.
     ///
     /// # Errors
@@ -720,7 +612,8 @@ impl Matrix {
     ///
     /// Bit-identical to [`Matrix::matvec`] (same per-row `zip`/`sum` reduction
     /// order); performs no heap allocation when `out` already has capacity for
-    /// `rows` elements.
+    /// `rows` elements. The model's forward does not use it: its projections
+    /// are [`matmul_strided`] over weights stored `d_in x d_out`.
     ///
     /// # Errors
     ///
@@ -1025,73 +918,80 @@ mod tests {
         ));
     }
 
+    /// Any split of a product's rows into ranges — ragged, uneven, a range
+    /// per thread — gives the bits of the whole product.
     #[test]
-    fn matvec_batch_into_is_bit_identical_to_matvec_into() {
-        let mut seed = 0xbead_f00d;
-        // Odd row/column counts exercise ragged weight panels; counts cover
-        // the single-vector fast path and partial register tiles.
-        for (rows, cols) in [(1, 1), (19, 13), (16, 32), (33, 7)] {
-            let w = lcg_matrix(rows, cols, &mut seed);
-            for count in [1usize, 2, 4, 5, 9] {
-                let xs = lcg_matrix(count, cols, &mut seed);
-                let mut batched = Vec::new();
-                let mut pack = Vec::new();
-                w.matvec_batch_into(xs.as_slice(), count, &mut batched, &mut pack)
-                    .unwrap();
-                assert_eq!(batched.len(), count * rows);
-                let mut single = Vec::new();
-                for i in 0..count {
-                    w.matvec_into(xs.row(i), &mut single).unwrap();
-                    assert_eq!(
-                        &batched[i * rows..(i + 1) * rows],
-                        single.as_slice(),
-                        "diverged at {rows}x{cols}, count {count}, vector {i}"
-                    );
-                }
+    fn matmul_strided_row_ranges_match_the_whole_product() {
+        let mut seed = 0x5b11_7e57_u64;
+        let (m, k, n) = (23, 19, 37);
+        let w = lcg_matrix(k, n, &mut seed);
+        let xs = lcg_matrix(m, k, &mut seed);
+        let whole = xs.matmul(&w);
+        for cuts in [&[0usize, 23][..], &[0, 7, 16, 23], &[0, 2, 3, 11, 23]] {
+            let mut split = vec![0.0; m * n];
+            for range in cuts.windows(2) {
+                let (a, b) = (range[0], range[1]);
+                matmul_strided(
+                    &xs.as_slice()[a * k..b * k],
+                    k,
+                    b - a,
+                    k,
+                    w.as_slice(),
+                    n,
+                    &mut split[a * n..b * n],
+                    n,
+                );
             }
+            assert_eq!(bits(&split), bits(whole.as_slice()), "cuts {cuts:?}");
         }
     }
 
+    /// One row through the GEMM — a decode step's projection — is, output
+    /// by output, the hand-written chain over ascending `k` from `+0.0`,
+    /// bit for bit: across full and ragged 16-column tiles, with exact zeros,
+    /// signed zeros and subnormals in both operands.
     #[test]
-    fn matvec_batch_into_shape_mismatch_errors() {
-        let w = Matrix::zeros(3, 4);
-        let mut out = Vec::new();
-        let mut pack = Vec::new();
-        assert!(matches!(
-            w.matvec_batch_into(&[0.0; 7], 2, &mut out, &mut pack),
-            Err(TensorError::ShapeMismatch { .. })
-        ));
-        let mut pack = vec![0.0; w.batch_pack_len()];
-        assert!(matches!(
-            w.matvec_batch_into_slice(&[0.0; 8], &mut [0.0; 5], &mut pack),
-            Err(TensorError::ShapeMismatch { .. })
-        ));
-    }
-
-    /// Any split of a batch into row ranges — ragged, uneven, a range per
-    /// thread — gives the bits of the whole batch.
-    #[test]
-    fn matvec_batch_row_ranges_match_the_whole_batch() {
-        let mut seed = 0x5b11_7e57_u64;
-        let w = lcg_matrix(37, 19, &mut seed);
-        let count = 23;
-        let xs = lcg_matrix(count, 19, &mut seed);
-        let (mut whole, mut pack) = (Vec::new(), Vec::new());
-        w.matvec_batch_into(xs.as_slice(), count, &mut whole, &mut pack)
-            .unwrap();
-        for cuts in [&[0usize, 23][..], &[0, 7, 16, 23], &[0, 2, 3, 11, 23]] {
-            let mut split = vec![0.0; count * 37];
-            let mut pack = vec![0.0; w.batch_pack_len()];
-            for range in cuts.windows(2) {
-                let (a, b) = (range[0], range[1]);
-                w.matvec_batch_into_slice(
-                    &xs.as_slice()[a * 19..b * 19],
-                    &mut split[a * 37..b * 37],
-                    &mut pack,
-                )
-                .unwrap();
+    fn one_row_matmul_strided_is_the_ascending_chain_from_positive_zero() {
+        let mut seed = 0x0e_7011_u64;
+        let k = 21;
+        for n in [1usize, 15, 17, 33, 130] {
+            let mut w = lcg_matrix(k, n, &mut seed);
+            for (i, x) in w.as_mut_slice().iter_mut().enumerate() {
+                match i % 7 {
+                    0 => *x = 0.0,
+                    3 => *x = -0.0,
+                    5 => *x = f32::from_bits(1 + i as u32) * x.signum(),
+                    _ => {}
+                }
             }
-            assert_eq!(bits(&split), bits(&whole), "cuts {cuts:?}");
+            let mut x = lcg_matrix(1, k, &mut seed).into_vec();
+            x[0] = 0.0;
+            x[1] = -0.0;
+            x[2] = f32::from_bits(7);
+            x[3] = -f32::MIN_POSITIVE;
+            let mut out = vec![f32::NAN; n];
+            matmul_strided(&x, k, 1, k, w.as_slice(), n, &mut out, n);
+            let want: Vec<f32> = (0..n)
+                .map(|j| {
+                    let mut acc = 0.0f32;
+                    for (kk, &xk) in x.iter().enumerate() {
+                        acc += xk * w.get(kk, j);
+                    }
+                    acc
+                })
+                .collect();
+            assert_eq!(bits(&out), bits(&want), "width {n}");
+        }
+        // Every product `-0.0`: the chain from `+0.0` stays `+0.0` (a sum
+        // started from `-0.0` would give `-0.0`).
+        for n in [1usize, 15, 17, 33, 130] {
+            let w = Matrix::filled(3, n, 0.0);
+            let mut out = vec![f32::NAN; n];
+            matmul_strided(&[-1.0, -2.0, -0.5], 3, 1, 3, w.as_slice(), n, &mut out, n);
+            assert!(
+                out.iter().all(|x| x.to_bits() == 0.0f32.to_bits()),
+                "width {n}: {out:?}"
+            );
         }
     }
 
