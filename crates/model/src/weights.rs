@@ -87,17 +87,27 @@ pub struct ModelWeights {
     pub final_ln_bias: Vec<f32>,
 }
 
+/// Output columns [`from_columns`] draws per pass. One column at a time
+/// would write one element per stored row — a page apart in the embedding,
+/// whose rows are vocabulary-wide — so a block of columns is drawn into
+/// scratch first and written out as one contiguous run per row.
+const COLUMN_BLOCK: usize = 16;
+
 /// Builds the `(d_in, d_out)` matrix whose column `j` is the `j`-th
 /// `d_in`-wide row `fill` writes: the transpose of the row-major
 /// `(d_out, d_in)` matrix the same calls would fill, without building it.
 fn from_columns(d_in: usize, d_out: usize, mut fill: impl FnMut(&mut [f32])) -> Matrix {
     let mut m = Matrix::zeros(d_in, d_out);
-    let mut column = vec![0.0; d_in];
-    let data = m.as_mut_slice();
-    for j in 0..d_out {
-        fill(&mut column);
-        for (dst, &x) in data[j..].iter_mut().step_by(d_out).zip(&column) {
-            *dst = x;
+    let mut block = vec![0.0; COLUMN_BLOCK * d_in];
+    for j0 in (0..d_out).step_by(COLUMN_BLOCK) {
+        let width = COLUMN_BLOCK.min(d_out - j0);
+        for column in block.chunks_exact_mut(d_in).take(width) {
+            fill(column);
+        }
+        for (i, row) in m.as_mut_slice().chunks_exact_mut(d_out).enumerate() {
+            for (c, dst) in row[j0..j0 + width].iter_mut().enumerate() {
+                *dst = block[c * d_in + i];
+            }
         }
     }
     m

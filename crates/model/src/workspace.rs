@@ -464,18 +464,19 @@ impl ForwardWorkspace {
 /// the FFN — split the chunk's rows evenly between `w` workers, each
 /// projecting its own rows with [`matmul_strided`] straight from the shared
 /// weights (no packing, no scratch). The *serial phases* — the KV appends,
-/// the RoPE key sync and the peak-byte sample — stay on the calling thread. The GEMM *attention* splits the chunk's
-/// queries into contiguous ranges of equal causal work Σ(`pre + t + 1`) (not
-/// by head: under ALiBi the subnormal probabilities crowd onto the steepest
-/// head); each worker runs [`attend_chunk_gemm`] over its range into its own
-/// context rows, its own tokens' `obs_index` entries and its own region of
-/// the observation buffer. One-query-at-a-time attention stays on the calling
-/// thread: a decode step is one query, and seal-delimited runs are too short
-/// to pay for a spawn. No output element is split between workers, so each
-/// is still the one chain from `+0.0` above, and the bits cannot depend on
-/// `w`. `w` is `min(max_workers, n / MIN_ROWS_PER_WORKER)`, at least 1; with
-/// `w == 1` nothing is spawned. Every buffer a worker writes is sized before its
-/// phase fans out, so workers never allocate.
+/// the RoPE key sync and the peak-byte sample — stay on the calling thread.
+/// The GEMM *attention* splits the chunk's queries into contiguous ranges of
+/// equal causal work Σ(`pre + t + 1`) (not by head: under ALiBi the subnormal
+/// probabilities crowd onto the steepest head); each worker runs
+/// [`attend_chunk_gemm`] over its range into its own context rows, its own
+/// tokens' `obs_index` entries and its own region of the observation buffer.
+/// One-query-at-a-time attention stays on the calling thread: a decode step
+/// is one query, and seal-delimited runs are too short to pay for a spawn. No
+/// output element is split between workers, so each is still the one chain
+/// from `+0.0` above, and the bits cannot depend on `w`. `w` is
+/// `min(max_workers, n / MIN_ROWS_PER_WORKER)`, at least 1; with `w == 1`
+/// nothing is spawned. Every buffer a worker writes is sized before its phase
+/// fans out, so workers never allocate.
 ///
 /// Next-token logits (final LN, readout matmul and copy-vote bonus) are only
 /// computed — for the last chunk token — when `compute_logits` is set: at
