@@ -97,8 +97,8 @@ const COLUMN_BLOCK: usize = 16;
 /// `d_in`-wide row `fill` writes: the transpose of the row-major
 /// `(d_out, d_in)` matrix the same calls would fill, without building it.
 fn from_columns(d_in: usize, d_out: usize, mut fill: impl FnMut(&mut [f32])) -> Matrix {
-    let mut m = Matrix::zeros(d_in, d_out);
     let mut block = vec![0.0; COLUMN_BLOCK * d_in];
+    let mut m = Matrix::zeros(d_in, d_out);
     for j0 in (0..d_out).step_by(COLUMN_BLOCK) {
         let width = COLUMN_BLOCK.min(d_out - j0);
         for column in block.chunks_exact_mut(d_in).take(width) {
