@@ -5,8 +5,8 @@
 //! at real transformer shapes — one `matmul_strided` over the weight as the
 //! model stores it (what every chunk and every decode step runs) against `n`
 //! per-row `matvec_into` calls on the row-major weight — plus the square
-//! `matmul_into` kernel. `chunk_attention` times one layer's prompt attention for a
-//! 128-token chunk over 1k live slots, as the per-query `dot` / `vecmat_into`
+//! `matmul_into` kernel. `chunk_attention` times one layer's prompt attention
+//! for a 128-token chunk over 1k live slots, as the per-query `dot` / `vecmat_into`
 //! loop and as the two tiled GEMMs the chunk forward runs on `f32` layers.
 //! `chunked_prefill` times the full prompt pass through a session at each
 //! chunk size, which is where the per-chunk savings show up end to end;
@@ -54,10 +54,10 @@ const PROJECTION_ROWS: [usize; 3] = [1, 32, 128];
 /// One projection at transformer shapes, `n` rows through a weight: one
 /// `matmul_strided` over the weight as the model stores it (`d_in x d_out`,
 /// what the forward runs at every `n`, a decode step included) against `n`
-/// `matvec_into` calls on the row-major `d_out x d_in` matrix (the per-row
-/// `sum` chain a decode step ran before the weights were stored as the
-/// GEMM's right operand). Shapes are the headline GPT-J-like family's QKV
-/// (128 → 128), FFN input (128 → 256) and tied readout (128 → 1024).
+/// `matvec_into` calls on the row-major `d_out x d_in` matrix (one scalar
+/// `Iterator::sum` chain per output: the GEMV baseline). Shapes are the
+/// headline GPT-J-like family's QKV (128 → 128), FFN input (128 → 256) and
+/// tied readout (128 → 1024).
 fn bench_prefill_gemm(c: &mut Criterion) {
     let mut group = c.benchmark_group("prefill_gemm");
     group

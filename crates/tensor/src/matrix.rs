@@ -107,11 +107,11 @@ fn gemm_tile(
 /// over ascending `kk < k`, started from `+0.0`: `((0.0 + a[i][0]·b[0][j]) +
 /// a[i][1]·b[1][j]) + …`, for any `m`, one row included. That is
 /// bit-for-bit the loop of [`Matrix::vecmat`] (and of the `f32` arm of the
-/// KV cache's `vecmat_into`) *including* their skip of exactly-zero coefficients: a zero coefficient
-/// times a finite value adds `±0.0` to an accumulator that started at `+0.0`
-/// and so is never `-0.0`, which leaves its bits unchanged. Zero-padding a
-/// row of `a` past its own extent is therefore free of consequence, as long
-/// as `b` is finite.
+/// KV cache's `vecmat_into`) *including* their skip of exactly-zero
+/// coefficients: a zero coefficient times a finite value adds `±0.0` to an
+/// accumulator that started at `+0.0` and so is never `-0.0`, which leaves
+/// its bits unchanged. Zero-padding a row of `a` past its own extent is
+/// therefore free of consequence, as long as `b` is finite.
 ///
 /// # Panics
 ///
