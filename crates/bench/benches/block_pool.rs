@@ -2,7 +2,8 @@
 //! path.
 //!
 //! Maps to the paging experiment (`kf_experiments paging`): the `block_pool`
-//! group prices the raw allocator (alloc + refcounted release), and the
+//! group prices the allocator through the shared handle the layer caches call,
+//! lock included (alloc + refcounted release, reserve + unreserve), and the
 //! `decode_block_churn` group prices the worst-case per-token pattern a
 //! budgeted decode produces — append one slot (sometimes allocating a block),
 //! then compact one slot away (sometimes releasing a block) — across block
@@ -10,13 +11,13 @@
 //! evidence the per-operation cost stays negligible next to a forward pass.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use keyformer_core::block::{BlockPool, OvercommitPolicy, SharedBlockPool};
+use keyformer_core::block::{OvercommitPolicy, SharedBlockPool};
 use keyformer_core::cache::LayerKvCache;
 
 fn pool_alloc_release(c: &mut Criterion) {
     let mut group = c.benchmark_group("block_pool");
     group.bench_function("alloc_release_64", |b| {
-        let mut pool = BlockPool::bounded(16, 64, OvercommitPolicy::Strict).expect("valid pool");
+        let pool = SharedBlockPool::bounded(16, 64, OvercommitPolicy::Strict).expect("valid pool");
         b.iter(|| {
             let ids: Vec<_> = (0..64).map(|_| pool.alloc().expect("capacity")).collect();
             for id in ids {
@@ -26,7 +27,8 @@ fn pool_alloc_release(c: &mut Criterion) {
         });
     });
     group.bench_function("reserve_unreserve", |b| {
-        let mut pool = BlockPool::bounded(16, 1024, OvercommitPolicy::Strict).expect("valid pool");
+        let pool =
+            SharedBlockPool::bounded(16, 1024, OvercommitPolicy::Strict).expect("valid pool");
         b.iter(|| {
             for _ in 0..64 {
                 assert!(pool.try_reserve(8));

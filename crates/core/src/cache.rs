@@ -25,12 +25,13 @@
 //!
 //! A block's payload lives behind an [`Arc`], so one physical block can be
 //! mapped into several sequences' block tables (and into the
-//! [`crate::prefix::PrefixRegistry`]) at once — the pool refcount and the `Arc`
-//! count track the same sharing. Reads never care. Any *write* — an
-//! [`LayerKvCache::append_from_slices`] into a partially-filled shared block, or an
-//! eviction-driven compaction touching shared rows — first forks a private copy
-//! ([`LayerKvCache::cow_forks`] counts these): a fresh block is allocated from
-//! the pool, the payload is cloned, and the shared original is released. Every
+//! [`crate::prefix::SharedPrefixRegistry`]) at once — the pool refcount and
+//! the `Arc` count track the same sharing. Reads never care. Any *write* — an
+//! [`LayerKvCache::append_from_slices`] into a partially-filled shared block,
+//! or an eviction-driven compaction touching shared rows — first forks a
+//! private copy: a fresh block is allocated from the pool (so each fork counts
+//! in [`BlockPoolStats::total_allocs`](crate::block::BlockPoolStats)), the
+//! payload is cloned, and the shared original is released. Every
 //! other reader (a forked session, a registered prefix) keeps seeing the
 //! original bytes, which is what lets the whole eviction-policy zoo run
 //! unchanged on shared storage.
@@ -650,17 +651,11 @@ pub struct LayerKvCache {
     num_heads: usize,
     head_dim: usize,
     pool: SharedBlockPool,
-    /// Cached copy of the pool's immutable block size, so the attention hot
-    /// path (`keys`/`values`/`append_from_slices`) never touches the pool's
-    /// lock just to read a constant.
-    block_size: usize,
     /// Storage precision of sealed blocks (the partially-filled tail always
     /// stages in `f32` and seals when it fills).
     dtype: KvDtype,
     blocks: Vec<KvBlock>,
     positions: Vec<usize>,
-    /// Copy-on-write forks performed by this layer (writes into shared blocks).
-    cow_forks: usize,
 }
 
 impl LayerKvCache {
@@ -691,12 +686,10 @@ impl LayerKvCache {
         LayerKvCache {
             num_heads,
             head_dim,
-            block_size: pool.block_size(),
             dtype,
             pool,
             blocks: Vec::new(),
             positions: Vec::new(),
-            cow_forks: 0,
         }
     }
 
@@ -727,7 +720,7 @@ impl LayerKvCache {
 
     /// Token slots per block of the backing pool.
     pub fn block_size(&self) -> usize {
-        self.block_size
+        self.pool.block_size()
     }
 
     /// The pool this layer draws its blocks from.
@@ -738,11 +731,6 @@ impl LayerKvCache {
     /// Number of blocks currently held by this layer.
     pub fn num_blocks(&self) -> usize {
         self.blocks.len()
-    }
-
-    /// The layer's block table: pool block ids in slot order.
-    pub fn block_table(&self) -> Vec<BlockId> {
-        self.blocks.iter().map(|b| b.id).collect()
     }
 
     /// Identity and fill level of block `idx` of this layer's table. Derived
@@ -772,12 +760,6 @@ impl LayerKvCache {
     /// a new block.
     pub fn needs_block_for_append(&self) -> bool {
         self.len() == self.allocated_slots()
-    }
-
-    /// Copy-on-write forks this layer has performed (writes that hit a block
-    /// mapped by another sequence or the prefix registry).
-    pub fn cow_forks(&self) -> usize {
-        self.cow_forks
     }
 
     /// Number of this layer's blocks currently shared with another holder.
@@ -827,11 +809,11 @@ impl LayerKvCache {
                 self.head_dim
             )));
         }
-        if block.rows() != self.block_size {
+        if block.rows() != self.block_size() {
             return Err(CoreError::InvalidConfig(format!(
                 "only full blocks can be shared: block holds {} of {} rows",
                 block.rows(),
-                self.block_size
+                self.block_size()
             )));
         }
         if self.len() != self.allocated_slots() {
@@ -848,7 +830,7 @@ impl LayerKvCache {
         }
         self.pool.retain(block.id)?;
         let start = self.positions.len();
-        self.positions.extend(start..start + self.block_size);
+        self.positions.extend(start..start + self.block_size());
         // The payload is byte-identical to the donor's, so the generation is
         // preserved: cached rotations derived from the donor stay valid.
         self.blocks.push(KvBlock {
@@ -880,7 +862,6 @@ impl LayerKvCache {
                     generation: next_generation(),
                     data: Arc::new(data),
                 };
-                self.cow_forks += 1;
                 Ok(())
             }
         }
@@ -920,11 +901,9 @@ impl LayerKvCache {
             num_heads: self.num_heads,
             head_dim: self.head_dim,
             pool: self.pool.clone(),
-            block_size: self.block_size,
             dtype: self.dtype,
             blocks,
             positions: self.positions.clone(),
-            cow_forks: 0,
         })
     }
 
@@ -998,15 +977,15 @@ impl LayerKvCache {
                 id,
                 self.num_heads,
                 self.head_dim,
-                self.block_size,
+                self.block_size(),
             ));
             // One reservation per fresh block keeps the per-token position
             // pushes allocation-free until the block fills.
-            self.positions.reserve(self.block_size);
+            self.positions.reserve(self.block_size());
         }
         // Appending into a partially-filled block another sequence still maps
         // (a fork sharing our tail) must not mutate the shared rows: fork first.
-        let (head_dim, block_size, dtype) = (self.head_dim, self.block_size, self.dtype);
+        let (head_dim, block_size, dtype) = (self.head_dim, self.block_size(), self.dtype);
         let block = self.block_data_mut(self.blocks.len() - 1)?;
         let KvBlockData::F32 {
             keys: block_keys,
@@ -1166,17 +1145,11 @@ impl LayerKvCache {
     /// Approximate memory footprint of the *live* keys and values, in bytes.
     ///
     /// This is the quantity the paper's Figure 1(b) tracks (KV-cache size vs. model
-    /// size) and the input to the data-movement model in `keyformer-perf`. For the
-    /// block-granular footprint the allocator actually holds, see
-    /// [`LayerKvCache::allocated_byte_size`].
+    /// size) and the input to the data-movement model in `keyformer-perf`. The
+    /// block-granular footprint the allocator actually holds is
+    /// [`LayerKvCache::allocated_slots`] × [`LayerKvCache::bytes_per_slot`].
     pub fn byte_size(&self) -> usize {
         self.blocks.iter().map(KvBlock::byte_size).sum()
-    }
-
-    /// Byte footprint at block granularity: every allocated block counted at its
-    /// full `block_size`, including the unfilled tail of the last block.
-    pub fn allocated_byte_size(&self) -> usize {
-        self.allocated_slots() * self.bytes_per_slot()
     }
 
     /// Bytes one retained token slot occupies in this layer (keys + values across
@@ -1266,9 +1239,7 @@ impl KvCache {
 
     /// Token slots per block of the backing pool.
     pub fn block_size(&self) -> usize {
-        self.layers
-            .first()
-            .map_or_else(|| self.pool.block_size(), LayerKvCache::block_size)
+        self.pool.block_size()
     }
 
     /// Borrow of a layer's cache.
@@ -1304,13 +1275,6 @@ impl KvCache {
         self.layers.iter().map(LayerKvCache::num_blocks).sum()
     }
 
-    /// Total slots covered by held blocks, summed over layers.
-    /// `total_allocated_slots() - total_slots()` is the cache's internal
-    /// fragmentation in slots.
-    pub fn total_allocated_slots(&self) -> usize {
-        self.layers.iter().map(LayerKvCache::allocated_slots).sum()
-    }
-
     /// Blocks a single token append may need in the worst case right now: one
     /// per layer whose last block is full. Chunked prefill pre-flights this
     /// against the pool before forwarding a token into a strict pool.
@@ -1337,11 +1301,6 @@ impl KvCache {
                     .div_ceil(bs)
             })
             .sum()
-    }
-
-    /// Copy-on-write forks performed across all layers.
-    pub fn total_cow_forks(&self) -> usize {
-        self.layers.iter().map(LayerKvCache::cow_forks).sum()
     }
 
     /// Blocks of this cache currently shared with another holder (a forked
@@ -1376,14 +1335,6 @@ impl KvCache {
     /// Total live byte footprint summed over layers.
     pub fn byte_size(&self) -> usize {
         self.layers.iter().map(LayerKvCache::byte_size).sum()
-    }
-
-    /// Total block-granular byte footprint summed over layers.
-    pub fn allocated_byte_size(&self) -> usize {
-        self.layers
-            .iter()
-            .map(LayerKvCache::allocated_byte_size)
-            .sum()
     }
 
     /// Bytes one cached token occupies across every layer (keys + values). A cache
@@ -1696,7 +1647,7 @@ mod tests {
         // 2 heads * (keys + values) * 4 slots * 3 dims * 4 bytes.
         assert_eq!(layer.byte_size(), 2 * 2 * 4 * 3 * 4);
         // Block granularity rounds the footprint up to one 16-slot block.
-        assert_eq!(layer.allocated_byte_size(), 16 * layer.bytes_per_slot());
+        assert_eq!(layer.allocated_slots(), 16);
     }
 
     #[test]
@@ -1769,10 +1720,15 @@ mod tests {
         assert_eq!(cache.num_layers(), 3);
         assert_eq!(cache.total_slots(), 3);
         assert_eq!(cache.total_blocks(), 3);
-        assert_eq!(cache.total_allocated_slots(), 12);
+        let allocated: Vec<usize> = cache.iter().map(LayerKvCache::allocated_slots).collect();
+        assert_eq!(allocated.iter().sum::<usize>(), 12);
         assert_eq!(cache.pool().blocks_in_use(), 3);
         assert!(cache.byte_size() > 0);
-        assert!(cache.allocated_byte_size() >= cache.byte_size());
+        let allocated_bytes: usize = cache
+            .iter()
+            .map(|l| l.allocated_slots() * l.bytes_per_slot())
+            .sum();
+        assert!(allocated_bytes >= cache.byte_size());
         // Every layer's last block has room: no allocation needed for the next token.
         assert_eq!(cache.blocks_needed_for_next_token(), 0);
         cache.clear();
@@ -1795,8 +1751,9 @@ mod tests {
         // The fork appends into the shared partial tail block: CoW forks it.
         let k = [[9.0; 3], [9.5; 3]].concat();
         let v = [[19.0; 3], [29.0; 3]].concat();
+        let allocs = pool.stats().total_allocs;
         fork.append_from_slices(6, &k, &v).unwrap();
-        assert_eq!(fork.cow_forks(), 1);
+        assert_eq!(pool.stats().total_allocs - allocs, 1, "one CoW fork");
         assert_eq!(pool.blocks_in_use(), 3, "fork owns a private tail now");
         assert_eq!(pool.shared_blocks(), 1, "the full block stays shared");
         // The original never sees the fork's write.
@@ -1814,8 +1771,9 @@ mod tests {
         let layer = filled_layer_in(6, pool.clone());
         let mut fork = layer.fork().unwrap();
         // Evict inside the shared blocks: every written block must fork.
+        let allocs = pool.stats().total_allocs;
         fork.retain_slots(&[0, 2, 5]).unwrap();
-        assert!(fork.cow_forks() >= 1);
+        assert!(pool.stats().total_allocs - allocs >= 1);
         assert_eq!(fork.positions(), &[0, 2, 5]);
         assert_eq!(fork.keys(0).row_vec(1), [2.0; 3]);
         // The donor still reads its original six slots, bit-identical.
@@ -1827,9 +1785,13 @@ mod tests {
         // An aligned identity prefix stays shared: retaining [0, 1] keeps the
         // first block byte-identical, so no fork for it.
         let mut fork2 = layer.fork().unwrap();
-        let before = fork2.cow_forks();
+        let before = pool.stats().total_allocs;
         fork2.retain_slots(&[0, 1]).unwrap();
-        assert_eq!(fork2.cow_forks(), before, "identity prefix must not fork");
+        assert_eq!(
+            pool.stats().total_allocs,
+            before,
+            "identity prefix must not fork"
+        );
         assert_eq!(fork2.shared_block_count(), 1);
     }
 
@@ -1865,11 +1827,12 @@ mod tests {
                 cache.layer_mut(l).append_from_slices(i, &k, &k).unwrap();
             }
         }
+        let allocs = pool.stats().total_allocs;
         let fork = cache.fork().unwrap();
         assert_eq!(fork.total_slots(), cache.total_slots());
         assert_eq!(cache.shared_block_count(), 4);
         assert_eq!(fork.shared_block_count(), 4);
-        assert_eq!(cache.total_cow_forks() + fork.total_cow_forks(), 0);
+        assert_eq!(pool.stats().total_allocs, allocs, "a fork forks no block");
         drop(cache);
         // The fork keeps every block alive on its own.
         assert_eq!(pool.blocks_in_use(), 4);
@@ -1987,6 +1950,7 @@ mod tests {
         let fork = shared.fork().unwrap();
         let mut control = filled_layer_u8(11, SharedBlockPool::unbounded(4));
         let keep = [0, 2, 3, 5, 8, 9, 10];
+        let allocs = pool.stats().total_allocs;
         shared.retain_slots(&keep).unwrap();
         control.retain_slots(&keep).unwrap();
         // The compacted shared layer reads bit-identically to a layer that was
@@ -2006,7 +1970,7 @@ mod tests {
             assert_eq!(fork.keys(0).row_vec(slot), expected.keys(0).row_vec(slot));
         }
         assert!(
-            shared.cow_forks() > 0,
+            pool.stats().total_allocs > allocs,
             "compaction wrote into shared blocks"
         );
     }

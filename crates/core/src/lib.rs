@@ -93,7 +93,7 @@ pub mod temperature;
 
 pub use accumulator::{ScoreAccumulator, ScoreScope};
 pub use adjustment::LogitAdjustment;
-pub use block::{BlockId, BlockPool, BlockPoolStats, OvercommitPolicy, SharedBlockPool};
+pub use block::{BlockId, BlockPoolStats, OvercommitPolicy, SharedBlockPool};
 pub use budget::{CacheBudget, CacheBudgetSpec};
 pub use cache::{KvBlockMeta, KvCache, LayerKvCache};
 pub use observation::{AttentionObservation, ObservationRows, Phase};
@@ -102,7 +102,7 @@ pub use policies::scored::{KeyformerConfig, ScoredPolicy};
 pub use policies::streaming::StreamingLlm;
 pub use policies::window::WindowAttention;
 pub use policy::KvCachePolicy;
-pub use prefix::{PrefixRegistry, PrefixRegistryStats, SharedPrefixRegistry};
+pub use prefix::{PrefixRegistryStats, SharedPrefixRegistry};
 pub use rotated::RotatedKeyCache;
 pub use spec::PolicySpec;
 pub use temperature::TemperatureSchedule;
@@ -115,7 +115,7 @@ pub enum CoreError {
     /// A retained-slot set did not satisfy the compaction contract
     /// (sorted, unique, in-bounds, correct length).
     InvalidSelection(String),
-    /// A strict [`block::BlockPool`] had no block left for an allocation.
+    /// A strict [`block::SharedBlockPool`] had no block left for an allocation.
     /// Chunked prefill treats this as "pause and resume once blocks free up";
     /// anywhere else it retires the request.
     PoolExhausted {

@@ -28,21 +28,23 @@
 //! private copy, so the registry's bytes are immutable for as long as any entry
 //! pins them.
 //!
-//! Entries are evicted least-recently-used ([`PrefixRegistry::evict_lru`],
-//! [`PrefixRegistry::clear`]) under pool pressure. Evicting an entry releases
-//! only the *registry's* retain: sequences currently attached hold their own
-//! refcounts and keep decoding unaffected. Evicting a mid-chain entry strands
+//! Entries are evicted least-recently-used
+//! ([`SharedPrefixRegistry::evict_lru`], [`SharedPrefixRegistry::clear`])
+//! under pool pressure, and registration itself ages out the
+//! least-recently-used entries once the registry pins half the pool. Evicting
+//! an entry releases only the *registry's* retain: sequences currently
+//! attached hold their own refcounts and keep decoding unaffected. Evicting a mid-chain entry strands
 //! its descendants (they become unreachable to lookups); they stop being
 //! touched and age out through the same LRU path.
 
-use crate::block::SharedBlockPool;
+use crate::block::{BlockId, OvercommitPolicy, SharedBlockPool};
 use crate::cache::{KvCache, SharedKvBlock};
 use crate::policy::KvCachePolicy;
 use crate::spec::PolicySpec;
 use crate::CoreError;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// FNV-1a over arbitrary bytes; the registry's collision-checked hash primitive.
 fn fnv1a(seed: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
@@ -123,25 +125,10 @@ struct Entry {
     last_used: u64,
 }
 
-/// The prefix registry; see the [module docs](self). Usually handled through
-/// the cloneable, lockable [`SharedPrefixRegistry`].
-pub struct PrefixRegistry {
+/// Entries and lifetime counters of a [`SharedPrefixRegistry`], behind the
+/// handle's one mutex, with the pool whose blocks the entries pin.
+struct RegistryState {
     pool: SharedBlockPool,
-    block_size: usize,
-    /// On a strict pool the registry's pins must be visible to admission
-    /// arithmetic, or pinned blocks would silently eat capacity the pool's
-    /// no-overshoot guarantee promised to sessions' reservations: each entry
-    /// then holds a pool reservation alongside its retains, and registration
-    /// is skipped (`Ok(false)`) when no reservable capacity is spare.
-    reserve_pins: bool,
-    /// Cap on the registry's pinned blocks. Without one, a registry over a
-    /// bounded pool would grow without bound: every retired request's
-    /// never-shared *suffix* blocks would stay pinned forever. At the cap,
-    /// registration evicts least-recently-used entries first — attaches stamp
-    /// chain roots freshest, so hot shared prefixes survive the churn and cold
-    /// suffixes age out. Defaults to half the pool's capacity (`None`, i.e.
-    /// unlimited, over unbounded pools).
-    max_blocks: Option<usize>,
     entries: HashMap<u64, Entry>,
     clock: u64,
     hits: u64,
@@ -151,78 +138,28 @@ pub struct PrefixRegistry {
     evictions: u64,
 }
 
-impl std::fmt::Debug for PrefixRegistry {
+impl std::fmt::Debug for RegistryState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PrefixRegistry")
-            .field("block_size", &self.block_size)
+        f.debug_struct("RegistryState")
+            .field("block_size", &self.pool.block_size())
             .field("entries", &self.entries.len())
             .finish()
     }
 }
 
-impl PrefixRegistry {
-    /// Creates an empty registry over `pool`. Only caches drawing from this
-    /// pool can register into or attach from it.
-    pub fn new(pool: &SharedBlockPool) -> Self {
-        PrefixRegistry {
-            block_size: pool.block_size(),
-            reserve_pins: pool.overcommit() == crate::block::OvercommitPolicy::Strict,
-            max_blocks: pool.capacity_blocks().map(|c| (c / 2).max(1)),
-            pool: pool.clone(),
-            entries: HashMap::new(),
-            clock: 0,
-            hits: 0,
-            misses: 0,
-            attached_tokens: 0,
-            registered: 0,
-            evictions: 0,
-        }
-    }
-
-    /// Token slots per registered block.
-    pub fn block_size(&self) -> usize {
-        self.block_size
-    }
-
-    /// The cap on pinned blocks (`None` = unlimited); see
-    /// [`PrefixRegistry::set_max_blocks`].
-    pub fn max_blocks(&self) -> Option<usize> {
-        self.max_blocks
-    }
-
-    /// Replaces the pinned-block cap. Registration evicts least-recently-used
-    /// entries to stay under it; an over-full registry shrinks lazily at the
-    /// next registration.
-    pub fn set_max_blocks(&mut self, max_blocks: Option<usize>) {
-        self.max_blocks = max_blocks;
-    }
-
-    /// Registered entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+impl RegistryState {
+    /// On a strict pool the registry's pins must be visible to admission
+    /// arithmetic, or pinned blocks would silently eat capacity the pool's
+    /// no-overshoot guarantee promised to sessions' reservations: each entry
+    /// then holds a pool reservation alongside its retains, and registration
+    /// is skipped (`Ok(false)`) when no reservable capacity is spare.
+    fn reserve_pins(&self) -> bool {
+        self.pool.overcommit() == OvercommitPolicy::Strict
     }
 
     /// Physical blocks currently pinned by the registry.
-    pub fn blocks_held(&self) -> usize {
+    fn blocks_held(&self) -> usize {
         self.entries.values().map(|e| e.per_layer.len()).sum()
-    }
-
-    /// Lifetime counters.
-    pub fn stats(&self) -> PrefixRegistryStats {
-        PrefixRegistryStats {
-            entries: self.entries.len(),
-            blocks_held: self.blocks_held(),
-            hits: self.hits,
-            misses: self.misses,
-            attached_tokens: self.attached_tokens,
-            registered: self.registered,
-            evictions: self.evictions,
-        }
     }
 
     /// Keys of the longest registered chain matching `tokens`, walked block by
@@ -230,7 +167,7 @@ impl PrefixRegistry {
     fn walk(&self, context: u64, tokens: &[u32]) -> Vec<u64> {
         let mut keys = Vec::new();
         let mut parent = context;
-        for chunk in tokens.chunks_exact(self.block_size) {
+        for chunk in tokens.chunks_exact(self.pool.block_size()) {
             let key = block_key(parent, chunk);
             match self.entries.get(&key) {
                 Some(e) if e.block_tokens == chunk => {
@@ -243,12 +180,109 @@ impl PrefixRegistry {
         keys
     }
 
+    fn release_entry(&mut self, key: u64) {
+        if let Some(entry) = self.entries.remove(&key) {
+            for block in &entry.per_layer {
+                let released = self.pool.release(block.id);
+                debug_assert!(released.is_ok(), "registry pinned an unknown block");
+            }
+            if self.reserve_pins() {
+                self.pool.unreserve(entry.per_layer.len());
+            }
+            self.evictions += 1;
+        }
+    }
+
+    /// Evicts the least-recently-used entry not among the `protected` keys;
+    /// `false` when nothing evictable remains.
+    fn evict_lru_excluding(&mut self, protected: &[u64]) -> bool {
+        let Some((&key, _)) = self
+            .entries
+            .iter()
+            .filter(|(k, _)| !protected.contains(k))
+            .min_by_key(|(_, e)| e.last_used)
+        else {
+            return false;
+        };
+        self.release_entry(key);
+        true
+    }
+
+    /// Evicts every entry, releasing the registry's pins.
+    fn clear(&mut self) {
+        let keys: Vec<u64> = self.entries.keys().copied().collect();
+        for key in keys {
+            self.release_entry(key);
+        }
+    }
+}
+
+/// The last handle's drop releases every pin the registry still holds.
+impl Drop for RegistryState {
+    fn drop(&mut self) {
+        self.clear();
+    }
+}
+
+/// The prefix registry (see the [module docs](self)) behind a cloneable,
+/// `Send + Sync` handle, shared between the serving scheduler and every
+/// session registering into or attaching from it — mirroring
+/// [`SharedBlockPool`].
+///
+/// The registry caps its pinned blocks at half the pool's capacity (no cap
+/// over an unbounded pool). Without a cap, a registry over a bounded pool
+/// would grow without bound: every retired request's never-shared *suffix*
+/// blocks would stay pinned forever. At the cap, registration evicts
+/// least-recently-used entries first — attaches stamp chain roots freshest, so
+/// hot shared prefixes survive the churn and cold suffixes age out.
+#[derive(Debug, Clone)]
+pub struct SharedPrefixRegistry {
+    state: Arc<Mutex<RegistryState>>,
+}
+
+impl SharedPrefixRegistry {
+    /// Creates an empty registry over `pool`. Only caches drawing from this
+    /// pool can register into or attach from it.
+    pub fn new(pool: &SharedBlockPool) -> Self {
+        SharedPrefixRegistry {
+            state: Arc::new(Mutex::new(RegistryState {
+                pool: pool.clone(),
+                entries: HashMap::new(),
+                clock: 0,
+                hits: 0,
+                misses: 0,
+                attached_tokens: 0,
+                registered: 0,
+                evictions: 0,
+            })),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, RegistryState> {
+        self.state.lock().expect("prefix registry lock poisoned")
+    }
+
+    /// Lifetime counters.
+    pub fn stats(&self) -> PrefixRegistryStats {
+        let r = self.lock();
+        PrefixRegistryStats {
+            entries: r.entries.len(),
+            blocks_held: r.blocks_held(),
+            hits: r.hits,
+            misses: r.misses,
+            attached_tokens: r.attached_tokens,
+            registered: r.registered,
+            evictions: r.evictions,
+        }
+    }
+
     /// Longest registered prefix of `tokens` under `context`, in tokens
     /// (always a multiple of the block size). Read-only: does not touch LRU
     /// order or hit counters — the serving layer uses it to price admission
     /// before actually attaching.
     pub fn match_tokens(&self, context: u64, tokens: &[u32]) -> usize {
-        self.walk(context, tokens).len() * self.block_size
+        let r = self.lock();
+        r.walk(context, tokens).len() * r.pool.block_size()
     }
 
     /// Attaches the longest registered prefix of `prefix` into the empty
@@ -268,12 +302,14 @@ impl PrefixRegistry {
     /// entries, and [`CoreError::InvalidBlock`] if the registry's pins are out
     /// of sync with the pool (a bookkeeping bug).
     pub fn attach(
-        &mut self,
+        &self,
         context: u64,
         prefix: &[u32],
         cache: &mut KvCache,
     ) -> Result<Option<AttachedPrefix>, CoreError> {
-        if !cache.pool().same_pool(&self.pool) {
+        let mut guard = self.lock();
+        let r = &mut *guard;
+        if !cache.pool().same_pool(&r.pool) {
             return Err(CoreError::InvalidConfig(
                 "cache draws from a different pool than the prefix registry".into(),
             ));
@@ -283,16 +319,16 @@ impl PrefixRegistry {
                 "prefix attachment requires an empty cache".into(),
             ));
         }
-        let keys = self.walk(context, prefix);
+        let keys = r.walk(context, prefix);
         let Some(&deepest) = keys.last() else {
-            self.misses += 1;
+            r.misses += 1;
             return Ok(None);
         };
         // Collect the handles first so the entry borrows end before the cache
         // is mutated.
         let mut per_depth: Vec<Vec<SharedKvBlock>> = Vec::with_capacity(keys.len());
         for key in &keys {
-            let entry = &self.entries[key];
+            let entry = &r.entries[key];
             if entry.per_layer.len() != cache.num_layers() {
                 return Err(CoreError::InvalidConfig(format!(
                     "registered prefix spans {} layers, cache has {}",
@@ -308,19 +344,19 @@ impl PrefixRegistry {
                 layer.push_shared_block(depth[layer_idx].clone())?;
             }
         }
-        let tokens = keys.len() * self.block_size;
+        let tokens = keys.len() * r.pool.block_size();
         // Roots get the freshest stamps: evicting a root strands every
         // descendant, so LRU pressure should peel chains leaf-first and keep
         // the widely-shared roots matchable.
         for key in keys.iter().rev() {
-            self.clock += 1;
-            if let Some(e) = self.entries.get_mut(key) {
-                e.last_used = self.clock;
+            r.clock += 1;
+            if let Some(e) = r.entries.get_mut(key) {
+                e.last_used = r.clock;
             }
         }
-        self.hits += 1;
-        self.attached_tokens += tokens as u64;
-        let policy = self.entries[&deepest].policy.clone_box();
+        r.hits += 1;
+        r.attached_tokens += tokens as u64;
+        let policy = r.entries[&deepest].policy.clone_box();
         Ok(Some(AttachedPrefix { tokens, policy }))
     }
 
@@ -339,20 +375,22 @@ impl PrefixRegistry {
     /// multiple of the block size, the cache draws from another pool, or the
     /// cache does not (yet) hold the whole prefix undisturbed in every layer.
     pub fn register(
-        &mut self,
+        &self,
         context: u64,
         prefix: &[u32],
         cache: &KvCache,
         policy: &dyn KvCachePolicy,
     ) -> Result<bool, CoreError> {
-        let bs = self.block_size;
+        let mut guard = self.lock();
+        let r = &mut *guard;
+        let bs = r.pool.block_size();
         if prefix.is_empty() || prefix.len() % bs != 0 {
             return Err(CoreError::InvalidConfig(format!(
                 "prefix of {} tokens is not a positive multiple of the {bs}-slot block size",
                 prefix.len()
             )));
         }
-        if !cache.pool().same_pool(&self.pool) {
+        if !cache.pool().same_pool(&r.pool) {
             return Err(CoreError::InvalidConfig(
                 "cache draws from a different pool than the prefix registry".into(),
             ));
@@ -379,7 +417,7 @@ impl PrefixRegistry {
                 "cache no longer holds the prefix at its original positions".into(),
             ));
         }
-        let parents = self.walk(context, &prefix[..depth * bs]);
+        let parents = r.walk(context, &prefix[..depth * bs]);
         if parents.len() != depth {
             // An ancestor is missing (evicted, or never registered): the chain
             // cannot be extended here.
@@ -388,10 +426,10 @@ impl PrefixRegistry {
         let parent_key = parents.last().copied().unwrap_or(context);
         let block_tokens = &prefix[depth * bs..];
         let key = block_key(parent_key, block_tokens);
-        if let Some(existing) = self.entries.get_mut(&key) {
+        if let Some(existing) = r.entries.get_mut(&key) {
             if existing.block_tokens == block_tokens {
-                self.clock += 1;
-                existing.last_used = self.clock;
+                r.clock += 1;
+                existing.last_used = r.clock;
             }
             // A hash collision with different tokens degrades to "not
             // registered"; the existing entry keeps its identity.
@@ -407,7 +445,8 @@ impl PrefixRegistry {
             }
             per_layer.push(block);
         }
-        if let Some(cap) = self.max_blocks {
+        // The pin cap: half the pool (see the type docs).
+        if let Some(cap) = r.pool.capacity_blocks().map(|c| (c / 2).max(1)) {
             if per_layer.len() > cap {
                 return Ok(false);
             }
@@ -416,85 +455,60 @@ impl PrefixRegistry {
             // The new entry's own ancestors are exempt: evicting one would
             // insert the entry under a dead chain — unreachable to every
             // lookup yet still pinning blocks.
-            while self.blocks_held() + per_layer.len() > cap {
-                if !self.evict_lru_excluding(&parents) {
+            while r.blocks_held() + per_layer.len() > cap {
+                if !r.evict_lru_excluding(&parents) {
                     return Ok(false);
                 }
             }
         }
-        if self.reserve_pins && !self.pool.try_reserve(per_layer.len()) {
+        let reserve_pins = r.reserve_pins();
+        if reserve_pins && !r.pool.try_reserve(per_layer.len()) {
             // A strict pool with no spare reservable capacity: caching would
             // eat blocks sessions were promised. Skip, not an error.
             return Ok(false);
         }
         for (i, block) in per_layer.iter().enumerate() {
-            if let Err(e) = self.pool.retain(block.id) {
+            if let Err(e) = r.pool.retain(block.id) {
                 // Roll back the pins taken so far; the registry stays
                 // consistent and the caller sees the error.
                 for earlier in &per_layer[..i] {
-                    let _ = self.pool.release(earlier.id);
+                    let _ = r.pool.release(earlier.id);
                 }
-                if self.reserve_pins {
-                    self.pool.unreserve(per_layer.len());
+                if reserve_pins {
+                    r.pool.unreserve(per_layer.len());
                 }
                 return Err(e);
             }
         }
-        self.clock += 1;
-        self.entries.insert(
+        r.clock += 1;
+        let last_used = r.clock;
+        r.entries.insert(
             key,
             Entry {
                 block_tokens: block_tokens.to_vec(),
                 per_layer,
                 policy: policy.clone_box(),
-                last_used: self.clock,
+                last_used,
             },
         );
-        self.registered += 1;
+        r.registered += 1;
         Ok(true)
-    }
-
-    fn release_entry(&mut self, key: u64) {
-        if let Some(entry) = self.entries.remove(&key) {
-            for block in &entry.per_layer {
-                let released = self.pool.release(block.id);
-                debug_assert!(released.is_ok(), "registry pinned an unknown block");
-            }
-            if self.reserve_pins {
-                self.pool.unreserve(entry.per_layer.len());
-            }
-            self.evictions += 1;
-        }
     }
 
     /// Evicts the least-recently-used entry, releasing its pins (blocks whose
     /// refcount drops to zero become allocatable immediately; blocks still
     /// mapped by attached sequences stay alive for them). Returns `false` when
     /// the registry is empty.
-    pub fn evict_lru(&mut self) -> bool {
-        self.evict_lru_excluding(&[])
-    }
-
-    /// [`PrefixRegistry::evict_lru`] skipping the `protected` keys; `false`
-    /// when nothing evictable remains.
-    fn evict_lru_excluding(&mut self, protected: &[u64]) -> bool {
-        let Some((&key, _)) = self
-            .entries
-            .iter()
-            .filter(|(k, _)| !protected.contains(k))
-            .min_by_key(|(_, e)| e.last_used)
-        else {
-            return false;
-        };
-        self.release_entry(key);
-        true
+    pub fn evict_lru(&self) -> bool {
+        self.lock().evict_lru_excluding(&[])
     }
 
     /// Ids of every block the registry currently pins (each id once per entry
     /// layer; ids are unique across entries because every pinned block is a
     /// distinct physical block).
-    pub fn pinned_block_ids(&self) -> Vec<crate::block::BlockId> {
-        self.entries
+    pub fn pinned_block_ids(&self) -> Vec<BlockId> {
+        self.lock()
+            .entries
             .values()
             .flat_map(|e| e.per_layer.iter().map(|b| b.id))
             .collect()
@@ -502,129 +516,14 @@ impl PrefixRegistry {
 
     /// Evicts every entry. Attached sequences are unaffected (they hold their
     /// own refcounts); only the registry's pins are released.
-    pub fn clear(&mut self) {
-        let keys: Vec<u64> = self.entries.keys().copied().collect();
-        for key in keys {
-            self.release_entry(key);
-        }
-    }
-}
-
-impl Drop for PrefixRegistry {
-    fn drop(&mut self) {
-        self.clear();
-    }
-}
-
-/// A cloneable, `Send + Sync` handle to a [`PrefixRegistry`], shared between
-/// the serving scheduler and every session registering into or attaching from
-/// it — mirroring [`SharedBlockPool`].
-#[derive(Debug, Clone)]
-pub struct SharedPrefixRegistry {
-    inner: Arc<Mutex<PrefixRegistry>>,
-}
-
-impl SharedPrefixRegistry {
-    /// Creates an empty shared registry over `pool`.
-    pub fn new(pool: &SharedBlockPool) -> Self {
-        SharedPrefixRegistry {
-            inner: Arc::new(Mutex::new(PrefixRegistry::new(pool))),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, PrefixRegistry> {
-        self.inner.lock().expect("prefix registry lock poisoned")
-    }
-
-    /// See [`PrefixRegistry::block_size`].
-    pub fn block_size(&self) -> usize {
-        self.lock().block_size()
-    }
-
-    /// See [`PrefixRegistry::len`].
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// See [`PrefixRegistry::is_empty`].
-    pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
-    }
-
-    /// See [`PrefixRegistry::blocks_held`].
-    pub fn blocks_held(&self) -> usize {
-        self.lock().blocks_held()
-    }
-
-    /// See [`PrefixRegistry::max_blocks`].
-    pub fn max_blocks(&self) -> Option<usize> {
-        self.lock().max_blocks()
-    }
-
-    /// See [`PrefixRegistry::set_max_blocks`].
-    pub fn set_max_blocks(&self, max_blocks: Option<usize>) {
-        self.lock().set_max_blocks(max_blocks);
-    }
-
-    /// See [`PrefixRegistry::stats`].
-    pub fn stats(&self) -> PrefixRegistryStats {
-        self.lock().stats()
-    }
-
-    /// See [`PrefixRegistry::match_tokens`].
-    pub fn match_tokens(&self, context: u64, tokens: &[u32]) -> usize {
-        self.lock().match_tokens(context, tokens)
-    }
-
-    /// See [`PrefixRegistry::attach`].
-    ///
-    /// # Errors
-    ///
-    /// See [`PrefixRegistry::attach`].
-    pub fn attach(
-        &self,
-        context: u64,
-        prefix: &[u32],
-        cache: &mut KvCache,
-    ) -> Result<Option<AttachedPrefix>, CoreError> {
-        self.lock().attach(context, prefix, cache)
-    }
-
-    /// See [`PrefixRegistry::register`].
-    ///
-    /// # Errors
-    ///
-    /// See [`PrefixRegistry::register`].
-    pub fn register(
-        &self,
-        context: u64,
-        prefix: &[u32],
-        cache: &KvCache,
-        policy: &dyn KvCachePolicy,
-    ) -> Result<bool, CoreError> {
-        self.lock().register(context, prefix, cache, policy)
-    }
-
-    /// See [`PrefixRegistry::evict_lru`].
-    pub fn evict_lru(&self) -> bool {
-        self.lock().evict_lru()
-    }
-
-    /// See [`PrefixRegistry::pinned_block_ids`].
-    pub fn pinned_block_ids(&self) -> Vec<crate::block::BlockId> {
-        self.lock().pinned_block_ids()
-    }
-
-    /// See [`PrefixRegistry::clear`].
     pub fn clear(&self) {
-        self.lock().clear()
+        self.lock().clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::OvercommitPolicy;
     use crate::policies::full::FullAttention;
 
     const LAYERS: usize = 2;
@@ -649,8 +548,7 @@ mod tests {
     #[test]
     fn register_then_attach_longest_prefix() {
         let pool = SharedBlockPool::unbounded(BS);
-        let registry = PrefixRegistry::new(&pool);
-        let mut registry = registry;
+        let registry = SharedPrefixRegistry::new(&pool);
         let mut donor = KvCache::with_pool(LAYERS, HEADS, DIM, pool.clone());
         let prompt = tokens(12, 0);
         fill(&mut donor, &prompt);
@@ -660,8 +558,8 @@ mod tests {
                 .register(7, &prompt[..blocks * BS], &donor, &policy)
                 .unwrap());
         }
-        assert_eq!(registry.len(), 3);
-        assert_eq!(registry.blocks_held(), 3 * LAYERS);
+        assert_eq!(registry.stats().entries, 3);
+        assert_eq!(registry.stats().blocks_held, 3 * LAYERS);
         // A prompt sharing only the first 8 tokens matches 2 blocks.
         let mut other = prompt[..8].to_vec();
         other.extend(tokens(8, 50));
@@ -686,7 +584,7 @@ mod tests {
     #[test]
     fn attach_misses_on_unknown_prompts_and_requires_empty_cache() {
         let pool = SharedBlockPool::unbounded(BS);
-        let mut registry = PrefixRegistry::new(&pool);
+        let registry = SharedPrefixRegistry::new(&pool);
         let mut cache = KvCache::with_pool(LAYERS, HEADS, DIM, pool.clone());
         assert!(registry
             .attach(1, &tokens(8, 3), &mut cache)
@@ -707,7 +605,7 @@ mod tests {
     #[test]
     fn register_contract_violations_are_errors_or_skips() {
         let pool = SharedBlockPool::unbounded(BS);
-        let mut registry = PrefixRegistry::new(&pool);
+        let registry = SharedPrefixRegistry::new(&pool);
         let mut donor = KvCache::with_pool(LAYERS, HEADS, DIM, pool.clone());
         let prompt = tokens(12, 0);
         fill(&mut donor, &prompt);
@@ -719,15 +617,15 @@ mod tests {
         assert!(registry.register(1, &prompt[..4], &donor, &policy).unwrap());
         assert!(registry.register(1, &prompt[..8], &donor, &policy).unwrap());
         // Re-registration is a refresh, not a double pin.
-        let held = registry.blocks_held();
+        let held = registry.stats().blocks_held;
         assert!(!registry.register(1, &prompt[..8], &donor, &policy).unwrap());
-        assert_eq!(registry.blocks_held(), held);
+        assert_eq!(registry.stats().blocks_held, held);
     }
 
     #[test]
     fn eviction_releases_pins_but_not_attached_readers() {
         let pool = SharedBlockPool::bounded(BS, 64, OvercommitPolicy::AllowTransient).unwrap();
-        let mut registry = PrefixRegistry::new(&pool);
+        let registry = SharedPrefixRegistry::new(&pool);
         let prompt = tokens(8, 0);
         let mut donor = KvCache::with_pool(LAYERS, HEADS, DIM, pool.clone());
         fill(&mut donor, &prompt);
@@ -741,7 +639,7 @@ mod tests {
         // The donor is gone; registry + reader keep all 4 physical blocks.
         assert_eq!(pool.blocks_in_use(), 2 * LAYERS);
         registry.clear();
-        assert_eq!(registry.len(), 0);
+        assert_eq!(registry.stats().entries, 0);
         assert_eq!(registry.stats().evictions, 2);
         // The reader still reads valid data from its own pins.
         assert_eq!(reader.total_slots(), 8 * LAYERS);
@@ -754,7 +652,7 @@ mod tests {
     #[test]
     fn lru_eviction_order_and_stranded_descendants() {
         let pool = SharedBlockPool::unbounded(BS);
-        let mut registry = PrefixRegistry::new(&pool);
+        let registry = SharedPrefixRegistry::new(&pool);
         let prompt = tokens(8, 0);
         let mut donor = KvCache::with_pool(LAYERS, HEADS, DIM, pool.clone());
         fill(&mut donor, &prompt);
@@ -766,7 +664,7 @@ mod tests {
         let mut reader = KvCache::with_pool(LAYERS, HEADS, DIM, pool.clone());
         registry.attach(1, &prompt, &mut reader).unwrap().unwrap();
         assert!(registry.evict_lru());
-        assert_eq!(registry.len(), 1);
+        assert_eq!(registry.stats().entries, 1);
         assert_eq!(registry.match_tokens(1, &prompt), 4, "root survives");
         assert!(registry.evict_lru());
         assert!(!registry.evict_lru(), "registry is empty");
@@ -774,11 +672,12 @@ mod tests {
 
     #[test]
     fn pin_cap_churns_lru_but_keeps_hot_roots() {
-        let pool = SharedBlockPool::bounded(BS, 64, OvercommitPolicy::AllowTransient).unwrap();
-        let mut registry = PrefixRegistry::new(&pool);
-        assert_eq!(registry.max_blocks(), Some(32), "defaults to half the pool");
-        // Room for exactly two entries of LAYERS blocks each.
-        registry.set_max_blocks(Some(2 * LAYERS));
+        // The cap is half the pool: room for exactly two entries of LAYERS
+        // blocks each.
+        let pool =
+            SharedBlockPool::bounded(BS, 4 * LAYERS, OvercommitPolicy::AllowTransient).unwrap();
+        let registry = SharedPrefixRegistry::new(&pool);
+        let half_the_pool = pool.capacity_blocks().unwrap() / 2;
         let prompt_a = tokens(8, 0);
         let mut donor_a = KvCache::with_pool(LAYERS, HEADS, DIM, pool.clone());
         fill(&mut donor_a, &prompt_a);
@@ -789,7 +688,8 @@ mod tests {
         registry
             .register(1, &prompt_a[..8], &donor_a, &policy)
             .unwrap();
-        assert_eq!(registry.blocks_held(), 2 * LAYERS);
+        assert_eq!(registry.stats().blocks_held, 2 * LAYERS);
+        assert!(registry.stats().blocks_held <= half_the_pool);
         // An attach stamps A's root freshest, leaving A's leaf as the LRU.
         let mut reader = KvCache::with_pool(LAYERS, HEADS, DIM, pool.clone());
         registry.attach(1, &prompt_a, &mut reader).unwrap();
@@ -799,17 +699,21 @@ mod tests {
         let mut donor_b = KvCache::with_pool(LAYERS, HEADS, DIM, pool.clone());
         fill(&mut donor_b, &prompt_b);
         assert!(registry.register(2, &prompt_b, &donor_b, &policy).unwrap());
-        assert_eq!(registry.blocks_held(), 2 * LAYERS, "cap respected");
+        assert_eq!(registry.stats().blocks_held, 2 * LAYERS, "cap respected");
+        assert!(registry.stats().blocks_held <= half_the_pool);
         assert_eq!(registry.match_tokens(1, &prompt_a), 4, "hot root survives");
         assert_eq!(registry.match_tokens(2, &prompt_b), 4);
-        // An entry bigger than the whole cap is skipped outright.
-        registry.set_max_blocks(Some(1));
+        // An entry bigger than the whole cap is skipped outright: a 2-block
+        // pool caps the registry at 1 block, below one entry's LAYERS.
+        let small = SharedBlockPool::bounded(BS, 2, OvercommitPolicy::AllowTransient).unwrap();
+        let small_registry = SharedPrefixRegistry::new(&small);
         let longer = tokens(12, 0);
-        let mut donor_c = KvCache::with_pool(LAYERS, HEADS, DIM, pool.clone());
+        let mut donor_c = KvCache::with_pool(LAYERS, HEADS, DIM, small.clone());
         fill(&mut donor_c, &longer);
-        assert!(!registry
+        assert!(!small_registry
             .register(3, &longer[..4], &donor_c, &policy)
             .unwrap());
+        assert_eq!(small_registry.stats().blocks_held, 0);
     }
 
     #[test]
@@ -823,12 +727,16 @@ mod tests {
         registry
             .register(9, &prompt, &donor, &FullAttention::new())
             .unwrap();
-        assert_eq!(clone.len(), 1);
+        assert_eq!(clone.stats().entries, 1);
         assert_eq!(clone.match_tokens(9, &prompt), 4);
-        assert!(!clone.is_empty());
-        assert_eq!(clone.block_size(), BS);
+        assert_eq!(clone.stats().blocks_held, LAYERS);
         clone.clear();
-        assert!(registry.is_empty());
+        assert_eq!(registry.stats().entries, 0);
+        assert_eq!(
+            pool.blocks_in_use(),
+            LAYERS,
+            "only the donor's blocks remain"
+        );
 
         let a = policy_context(&PolicySpec::Full);
         let b = policy_context(&PolicySpec::keyformer_default());
@@ -852,7 +760,6 @@ mod tests {
     fn registry_handles_are_thread_safe() {
         fn assert_send<T: Send>() {}
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send::<PrefixRegistry>();
         assert_send_sync::<SharedPrefixRegistry>();
         assert_send::<AttachedPrefix>();
     }

@@ -155,7 +155,12 @@ fn main() {
         .build(model_seed)
         .empty_cache_dtype(kv_dtype)
         .bytes_per_token();
-    let mut engine = ServerConfig::new(policy, budget, pool_tokens * bytes_per_token)
+    let Some(pool_bytes) = pool_tokens.checked_mul(bytes_per_token) else {
+        fail(&format!(
+            "--pool-tokens: {pool_tokens} tokens of {bytes_per_token} B overflow the pool's byte size"
+        ))
+    };
+    let mut engine = ServerConfig::new(policy, budget, pool_bytes)
         .with_decode_workers(decode_workers)
         .with_kv_dtype(kv_dtype)
         .with_preempt_on_arrival(preempt_on_arrival)

@@ -236,6 +236,30 @@ fn concurrent_duplicate_coalesces_onto_the_primary() {
 }
 
 #[test]
+fn a_deadline_of_u64_max_streams_done() {
+    let engine_config = pool_config(160);
+    let handle = boot(engine_config, false);
+    let client = handle.client();
+    // A first request moves the engine past step 0, so the second one's
+    // `submitted_step + deadline_steps` would overflow.
+    let first = client
+        .generate_stream(&generate_body(&prompt(16, 8), 3, ",\"stream\":true"))
+        .expect("first generate");
+    assert_eq!(first.terminal, "done");
+    let p = prompt(20, 9);
+    let outcome = client
+        .generate_stream(&generate_body(
+            &p,
+            4,
+            ",\"stream\":true,\"deadline_steps\":18446744073709551615",
+        ))
+        .expect("streamed generate with the largest deadline");
+    assert_eq!(outcome.terminal, "done", "the request must not expire");
+    assert_eq!(outcome.tokens, direct_engine_tokens(engine_config, &p, 4));
+    handle.shutdown();
+}
+
+#[test]
 fn sampled_requests_bypass_cache_and_coalescing() {
     let engine_config = pool_config(160);
     let handle = boot(engine_config, true);

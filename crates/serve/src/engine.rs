@@ -1124,9 +1124,11 @@ impl<'m> Engine<'m> {
     }
 
     /// `true` when a request submitted at `submitted_step` with `deadline`
-    /// has missed it by scheduler step `now`.
+    /// has missed it by scheduler step `now`. Compares the elapsed steps
+    /// (`submitted_step <= now` always) so a deadline near `usize::MAX`
+    /// cannot overflow.
     fn deadline_blown(now: usize, submitted_step: usize, deadline: Option<usize>) -> bool {
-        deadline.is_some_and(|d| now > submitted_step + d)
+        deadline.is_some_and(|d| now - submitted_step > d)
     }
 
     /// Retires every queued or running request whose deadline has elapsed
@@ -1982,6 +1984,32 @@ mod tests {
     }
 
     #[test]
+    fn a_deadline_near_usize_max_never_expires() {
+        let model = ModelFamily::Tiny.build(24);
+        let mut engine = keyformer_engine(&model, 64);
+        // Submitted after the first step, so `submitted_step + deadline`
+        // would overflow.
+        engine.step();
+        let patient = engine
+            .submit_with(
+                Request::new(0, prompt(20, 0), GenerationConfig::new(3)),
+                SubmitOptions::new().with_deadline_steps(usize::MAX),
+            )
+            .unwrap();
+        engine.run(64);
+        assert!(engine.is_idle());
+        assert!(engine.failures().is_empty(), "{:?}", engine.failures());
+        assert_eq!(engine.completions().len(), 1);
+        assert_eq!(engine.completions()[0].id, patient.id());
+        let events = engine.drain_events_for(patient.id());
+        assert!(matches!(
+            events.last().unwrap().kind,
+            EventKind::Completed { .. }
+        ));
+        assert_eq!(engine.stats().deadline_expired, 0);
+    }
+
+    #[test]
     fn higher_priority_jumps_the_admission_queue() {
         let model = ModelFamily::Tiny.build(25);
         // Pool fits one request at a time, so admission order == completion
@@ -2237,7 +2265,7 @@ mod tests {
 
     /// The PR 6 worker pool fell back to sequential decode whenever a
     /// budgeted session still mapped shared blocks. The pool-level atomic
-    /// fork probe (`BlockPool::fork_block`) removed that fallback: the round
+    /// fork probe (`SharedBlockPool::fork_block`) removed that fallback: the round
     /// fans out even while the plan contains budgeted sessions whose prefix
     /// blocks are still shared, and the round's own evictions CoW-fork those
     /// blocks under the fanned-out workers.
