@@ -83,28 +83,39 @@ fn bench_observe_rows(c: &mut Criterion) {
     group.finish();
 }
 
-/// Table 3 ablation / per-step eviction cost of every policy at a 2k-token cache.
+/// Table 3 ablation / per-step eviction cost of every policy against a 1024-slot
+/// budget: the prompt-end cut of a 2048-slot cache (`select_retained`) and a
+/// decode step at budget, 1025 slots down to 1024 (`select_retained_decode`).
+/// Both select into one reused buffer, as a session does.
 fn bench_selection(c: &mut Criterion) {
     let mut group = c.benchmark_group("selection");
     group
         .sample_size(20)
         .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_millis(600));
-    let live = 2048usize;
     let budget = CacheBudget::new(1024, 307);
-    let logits = synthetic_logits(live, 11);
-    for spec in [
-        PolicySpec::Window,
-        PolicySpec::streaming_default(),
-        PolicySpec::h2o_default(),
-        PolicySpec::keyformer_default(),
+    let logits = synthetic_logits(2048, 11);
+    for (name, live) in [
+        ("select_retained", 2048usize),
+        ("select_retained_decode", 1025),
     ] {
-        let mut policy = spec.build().expect("valid spec");
-        // Populate accumulated scores before measuring selection.
-        policy.observe(&observation(&logits));
-        group.bench_function(BenchmarkId::new("select_retained", spec.label()), |b| {
-            b.iter(|| black_box(policy.select_retained(0, live, &budget)));
-        });
+        for spec in [
+            PolicySpec::Window,
+            PolicySpec::streaming_default(),
+            PolicySpec::h2o_default(),
+            PolicySpec::keyformer_default(),
+        ] {
+            let mut policy = spec.build().expect("valid spec");
+            // Populate accumulated scores before measuring selection.
+            policy.observe(&observation(&logits[..live]));
+            let mut out = Vec::new();
+            group.bench_function(BenchmarkId::new(name, spec.label()), |b| {
+                b.iter(|| {
+                    policy.select_retained_into(0, live, &budget, &mut out);
+                    black_box(&out);
+                })
+            });
+        }
     }
     group.finish();
 }

@@ -107,6 +107,13 @@ impl ScoreAccumulator {
         out
     }
 
+    /// `layer`'s first `live` per-slot scores, read in place: the bucket grows
+    /// to `live` slots first, the new ones at zero as in
+    /// [`ScoreAccumulator::scores`].
+    pub(crate) fn scores_in_place(&mut self, layer: usize, live: usize) -> &[f32] {
+        &self.ensure_bucket(layer, live)[..live]
+    }
+
     /// Gathers the running totals of `layer`'s bucket down to the retained slots,
     /// mirroring a cache compaction, in place. `retained` is strictly increasing,
     /// as the retained-slot contract of [`crate::policy::KvCachePolicy`] requires.

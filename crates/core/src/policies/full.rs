@@ -2,11 +2,11 @@
 
 use crate::budget::CacheBudget;
 use crate::observation::AttentionObservation;
-use crate::policy::{all_slots, KvCachePolicy};
+use crate::policy::KvCachePolicy;
 
 /// The paper's accuracy baseline: every token stays in the KV cache.
 ///
-/// `select_retained` ignores the budget and returns all live slots, so a model wired
+/// Selection ignores the budget and keeps all live slots, so a model wired
 /// to this policy behaves exactly like an unmodified decoder. This is the reference
 /// every other policy's ROUGE numbers are measured against (the MLPerf 99% band).
 #[derive(Debug, Clone, Copy, Default)]
@@ -26,8 +26,15 @@ impl KvCachePolicy for FullAttention {
 
     fn observe(&mut self, _obs: &AttentionObservation<'_>) {}
 
-    fn select_retained(&mut self, _layer: usize, live: usize, _budget: &CacheBudget) -> Vec<usize> {
-        all_slots(live)
+    fn select_retained_into(
+        &mut self,
+        _layer: usize,
+        live: usize,
+        _budget: &CacheBudget,
+        out: &mut Vec<usize>,
+    ) {
+        out.clear();
+        out.extend(0..live);
     }
 
     fn compact(&mut self, _layer: usize, _retained: &[usize]) {}

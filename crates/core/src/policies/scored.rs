@@ -14,7 +14,12 @@
 //!
 //! When the cache exceeds its budget, the most recent `w` slots are kept
 //! unconditionally and the remaining `k − w` slots are the top-scoring *key tokens*
-//! from everything older than the recent window.
+//! from everything older than the recent window. Selection reads the score bucket
+//! in place (slots no observation has reached yet score 0) and picks the key tokens
+//! with [`top_k_indices_into`]: linear in the live slots, without allocating, with
+//! NaN ranked last and ties (`+0.0` against `-0.0` included) going to the earlier
+//! slot. The key tokens, then the recent range, are written in ascending order into
+//! the caller's buffer.
 //!
 //! | Configuration | `name()` | `ζ` | `τ` | `α` | recent window `w` |
 //! |---|---|---|---|---|---|
@@ -34,11 +39,11 @@ use crate::adjustment::LogitAdjustment;
 use crate::budget::CacheBudget;
 use crate::observation::{AttentionObservation, ObservationRows};
 use crate::parallel::fan_out;
-use crate::policy::{merge_key_and_recent, KvCachePolicy};
+use crate::policy::KvCachePolicy;
 use crate::temperature::TemperatureSchedule;
 use crate::CoreError;
 use keyformer_tensor::ops::softmax_with_temperature_into;
-use keyformer_tensor::top_k_indices;
+use keyformer_tensor::top_k_indices_into;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -347,18 +352,28 @@ impl KvCachePolicy for ScoredPolicy {
         });
     }
 
-    fn select_retained(&mut self, layer: usize, live: usize, budget: &CacheBudget) -> Vec<usize> {
-        let scores = self.accumulator.scores(layer, live);
+    /// The top `k − w` slots of the key region, then the recent range, read
+    /// from the score bucket in place (slots it does not cover yet score 0).
+    fn select_retained_into(
+        &mut self,
+        layer: usize,
+        live: usize,
+        budget: &CacheBudget,
+        out: &mut Vec<usize>,
+    ) {
         let target = budget.capacity().min(live);
         let recent = if self.recent_window {
             budget.recent_window().min(target)
         } else {
             0
         };
+        let key_region = live - recent;
+        let scores = self.accumulator.scores_in_place(layer, live);
         // Key tokens are drawn from everything *older* than the recent window
-        // (Algorithm 1: Skey = argmax_{k-w} fθ[ : -w]).
-        let key_slots = top_k_indices(&scores[..live - recent], target - recent);
-        merge_key_and_recent(&key_slots, live, target, recent, &scores)
+        // (Algorithm 1: Skey = argmax_{k-w} fθ[ : -w]), so the window appended
+        // after them keeps `out` ascending.
+        top_k_indices_into(&scores[..key_region], target - recent, out);
+        out.extend(key_region..live);
     }
 
     fn compact(&mut self, layer: usize, retained: &[usize]) {

@@ -71,41 +71,43 @@ impl KvCachePolicy for StreamingLlm {
         self.sync_layer(obs.layer, obs.live_slots());
     }
 
-    fn select_retained(&mut self, layer: usize, live: usize, budget: &CacheBudget) -> Vec<usize> {
+    fn select_retained_into(
+        &mut self,
+        layer: usize,
+        live: usize,
+        budget: &CacheBudget,
+        out: &mut Vec<usize>,
+    ) {
         self.sync_layer(layer, live);
         let target = budget.capacity().min(live);
-        let positions = &self.positions[layer];
+        let positions = &self.positions[layer][..live];
         let sinks = self.num_sinks.min(target);
-        let mut keep = vec![false; live];
-        let mut kept = 0;
-        // Keep slots whose original position is within the sink range.
-        for (slot, &pos) in positions.iter().enumerate().take(live) {
-            if pos < sinks {
-                keep[slot] = true;
-                kept += 1;
+        // Keep the slots whose original position is within the sink range (at
+        // most `sinks` of them: positions are unique), then fill the remainder
+        // with the most recent other slots: those from `recent_start` on.
+        let is_sink = |slot: usize| positions[slot] < sinks;
+        let mut fill = target - (0..live).filter(|&slot| is_sink(slot)).count();
+        let mut recent_start = live;
+        while fill > 0 {
+            recent_start -= 1;
+            if !is_sink(recent_start) {
+                fill -= 1;
             }
         }
-        // Fill the remainder with the most recent slots.
-        for slot in (0..live).rev() {
-            if kept >= target {
-                break;
-            }
-            if !keep[slot] {
-                keep[slot] = true;
-                kept += 1;
-            }
-        }
-        let mut selected: Vec<usize> = (0..live).filter(|&i| keep[i]).collect();
-        selected.truncate(target);
-        selected
+        out.clear();
+        out.extend((0..live).filter(|&slot| is_sink(slot) || slot >= recent_start));
     }
 
     fn compact(&mut self, layer: usize, retained: &[usize]) {
         if let Some(tracked) = self.positions.get_mut(layer) {
-            *tracked = retained
-                .iter()
-                .filter_map(|&i| tracked.get(i).copied())
-                .collect();
+            // In place, front to back: `retained` is strictly increasing, so
+            // `retained[kept] >= kept`. Slots past the tracked ones are dropped.
+            let (len, mut kept) = (tracked.len(), 0);
+            for &from in retained.iter().take_while(|&&from| from < len) {
+                tracked[kept] = tracked[from];
+                kept += 1;
+            }
+            tracked.truncate(kept);
         }
     }
 

@@ -2,7 +2,7 @@
 
 use crate::budget::CacheBudget;
 use crate::observation::AttentionObservation;
-use crate::policy::{recent_slots, KvCachePolicy};
+use crate::policy::KvCachePolicy;
 
 /// Sliding-window attention: keep only the `capacity` most recent tokens.
 ///
@@ -26,8 +26,15 @@ impl KvCachePolicy for WindowAttention {
 
     fn observe(&mut self, _obs: &AttentionObservation<'_>) {}
 
-    fn select_retained(&mut self, _layer: usize, live: usize, budget: &CacheBudget) -> Vec<usize> {
-        recent_slots(live, budget.capacity())
+    fn select_retained_into(
+        &mut self,
+        _layer: usize,
+        live: usize,
+        budget: &CacheBudget,
+        out: &mut Vec<usize>,
+    ) {
+        out.clear();
+        out.extend(live.saturating_sub(budget.capacity())..live);
     }
 
     fn compact(&mut self, _layer: usize, _retained: &[usize]) {}
@@ -68,37 +75,27 @@ impl KvCachePolicy for DilatedWindowAttention {
 
     fn observe(&mut self, _obs: &AttentionObservation<'_>) {}
 
-    fn select_retained(&mut self, _layer: usize, live: usize, budget: &CacheBudget) -> Vec<usize> {
+    fn select_retained_into(
+        &mut self,
+        _layer: usize,
+        live: usize,
+        budget: &CacheBudget,
+        out: &mut Vec<usize>,
+    ) {
         let target = budget.capacity().min(live);
-        if target == 0 {
-            return Vec::new();
-        }
         let stride = self.dilation + 1;
-        let mut picked = Vec::with_capacity(target);
-        let mut idx = live as isize - 1;
-        while idx >= 0 && picked.len() < target {
-            picked.push(idx as usize);
-            idx -= stride as isize;
-        }
+        out.clear();
+        out.extend((0..live).rev().step_by(stride).take(target));
         // If the strided walk ran out of history before filling the budget, top up
-        // with the newest not-yet-picked slots so the cache always uses its capacity.
-        if picked.len() < target {
-            let mut in_set = vec![false; live];
-            for &p in &picked {
-                in_set[p] = true;
-            }
-            for i in (0..live).rev() {
-                if picked.len() >= target {
-                    break;
-                }
-                if !in_set[i] {
-                    in_set[i] = true;
-                    picked.push(i);
-                }
+        // with the newest slots it skipped so the cache always uses its capacity.
+        let mut slot = live;
+        while out.len() < target {
+            slot -= 1;
+            if (live - 1 - slot) % stride != 0 {
+                out.push(slot);
             }
         }
-        picked.sort_unstable();
-        picked
+        out.sort_unstable();
     }
 
     fn compact(&mut self, _layer: usize, _retained: &[usize]) {}

@@ -20,7 +20,7 @@ USAGE: kf_serve [FLAGS]
   --model-seed N          weight-initialisation seed (default 7)
   --policy NAME           full | window | dilated | key_only | h2o | damped |
                           streaming_llm | keyformer (default keyformer)
-  --budget FRACTION       per-session KV budget fraction (default 0.5; 0 = unbudgeted)
+  --budget FRACTION       per-session KV budget fraction in (0, 1] (default 0.5; 0 = unbudgeted)
   --pool-tokens N         KV pool size in token slots at the pool dtype (default 4096)
   --block-size N          token slots per block (engine default when omitted)
   --prefill-chunk N       chunked prefill at N tokens per step (default one-shot)
@@ -141,13 +141,15 @@ fn main() {
         }
     }
 
-    let budget = if budget_fraction > 0.0 {
+    // Exactly 0 means unbudgeted; anything else must be a valid fraction (NaN
+    // and negatives included, which are not "0").
+    let budget = if budget_fraction == 0.0 {
+        None
+    } else {
         match CacheBudgetSpec::with_fraction(budget_fraction) {
             Ok(budget) => Some(budget),
             Err(e) => fail(&format!("--budget: {e}")),
         }
-    } else {
-        None
     };
     // Convert the token-denominated pool size to bytes via the model's
     // per-token KV footprint at the pool dtype.

@@ -155,6 +155,9 @@ pub struct Session<'m> {
     prefix_tokens_reused: usize,
     /// Reusable buffers and cached key rotations of the forward pass.
     ws: ForwardWorkspace,
+    /// Each layer's retained slots of the current eviction round, reused from
+    /// round to round.
+    retained: Vec<Vec<usize>>,
     /// Most threads one prefill chunk runs on (the machine's parallelism;
     /// tests pin it to compare worker counts).
     pub(crate) prefill_workers: usize,
@@ -240,6 +243,7 @@ impl<'m> Session<'m> {
             prefix_context: 0,
             prefix_tokens_reused: 0,
             ws,
+            retained: Vec::new(),
             prefill_workers: machine_parallelism(),
             #[cfg(test)]
             reference_forward: false,
@@ -417,24 +421,27 @@ impl<'m> Session<'m> {
         };
         // Every layer selects before any compacts: a shared score bucket is
         // compacted once per round, and each layer must read it uncompacted.
-        let mut selections = Vec::new();
-        for layer in 0..self.cache.num_layers() {
+        let layers = self.cache.num_layers();
+        self.retained.resize_with(layers, Vec::new);
+        for (layer, retained) in self.retained.iter_mut().enumerate() {
             let live = self.cache.layer(layer).len();
-            if !budget.needs_eviction(live) {
+            if budget.needs_eviction(live) {
+                self.policy
+                    .select_retained_into(layer, live, &budget, retained);
+                keyformer_core::cache::validate_selection(retained, live)?;
+            }
+        }
+        for (layer, retained) in self.retained.iter().enumerate() {
+            if !budget.needs_eviction(self.cache.layer(layer).len()) {
                 continue;
             }
-            let retained = self.policy.select_retained(layer, live, &budget);
-            keyformer_core::cache::validate_selection(&retained, live)?;
-            selections.push((layer, retained));
-        }
-        for (layer, retained) in selections {
             self.ws.retain_slots(
                 self.model.config(),
                 layer,
                 self.cache.layer_mut(layer),
-                &retained,
+                retained,
             )?;
-            self.policy.compact(layer, &retained);
+            self.policy.compact(layer, retained);
         }
         Ok(())
     }
@@ -724,6 +731,7 @@ impl<'m> Session<'m> {
             // The fork shares every block (same ids, same generations), so the
             // cloned rotated-key caches stay valid until either side writes.
             ws: self.ws.clone(),
+            retained: self.retained.clone(),
             prefill_workers: self.prefill_workers,
             #[cfg(test)]
             reference_forward: self.reference_forward,
@@ -1765,23 +1773,20 @@ mod tests {
             self.replay_workers.lock().unwrap().push(workers);
             self.inner.observe_rows(rows, workers);
         }
-        fn select_retained(
+        fn select_retained_into(
             &mut self,
             layer: usize,
             live: usize,
             budget: &CacheBudget,
-        ) -> Vec<usize> {
+            out: &mut Vec<usize>,
+        ) {
             let scores = self.inner.scores(layer, live);
             self.scores
                 .lock()
                 .unwrap()
                 .push(scores.iter().map(|s| s.to_bits()).collect());
-            let retained = self.inner.select_retained(layer, live, budget);
-            self.selections
-                .lock()
-                .unwrap()
-                .push((layer, retained.clone()));
-            retained
+            self.inner.select_retained_into(layer, live, budget, out);
+            self.selections.lock().unwrap().push((layer, out.clone()));
         }
         fn compact(&mut self, layer: usize, retained: &[usize]) {
             self.inner.compact(layer, retained);

@@ -1323,13 +1323,15 @@ mod tests {
         fn observe(&mut self, obs: &AttentionObservation<'_>) {
             self.rows.push(obs.logits.to_vec());
         }
-        fn select_retained(
+        fn select_retained_into(
             &mut self,
             _layer: usize,
             live: usize,
             _budget: &keyformer_core::budget::CacheBudget,
-        ) -> Vec<usize> {
-            (0..live).collect()
+            out: &mut Vec<usize>,
+        ) {
+            out.clear();
+            out.extend(0..live);
         }
         fn compact(&mut self, _layer: usize, _retained: &[usize]) {}
         fn reset(&mut self) {}

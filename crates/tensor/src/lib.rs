@@ -36,7 +36,7 @@ pub mod topk;
 pub mod vector;
 
 pub use matrix::Matrix;
-pub use topk::{top_k_indices, top_k_indices_by, ArgMax};
+pub use topk::{top_k_indices, top_k_indices_into, ArgMax};
 pub use vector::{add, argmax, dot, l2_norm, mean, scale, variance};
 
 /// Crate-wide error type for shape mismatches and invalid arguments.

@@ -8,7 +8,10 @@
 //! fixed-capacity scratch buffers and crossed the first block boundary, the
 //! counter is armed and several more decode steps run entirely inside one KV
 //! block. The assertion is exact: not "few allocations", zero. It holds
-//! behind a prompt that fills a block and behind one shorter than its reply.
+//! behind a prompt that fills a block and behind one shorter than its reply,
+//! and at budget: a session at 50 % under Keyformer, H2O or any other
+//! evicting member of the zoo evicts one slot per step (observe, select,
+//! compact, all layers) without allocating either.
 //!
 //! A second test pins the score function: every scored policy (Key-only, H2O,
 //! Damped, Keyformer; both accumulation scopes) observes a warmed-up logit row
@@ -20,9 +23,8 @@
 //! A fourth test pins the eviction data path itself: a single-slot
 //! `retain_slots` on a warmed `f32` layer with private blocks, plus the
 //! rotated-row hand-off that lets RoPE rows follow their keys, moves rows in
-//! place and never touches the allocator either. (A whole Keyformer decode
-//! step at budget still allocates the policy's `select_retained` result and
-//! its working sets: the score copy, the top-k candidates and the keep mask.)
+//! place and never touches the allocator either. The selection that feeds
+//! it reads the scores in place and writes into a buffer the session reuses.
 //!
 //! The window deliberately avoids the two places the hot path *is* allowed to
 //! allocate: block boundaries (a fresh KV block, its rotated-key entry and a
@@ -35,6 +37,7 @@
 
 use keyformer::core::accumulator::ScoreScope;
 use keyformer::core::block::SharedBlockPool;
+use keyformer::core::budget::CacheBudgetSpec;
 use keyformer::core::cache::{KvDtype, LayerKvCache};
 use keyformer::core::observation::{AttentionObservation, ObservationRows, Phase};
 use keyformer::core::parallel::fan_out;
@@ -107,7 +110,50 @@ fn steady_state_workspace_decode_allocates_nothing() {
         // empty: no earlier prefill on the thread has grown it.
         std::thread::scope(|scope| {
             scope
-                .spawn(|| decode_allocates_nothing(&model, prompt_len, new_tokens, warm_up))
+                .spawn(|| {
+                    decode_allocates_nothing(
+                        &model,
+                        &PolicySpec::Full,
+                        None,
+                        prompt_len,
+                        new_tokens,
+                        warm_up,
+                    )
+                })
+                .join()
+                .unwrap()
+        });
+    }
+}
+
+#[test]
+fn decode_step_at_budget_allocates_nothing() {
+    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
+    let model = ModelFamily::Tiny.build(11);
+    // A 40-token prompt at 50 % keeps 20 slots, 6 of them the recent window:
+    // the prompt-end cut drops block 2, and every counted step appends slot
+    // 20 into block 1 and evicts one slot back to 20, all inside two blocks.
+    let budget = CacheBudgetSpec::with_fraction(0.5).unwrap();
+    let c = KeyformerConfig::default();
+    let keyformer_shared = PolicySpec::Keyformer {
+        adjustment: c.adjustment,
+        temperature: c.temperature,
+        scope: ScoreScope::Shared,
+        seed: c.seed,
+    };
+    for spec in [
+        PolicySpec::keyformer_default(),
+        PolicySpec::h2o_default(),
+        keyformer_shared,
+        PolicySpec::Damped { alpha: 0.9 },
+        PolicySpec::KeyOnly,
+        PolicySpec::Window,
+        PolicySpec::DilatedWindow { dilation: 1 },
+        PolicySpec::streaming_default(),
+    ] {
+        std::thread::scope(|scope| {
+            scope
+                .spawn(|| decode_allocates_nothing(&model, &spec, Some(budget), 40, 24, 4))
                 .join()
                 .unwrap()
         });
@@ -115,15 +161,17 @@ fn steady_state_workspace_decode_allocates_nothing() {
 }
 
 /// Runs one request and asserts that 8 decode steps after `warm_up` steps
-/// allocate nothing.
+/// allocate nothing. With a budget, the cache must be at it throughout.
 fn decode_allocates_nothing(
     model: &TransformerModel,
+    spec: &PolicySpec,
+    budget: Option<CacheBudgetSpec>,
     prompt_len: u32,
     new_tokens: usize,
     warm_up: usize,
 ) {
-    let policy = PolicySpec::Full.build().unwrap();
-    let mut session = Session::new(model, policy, None);
+    let policy = spec.build().unwrap();
+    let mut session = Session::new(model, policy, budget);
     // begin() reserves sequence and per-slot scratch for the whole request.
     let prompt: Vec<u32> = (0..prompt_len).map(|i| (i * 7 + 3) % 128).collect();
     let config = GenerationConfig::new(new_tokens);
@@ -137,17 +185,24 @@ fn decode_allocates_nothing(
         session.step().unwrap();
     }
 
+    let capacity = session.budget().map(|b| b.capacity());
+    let mut at_budget = true;
     ALLOCATIONS.store(0, Ordering::SeqCst);
     COUNTING.store(true, Ordering::SeqCst);
     for _ in 0..8 {
         session.step().unwrap();
+        at_budget &= capacity.is_none_or(|c| session.cache().layer(0).len() == c);
     }
     COUNTING.store(false, Ordering::SeqCst);
     let allocations = ALLOCATIONS.load(Ordering::SeqCst);
 
+    assert!(
+        at_budget,
+        "{spec}: every counted step must evict to {capacity:?}"
+    );
     assert_eq!(
         allocations, 0,
-        "steady-state decode on the workspace path must not touch the \
+        "{spec}: steady-state decode on the workspace path must not touch the \
          allocator; counted {allocations} allocation(s) over 8 steps behind a \
          {prompt_len}-token prompt"
     );
