@@ -36,15 +36,14 @@ const PROMPT_LEN: usize = 128;
 /// Deterministic pseudo-random matrix (xorshift; weights don't need to be
 /// realistic, just non-degenerate).
 fn random_matrix(rows: usize, cols: usize, mut seed: u64) -> Matrix {
-    let data = (0..rows * cols)
-        .map(|_| {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            (seed >> 40) as f32 / (1u64 << 24) as f32 - 0.5
-        })
-        .collect();
-    Matrix::from_vec(rows, cols, data).expect("shape matches data")
+    let mut m = Matrix::zeros(rows, cols);
+    for x in m.as_mut_slice() {
+        seed ^= seed << 13;
+        seed ^= seed >> 7;
+        seed ^= seed << 17;
+        *x = (seed >> 40) as f32 / (1u64 << 24) as f32 - 0.5;
+    }
+    m
 }
 
 /// Row counts of one projection: a decode step, a 32-token prefill chunk and
@@ -72,7 +71,8 @@ fn bench_prefill_gemm(c: &mut Criterion) {
         let row_major = random_matrix(d_out, d_in, 7);
         let stored = row_major.transpose();
         for &n in &PROJECTION_ROWS {
-            let xs: Vec<f32> = random_matrix(n, d_in, 11).into_vec();
+            let xs = random_matrix(n, d_in, 11);
+            let xs = xs.as_slice();
             group.bench_with_input(
                 BenchmarkId::new(format!("{label}/matmul_strided"), n),
                 &n,
@@ -80,7 +80,7 @@ fn bench_prefill_gemm(c: &mut Criterion) {
                     let mut out = vec![0.0f32; n * d_out];
                     b.iter(|| {
                         matmul_strided(
-                            black_box(&xs),
+                            black_box(xs),
                             d_in,
                             n,
                             d_in,
@@ -151,7 +151,8 @@ fn bench_chunk_attention(c: &mut Criterion) {
         let rotary = config.positional == PositionalEncoding::Rope;
         let scale = 1.0 / (hd as f32).sqrt();
         let slopes: Vec<f32> = (0..heads).map(|h| alibi_slope(h, heads)).collect();
-        let q = random_matrix(CHUNK, d_model, 13).into_vec();
+        let q = random_matrix(CHUNK, d_model, 13);
+        let q = q.as_slice();
         let mut cache = LayerKvCache::new(heads, hd);
         let (keys, values) = (
             random_matrix(LIVE, d_model, 17),

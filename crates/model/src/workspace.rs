@@ -38,9 +38,7 @@ use keyformer_core::observation::{ObservationRows, Phase};
 use keyformer_core::parallel::fan_out;
 use keyformer_core::{CoreError, RotatedKeyCache};
 use keyformer_tensor::matrix::{matmul_packed_bt, matmul_strided, PackedPanels};
-use keyformer_tensor::ops::{
-    gelu_in_place, layer_norm_into, layer_norm_slice, softmax_into, softmax_slice,
-};
+use keyformer_tensor::ops::{gelu_in_place, layer_norm_slice, softmax_into, softmax_slice};
 use keyformer_tensor::vector::dot;
 use keyformer_tensor::Matrix;
 use std::cell::RefCell;
@@ -316,7 +314,7 @@ impl ForwardWorkspace {
         let head_dim = config.head_dim();
         ForwardWorkspace {
             hidden: Vec::with_capacity(d_model),
-            final_hidden: Vec::with_capacity(d_model),
+            final_hidden: vec![0.0; d_model],
             copy_votes: vec![0.0; config.vocab_size],
             alibi_slopes: (0..config.num_heads)
                 .map(|h| alibi_slope(h, config.num_heads))
@@ -724,7 +722,7 @@ pub(crate) fn forward_chunk_ws(
     }
 
     if compute_logits {
-        layer_norm_into(
+        layer_norm_slice(
             &rows.hidden[(n - 1) * d_model..n * d_model],
             &weights.final_ln_gain,
             &weights.final_ln_bias,

@@ -711,15 +711,24 @@ impl<'m> Engine<'m> {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] if the configuration is invalid or
-    /// the byte pool is smaller than a single block.
+    /// Returns [`CoreError::InvalidConfig`] if the configuration is invalid,
+    /// a block's byte size overflows `usize`, or the byte pool is smaller
+    /// than a single block.
     pub fn new(model: &'m TransformerModel, config: ServerConfig) -> Result<Self, CoreError> {
         config.validate()?;
         let cache = model.empty_cache_dtype(config.kv_dtype);
         let bytes_per_token = cache.bytes_per_token();
         let num_layers = cache.num_layers();
         let bytes_per_layer_slot = cache.layer(0).bytes_per_slot();
-        let bytes_per_block = config.block_size * bytes_per_layer_slot;
+        let bytes_per_block = config
+            .block_size
+            .checked_mul(bytes_per_layer_slot)
+            .ok_or_else(|| {
+                CoreError::InvalidConfig(format!(
+                    "a {}-slot block of {bytes_per_layer_slot}-byte slots overflows usize",
+                    config.block_size
+                ))
+            })?;
         let total_blocks = config.pool_bytes / bytes_per_block;
         if total_blocks == 0 {
             return Err(CoreError::InvalidConfig(format!(
@@ -2449,6 +2458,22 @@ mod tests {
             max_seq_len - 12
         );
         assert!(engine.is_idle());
+    }
+
+    /// A block size whose byte size overflows `usize` is refused, not
+    /// wrapped: `2^56` slots of the Tiny model's 256-byte `f32` slot wrap to
+    /// 0 bytes, which would divide by zero sizing the pool.
+    #[test]
+    fn an_overflowing_block_size_is_refused() {
+        let model = ModelFamily::Tiny.build(35);
+        let pool_bytes = model.empty_cache().bytes_per_token() * 256;
+        let config = ServerConfig::new(PolicySpec::Full, None, pool_bytes).with_block_size(1 << 56);
+        let err = Engine::new(&model, config).err().expect("must be refused");
+        assert!(matches!(err, CoreError::InvalidConfig(_)), "{err}");
+        assert!(
+            err.to_string().contains("72057594037927936-slot block"),
+            "{err}"
+        );
     }
 
     /// Prefix entries are keyed by (policy, dtype): requests of different

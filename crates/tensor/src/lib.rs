@@ -1,26 +1,35 @@
 //! # keyformer-tensor
 //!
-//! A minimal, dependency-light dense `f32` tensor substrate used by the Keyformer
-//! reproduction. It provides exactly the operations a decoder-only transformer and
-//! its KV-cache policies need:
+//! The dense `f32` substrate of the Keyformer reproduction: what a decoder-only
+//! transformer and its KV-cache policies call, and no more.
 //!
-//! * a row-major [`Matrix`] type with matrix multiplication and transposition,
+//! * [`matrix::matmul_strided`], the tiled GEMM every projection and readout of
+//!   the forward runs (a decode step is its one-row case), and
+//!   [`matrix::matmul_packed_bt`] over [`matrix::PackedPanels`], the QKᵀ half of
+//!   chunk attention. Both accumulate each output in one ascending chain from
+//!   `+0.0`, so a row's bits do not depend on the rows multiplied with it.
+//! * the row-major [`Matrix`] that stores weights and KV blocks,
 //! * numerically stable [`ops::softmax`] / [`ops::log_softmax`],
-//! * [`ops::layer_norm`], [`ops::gelu`] and friends,
-//! * top-k selection ([`topk`]) used by every eviction policy,
+//!   [`ops::layer_norm`] and [`ops::gelu_in_place`], each with the
+//!   caller-buffer variants the allocation-free forward uses,
+//! * top-k selection ([`topk`]) used by every scored eviction policy,
 //! * seeded weight initialisation ([`init`]) so that every experiment is
 //!   reproducible from a single `u64` seed.
 //!
-//! The crate intentionally avoids SIMD/BLAS: the reproduction runs laptop-scale
-//! models where clarity and determinism matter more than peak FLOPs.
+//! The crate intentionally avoids SIMD intrinsics and BLAS: the reproduction runs
+//! laptop-scale models where clarity and determinism matter more than peak FLOPs.
 //!
 //! ```
-//! use keyformer_tensor::{Matrix, ops};
+//! use keyformer_tensor::matrix::matmul_strided;
+//! use keyformer_tensor::{ops, Matrix};
 //!
-//! let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-//! let b = Matrix::identity(2);
-//! let c = a.matmul(&b);
-//! assert_eq!(c.get(1, 0), 3.0);
+//! // One row `[1, 2]` times a 2 x 3 weight stored `d_in x d_out`.
+//! let mut w = Matrix::zeros(0, 3);
+//! w.push_row(&[1.0, 0.0, 2.0]);
+//! w.push_row(&[0.0, 1.0, 3.0]);
+//! let mut out = [0.0; 3];
+//! matmul_strided(&[1.0, 2.0], 2, 1, 2, w.as_slice(), 3, &mut out, 3);
+//! assert_eq!(out, [1.0, 2.0, 8.0]);
 //!
 //! let probs = ops::softmax(&[1.0, 2.0, 3.0]);
 //! assert!((probs.iter().sum::<f32>() - 1.0).abs() < 1e-6);
@@ -36,10 +45,10 @@ pub mod topk;
 pub mod vector;
 
 pub use matrix::Matrix;
-pub use topk::{top_k_indices, top_k_indices_into, ArgMax};
-pub use vector::{add, argmax, dot, l2_norm, mean, scale, variance};
+pub use topk::{top_k_indices, top_k_indices_into};
+pub use vector::{argmax, dot, l2_norm, mean, variance};
 
-/// Crate-wide error type for shape mismatches and invalid arguments.
+/// Crate-wide error type: an operand of the wrong shape.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TensorError {
     /// Two operands had incompatible shapes for the requested operation.
@@ -51,8 +60,6 @@ pub enum TensorError {
         /// Shape of the right/second operand as `(rows, cols)`.
         rhs: (usize, usize),
     },
-    /// An argument was structurally invalid (empty input, zero dimension, ...).
-    InvalidArgument(String),
 }
 
 impl std::fmt::Display for TensorError {
@@ -63,7 +70,6 @@ impl std::fmt::Display for TensorError {
                 "shape mismatch in {op}: lhs {}x{}, rhs {}x{}",
                 lhs.0, lhs.1, rhs.0, rhs.1
             ),
-            TensorError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
         }
     }
 }
@@ -77,12 +83,12 @@ mod tests {
     #[test]
     fn error_display_is_informative() {
         let err = TensorError::ShapeMismatch {
-            op: "matmul",
+            op: "vecmat",
             lhs: (2, 3),
             rhs: (4, 5),
         };
         let text = err.to_string();
-        assert!(text.contains("matmul"));
+        assert!(text.contains("vecmat"));
         assert!(text.contains("2x3"));
         assert!(text.contains("4x5"));
     }

@@ -1,7 +1,5 @@
 //! Numerically stable activation and normalisation primitives.
 
-use crate::Matrix;
-
 /// Numerically stable softmax over a slice of logits.
 ///
 /// Returns a probability vector that sums to 1 (up to floating-point error). An empty
@@ -139,13 +137,14 @@ pub fn entropy(probs: &[f32]) -> f32 {
         .sum()
 }
 
-/// Gaussian error linear unit, using the tanh approximation used by GPT-style models.
-pub fn gelu(x: f32) -> f32 {
+/// One element of [`gelu_in_place`].
+fn gelu(x: f32) -> f32 {
     const SQRT_2_OVER_PI: f32 = 0.797_884_6;
     0.5 * x * (1.0 + (SQRT_2_OVER_PI * (x + 0.044_715 * x * x * x)).tanh())
 }
 
-/// Applies [`gelu`] element-wise to a slice, in place.
+/// Applies the Gaussian error linear unit element-wise to a slice, in place,
+/// using the tanh approximation used by GPT-style models.
 pub fn gelu_in_place(xs: &mut [f32]) {
     for x in xs {
         *x = gelu(*x);
@@ -171,34 +170,6 @@ pub fn layer_norm(x: &[f32], gain: &[f32], bias: &[f32], eps: f32) -> Vec<f32> {
         .zip(gain.iter().zip(bias.iter()))
         .map(|(&v, (&g, &b))| g * (v - mean) / denom + b)
         .collect()
-}
-
-/// [`layer_norm`] writing into a caller-provided buffer.
-///
-/// `out` is cleared and refilled; with sufficient capacity the call performs no
-/// heap allocation. The arithmetic (mean, biased variance, shared denominator,
-/// per-element affine) is exactly [`layer_norm`]'s, so the two produce
-/// bit-identical results.
-///
-/// # Panics
-///
-/// Panics if `gain` or `bias` length differs from `x`.
-pub fn layer_norm_into(x: &[f32], gain: &[f32], bias: &[f32], eps: f32, out: &mut Vec<f32>) {
-    assert_eq!(x.len(), gain.len(), "gain length must match input");
-    assert_eq!(x.len(), bias.len(), "bias length must match input");
-    out.clear();
-    if x.is_empty() {
-        return;
-    }
-    let n = x.len() as f32;
-    let mean = x.iter().sum::<f32>() / n;
-    let var = x.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / n;
-    let denom = (var + eps).sqrt();
-    out.extend(
-        x.iter()
-            .zip(gain.iter().zip(bias.iter()))
-            .map(|(&v, (&g, &b))| g * (v - mean) / denom + b),
-    );
 }
 
 /// [`layer_norm`] writing into a caller-provided slice of exactly the input's
@@ -229,26 +200,6 @@ pub fn layer_norm_slice(x: &[f32], gain: &[f32], bias: &[f32], eps: f32, out: &m
     {
         *o = g * (v - mean) / denom + b;
     }
-}
-
-/// Row-wise softmax over a matrix of logits.
-pub fn softmax_rows(logits: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(logits.rows(), logits.cols());
-    for r in 0..logits.rows() {
-        let probs = softmax(logits.row(r));
-        out.row_mut(r).copy_from_slice(&probs);
-    }
-    out
-}
-
-/// Cross-entropy (in nats) of the target index under a logit vector.
-///
-/// # Panics
-///
-/// Panics if `target` is out of bounds.
-pub fn cross_entropy(logits: &[f32], target: usize) -> f32 {
-    assert!(target < logits.len(), "target index out of bounds");
-    -log_softmax(logits)[target]
 }
 
 #[cfg(test)]
@@ -398,18 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn layer_norm_into_is_bit_identical_to_layer_norm() {
-        let x = [1.0f32, -2.0, 3.5, 0.125];
-        let gain = [2.0f32, 1.0, 0.5, -1.0];
-        let bias = [0.1f32, 0.0, -0.5, 1.0];
-        let mut out = vec![99.0; 7];
-        layer_norm_into(&x, &gain, &bias, 1e-5, &mut out);
-        assert_eq!(out, layer_norm(&x, &gain, &bias, 1e-5));
-        layer_norm_into(&[], &[], &[], 1e-5, &mut out);
-        assert!(out.is_empty());
-    }
-
-    #[test]
     fn layer_norm_slice_is_bit_identical_to_layer_norm() {
         let x = [1.0f32, -2.0, 3.5, 0.125];
         let gain = [2.0f32, 1.0, 0.5, -1.0];
@@ -418,20 +357,5 @@ mod tests {
         layer_norm_slice(&x, &gain, &bias, 1e-5, &mut out);
         assert_eq!(out.to_vec(), layer_norm(&x, &gain, &bias, 1e-5));
         layer_norm_slice(&[], &[], &[], 1e-5, &mut []);
-    }
-
-    #[test]
-    fn softmax_rows_normalises_each_row() {
-        let m = Matrix::from_rows(&[vec![1.0, 1.0], vec![0.0, 10.0]]);
-        let p = softmax_rows(&m);
-        assert_close(p.row(0).iter().sum::<f32>(), 1.0, 1e-6);
-        assert_close(p.row(1).iter().sum::<f32>(), 1.0, 1e-6);
-        assert!(p.get(1, 1) > 0.99);
-    }
-
-    #[test]
-    fn cross_entropy_prefers_correct_target() {
-        let logits = [0.0, 5.0, 0.0];
-        assert!(cross_entropy(&logits, 1) < cross_entropy(&logits, 0));
     }
 }

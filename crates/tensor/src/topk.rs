@@ -13,18 +13,6 @@
 
 use std::cmp::Ordering;
 
-/// A `(score, index)` pair tracked while scanning for maxima.
-///
-/// Exposed so that callers who need the winning score alongside the index (e.g. the
-/// harness when reporting which token won a slot) can reuse the comparison semantics.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ArgMax {
-    /// Score of the winning element.
-    pub score: f32,
-    /// Index of the winning element in the original slice.
-    pub index: usize,
-}
-
 fn cmp_score(a: f32, b: f32) -> Ordering {
     // NaN scores sort below everything so they are never selected.
     match (a.is_nan(), b.is_nan()) {
@@ -73,21 +61,6 @@ pub fn top_k_indices_into(scores: &[f32], k: usize, out: &mut Vec<usize>) {
     let cut = *out.select_nth_unstable_by(k, rank).1;
     out.clear();
     out.extend((0..n).filter(|i| rank(i, &cut) == Ordering::Less));
-}
-
-/// Returns the single best `(score, index)` pair, or `None` for an empty slice.
-pub fn arg_max(scores: &[f32]) -> Option<ArgMax> {
-    let mut best: Option<ArgMax> = None;
-    for (index, &score) in scores.iter().enumerate() {
-        if score.is_nan() {
-            continue;
-        }
-        match best {
-            Some(b) if cmp_score(score, b.score) != Ordering::Greater => {}
-            _ => best = Some(ArgMax { score, index }),
-        }
-    }
-    best
 }
 
 #[cfg(test)]
@@ -179,14 +152,5 @@ mod tests {
                 assert_eq!(out, full_sort_top_k(&scores, k), "k = {k} of {scores:?}");
             }
         }
-    }
-
-    #[test]
-    fn arg_max_behaviour() {
-        assert_eq!(arg_max(&[]), None);
-        let best = arg_max(&[0.1, 0.9, 0.4]).unwrap();
-        assert_eq!(best.index, 1);
-        assert!((best.score - 0.9).abs() < 1e-6);
-        assert_eq!(arg_max(&[f32::NAN]), None);
     }
 }

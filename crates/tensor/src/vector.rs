@@ -10,21 +10,6 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// Element-wise sum of two slices into a new vector.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn add(a: &[f32], b: &[f32]) -> Vec<f32> {
-    assert_eq!(a.len(), b.len(), "add requires equal lengths");
-    a.iter().zip(b).map(|(x, y)| x + y).collect()
-}
-
-/// Multiplies every element of a slice by `factor`, returning a new vector.
-pub fn scale(a: &[f32], factor: f32) -> Vec<f32> {
-    a.iter().map(|x| x * factor).collect()
-}
-
 /// Euclidean norm of a slice.
 pub fn l2_norm(a: &[f32]) -> f32 {
     a.iter().map(|x| x * x).sum::<f32>().sqrt()
@@ -78,12 +63,6 @@ mod tests {
     #[should_panic(expected = "equal lengths")]
     fn dot_length_mismatch_panics() {
         dot(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn add_and_scale() {
-        assert_eq!(add(&[1.0, 2.0], &[3.0, 4.0]), vec![4.0, 6.0]);
-        assert_eq!(scale(&[1.0, 2.0], 3.0), vec![3.0, 6.0]);
     }
 
     #[test]

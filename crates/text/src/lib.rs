@@ -1,8 +1,8 @@
 //! # keyformer-text
 //!
-//! Text-side substrate of the Keyformer reproduction: a synthetic vocabulary and
-//! tokenizer, a from-scratch ROUGE implementation, generators for the three task
-//! families the paper evaluates (summarization, long-document summarization and
+//! Text-side substrate of the Keyformer reproduction: a synthetic vocabulary, a
+//! from-scratch ROUGE implementation, generators for the three task families
+//! the paper evaluates (summarization, long-document summarization and
 //! conversation), synthetic few-shot multiple-choice tasks standing in for the
 //! lm-eval-harness suite, and evaluation drivers that wire everything to the
 //! [`keyformer_model::Session`].
@@ -34,9 +34,7 @@ pub mod datasets;
 pub mod eval;
 pub mod fewshot;
 pub mod rouge;
-pub mod tokenizer;
 pub mod vocab;
 
 pub use rouge::{rouge_scores, RougeScore, RougeScores};
-pub use tokenizer::Tokenizer;
 pub use vocab::Vocabulary;
