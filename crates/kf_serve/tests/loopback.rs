@@ -673,3 +673,155 @@ fn a_closed_node_answers_503_unavailable() {
     }
     handle.shutdown();
 }
+
+/// Writes `request` on a fresh connection, half-closes, and returns every
+/// byte the node answers until it closes.
+fn raw_exchange(handle: &ServeHandle, request: &[u8]) -> String {
+    use std::io::{Read, Write};
+
+    let mut stream = std::net::TcpStream::connect(handle.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(request).expect("write request");
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut answer = Vec::new();
+    stream.read_to_end(&mut answer).expect("read answer");
+    String::from_utf8(answer).expect("answers are UTF-8")
+}
+
+/// The head of a unary answer up to its content length, and its end.
+const HEAD_400: &str =
+    "HTTP/1.1 400 Bad Request\r\ncontent-type: application/json\r\ncontent-length: ";
+const HEAD_404: &str =
+    "HTTP/1.1 404 Not Found\r\ncontent-type: application/json\r\ncontent-length: ";
+const HEAD_405: &str =
+    "HTTP/1.1 405 Method Not Allowed\r\ncontent-type: application/json\r\ncontent-length: ";
+const CLOSE: &str = "\r\nconnection: close\r\n\r\n";
+
+/// Transcript golden of the wire's fault answers: the exact bytes a node
+/// answers to malformed, misrouted and unknown-id requests in both wire
+/// formats — status line, headers, JSON key order and NDJSON line framing.
+#[test]
+fn fault_answers_are_byte_identical_to_the_transcript() {
+    let handle = boot(pool_config(160), true);
+    let http: &[(&[u8], &str, usize, &str)] = &[
+        (
+            b"GARBAGE\r\n",
+            HEAD_400,
+            77,
+            r#"{"error":"malformed_request","message":"malformed request line: \"GARBAGE\""}"#,
+        ),
+        (
+            b"POST /v1/generate HTTP/1.1\r\ncontent-length: 2\r\n\r\n\xff\xfe",
+            HEAD_400,
+            57,
+            r#"{"error":"invalid_request","message":"body is not UTF-8"}"#,
+        ),
+        (
+            b"POST /v1/generate HTTP/1.1\r\ncontent-length: 9\r\n\r\n{\"prompt\"",
+            HEAD_400,
+            59,
+            r#"{"error":"invalid_json","message":"expected `:` at byte 9"}"#,
+        ),
+        (
+            b"GET /v1/jobs/ HTTP/1.1\r\n\r\n",
+            HEAD_400,
+            60,
+            r#"{"error":"invalid_request","message":"job ids are integers"}"#,
+        ),
+        (
+            b"GET /v1/jobs/x HTTP/1.1\r\n\r\n",
+            HEAD_400,
+            60,
+            r#"{"error":"invalid_request","message":"job ids are integers"}"#,
+        ),
+        (
+            b"GET /v1/jobs/999 HTTP/1.1\r\n\r\n",
+            HEAD_404,
+            44,
+            r#"{"error":"not_found","message":"no job 999"}"#,
+        ),
+        (
+            b"DELETE /v1/jobs/999 HTTP/1.1\r\n\r\n",
+            HEAD_404,
+            44,
+            r#"{"error":"not_found","message":"no job 999"}"#,
+        ),
+        (
+            b"PUT /v1/generate HTTP/1.1\r\n\r\n",
+            HEAD_405,
+            68,
+            r#"{"error":"method_not_allowed","message":"PUT is not supported here"}"#,
+        ),
+        (
+            b"POST /v1/stats HTTP/1.1\r\n\r\n",
+            HEAD_405,
+            69,
+            r#"{"error":"method_not_allowed","message":"POST is not supported here"}"#,
+        ),
+        (
+            b"POST /v1/jobs/3 HTTP/1.1\r\n\r\n",
+            HEAD_405,
+            69,
+            r#"{"error":"method_not_allowed","message":"POST is not supported here"}"#,
+        ),
+        (
+            b"GET /nope HTTP/1.1\r\n\r\n",
+            HEAD_404,
+            56,
+            r#"{"error":"not_found","message":"no such surface: /nope"}"#,
+        ),
+    ];
+    for &(request, head, length, body) in http {
+        let expected = format!("{head}{length}{CLOSE}{body}");
+        assert_eq!(
+            raw_exchange(&handle, request),
+            expected,
+            "{:?}",
+            String::from_utf8_lossy(request)
+        );
+    }
+
+    // One NDJSON session, one answer line per op line.
+    let session: &[(&str, &str)] = &[
+        (
+            r#"{"op":"stats""#,
+            r#"{"error":"invalid_json","message":"expected `,` or `}` at byte 13"}"#,
+        ),
+        (
+            "[1,2]",
+            r#"{"error":"invalid_request","message":"missing `op`"}"#,
+        ),
+        (
+            r#"{"job_id":1}"#,
+            r#"{"error":"invalid_request","message":"missing `op`"}"#,
+        ),
+        (
+            r#"{"op":"nope"}"#,
+            r#"{"error":"invalid_request","message":"unknown op `nope`"}"#,
+        ),
+    ];
+    let missing_id = r#"{"error":"invalid_request","message":"missing `job_id`"}"#;
+    let mut ops: Vec<(String, &str)> = session
+        .iter()
+        .map(|&(op, answer)| (op.to_string(), answer))
+        .collect();
+    for op in ["status", "cancel"] {
+        ops.push((format!(r#"{{"op":"{op}"}}"#), missing_id));
+        for id in ["-1", "1.5", "\"7\"", "18446744073709551616"] {
+            ops.push((format!(r#"{{"op":"{op}","job_id":{id}}}"#), missing_id));
+        }
+        ops.push((
+            format!(r#"{{"op":"{op}","job_id":999}}"#),
+            r#"{"error":"not_found","message":"no job 999"}"#,
+        ));
+    }
+    let request: String = ops.iter().map(|(op, _)| format!("{op}\n")).collect();
+    let expected: String = ops
+        .iter()
+        .map(|(_, answer)| format!("{answer}\n"))
+        .collect();
+    assert_eq!(raw_exchange(&handle, request.as_bytes()), expected);
+    handle.shutdown();
+}
