@@ -1,4 +1,4 @@
-//! Request parsing, routing and response shaping for the four wire surfaces:
+//! Request validation and response shaping for the four wire surfaces:
 //!
 //! * `POST /v1/generate` — accept a generate call, answer `202` with a job id
 //!   (or the cached result), or stream per-token NDJSON chunks when the body
@@ -7,8 +7,9 @@
 //! * `DELETE /v1/jobs/{id}` — cancellation.
 //! * `GET /v1/stats` — job, engine, pool, registry and cache counters.
 //!
-//! The same handlers back the NDJSON fallback protocol ([`crate::serve`]
-//! routes to them), so both wire formats have identical semantics.
+//! Both wire formats reach these handlers through one dispatcher in the
+//! crate root, which answers each parsed operation once, whichever format
+//! carried it.
 //!
 //! Validation happens here, synchronously, against the resolved server
 //! defaults — a request the wire layer accepts cannot be rejected by the
@@ -39,12 +40,16 @@ pub struct WireFault {
 }
 
 impl WireFault {
-    fn bad_request(message: impl Into<String>) -> Self {
+    pub(crate) fn new(status: u16, code: &'static str, message: impl Into<String>) -> Self {
         WireFault {
-            status: 400,
-            code: "invalid_request",
+            status,
+            code,
             message: message.into(),
         }
+    }
+
+    pub(crate) fn bad_request(message: impl Into<String>) -> Self {
+        WireFault::new(400, "invalid_request", message)
     }
 
     /// Renders the fault as a JSON error body.
@@ -67,7 +72,7 @@ pub fn json_obj(entries: Vec<(&str, Value)>) -> String {
     serde_json::to_string(&value).expect("wire values contain no non-finite floats")
 }
 
-fn as_u64(v: &Value) -> Option<u64> {
+pub(crate) fn as_u64(v: &Value) -> Option<u64> {
     match v {
         Value::UInt(n) => Some(*n),
         Value::Int(n) if *n >= 0 => Some(*n as u64),
@@ -333,11 +338,8 @@ impl Admission {
 /// The answer to every generate call once the engine pump has died
 /// ([`crate::backend`]): `503 unavailable`.
 pub fn unavailable() -> WireFault {
-    WireFault {
-        status: 503,
-        code: "unavailable",
-        message: "the engine has stopped; this node serves no more generate calls".to_string(),
-    }
+    let message = "the engine has stopped; this node serves no more generate calls";
+    WireFault::new(503, "unavailable", message)
 }
 
 /// Admits a validated generate call: consults the cache and the in-flight
@@ -351,29 +353,34 @@ pub fn unavailable() -> WireFault {
 pub fn admit(spec: GenerateSpec, node: &NodeShared) -> Result<Admission, WireFault> {
     let jobs = &node.pump.jobs;
     let prompt_len = spec.key.prompt.len();
-    let dedup_eligible = !spec.no_cache && spec.key.is_deterministic();
-    let mut dedup = node.pump.dedup();
-    if dedup.enabled && dedup_eligible {
-        let now = node.pump.now_ms();
-        if let Some(result) = dedup.cache.get(&spec.key, now) {
-            drop(dedup);
-            let job = jobs
-                .try_create(prompt_len, None, JobState::Done)
-                .ok_or_else(unavailable)?;
-            jobs.update(job, |r, c| {
-                r.tokens = result.tokens.clone();
-                r.deduplicated = true;
-                c.cache_hits += 1;
-            });
-            return Ok(Admission::CacheHit {
-                job,
-                tokens: result.tokens,
-            });
-        }
+    // Held from the cache lookup through registration, only for calls that
+    // may deduplicate.
+    let mut dedup = (!spec.no_cache && spec.key.is_deterministic())
+        .then(|| node.pump.dedup())
+        .filter(|dedup| dedup.enabled);
+    let cached = dedup
+        .as_mut()
+        .and_then(|d| d.cache.get(&spec.key, node.pump.now_ms()));
+    if let Some(result) = cached {
+        drop(dedup);
         let job = jobs
-            .try_create(prompt_len, Some(spec.key.clone()), JobState::Queued)
+            .try_create(prompt_len, None, JobState::Done)
             .ok_or_else(unavailable)?;
-        if let Some(primary) = dedup.attach_follower(&spec.key, job, spec.options) {
+        jobs.update(job, |r, c| {
+            r.tokens = result.tokens.clone();
+            r.deduplicated = true;
+            c.cache_hits += 1;
+        });
+        return Ok(Admission::CacheHit {
+            job,
+            tokens: result.tokens,
+        });
+    }
+    let job = jobs
+        .try_create(prompt_len, Some(spec.key.clone()), JobState::Queued)
+        .ok_or_else(unavailable)?;
+    if let Some(group) = dedup.as_mut() {
+        if let Some(primary) = group.attach_follower(&spec.key, job, spec.options) {
             drop(dedup);
             jobs.update(job, |r, c| {
                 r.coalesced_into = Some(primary);
@@ -382,19 +389,9 @@ pub fn admit(spec: GenerateSpec, node: &NodeShared) -> Result<Admission, WireFau
             });
             return Ok(Admission::Coalesced { job, primary });
         }
-        dedup.register_inflight(spec.key.clone(), job);
-        drop(dedup);
-        let _ = node.cmd.send(Command::Submit {
-            job,
-            key: spec.key,
-            options: spec.options,
-        });
-        return Ok(Admission::Fresh { job });
+        group.register_inflight(spec.key.clone(), job);
     }
     drop(dedup);
-    let job = jobs
-        .try_create(prompt_len, Some(spec.key.clone()), JobState::Queued)
-        .ok_or_else(unavailable)?;
     let _ = node.cmd.send(Command::Submit {
         job,
         key: spec.key,
@@ -552,9 +549,8 @@ pub fn stream_event(snapshot: &StreamSnapshot, cursor: usize) -> Vec<String> {
 
 /// Drives a streaming drain for `job`: waits on the table, emits each new
 /// token through `write` (one JSON line per call), and returns once the job
-/// is terminal or `write` fails (client gone or stalled past the write
-/// timeout — the job is then cancelled so its blocks free up, and the error
-/// is returned so the caller ends the exchange without writing again).
+/// is terminal, or with the error of the first failed `write` (the caller
+/// cancels the job and ends the exchange without writing again).
 pub fn drive_stream(
     node: &NodeShared,
     job: u64,
@@ -572,11 +568,7 @@ pub fn drive_stream(
         let lines = stream_event(&snapshot, cursor);
         cursor += snapshot.new_tokens.len();
         for line in lines {
-            if let Err(e) = write(&line) {
-                // The client hung up mid-stream: stop paying for its tokens.
-                let _ = node.cmd.send(Command::Cancel { job });
-                return Err(e);
-            }
+            write(&line)?;
         }
         if snapshot.state.is_terminal() {
             return Ok(());

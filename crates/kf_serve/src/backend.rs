@@ -317,13 +317,7 @@ impl Pump<'_> {
         let options = options.with_kv_dtype(key.dtype);
         if let Err(e) = self.engine.submit_with(request, options) {
             let wire = keyformer_serve::submit_rejection(&e);
-            let mut dedup = self.shared.dedup();
-            let group = dedup.take_group_of_primary(job);
-            drop(dedup);
-            self.fail_job(job, wire, format!("submit rejected: {e}"));
-            for (follower, _) in group.into_iter().flat_map(|g| g.followers) {
-                self.fail_job(follower, wire, format!("submit rejected: {e}"));
-            }
+            self.fail_with_followers(job, wire, format!("submit rejected: {e}"));
         }
     }
 
@@ -404,16 +398,8 @@ impl Pump<'_> {
             if matches!(failure.reason, FailureReason::Cancelled) {
                 continue;
             }
-            let (job, wire, message) = (
-                failure.id.raw(),
-                failure.reason.wire(),
-                failure.reason.to_string(),
-            );
-            let group = self.shared.dedup().take_group_of_primary(job);
-            self.fail_job(job, wire, message.clone());
-            for (follower, _) in group.into_iter().flat_map(|g| g.followers) {
-                self.fail_job(follower, wire, message.clone());
-            }
+            let wire = failure.reason.wire();
+            self.fail_with_followers(failure.id.raw(), wire, failure.reason.to_string());
         }
     }
 
@@ -499,6 +485,16 @@ impl Pump<'_> {
         // The promoted run keeps the scheduling options its own request
         // carried (priority, deadline) rather than reverting to defaults.
         self.submit(promoted, group.key, promoted_options);
+    }
+
+    /// Fails `job` and, when it is a dedup primary, every follower riding on
+    /// it, all with the same wire error.
+    fn fail_with_followers(&self, job: JobId, wire: keyformer_serve::WireCode, message: String) {
+        let group = self.shared.dedup().take_group_of_primary(job);
+        self.fail_job(job, wire, message.clone());
+        for (follower, _) in group.into_iter().flat_map(|g| g.followers) {
+            self.fail_job(follower, wire, message.clone());
+        }
     }
 
     fn fail_job(&self, job: JobId, wire: keyformer_serve::WireCode, message: String) {

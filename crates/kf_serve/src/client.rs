@@ -11,11 +11,7 @@ use std::time::{Duration, Instant};
 
 /// Reads `key` from a JSON map as a `u64`, if present.
 pub fn u64_field(value: &Value, key: &str) -> Option<u64> {
-    match value.field(key).ok()? {
-        Value::UInt(n) => Some(*n),
-        Value::Int(n) if *n >= 0 => Some(*n as u64),
-        _ => None,
-    }
+    value.field(key).ok().and_then(crate::api::as_u64)
 }
 
 /// Reads `key` from a JSON map as a string slice, if present.

@@ -5,8 +5,7 @@
 //! Responses: `Content-Length` bodies for unary answers, `chunked`
 //! transfer-encoding for streaming ones. Connections are `Connection: close`
 //! — one HTTP exchange per connection keeps the connection threads trivially
-//! stateless (the NDJSON fallback in [`crate::api`] is the persistent-session
-//! protocol).
+//! stateless (the NDJSON fallback is the persistent-session protocol).
 //!
 //! Anything that is not a well-formed request is answered with a 4xx and the
 //! connection is dropped; a malformed peer can never wedge a thread for

@@ -8,7 +8,10 @@
 //! [`jobs::JobTable`], so the engine keeps its single-threaded determinism
 //! while any number of sockets talk to it.
 //!
-//! Two wire formats share one semantics layer ([`api`]):
+//! Two wire formats share one request path: each parses a request into one
+//! operation (generate, status, cancel or stats), one function answers it
+//! through the semantics layer ([`api`]), and each format only writes the
+//! answer — a response or a line, or a token stream:
 //!
 //! * **HTTP/1.1**, one exchange per connection: `POST /v1/generate`
 //!   (`202` + job id, or a chunked NDJSON token stream when the body sets
@@ -31,6 +34,7 @@ pub mod client;
 pub mod http;
 pub mod jobs;
 
+use api::WireFault;
 use backend::{Command, DedupState, PumpShared};
 use cache::ResultCache;
 use jobs::{JobState, JobTable};
@@ -277,7 +281,8 @@ pub fn serve(addr: &str, config: NodeConfig) -> Result<ServeHandle, ServeError> 
                     // peer gets a fast 503 instead of a thread of its own.
                     if active.fetch_add(1, Ordering::SeqCst) >= node.config.max_connections {
                         active.fetch_sub(1, Ordering::SeqCst);
-                        shed_connection(stream, overloaded());
+                        let message = "connection limit reached; retry shortly";
+                        shed_connection(stream, WireFault::new(503, "overloaded", message));
                         continue;
                     }
                     let node = Arc::clone(&node);
@@ -310,15 +315,6 @@ pub fn serve(addr: &str, config: NodeConfig) -> Result<ServeHandle, ServeError> 
 const SHED_LINGER: Duration = Duration::from_millis(50);
 const SHED_DRAIN_BYTES: usize = 64 * 1024;
 
-/// The answer to a connection past the cap.
-fn overloaded() -> api::WireFault {
-    api::WireFault {
-        status: 503,
-        code: "overloaded",
-        message: "connection limit reached; retry shortly".to_string(),
-    }
-}
-
 /// Answers a connection the node will not serve — past the cap, or after
 /// the engine died — with `fault`, then closes it *cleanly*.
 ///
@@ -328,7 +324,7 @@ fn overloaded() -> api::WireFault {
 /// So: write the answer, half-close, and swallow what the peer sends until it
 /// closes its side — bounded in time and bytes, because this runs on the
 /// accept thread and a shed peer is owed nothing more.
-fn shed_connection(mut stream: TcpStream, fault: api::WireFault) {
+fn shed_connection(mut stream: TcpStream, fault: WireFault) {
     let _ = stream.set_write_timeout(Some(SHED_LINGER));
     let _ = http::write_response(&mut stream, fault.status, &fault.body());
     let _ = stream.shutdown(Shutdown::Write);
@@ -383,176 +379,176 @@ fn handle_connection(stream: TcpStream, node: &Arc<NodeShared>) {
     }
 }
 
-/// Serves one HTTP request and closes.
+/// One request, whichever wire format carried it.
+#[derive(Debug, PartialEq)]
+enum Op {
+    /// A generate call, with its parsed JSON body.
+    Generate(Value),
+    /// Poll one job.
+    Status(u64),
+    /// Cancel one job.
+    Cancel(u64),
+    /// The node's counters.
+    Stats,
+}
+
+/// The answer to one [`Op`]: a JSON body with the HTTP status it goes out
+/// under, or an admitted generate to stream.
+enum Answer {
+    Unary(u16, String),
+    Stream(api::Admission),
+}
+
+/// A request's JSON; a syntax error is a 400 `invalid_json`.
+fn parse_json(text: &str) -> Result<Value, WireFault> {
+    serde_json::from_str(text).map_err(|e| WireFault::new(400, "invalid_json", e.to_string()))
+}
+
+/// Routes an HTTP request to its [`Op`] on method and path: `POST
+/// /v1/generate` (a UTF-8 JSON body), `GET`/`DELETE /v1/jobs/{id}` and `GET
+/// /v1/stats`.
+fn http_op(request: &http::HttpRequest) -> Result<Op, WireFault> {
+    let method = request.method.as_str();
+    let not_allowed = || {
+        let message = format!("{method} is not supported here");
+        WireFault::new(405, "method_not_allowed", message)
+    };
+    if let Some(id) = request.path.strip_prefix("/v1/jobs/") {
+        let op = match method {
+            "GET" => Op::Status,
+            "DELETE" => Op::Cancel,
+            _ => return Err(not_allowed()),
+        };
+        return id
+            .parse()
+            .map(op)
+            .map_err(|_| WireFault::bad_request("job ids are integers"));
+    }
+    match (method, request.path.as_str()) {
+        ("POST", "/v1/generate") => std::str::from_utf8(&request.body)
+            .map_err(|_| WireFault::bad_request("body is not UTF-8"))
+            .and_then(parse_json)
+            .map(Op::Generate),
+        ("GET", "/v1/stats") => Ok(Op::Stats),
+        (_, "/v1/generate" | "/v1/stats") => Err(not_allowed()),
+        (_, path) => {
+            let message = format!("no such surface: {path}");
+            Err(WireFault::new(404, "not_found", message))
+        }
+    }
+}
+
+/// Reads an NDJSON line's `op` (`generate`, `status`, `cancel` or `stats`)
+/// and, for `status` and `cancel`, its `job_id`.
+fn ndjson_op(line: &str) -> Result<Op, WireFault> {
+    let value = parse_json(line)?;
+    let job_id = || {
+        let id = value.field("job_id").ok().and_then(api::as_u64);
+        id.ok_or_else(|| WireFault::bad_request("missing `job_id`"))
+    };
+    let Ok(Value::Str(op)) = value.field("op") else {
+        return Err(WireFault::bad_request("missing `op`"));
+    };
+    match op.as_str() {
+        "status" => job_id().map(Op::Status),
+        "cancel" => job_id().map(Op::Cancel),
+        "stats" => Ok(Op::Stats),
+        "generate" => Ok(Op::Generate(value)),
+        other => Err(WireFault::bad_request(format!("unknown op `{other}`"))),
+    }
+}
+
+/// Answers one parsed request. Every operation meets the node here, and
+/// every fault becomes an error body under its status.
+fn answer(op: Result<Op, WireFault>, node: &NodeShared) -> Answer {
+    let no_job = |id| WireFault::new(404, "not_found", format!("no job {id}"));
+    let answered = op.and_then(|op| match op {
+        Op::Generate(body) => {
+            let spec = api::parse_generate(&body, node)?;
+            let stream = spec.stream;
+            let admission = api::admit(spec, node)?;
+            if stream {
+                return Ok(Answer::Stream(admission));
+            }
+            // A cache hit is answered in full; any other call is accepted.
+            let status = match admission {
+                api::Admission::CacheHit { .. } => 200,
+                _ => 202,
+            };
+            let jobs = &node.pump.jobs;
+            let state = jobs.with_job(admission.job(), |r| r.state);
+            let body = api::admission_body(&admission, state.unwrap_or(JobState::Queued));
+            Ok(Answer::Unary(status, body))
+        }
+        Op::Status(id) => api::job_body(node, id)
+            .map(|body| Answer::Unary(200, body))
+            .ok_or_else(|| no_job(id)),
+        Op::Cancel(id) => api::cancel_job(node, id)
+            .map(|(status, body)| Answer::Unary(status, body))
+            .ok_or_else(|| no_job(id)),
+        Op::Stats => Ok(Answer::Unary(200, api::stats_body(node))),
+    });
+    answered.unwrap_or_else(|fault| Answer::Unary(fault.status, fault.body()))
+}
+
+/// Streams an admitted generate through `write`, one JSON line per call: the
+/// `accepted` line, then one line per event until the job is terminal. A
+/// failed write (the peer hung up, or stalled past the write timeout)
+/// cancels the job so its blocks free up, and ends the stream with the error.
+fn write_stream(
+    admission: &api::Admission,
+    node: &NodeShared,
+    mut write: impl FnMut(&str) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    let job = admission.job();
+    let streamed =
+        write(&api::accepted_event(admission)).and_then(|()| api::drive_stream(node, job, write));
+    if streamed.is_err() {
+        let _ = node.cmd.send(Command::Cancel { job });
+    }
+    streamed
+}
+
+/// Serves one HTTP request and closes: a unary answer is one response, a
+/// stream one chunk per line.
 fn http_exchange(
     first: &str,
     reader: &mut impl BufRead,
     writer: &mut TcpStream,
-    node: &Arc<NodeShared>,
-) {
-    let request = match http::parse_http(first, reader) {
-        Ok(request) => request,
-        Err(message) => {
-            let fault = api::WireFault {
-                status: 400,
-                code: "malformed_request",
-                message,
-            };
-            let _ = http::write_response(writer, fault.status, &fault.body());
-            return;
-        }
-    };
-    let job_path = request.path.strip_prefix("/v1/jobs/");
-    match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/v1/generate") => handle_generate(&request.body, writer, node),
-        ("GET", "/v1/stats") => {
-            let _ = http::write_response(writer, 200, &api::stats_body(node));
-        }
-        ("GET", _) if job_path.is_some() => match job_path.and_then(|id| id.parse::<u64>().ok()) {
-            Some(id) => match api::job_body(node, id) {
-                Some(body) => {
-                    let _ = http::write_response(writer, 200, &body);
-                }
-                None => {
-                    let _ = http::write_response(writer, 404, &not_found(id));
-                }
-            },
-            None => {
-                let fault = api::WireFault {
-                    status: 400,
-                    code: "invalid_request",
-                    message: "job ids are integers".to_string(),
-                };
-                let _ = http::write_response(writer, 400, &fault.body());
-            }
-        },
-        ("DELETE", _) if job_path.is_some() => {
-            match job_path.and_then(|id| id.parse::<u64>().ok()) {
-                Some(id) => match api::cancel_job(node, id) {
-                    Some((status, body)) => {
-                        let _ = http::write_response(writer, status, &body);
-                    }
-                    None => {
-                        let _ = http::write_response(writer, 404, &not_found(id));
-                    }
-                },
-                None => {
-                    let fault = api::WireFault {
-                        status: 400,
-                        code: "invalid_request",
-                        message: "job ids are integers".to_string(),
-                    };
-                    let _ = http::write_response(writer, 400, &fault.body());
-                }
-            }
-        }
-        (_, "/v1/generate") | (_, "/v1/stats") => {
-            let fault = api::WireFault {
-                status: 405,
-                code: "method_not_allowed",
-                message: format!("{} is not supported here", request.method),
-            };
-            let _ = http::write_response(writer, 405, &fault.body());
-        }
-        (_, _) if job_path.is_some() => {
-            let fault = api::WireFault {
-                status: 405,
-                code: "method_not_allowed",
-                message: format!("{} is not supported here", request.method),
-            };
-            let _ = http::write_response(writer, 405, &fault.body());
-        }
-        _ => {
-            let fault = api::WireFault {
-                status: 404,
-                code: "not_found",
-                message: format!("no such surface: {}", request.path),
-            };
-            let _ = http::write_response(writer, 404, &fault.body());
-        }
-    }
-}
-
-fn not_found(job: u64) -> String {
-    api::json_obj(vec![
-        ("error", Value::Str("not_found".to_string())),
-        ("message", Value::Str(format!("no job {job}"))),
-    ])
-}
-
-/// `POST /v1/generate`: parse, validate, admit, then answer unary or stream.
-fn handle_generate(body: &[u8], writer: &mut TcpStream, node: &Arc<NodeShared>) {
-    let spec = match parse_generate_body(body, node) {
-        Ok(spec) => spec,
-        Err(fault) => {
-            let _ = http::write_response(writer, fault.status, &fault.body());
-            return;
-        }
-    };
-    let wants_stream = spec.stream;
-    let admission = match api::admit(spec, node) {
-        Ok(admission) => admission,
-        Err(fault) => {
-            let _ = http::write_response(writer, fault.status, &fault.body());
-            return;
-        }
-    };
-    let job = admission.job();
-    if wants_stream {
-        if http::start_chunked(writer, 200).is_err() {
-            let _ = node.cmd.send(Command::Cancel { job });
-            return;
-        }
-        let preamble = api::accepted_event(&admission);
-        if http::write_chunk(writer, &format!("{preamble}\n")).is_err() {
-            let _ = node.cmd.send(Command::Cancel { job });
-            return;
-        }
-        let streamed = api::drive_stream(node, job, |line| {
-            http::write_chunk(writer, &format!("{line}\n"))
-        });
-        if streamed.is_ok() {
-            let _ = http::finish_chunked(writer);
-        }
-    } else {
-        let state = node
-            .pump
-            .jobs
-            .with_job(job, |r| r.state)
-            .unwrap_or(JobState::Queued);
-        let status = if matches!(admission, api::Admission::CacheHit { .. }) {
-            200
-        } else {
-            202
-        };
-        let _ = http::write_response(writer, status, &api::admission_body(&admission, state));
-    }
-}
-
-fn parse_generate_body(
-    body: &[u8],
     node: &NodeShared,
-) -> Result<api::GenerateSpec, api::WireFault> {
-    let text = std::str::from_utf8(body).map_err(|_| api::WireFault {
-        status: 400,
-        code: "invalid_request",
-        message: "body is not UTF-8".to_string(),
-    })?;
-    let value = serde_json::from_str::<Value>(text).map_err(|e| api::WireFault {
-        status: 400,
-        code: "invalid_json",
-        message: e.to_string(),
-    })?;
-    api::parse_generate(&value, node)
+) {
+    let op = http::parse_http(first, reader)
+        .map_err(|message| WireFault::new(400, "malformed_request", message))
+        .and_then(|request| http_op(&request));
+    match answer(op, node) {
+        Answer::Unary(status, body) => {
+            let _ = http::write_response(writer, status, &body);
+        }
+        Answer::Stream(admission) => {
+            // The chunked head goes out with the first line, so a peer gone
+            // before it is a failed write like any other.
+            let mut head = true;
+            let streamed = write_stream(&admission, node, |line| {
+                if std::mem::take(&mut head) {
+                    http::start_chunked(writer, 200)?;
+                }
+                http::write_chunk(writer, &format!("{line}\n"))
+            });
+            if streamed.is_ok() {
+                let _ = http::finish_chunked(writer);
+            }
+        }
+    }
 }
 
 /// Runs a persistent line-delimited-JSON session: each request line is an op,
-/// each response is a line (streaming generates emit several).
+/// each answer a line (a streamed generate writes several), each in one
+/// write ([`http::write_line`]).
 fn ndjson_session(
     first: &str,
     reader: &mut impl BufRead,
     writer: &mut TcpStream,
-    node: &Arc<NodeShared>,
+    node: &NodeShared,
 ) {
     // Sessions may idle between ops, so the tight protocol-sniff timeout is
     // replaced with a generous idle bound: a peer silent that long ends the
@@ -566,8 +562,18 @@ fn ndjson_session(
     });
     let mut line = first.to_string();
     loop {
-        if !line.trim().is_empty() && ndjson_op(line.trim(), writer, node).is_err() {
-            return;
+        let op = line.trim();
+        if !op.is_empty() {
+            let written = match answer(ndjson_op(op), node) {
+                Answer::Unary(_, body) => http::write_line(writer, &body),
+                Answer::Stream(admission) => {
+                    write_stream(&admission, node, |event| http::write_line(writer, event))
+                }
+            };
+            if written.is_err() {
+                // The peer is gone.
+                return;
+            }
         }
         match http::read_line(reader) {
             Ok(Some(next)) => line = next,
@@ -576,70 +582,235 @@ fn ndjson_session(
     }
 }
 
-/// Handles one NDJSON op line; `Err` means the peer is gone. Every answer
-/// line goes out in one write ([`http::write_line`]).
-fn ndjson_op(line: &str, writer: &mut TcpStream, node: &Arc<NodeShared>) -> std::io::Result<()> {
-    let fault_line = |code: &'static str, message: String| {
-        api::json_obj(vec![
-            ("error", Value::Str(code.to_string())),
-            ("message", Value::Str(message)),
-        ])
-    };
-    let value = match serde_json::from_str::<Value>(line) {
-        Ok(value) => value,
-        Err(e) => return http::write_line(writer, &fault_line("invalid_json", e.to_string())),
-    };
-    let op = match value.field("op") {
-        Ok(Value::Str(op)) => op.clone(),
-        _ => {
-            return http::write_line(
-                writer,
-                &fault_line("invalid_request", "missing `op`".to_string()),
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use keyformer_core::spec::PolicySpec;
+
+    type Parsed = Result<Op, WireFault>;
+
+    fn fault(status: u16, code: &'static str, message: &str) -> Parsed {
+        Err(WireFault::new(status, code, message))
+    }
+
+    fn http(method: &str, path: &str, body: &[u8]) -> Parsed {
+        http_op(&http::HttpRequest {
+            method: method.to_string(),
+            path: path.to_string(),
+            body: body.to_vec(),
+        })
+    }
+
+    #[test]
+    fn http_requests_route_to_one_op_or_fault() {
+        let integers = || fault(400, "invalid_request", "job ids are integers");
+        let not_allowed = |m: &str| {
+            fault(
+                405,
+                "method_not_allowed",
+                &format!("{m} is not supported here"),
             )
+        };
+        let prompt = Value::Map(vec![(
+            "prompt".to_string(),
+            Value::Seq(vec![Value::UInt(1)]),
+        )]);
+        let table: &[(&str, &str, &[u8], Parsed)] = &[
+            (
+                "POST",
+                "/v1/generate",
+                b"{\"prompt\":[1]}",
+                Ok(Op::Generate(prompt)),
+            ),
+            ("GET", "/v1/jobs/999", b"", Ok(Op::Status(999))),
+            ("DELETE", "/v1/jobs/999", b"", Ok(Op::Cancel(999))),
+            ("GET", "/v1/stats", b"", Ok(Op::Stats)),
+            ("GET", "/v1/jobs/+5", b"", Ok(Op::Status(5))),
+            (
+                "GET",
+                "/v1/jobs/18446744073709551615",
+                b"",
+                Ok(Op::Status(u64::MAX)),
+            ),
+            (
+                "POST",
+                "/v1/generate",
+                b"\xff\xfe",
+                fault(400, "invalid_request", "body is not UTF-8"),
+            ),
+            (
+                "POST",
+                "/v1/generate",
+                b"{\"prompt\"",
+                fault(400, "invalid_json", "expected `:` at byte 9"),
+            ),
+            ("GET", "/v1/jobs/", b"", integers()),
+            ("GET", "/v1/jobs/x", b"", integers()),
+            ("DELETE", "/v1/jobs/-1", b"", integers()),
+            ("GET", "/v1/jobs/18446744073709551616", b"", integers()),
+            ("GET", "/v1/jobs/5/trace", b"", integers()),
+            ("PUT", "/v1/generate", b"", not_allowed("PUT")),
+            ("GET", "/v1/generate", b"", not_allowed("GET")),
+            ("POST", "/v1/stats", b"", not_allowed("POST")),
+            ("POST", "/v1/jobs/3", b"", not_allowed("POST")),
+            ("PATCH", "/v1/jobs/x", b"", not_allowed("PATCH")),
+            (
+                "GET",
+                "/nope",
+                b"",
+                fault(404, "not_found", "no such surface: /nope"),
+            ),
+            (
+                "GET",
+                "/v1/stats/",
+                b"",
+                fault(404, "not_found", "no such surface: /v1/stats/"),
+            ),
+            (
+                "GET",
+                "/v1/jobs",
+                b"",
+                fault(404, "not_found", "no such surface: /v1/jobs"),
+            ),
+        ];
+        for (method, path, body, expected) in table {
+            assert_eq!(&http(method, path, body), expected, "{method} {path}");
         }
-    };
-    let answer = match op.as_str() {
-        "generate" => {
-            let admitted = api::parse_generate(&value, node).and_then(|spec| {
-                let stream = spec.stream;
-                api::admit(spec, node).map(|admission| (admission, stream))
-            });
-            match admitted {
-                Ok((admission, true)) => return ndjson_stream(&admission, writer, node),
-                Ok((admission, false)) => {
-                    let state = node
-                        .pump
-                        .jobs
-                        .with_job(admission.job(), |r| r.state)
-                        .unwrap_or(JobState::Queued);
-                    api::admission_body(&admission, state)
-                }
-                Err(fault) => fault.body(),
+    }
+
+    #[test]
+    fn ndjson_lines_route_to_one_op_or_fault() {
+        let missing_op = || fault(400, "invalid_request", "missing `op`");
+        let missing_id = || fault(400, "invalid_request", "missing `job_id`");
+        let table: &[(&str, Parsed)] = &[
+            (r#"{"op":"status","job_id":999}"#, Ok(Op::Status(999))),
+            (r#"{"op":"cancel","job_id":0}"#, Ok(Op::Cancel(0))),
+            (r#"{"op":"stats","job_id":"ignored"}"#, Ok(Op::Stats)),
+            (
+                r#"{"op":"status","job_id":18446744073709551615}"#,
+                Ok(Op::Status(u64::MAX)),
+            ),
+            (
+                r#"{"op":"stats""#,
+                fault(400, "invalid_json", "expected `,` or `}` at byte 13"),
+            ),
+            ("[1,2]", missing_op()),
+            ("5", missing_op()),
+            ("null", missing_op()),
+            ("{}", missing_op()),
+            (r#"{"job_id":1}"#, missing_op()),
+            (r#"{"op":5}"#, missing_op()),
+            (
+                r#"{"op":"nope"}"#,
+                fault(400, "invalid_request", "unknown op `nope`"),
+            ),
+            (
+                r#"{"op":"Stats"}"#,
+                fault(400, "invalid_request", "unknown op `Stats`"),
+            ),
+            (r#"{"op":"status"}"#, missing_id()),
+            (r#"{"op":"status","job_id":-1}"#, missing_id()),
+            (r#"{"op":"status","job_id":1.5}"#, missing_id()),
+            (r#"{"op":"status","job_id":"7"}"#, missing_id()),
+            (
+                r#"{"op":"status","job_id":18446744073709551616}"#,
+                missing_id(),
+            ),
+            (r#"{"op":"status","job_id":[5]}"#, missing_id()),
+            (r#"{"op":"cancel","job_id":null}"#, missing_id()),
+            (r#"{"op":"cancel","job_id":{"id":5}}"#, missing_id()),
+        ];
+        for (line, expected) in table {
+            assert_eq!(&ndjson_op(line), expected, "{line}");
+        }
+        let line = r#"{"op":"generate","prompt":[1]}"#;
+        let Ok(Op::Generate(body)) = ndjson_op(line) else {
+            panic!("{line} is a generate");
+        };
+        assert_eq!(body, serde_json::from_str::<Value>(line).unwrap());
+    }
+
+    /// Every prefix of a valid request parses to an op or a fault; none
+    /// panics.
+    #[test]
+    fn truncated_requests_never_panic() {
+        let line = r#"{"op":"generate","prompt":[1,2],"job_id":18446744073709551615,"x":[{"y":-1.5e3}],"s":"é\n"}"#;
+        for end in 0..=line.len() {
+            let _ = http("POST", "/v1/generate", &line.as_bytes()[..end]);
+            if let Some(prefix) = line.get(..end) {
+                let _ = ndjson_op(prefix);
+                let _ = http("GET", &format!("/v1/jobs/{prefix}"), b"");
             }
         }
-        "status" => match client::u64_field(&value, "job_id") {
-            Some(id) => api::job_body(node, id).unwrap_or_else(|| not_found(id)),
-            None => fault_line("invalid_request", "missing `job_id`".to_string()),
-        },
-        "cancel" => match client::u64_field(&value, "job_id") {
-            Some(id) => api::cancel_job(node, id).map_or_else(|| not_found(id), |(_, body)| body),
-            None => fault_line("invalid_request", "missing `job_id`".to_string()),
-        },
-        "stats" => api::stats_body(node),
-        other => fault_line("invalid_request", format!("unknown op `{other}`")),
-    };
-    http::write_line(writer, &answer)
-}
+    }
 
-/// Streams an admitted NDJSON generate: the `accepted` line, then one line
-/// per event until the job is terminal.
-fn ndjson_stream(
-    admission: &api::Admission,
-    writer: &mut TcpStream,
-    node: &Arc<NodeShared>,
-) -> std::io::Result<()> {
-    http::write_line(writer, &api::accepted_event(admission))?;
-    api::drive_stream(node, admission.job(), |event| {
-        http::write_line(writer, event)
-    })
+    fn offline_node() -> (NodeShared, mpsc::Receiver<Command>) {
+        let engine = ServerConfig::new(PolicySpec::Full, None, 1 << 20);
+        let config = NodeConfig::new(ModelFamily::Tiny, 1, engine);
+        let (cmd, rx) = mpsc::channel();
+        let pump = Arc::new(PumpShared {
+            jobs: Arc::new(JobTable::new(config.retained_jobs)),
+            dedup: Arc::new(Mutex::new(DedupState::new(
+                config.dedup,
+                ResultCache::new(config.cache_capacity, config.cache_ttl_ms),
+            ))),
+            snapshot: Arc::new(Mutex::new(backend::EngineSnapshot::default())),
+            started: Instant::now(),
+        });
+        (NodeShared { config, pump, cmd }, rx)
+    }
+
+    /// Admits a fresh streamed generate of `prompt` and takes its `Submit`
+    /// off the channel.
+    fn admit_stream(
+        node: &NodeShared,
+        rx: &mpsc::Receiver<Command>,
+        prompt: u32,
+    ) -> api::Admission {
+        let body = format!(r#"{{"prompt":[{prompt}],"stream":true}}"#);
+        let body = serde_json::from_str(&body).unwrap();
+        let Answer::Stream(admission) = answer(Ok(Op::Generate(body)), node) else {
+            panic!("a streamed generate is admitted to stream");
+        };
+        assert!(matches!(rx.try_recv(), Ok(Command::Submit { .. })));
+        admission
+    }
+
+    /// A stream whose writer fails — on the `accepted` line or on a later
+    /// event — cancels its job; one that completes does not.
+    #[test]
+    fn a_failed_stream_write_cancels_the_job() {
+        let (node, rx) = offline_node();
+        for (prompt, fail_on_call) in [(1, 1), (2, 2), (3, usize::MAX)] {
+            let admission = admit_stream(&node, &rx, prompt);
+            let job = admission.job();
+            node.pump.jobs.update(job, |r, _| {
+                r.state = JobState::Done;
+                r.tokens.push(7);
+            });
+            let mut calls = 0;
+            let mut lines = Vec::new();
+            let streamed = write_stream(&admission, &node, |line| {
+                calls += 1;
+                if calls == fail_on_call {
+                    return Err(std::io::ErrorKind::TimedOut.into());
+                }
+                lines.push(line.to_string());
+                Ok(())
+            });
+            if fail_on_call == usize::MAX {
+                streamed.expect("a stream nobody drops");
+                assert_eq!(lines.len(), 3, "accepted, token, done: {lines:?}");
+                assert!(rx.try_recv().is_err(), "a finished stream cancels nothing");
+            } else {
+                assert!(streamed.is_err());
+                assert_eq!(lines.len(), fail_on_call - 1);
+                let cancelled = matches!(rx.try_recv(), Ok(Command::Cancel { job: j }) if j == job);
+                assert!(
+                    cancelled,
+                    "a write failing on call {fail_on_call} cancels job {job}"
+                );
+            }
+        }
+    }
 }
