@@ -1,6 +1,7 @@
 //! Attention-analysis experiments: sparsity, attention-mass CDFs, softmax shift and
 //! heat maps (Figures 3a, 3b, 4, 11, 14/15).
 
+use crate::accuracy::{Datasets, MODEL_SEED};
 use crate::report::{fmt, Table};
 use keyformer_core::diagnostics::softmax_shift;
 use keyformer_core::spec::PolicySpec;
@@ -8,17 +9,18 @@ use keyformer_model::families::ModelFamily;
 use keyformer_model::generation::GenerationConfig;
 use keyformer_model::session::Session;
 use keyformer_tensor::top_k_indices;
-use keyformer_text::datasets::summarization::{SummarizationDataset, SummarizationSpec};
 
-fn collect_stats(family: ModelFamily, samples: usize) -> keyformer_model::AttentionStats {
-    let spec = SummarizationSpec::paper_default();
-    let dataset = SummarizationDataset::generate(&spec, samples);
-    let model = family.build(crate::accuracy::MODEL_SEED);
+fn collect_stats(
+    family: ModelFamily,
+    datasets: &Datasets,
+    samples: usize,
+) -> keyformer_model::AttentionStats {
+    let model = family.build(MODEL_SEED);
     let mut session = Session::new(&model, PolicySpec::Full.build().expect("full"), None);
     session.enable_stats();
     let mut merged =
         keyformer_model::AttentionStats::new(model.config().num_layers, model.config().num_heads);
-    for sample in dataset.samples() {
+    for sample in datasets.summarization_samples(samples) {
         session
             .generate(
                 &sample.prompt,
@@ -33,13 +35,13 @@ fn collect_stats(family: ModelFamily, samples: usize) -> keyformer_model::Attent
 }
 
 /// Figure 3a: attention sparsity per layer (zero-threshold) for the three families.
-pub fn figure3a(samples: usize) -> Table {
+pub fn figure3a(datasets: &Datasets, samples: usize) -> Table {
     let mut table = Table::new(
         "Figure 3a: attention sparsity per layer (threshold 1% of max)",
         &["model", "layer", "sparsity"],
     );
     for family in ModelFamily::paper_families() {
-        let stats = collect_stats(family, samples);
+        let stats = collect_stats(family, datasets, samples);
         for (layer, sparsity) in stats.sparsity_per_layer(0.01).iter().enumerate() {
             table.push_row(vec![
                 family.label().into(),
@@ -52,14 +54,14 @@ pub fn figure3a(samples: usize) -> Table {
 }
 
 /// Figure 3b: cumulative attention mass captured by the top-x% of tokens.
-pub fn figure3b(samples: usize) -> Table {
+pub fn figure3b(datasets: &Datasets, samples: usize) -> Table {
     let mut table = Table::new(
         "Figure 3b: cumulative attention mass vs fraction of tokens",
         &["model", "token_fraction", "attention_mass"],
     );
     let fractions = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9];
     for family in ModelFamily::paper_families() {
-        let stats = collect_stats(family, samples);
+        let stats = collect_stats(family, datasets, samples);
         for point in stats.mass_cdf(&fractions, 32) {
             table.push_row(vec![
                 family.label().into(),
@@ -98,12 +100,12 @@ pub fn figure4() -> Table {
 }
 
 /// Figure 11: attention sparsity vs. threshold for the MPT-like model.
-pub fn figure11(samples: usize) -> Table {
+pub fn figure11(datasets: &Datasets, samples: usize) -> Table {
     let mut table = Table::new(
         "Figure 11: attention sparsity vs threshold (MPT-like)",
         &["threshold", "layer", "sparsity"],
     );
-    let stats = collect_stats(ModelFamily::MptLike, samples);
+    let stats = collect_stats(ModelFamily::MptLike, datasets, samples);
     for threshold in [0.0f32, 0.0001, 0.001, 0.01, 0.03, 0.05] {
         for (layer, sparsity) in stats.sparsity_per_layer(threshold).iter().enumerate() {
             table.push_row(vec![
@@ -118,14 +120,14 @@ pub fn figure11(samples: usize) -> Table {
 
 /// Figures 14/15: heat-map summary (fraction of near-zero attention cells per
 /// layer/head) for the GPT-J-like and MPT-like models.
-pub fn figure14(samples: usize) -> Table {
+pub fn figure14(datasets: &Datasets, samples: usize) -> Table {
     let mut table = Table::new(
         "Figures 14/15: attention heat-map sparsity per layer and head",
         &["model", "layer", "head", "zero_fraction", "heatmap_rows"],
     );
     for family in [ModelFamily::GptJLike, ModelFamily::MptLike] {
-        let stats = collect_stats(family, samples);
-        let model = family.build(crate::accuracy::MODEL_SEED);
+        let stats = collect_stats(family, datasets, samples);
+        let model = family.build(MODEL_SEED);
         let config = model.config();
         for layer in 0..config.num_layers {
             for head in 0..config.num_heads {
@@ -164,7 +166,7 @@ mod tests {
 
     #[test]
     fn figure3b_mass_is_monotone() {
-        let t = figure3b(1);
+        let t = figure3b(&Datasets::small(), 1);
         // 3 families x 9 fractions.
         assert_eq!(t.rows.len(), 27);
         let masses: Vec<f64> = (0..9)

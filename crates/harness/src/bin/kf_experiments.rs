@@ -44,10 +44,14 @@ fn main() {
             }
             "--csv" => csv = true,
             "--samples" => {
-                samples = iter.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--samples requires a positive integer");
-                    std::process::exit(2);
-                });
+                samples = iter
+                    .next()
+                    .and_then(|s| s.parse().ok())
+                    .filter(|&n| n > 0)
+                    .unwrap_or_else(|| {
+                        eprintln!("--samples requires a positive integer");
+                        std::process::exit(2);
+                    });
             }
             name => match ExperimentId::parse(name) {
                 Some(id) => requested.push(id),

@@ -170,6 +170,14 @@ pub fn paging_report(samples: usize) -> (Table, Vec<PagingSummary>) {
     (table, summaries)
 }
 
+/// [`paging_report`] at one sample, computed once per test process: three
+/// tests here and the registry's artefact test read it.
+#[cfg(test)]
+pub(crate) fn report_at_one_sample() -> &'static (Table, Vec<PagingSummary>) {
+    static REPORT: std::sync::OnceLock<(Table, Vec<PagingSummary>)> = std::sync::OnceLock::new();
+    REPORT.get_or_init(|| paging_report(1))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,10 +191,10 @@ mod tests {
 
     #[test]
     fn paged_blocks_beat_the_contiguous_baseline_at_a_fixed_pool() {
-        let (table, summaries) = paging_report(1);
+        let (table, summaries) = report_at_one_sample();
         assert_eq!(table.rows.len(), summaries.len());
-        let contiguous = by_prefix(&summaries, "contiguous");
-        let paged = by_prefix(&summaries, "paged(bs=8)");
+        let contiguous = by_prefix(summaries, "contiguous");
+        let paged = by_prefix(summaries, "paged(bs=8)");
         assert!(
             paged.requests_per_step >= contiguous.requests_per_step,
             "paged {} vs contiguous {} requests/step",
@@ -210,22 +218,22 @@ mod tests {
 
     #[test]
     fn strict_pools_trade_throughput_for_zero_overshoot() {
-        let (_, summaries) = paging_report(1);
-        let strict = by_prefix(&summaries, "paged(bs=8)+strict");
+        let (_, summaries) = report_at_one_sample();
+        let strict = by_prefix(summaries, "paged(bs=8)+strict");
         assert_eq!(strict.overshoot_blocks, 0);
         assert!(strict.peak_blocks <= strict.capacity_blocks);
         assert!(strict.completed > 0, "strict pool must still make progress");
         // The overcommitting default absorbs the prefill transient instead.
-        let paged = by_prefix(&summaries, "paged(bs=8)");
+        let paged = by_prefix(summaries, "paged(bs=8)");
         assert!(paged.overshoot_blocks > 0 || paged.peak_blocks <= paged.capacity_blocks);
     }
 
     #[test]
     fn summaries_serialize_round_trip() {
-        let (_, summaries) = paging_report(1);
+        let (_, summaries) = report_at_one_sample();
         assert_eq!(summaries.len(), 6);
-        let json = serde_json::to_string(&summaries).unwrap();
+        let json = serde_json::to_string(summaries).unwrap();
         let back: Vec<PagingSummary> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, summaries);
+        assert_eq!(&back, summaries);
     }
 }

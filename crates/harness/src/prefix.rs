@@ -187,13 +187,21 @@ pub fn prefix_sharing_report(samples: usize) -> (Table, Vec<PrefixSummary>) {
     (table, summaries)
 }
 
+/// [`prefix_sharing_report`] at one sample, computed once per test process: three tests here
+/// and the registry's artefact test read it.
+#[cfg(test)]
+pub(crate) fn report_at_one_sample() -> &'static (Table, Vec<PrefixSummary>) {
+    static REPORT: std::sync::OnceLock<(Table, Vec<PrefixSummary>)> = std::sync::OnceLock::new();
+    REPORT.get_or_init(|| prefix_sharing_report(1))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn sharing_beats_cold_starts_at_every_sweep_point() {
-        let (table, summaries) = prefix_sharing_report(1);
+        let (table, summaries) = report_at_one_sample();
         assert_eq!(table.rows.len(), summaries.len());
         assert_eq!(summaries.len(), 2 * sweep().len());
         for pair in summaries.chunks(2) {
@@ -227,7 +235,7 @@ mod tests {
 
     #[test]
     fn longer_prefixes_reuse_more() {
-        let (_, summaries) = prefix_sharing_report(1);
+        let (_, summaries) = report_at_one_sample();
         let shared: Vec<&PrefixSummary> = summaries.iter().filter(|s| s.sharing).collect();
         // Reuse per attached request grows with the registered prefix length.
         let per_request = |s: &PrefixSummary| s.prefix_tokens_reused as f64 / s.submitted as f64;
@@ -236,9 +244,9 @@ mod tests {
 
     #[test]
     fn summaries_serialize_round_trip() {
-        let (_, summaries) = prefix_sharing_report(1);
-        let json = serde_json::to_string(&summaries).unwrap();
+        let (_, summaries) = report_at_one_sample();
+        let json = serde_json::to_string(summaries).unwrap();
         let back: Vec<PrefixSummary> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, summaries);
+        assert_eq!(&back, summaries);
     }
 }

@@ -14,30 +14,24 @@
 //! Each (dtype, policy, budget) point reports the serving leg — completed
 //! requests, steady-state pool utilization, peak concurrency — plus a
 //! standalone accuracy leg (ROUGE-2 on the synthetic summarization task at
-//! that dtype/policy/budget, via a standalone [`Session`]); u8 rows carry their
+//! that dtype/policy/budget, via [`evaluate_generation`]); u8 rows carry their
 //! completed-requests multiplier and ROUGE-2 delta against the matching f32
 //! row. The headline: at least one policy/budget point completes >= 2x the
 //! requests in u8 at (near-)matched ROUGE, from the same byte pool.
 
+use crate::accuracy::{Datasets, MODEL_SEED};
 use crate::report::{fmt, Table};
 use crate::serving::{request_stream, run_batch, serving_fixture, GEN_TOKENS};
 use keyformer_core::budget::CacheBudgetSpec;
 use keyformer_core::cache::KvDtype;
 use keyformer_core::spec::PolicySpec;
 use keyformer_model::families::ModelFamily;
-use keyformer_model::generation::GenerationConfig;
-use keyformer_model::model::TransformerModel;
-use keyformer_model::session::Session;
 use keyformer_serve::ServerConfig;
-use keyformer_text::datasets::summarization::{SummarizationDataset, SummarizationSpec};
-use keyformer_text::datasets::Sample;
-use keyformer_text::rouge::{rouge_scores, RougeScores};
+use keyformer_text::eval::{evaluate_generation, EvalSetting};
 use serde::{Deserialize, Serialize};
 
 /// Budget fractions swept for the budgeted policies.
 const BUDGET_FRACTIONS: [f64; 2] = [0.3, 0.5];
-/// Weight seed of the accuracy leg's model (the accuracy experiments' seed).
-const ACCURACY_MODEL_SEED: u64 = 3;
 
 /// Machine-readable summary of one (dtype, policy, budget) point, emitted as
 /// `BENCH_quant.json` by `kf_experiments`.
@@ -66,7 +60,7 @@ pub struct QuantSummary {
     /// Peak concurrently running sessions.
     pub peak_concurrency: usize,
     /// ROUGE-2 F1 of this dtype/policy/budget on the summarization task
-    /// (standalone [`Session`] leg, not the serving workload).
+    /// (the [`evaluate_generation`] leg, not the serving workload).
     pub rouge2: f64,
     /// `completed / completed(f32)` at the same policy/budget; 1.0 on f32
     /// rows by construction.
@@ -98,33 +92,13 @@ fn policy_budget_grid() -> Vec<(String, PolicySpec, Option<CacheBudgetSpec>, Opt
     grid
 }
 
-/// Mean ROUGE-2 F1 of greedy generation at a (dtype, policy, budget) point on
-/// the synthetic summarization task — the accuracy leg of each row.
-fn rouge2_point(
-    model: &TransformerModel,
-    policy: PolicySpec,
-    budget: Option<CacheBudgetSpec>,
-    dtype: KvDtype,
-    samples: &[Sample],
-) -> f64 {
-    let mut scores = Vec::with_capacity(samples.len());
-    for sample in samples {
-        let built = policy.build().expect("policy spec must be valid");
-        let config = GenerationConfig::new(sample.target_generation_len());
-        let output = Session::with_dtype(model, built, budget, dtype)
-            .generate(&sample.prompt, &config)
-            .expect("generation failed");
-        scores.push(rouge_scores(&output.generated, &sample.reference));
-    }
-    RougeScores::mean(&scores).rouge2.f1
-}
-
 /// Runs the quantization sweep and returns both the rendered table and the
 /// per-point summaries.
 ///
 /// `samples` scales the request count, the step budget and the accuracy leg's
-/// dataset size, exactly like the sibling serving experiments.
-pub fn quantization_report(samples: usize) -> (Table, Vec<QuantSummary>) {
+/// dataset size, exactly like the sibling serving experiments; the accuracy
+/// leg draws its summarization samples from `datasets`.
+pub fn quantization_report(datasets: &Datasets, samples: usize) -> (Table, Vec<QuantSummary>) {
     let samples = samples.max(1);
     // Heavily oversubscribed: even the u8 rows (4x the block capacity) must
     // stay queue-bound, so completions measure capacity, not workload size.
@@ -134,11 +108,8 @@ pub fn quantization_report(samples: usize) -> (Table, Vec<QuantSummary>) {
     let (model, pool_bytes) = serving_fixture();
     // The accuracy leg needs the full synthetic vocabulary the summarization
     // task generates over; Tiny's 128-token vocab is serving-only.
-    let accuracy_model = ModelFamily::CerebrasLike.build(ACCURACY_MODEL_SEED);
-    let eval_samples =
-        SummarizationDataset::generate(&SummarizationSpec::paper_default(), samples.max(2))
-            .samples()
-            .to_vec();
+    let accuracy_model = ModelFamily::CerebrasLike.build(MODEL_SEED);
+    let eval_samples = datasets.summarization_samples(samples.max(2));
 
     let mut table = Table::new(
         format!(
@@ -173,7 +144,14 @@ pub fn quantization_report(samples: usize) -> (Table, Vec<QuantSummary>) {
                 .with_kv_dtype(dtype);
             let run = run_batch(&model, config, request_stream(num_requests), step_budget);
             let completed = run.completed;
-            let rouge2 = rouge2_point(&accuracy_model, policy, budget, dtype, &eval_samples);
+            let setting = EvalSetting {
+                policy,
+                budget,
+                dtype,
+            };
+            let rouge2 = evaluate_generation(&accuracy_model, &setting, &eval_samples)
+                .rouge2
+                .f1;
             let (multiplier, delta) = match dtype {
                 KvDtype::F32 => {
                     f32_completed = completed;
@@ -219,13 +197,13 @@ pub fn quantization_report(samples: usize) -> (Table, Vec<QuantSummary>) {
     (table, summaries)
 }
 
-/// [`quantization_report`] at one sample, computed once per test process:
-/// the debug-build sweep is the slowest thing in the crate's tests, and two
-/// of them check it.
+/// [`quantization_report`] on the small specs at one sample, computed once
+/// per test process: the debug-build sweep is the slowest thing in the
+/// crate's tests, and two of them check it.
 #[cfg(test)]
 pub(crate) fn report_at_one_sample() -> &'static (Table, Vec<QuantSummary>) {
     static REPORT: std::sync::OnceLock<(Table, Vec<QuantSummary>)> = std::sync::OnceLock::new();
-    REPORT.get_or_init(|| quantization_report(1))
+    REPORT.get_or_init(|| quantization_report(&Datasets::small(), 1))
 }
 
 #[cfg(test)]

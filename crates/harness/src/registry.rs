@@ -2,6 +2,7 @@
 //! command-line names, the function that regenerates it and — for the five
 //! step-counted serving experiments — the JSON artefact it writes.
 
+use crate::accuracy::Datasets;
 use crate::report::Table;
 use crate::{accuracy, analysis, paging, perf, prefix, quantization, serving, streaming};
 use serde::{Deserialize, Serialize};
@@ -92,31 +93,32 @@ fn json<T: Serialize>((table, records): (Table, Vec<T>)) -> (Table, String) {
     (table, json)
 }
 
-/// Every experiment, in paper order; `samples` scales how many synthetic
-/// samples the accuracy experiments use (performance experiments ignore it).
+/// Every experiment, in paper order. The quality experiments draw `samples`
+/// samples from the paper-scale [`Datasets::paper`] specs; performance
+/// experiments ignore `samples`.
 #[rustfmt::skip]
 static EXPERIMENTS: &[Experiment] = {
     use ExperimentId::*;
     use Run::{Artefact, Table};
     &[
         Experiment { id: Fig1, names: &["fig1"], run: Table(|_| perf::figure1()) },
-        Experiment { id: Fig3a, names: &["fig3a"], run: Table(analysis::figure3a) },
-        Experiment { id: Fig3b, names: &["fig3b"], run: Table(analysis::figure3b) },
-        Experiment { id: Fig3c, names: &["fig3c"], run: Table(accuracy::figure3c) },
+        Experiment { id: Fig3a, names: &["fig3a"], run: Table(|s| analysis::figure3a(&Datasets::paper(), s)) },
+        Experiment { id: Fig3b, names: &["fig3b"], run: Table(|s| analysis::figure3b(&Datasets::paper(), s)) },
+        Experiment { id: Fig3c, names: &["fig3c"], run: Table(|s| accuracy::figure3c(&Datasets::paper(), s)) },
         Experiment { id: Fig4, names: &["fig4"], run: Table(|_| analysis::figure4()) },
-        Experiment { id: Fig5, names: &["fig5"], run: Table(accuracy::figure5) },
-        Experiment { id: Fig7, names: &["fig7", "fig13"], run: Table(|s| accuracy::figure7(s, &BUDGETS)) },
-        Experiment { id: Fig8, names: &["fig8"], run: Table(|s| accuracy::figure8(s, &SMALL_BUDGETS)) },
+        Experiment { id: Fig5, names: &["fig5"], run: Table(|s| accuracy::figure5(&Datasets::paper(), s)) },
+        Experiment { id: Fig7, names: &["fig7", "fig13"], run: Table(|s| accuracy::figure7(&Datasets::paper(), s, &BUDGETS)) },
+        Experiment { id: Fig8, names: &["fig8"], run: Table(|s| accuracy::figure8(&Datasets::paper(), s, &SMALL_BUDGETS)) },
         Experiment { id: Fig9, names: &["fig9"], run: Table(|_| perf::figure9()) },
         Experiment { id: Fig10, names: &["fig10"], run: Table(|_| perf::figure10()) },
-        Experiment { id: Fig11, names: &["fig11"], run: Table(analysis::figure11) },
-        Experiment { id: Fig12, names: &["fig12"], run: Table(accuracy::figure12) },
-        Experiment { id: Fig14, names: &["fig14", "fig15"], run: Table(analysis::figure14) },
-        Experiment { id: Fig16, names: &["fig16"], run: Table(accuracy::figure16) },
+        Experiment { id: Fig11, names: &["fig11"], run: Table(|s| analysis::figure11(&Datasets::paper(), s)) },
+        Experiment { id: Fig12, names: &["fig12"], run: Table(|s| accuracy::figure12(&Datasets::paper(), s)) },
+        Experiment { id: Fig14, names: &["fig14", "fig15"], run: Table(|s| analysis::figure14(&Datasets::paper(), s)) },
+        Experiment { id: Fig16, names: &["fig16"], run: Table(|s| accuracy::figure16(&Datasets::paper(), s)) },
         Experiment { id: Table1, names: &["table1"], run: Table(|_| perf::table1()) },
         Experiment { id: Table2, names: &["table2"], run: Table(|s| accuracy::table2(s.max(4))) },
-        Experiment { id: Table3, names: &["table3"], run: Table(accuracy::table3) },
-        Experiment { id: Table4, names: &["table4"], run: Table(accuracy::table4) },
+        Experiment { id: Table3, names: &["table3"], run: Table(|s| accuracy::table3(&Datasets::paper(), s)) },
+        Experiment { id: Table4, names: &["table4"], run: Table(|s| accuracy::table4(&Datasets::paper(), s)) },
         Experiment {
             id: ServeThroughput,
             names: &["serve_throughput"],
@@ -140,7 +142,7 @@ static EXPERIMENTS: &[Experiment] = {
         Experiment {
             id: Quantization,
             names: &["quantization"],
-            run: Artefact("BENCH_quant.json", |s| json(quantization::quantization_report(s))),
+            run: Artefact("BENCH_quant.json", |s| json(quantization::quantization_report(&Datasets::paper(), s))),
         },
     ]
 };
@@ -242,14 +244,18 @@ mod tests {
     fn every_artefact_row_serialises() {
         let mut artefacts = 0;
         for e in EXPERIMENTS {
-            let Run::Artefact(file, run) = e.run else {
+            let Run::Artefact(file, _) = e.run else {
                 continue;
             };
-            // The quantization sweep is shared with its own module's test.
-            let (table, json) = if e.id == ExperimentId::Quantization {
-                json(quantization::report_at_one_sample().clone())
-            } else {
-                run(1)
+            // Each sweep is computed once per test process and shared with
+            // its own module's tests.
+            let (table, json) = match e.id {
+                ExperimentId::ServeThroughput => json(serving::report_at_one_sample().clone()),
+                ExperimentId::Paging => json(paging::report_at_one_sample().clone()),
+                ExperimentId::PrefixSharing => json(prefix::report_at_one_sample().clone()),
+                ExperimentId::StreamingLatency => json(streaming::report_at_one_sample().clone()),
+                ExperimentId::Quantization => json(quantization::report_at_one_sample().clone()),
+                id => panic!("{id} writes {file} but has no shared sweep"),
             };
             let records: Vec<serde::Value> = serde_json::from_str(&json).unwrap();
             assert_eq!(

@@ -233,13 +233,22 @@ pub fn serve_throughput_report(samples: usize) -> (Table, Vec<PolicyServingSumma
     (table, summaries)
 }
 
+/// [`serve_throughput_report`] at one sample, computed once per test process: two tests here
+/// and the registry's artefact test read it.
+#[cfg(test)]
+pub(crate) fn report_at_one_sample() -> &'static (Table, Vec<PolicyServingSummary>) {
+    static REPORT: std::sync::OnceLock<(Table, Vec<PolicyServingSummary>)> =
+        std::sync::OnceLock::new();
+    REPORT.get_or_init(|| serve_throughput_report(1))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn keyformer_completes_strictly_more_requests_than_full_at_fixed_pool() {
-        let (_, summaries) = serve_throughput_report(1);
+        let (_, summaries) = report_at_one_sample();
         let by_name = |needle: &str| {
             summaries
                 .iter()
@@ -271,15 +280,15 @@ mod tests {
 
     #[test]
     fn summaries_cover_every_policy_and_serialize() {
-        let (table, summaries) = serve_throughput_report(1);
+        let (table, summaries) = report_at_one_sample();
         assert_eq!(summaries.len(), 4);
         assert_eq!(table.rows.len(), 4);
-        for s in &summaries {
+        for s in summaries {
             assert!(s.completed <= s.submitted);
             assert!(s.steps > 0);
         }
-        let json = serde_json::to_string(&summaries).unwrap();
+        let json = serde_json::to_string(summaries).unwrap();
         let back: Vec<PolicyServingSummary> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, summaries);
+        assert_eq!(&back, summaries);
     }
 }

@@ -273,6 +273,14 @@ pub fn streaming_latency_report(samples: usize) -> (Table, Vec<LatencySummary>) 
     (table, summaries)
 }
 
+/// [`streaming_latency_report`] at one sample, computed once per test process: two tests here
+/// and the registry's artefact test read it.
+#[cfg(test)]
+pub(crate) fn report_at_one_sample() -> &'static (Table, Vec<LatencySummary>) {
+    static REPORT: std::sync::OnceLock<(Table, Vec<LatencySummary>)> = std::sync::OnceLock::new();
+    REPORT.get_or_init(|| streaming_latency_report(1))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,10 +300,10 @@ mod tests {
 
     #[test]
     fn summaries_cover_the_zoo_exercise_cancellation_and_serialize() {
-        let (table, summaries) = streaming_latency_report(1);
+        let (table, summaries) = report_at_one_sample();
         assert_eq!(summaries.len(), 8, "the whole policy zoo runs");
         assert_eq!(table.rows.len(), 8);
-        for s in &summaries {
+        for s in summaries {
             assert_eq!(
                 s.completed + s.cancelled,
                 s.submitted,
@@ -309,14 +317,14 @@ mod tests {
             assert!(s.itl_p50 >= 1.0, "{}: tokens are one step apart", s.policy);
             assert!(s.itl_p95 >= s.itl_p50, "{}", s.policy);
         }
-        let json = serde_json::to_string(&summaries).unwrap();
+        let json = serde_json::to_string(summaries).unwrap();
         let back: Vec<LatencySummary> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, summaries);
+        assert_eq!(&back, summaries);
     }
 
     #[test]
     fn smaller_budgets_cut_tail_ttft_and_priority_cuts_the_queue() {
-        let (_, summaries) = streaming_latency_report(1);
+        let (_, summaries) = report_at_one_sample();
         let by_name = |needle: &str| {
             summaries
                 .iter()
@@ -335,7 +343,7 @@ mod tests {
             full.ttft_p95
         );
         // Elevated-priority arrivals jump the admission queue.
-        for s in &summaries {
+        for s in summaries {
             assert!(
                 s.ttft_mean_high_priority <= s.ttft_mean_normal,
                 "{}: high-priority TTFT {} vs normal {}",

@@ -6,7 +6,7 @@
 //! cargo run --release --example long_context_report
 //! ```
 
-use keyformer::core::{CacheBudgetSpec, PolicySpec};
+use keyformer::core::PolicySpec;
 use keyformer::model::families::ModelFamily;
 use keyformer::text::datasets::longdoc::{LongDocDataset, LongDocSpec};
 use keyformer::text::eval::{evaluate_generation, EvalSetting};
@@ -21,17 +21,14 @@ fn main() {
     );
     let model = ModelFamily::MptStorywriterLike.build(3);
     let full = evaluate_generation(&model, &EvalSetting::full_attention(), dataset.samples());
-    println!("full attention: ROUGE-2 {:.3}\n", full.rouge.rouge2.f1);
+    println!("full attention: ROUGE-2 {:.3}\n", full.rouge2.f1);
     println!("{:<10} {:>10} {:>12}", "kv cache", "h2o", "keyformer");
     for fraction in [0.1, 0.2, 0.3, 0.4, 0.5] {
         let mut cells = Vec::new();
         for policy in [PolicySpec::h2o_default(), PolicySpec::keyformer_default()] {
-            let setting = EvalSetting {
-                policy,
-                budget: Some(CacheBudgetSpec::with_fraction(fraction).expect("valid budget")),
-            };
-            let eval = evaluate_generation(&model, &setting, dataset.samples());
-            cells.push(eval.rouge.rouge2.f1);
+            let setting = EvalSetting::budgeted(policy, fraction);
+            let rouge = evaluate_generation(&model, &setting, dataset.samples());
+            cells.push(rouge.rouge2.f1);
         }
         println!(
             "{:<10} {:>10.3} {:>12.3}",

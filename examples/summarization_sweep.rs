@@ -5,7 +5,7 @@
 //! cargo run --release --example summarization_sweep
 //! ```
 
-use keyformer::core::{CacheBudgetSpec, PolicySpec};
+use keyformer::core::PolicySpec;
 use keyformer::model::families::ModelFamily;
 use keyformer::text::datasets::summarization::{SummarizationDataset, SummarizationSpec};
 use keyformer::text::eval::{evaluate_generation, EvalSetting};
@@ -17,8 +17,8 @@ fn main() {
     println!("model: {}", ModelFamily::GptJLike.label());
     println!(
         "full attention baseline: ROUGE-2 {:.3} (99% band at {:.3})\n",
-        full.rouge.rouge2.f1,
-        0.99 * full.rouge.rouge2.f1
+        full.rouge2.f1,
+        0.99 * full.rouge2.f1
     );
     println!(
         "{:<10} {:>12} {:>12} {:>12} {:>14}",
@@ -32,12 +32,9 @@ fn main() {
             PolicySpec::keyformer_default(),
             PolicySpec::streaming_default(),
         ] {
-            let setting = EvalSetting {
-                policy,
-                budget: Some(CacheBudgetSpec::with_fraction(fraction).expect("valid budget")),
-            };
-            let eval = evaluate_generation(&model, &setting, dataset.samples());
-            cells.push(eval.rouge.rouge2.f1);
+            let setting = EvalSetting::budgeted(policy, fraction);
+            let rouge = evaluate_generation(&model, &setting, dataset.samples());
+            cells.push(rouge.rouge2.f1);
         }
         println!(
             "{:<10} {:>12.3} {:>12.3} {:>12.3} {:>14.3}",

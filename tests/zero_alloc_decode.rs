@@ -30,6 +30,11 @@
 //! allocate: block boundaries (a fresh KV block, its rotated-key entry and a
 //! per-block `positions` reservation) and the stats collector (off here, as
 //! in serving).
+//!
+//! A window counts the allocations of the measured work and nothing else:
+//! those of the thread that opens it, and those of every thread the work
+//! spawns. The test harness's own threads allocate whenever they like (to
+//! record a result, or to start the next test), so they are never counted.
 
 // The GlobalAlloc trait is unsafe to implement; this thin counting wrapper
 // delegates straight to the system allocator.
@@ -49,33 +54,75 @@ use keyformer::model::generation::GenerationConfig;
 use keyformer::model::model::TransformerModel;
 use keyformer::model::session::Session;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-static COUNTING: AtomicBool = AtomicBool::new(false);
+static WINDOW_OPEN: AtomicBool = AtomicBool::new(false);
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
+/// Whether a thread's allocations count while a window is open.
+#[derive(Clone, Copy)]
+enum Role {
+    /// Has not allocated yet.
+    Unseen,
+    /// Counted: the thread that opened the window, or one spawned inside it.
+    Measured,
+    /// Never counted.
+    Bystander,
+}
+
+thread_local! {
+    // `const`-initialised and without a destructor: the allocator can read it
+    // at any point of a thread's life without allocating.
+    static ROLE: Cell<Role> = const { Cell::new(Role::Unseen) };
+}
+
+/// Whether the calling thread's allocation counts. A thread's role is fixed
+/// at its first allocation: one made inside an open window by an unnamed
+/// thread is the first of a worker the measured work spawned (`fan_out`'s
+/// scoped threads have no name, while the test harness names every thread it
+/// starts after its test). Every other thread is a bystander until
+/// [`count_allocations`] makes it the measured one.
+fn counts_here() -> bool {
+    ROLE.with(|role| match role.get() {
+        Role::Measured => WINDOW_OPEN.load(Ordering::Relaxed),
+        Role::Bystander => false,
+        Role::Unseen => {
+            // Fixed before the name lookup, so an allocation inside it
+            // cannot come back here.
+            role.set(Role::Bystander);
+            let worker =
+                WINDOW_OPEN.load(Ordering::Relaxed) && std::thread::current().name().is_none();
+            if worker {
+                role.set(Role::Measured);
+            }
+            worker
+        }
+    })
+}
+
 /// System allocator wrapper that counts allocation events (fresh allocations
-/// and reallocations; frees are not counted) while [`COUNTING`] is set.
+/// and reallocations; frees are not counted) that [`counts_here`] admits.
 struct CountingAllocator;
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
+        if counts_here() {
             ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         }
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
+        if counts_here() {
             ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         }
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
+        if counts_here() {
             ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         }
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -89,9 +136,21 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// The counter is process-global, so a concurrently running sibling test
-/// would pollute the window: every test holds this lock from start to end.
+/// The tally is shared by every measured thread, so two tests' windows must
+/// not overlap: every test holds this lock from start to end.
 static WINDOW: Mutex<()> = Mutex::new(());
+
+/// Counts the allocations `work` makes on the calling thread and on every
+/// thread it spawns.
+fn count_allocations(work: impl FnOnce()) -> usize {
+    ROLE.with(|role| role.set(Role::Measured));
+    ALLOCATIONS.store(0, Ordering::SeqCst);
+    WINDOW_OPEN.store(true, Ordering::SeqCst);
+    work();
+    WINDOW_OPEN.store(false, Ordering::SeqCst);
+    ROLE.with(|role| role.set(Role::Bystander));
+    ALLOCATIONS.load(Ordering::SeqCst)
+}
 
 #[test]
 fn steady_state_workspace_decode_allocates_nothing() {
@@ -187,14 +246,12 @@ fn decode_allocates_nothing(
 
     let capacity = session.budget().map(|b| b.capacity());
     let mut at_budget = true;
-    ALLOCATIONS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    for _ in 0..8 {
-        session.step().unwrap();
-        at_budget &= capacity.is_none_or(|c| session.cache().layer(0).len() == c);
-    }
-    COUNTING.store(false, Ordering::SeqCst);
-    let allocations = ALLOCATIONS.load(Ordering::SeqCst);
+    let allocations = count_allocations(|| {
+        for _ in 0..8 {
+            session.step().unwrap();
+            at_budget &= capacity.is_none_or(|c| session.cache().layer(0).len() == c);
+        }
+    });
 
     assert!(
         at_budget,
@@ -252,43 +309,30 @@ fn scored_policy_observe_allocates_nothing() {
         // One warm-up observation sizes the scratch and the score bucket.
         observe(policy.as_mut(), 0, 0);
 
-        let windows = quietest_of_three(|window| {
+        let windows = three_windows(|window| {
             for step in 0..8 {
                 observe(policy.as_mut(), step % 2, 8 * window + step);
             }
         });
         assert_eq!(
-            windows.iter().min(),
-            Some(&0),
+            windows, [0; 3],
             "{spec}: a warmed policy must observe without allocating; counted \
              {windows:?} allocation(s) in three windows of 8 observations"
         );
 
         // Compaction gathers the totals in place: every window drops slot 0.
         let cuts: Vec<Vec<usize>> = (0..3).map(|w| (1..logits.len() - w).collect()).collect();
-        let windows = quietest_of_three(|window| policy.compact(0, &cuts[window]));
+        let windows = three_windows(|window| policy.compact(0, &cuts[window]));
         assert_eq!(
-            windows.iter().min(),
-            Some(&0),
+            windows, [0; 3],
             "{spec}: compaction must gather in place; counted {windows:?}"
         );
     }
 }
 
-/// Counts the allocations of `work(window)` in three windows. The counter is
-/// process-global, and these windows are short enough to overlap the test
-/// harness still recording the previous test's result, so callers keep the
-/// quietest; code that allocates counts in every window.
-fn quietest_of_three(mut work: impl FnMut(usize)) -> Vec<usize> {
-    (0..3)
-        .map(|window| {
-            ALLOCATIONS.store(0, Ordering::SeqCst);
-            COUNTING.store(true, Ordering::SeqCst);
-            work(window);
-            COUNTING.store(false, Ordering::SeqCst);
-            ALLOCATIONS.load(Ordering::SeqCst)
-        })
-        .collect()
+/// Counts the allocations of `work(window)` in each of three windows.
+fn three_windows(mut work: impl FnMut(usize)) -> [usize; 3] {
+    [0, 1, 2].map(|window| count_allocations(|| work(window)))
 }
 
 #[test]
@@ -316,11 +360,10 @@ fn parallel_replay_workers_allocate_nothing() {
     // One warm-up run sizes the buckets and both workers' scratch.
     policy.observe_rows(&rows, 2);
 
-    let spawn_only = quietest_of_three(|_| fan_out([(), ()].into_iter(), |()| {}));
-    let replay = quietest_of_three(|_| policy.observe_rows(&rows, 2));
+    let spawn_only = three_windows(|_| fan_out([(), ()].into_iter(), |()| {}));
+    let replay = three_windows(|_| policy.observe_rows(&rows, 2));
     assert_eq!(
-        replay.iter().min(),
-        spawn_only.iter().min(),
+        replay, spawn_only,
         "a warmed two-worker replay may allocate only what spawning its \
          second worker does: counted {replay:?}, a bare spawn {spawn_only:?}"
     );
@@ -362,11 +405,7 @@ fn single_slot_eviction_with_rotated_hand_off_allocates_nothing() {
     rot.retain_slots(&mut layer, &warm).unwrap();
     let kept: Vec<usize> = (0..43).filter(|&s| s != 5).collect();
 
-    ALLOCATIONS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    rot.retain_slots(&mut layer, &kept).unwrap();
-    COUNTING.store(false, Ordering::SeqCst);
-    let allocations = ALLOCATIONS.load(Ordering::SeqCst);
+    let allocations = count_allocations(|| rot.retain_slots(&mut layer, &kept).unwrap());
 
     assert_eq!(
         allocations, 0,
@@ -407,9 +446,13 @@ fn u8_compaction_allocates_per_block_not_per_row() {
                 layer
             })
             .collect();
-        let windows = quietest_of_three(|window| layers[window].retain_slots(&kept).unwrap());
+        let windows = three_windows(|window| layers[window].retain_slots(&kept).unwrap());
         assert!(layers.iter().all(|l| l.len() == slots - 2));
-        windows.into_iter().min().unwrap()
+        assert!(
+            windows.iter().all(|&w| w == windows[0]),
+            "three equal compactions at {block}-slot blocks counted {windows:?}"
+        );
+        windows[0]
     };
     let (small, large) = (counted(8), counted(32));
     assert_eq!(
