@@ -48,9 +48,11 @@ use std::sync::OnceLock;
 const LN_EPS: f32 = 1e-5;
 
 /// Chunk queries attended per pass of [`attend_chunk_gemm`]: its
-/// logit/probability rectangle is this many rows tall (two register tiles),
-/// not `chunk` rows, so it stays L1-resident at a thousand live slots and off
-/// the peak RSS. Prefill time is flat from 4 to 32 rows.
+/// logit/probability rectangle is this many rows tall, not `chunk` rows, so
+/// it stays L1-resident at a thousand live slots and off the peak RSS.
+/// Prefill time is flat from 4 to 32 rows. An even height lets every full
+/// band run as the GEMM kernel's two-row register tiles (four of them), with
+/// no row left to the slower one-row tile.
 const ATTN_BAND_ROWS: usize = 8;
 
 /// Scratch of the one-query-at-a-time attention ([`attend_chunk_query_ws`])
@@ -72,9 +74,11 @@ pub(crate) struct AttnScratch {
     rope: RopeRotor,
 }
 
-/// Fewest chunk rows worth a prefill worker of their own (two register
-/// tiles). A chunk shorter than two of these runs on the calling thread
-/// alone, without a spawn.
+/// Fewest chunk rows worth a prefill worker of their own. The floor is an
+/// amount of work against a worker's ~33 µs spawn and join, not a tile
+/// count (eight rows are four of the GEMM kernel's two-row register tiles).
+/// A chunk shorter than two of these runs on the calling thread alone,
+/// without a spawn.
 const MIN_ROWS_PER_WORKER: usize = 8;
 
 /// Scratch owned by [`forward_chunk_ws`]: flat `[token][feature]` row blocks
@@ -444,7 +448,7 @@ impl ForwardWorkspace {
 ///   end of its forward changes nothing either.
 /// * **Attention logits and context rows are GEMM tiles of the same chains** —
 ///   in [`attend_chunk_gemm`] a query's logit against a key is the one
-///   ascending-`k` chain `dot` runs, computed a 4x16 register tile at a time
+///   ascending-`k` chain `dot` runs, computed a 2x16 register tile at a time
 ///   against keys packed once per (layer, head), and its context row is the
 ///   one ascending-slot chain `vecmat_into` runs over its own probabilities; a
 ///   probability row zero-padded past its causal extent adds `±0.0` to

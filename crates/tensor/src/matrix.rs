@@ -25,71 +25,126 @@ pub struct Matrix {
     data: Vec<f32>,
 }
 
-/// Register-tile height of the GEMM micro-kernel: rows of the left operand
-/// processed per tile.
-const GEMM_MR: usize = 4;
-/// Register-tile width of the GEMM micro-kernel: columns of the right operand
-/// processed per tile. `GEMM_MR * GEMM_NR` accumulators fit in registers.
-const GEMM_NR: usize = 16;
+/// Rows of the left operand in a multi-row tile of the GEMM micro-kernel. A
+/// `2 x 16` tile keeps its eight 4-lane accumulators in x86-64's baseline
+/// SSE registers with room for the operands. A third row measured no faster
+/// (its twelve accumulators leave no room for the operands), and a fourth
+/// spills.
+const TILE_ROWS: usize = 2;
+/// Columns of a multi-row tile, and the width of a [`PackedPanels`] panel.
+const PANEL: usize = 16;
+/// Columns of a lone row's tile, the shape of every decode-step projection
+/// and readout. It is wider than the register file on purpose: a lone row's
+/// product streams its whole right operand once, and reading `ROW_TILE`
+/// contiguous columns of every `b` row per `k` step keeps that stream
+/// sequential enough to run at cache bandwidth. Measured on the decode
+/// step's weights (4 layers of `128 x 128` and `128 x 256` projections plus
+/// the `128 x 1024` readout) on a 2-core Xeon VM, baseline x86-64: 32 and 64
+/// columns were slower, and so was 256.
+const ROW_TILE: usize = 128;
 
-/// GEMM micro-kernel: computes an `mr x nr` output tile whose element
-/// `(i0 + mi, jo + ni)` is the dot product of row `i0 + mi` of `a` (stride
-/// `lda`) with column `jb + ni` of `b` (stride `ldb`), written to `out` at
-/// stride `ldo`.
+/// GEMM micro-kernel: an `MR x NR` output tile, for shapes fixed at compile
+/// time. Element `(mi, ni)` of the tile, written to `out[mi * ldo + ni]`, is
+/// the dot product of the first `k` entries of row `mi` of `a` (stride
+/// `lda`) with column `ni` of `b` (stride `ldb`): the slices start at the
+/// tile's first row, column and output element.
 ///
 /// Every output element accumulates its `k` products through a **single chain
 /// in ascending-`k` order, started from `+0.0`**: `((0.0 + a₀·b₀) + a₁·b₁) +
-/// …`, written out in full by the loop of [`Matrix::vecmat`]. A tile of one
-/// row and a tile of four run the same chains, so a row's outputs do not
-/// depend on the rows it is multiplied with — the contract that lets a decode
-/// step and a prefill chunk share one kernel bit for bit. Register blocking
-/// only reorders *independent* chains, never splits one. (`Iterator::sum`
+/// …`, written out in full by the loop of [`Matrix::vecmat`]. Every tile
+/// shape — and [`edge`] — runs the same chains, so a row's outputs do not
+/// depend on the rows it is multiplied with or the tile that computed them:
+/// the contract that lets a decode step and a prefill chunk share one kernel
+/// bit for bit. The fixed shape only lets the compiler unroll the tile and
+/// reorder its *independent* chains across vector lanes; no chain is ever
+/// split, and a multiply and an add are never fused. (`Iterator::sum`
 /// starts from `-0.0`, so it is not this chain: an all-`-0.0` sum stays
 /// `-0.0` there and becomes `+0.0` here.)
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn gemm_tile(
+#[inline(always)]
+fn tile<const MR: usize, const NR: usize>(
     a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
     lda: usize,
-    ldb: usize,
-    ldo: usize,
-    i0: usize,
-    jb: usize,
-    jo: usize,
-    mr: usize,
-    nr: usize,
     k: usize,
+    b: &[f32],
+    ldb: usize,
+    out: &mut [f32],
+    ldo: usize,
 ) {
-    debug_assert!(mr <= GEMM_MR && nr <= GEMM_NR);
-    let mut acc = [[0.0f32; GEMM_NR]; GEMM_MR];
-    if nr == GEMM_NR {
-        // Full-width tile: fixed-length inner loop, so the adds vectorize.
-        for kk in 0..k {
-            let brow = &b[kk * ldb + jb..kk * ldb + jb + GEMM_NR];
-            for (mi, accrow) in acc[..mr].iter_mut().enumerate() {
-                let a_val = a[(i0 + mi) * lda + kk];
-                for (o, &bv) in accrow.iter_mut().zip(brow) {
-                    *o += a_val * bv;
-                }
-            }
-        }
-    } else {
-        // Ragged right/bottom edge: same arithmetic at runtime width.
-        for kk in 0..k {
-            let brow = &b[kk * ldb + jb..kk * ldb + jb + nr];
-            for (mi, accrow) in acc[..mr].iter_mut().enumerate() {
-                let a_val = a[(i0 + mi) * lda + kk];
-                for (o, &bv) in accrow[..nr].iter_mut().zip(brow) {
-                    *o += a_val * bv;
-                }
+    let rows: [&[f32]; MR] = std::array::from_fn(|mi| &a[mi * lda..mi * lda + k]);
+    let mut acc = [[0.0f32; NR]; MR];
+    for kk in 0..k {
+        let brow: &[f32; NR] = b[kk * ldb..kk * ldb + NR]
+            .try_into()
+            .expect("a slice of NR elements");
+        for (accrow, row) in acc.iter_mut().zip(&rows) {
+            let a_val = row[kk];
+            for (o, &bv) in accrow.iter_mut().zip(brow) {
+                *o += a_val * bv;
             }
         }
     }
-    for (mi, accrow) in acc[..mr].iter().enumerate() {
-        let dst = (i0 + mi) * ldo + jo;
-        out[dst..dst + nr].copy_from_slice(&accrow[..nr]);
+    for (mi, accrow) in acc.iter().enumerate() {
+        out[mi * ldo..mi * ldo + NR].copy_from_slice(accrow);
+    }
+}
+
+/// The ragged right edge of [`tile`]: `MR` rows by a runtime `nr < PANEL`
+/// columns, the same chains at runtime width.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn edge<const MR: usize>(
+    a: &[f32],
+    lda: usize,
+    k: usize,
+    b: &[f32],
+    ldb: usize,
+    nr: usize,
+    out: &mut [f32],
+    ldo: usize,
+) {
+    debug_assert!(nr < PANEL);
+    let rows: [&[f32]; MR] = std::array::from_fn(|mi| &a[mi * lda..mi * lda + k]);
+    let mut acc = [[0.0f32; PANEL]; MR];
+    for kk in 0..k {
+        let brow = &b[kk * ldb..kk * ldb + nr];
+        for (accrow, row) in acc.iter_mut().zip(&rows) {
+            let a_val = row[kk];
+            for (o, &bv) in accrow[..nr].iter_mut().zip(brow) {
+                *o += a_val * bv;
+            }
+        }
+    }
+    for (mi, accrow) in acc.iter().enumerate() {
+        out[mi * ldo..mi * ldo + nr].copy_from_slice(&accrow[..nr]);
+    }
+}
+
+/// `MR` rows of [`matmul_strided`] across all `n` columns of `b` (stride
+/// `n`), left to right: a lone row in [`ROW_TILE`]-wide tiles first, then
+/// [`PANEL`]-wide tiles, then the ragged edge.
+#[inline(always)]
+fn strided_rows<const MR: usize>(
+    a: &[f32],
+    lda: usize,
+    k: usize,
+    b: &[f32],
+    n: usize,
+    out: &mut [f32],
+    ldo: usize,
+) {
+    let mut j = 0;
+    if MR == 1 {
+        while n - j >= ROW_TILE {
+            tile::<1, ROW_TILE>(a, lda, k, &b[j..], n, &mut out[j..], ldo);
+            j += ROW_TILE;
+        }
+    }
+    while n - j >= PANEL {
+        tile::<MR, PANEL>(a, lda, k, &b[j..], n, &mut out[j..], ldo);
+        j += PANEL;
+    }
+    if j < n {
+        edge::<MR>(a, lda, k, &b[j..], n, n - j, &mut out[j..], ldo);
     }
 }
 
@@ -104,6 +159,10 @@ fn gemm_tile(
 /// of, and into, column bands of wider buffers — a per-head slice of a
 /// `tokens x d_model` block — and a `k` shorter than `a`'s rows restricts the
 /// product to a causal extent.
+///
+/// Rows go through `2 x 16` register tiles two at a time; a lone row — a
+/// decode step's, or an odd last row — goes through `1 x 128` tiles first,
+/// then `1 x 16` ones. A ragged right edge runs at runtime width.
 ///
 /// **Single-chain contract:** every output element is one accumulation chain
 /// over ascending `kk < k`, started from `+0.0`: `((0.0 + a[i][0]·b[0][j]) +
@@ -137,16 +196,13 @@ pub fn matmul_strided(
     assert!(a.len() >= (m - 1) * lda + k, "left operand too short");
     assert!(b.len() >= k * n, "right operand too short");
     assert!(out.len() >= (m - 1) * ldo + n, "output too short");
-    let mut i0 = 0;
-    while i0 < m {
-        let mr = (m - i0).min(GEMM_MR);
-        let mut j0 = 0;
-        while j0 < n {
-            let nr = (n - j0).min(GEMM_NR);
-            gemm_tile(a, b, out, lda, n, ldo, i0, j0, j0, mr, nr, k);
-            j0 += nr;
-        }
-        i0 += mr;
+    let mut i = 0;
+    while m - i >= TILE_ROWS {
+        strided_rows::<TILE_ROWS>(&a[i * lda..], lda, k, b, n, &mut out[i * ldo..], ldo);
+        i += TILE_ROWS;
+    }
+    for i in i..m {
+        strided_rows::<1>(&a[i * lda..], lda, k, b, n, &mut out[i * ldo..], ldo);
     }
 }
 
@@ -182,7 +238,7 @@ impl PackedPanels {
     /// Makes room for `rows` rows of width `k`, so that packing them after a
     /// [`PackedPanels::reset`] never reallocates.
     pub fn reserve(&mut self, k: usize, rows: usize) {
-        let needed = rows.div_ceil(GEMM_NR) * GEMM_NR * k;
+        let needed = rows.div_ceil(PANEL) * PANEL * k;
         self.data.reserve(needed.saturating_sub(self.data.len()));
     }
 
@@ -194,12 +250,12 @@ impl PackedPanels {
     /// [`PackedPanels::reset`].
     pub fn push_row(&mut self, row: &[f32]) {
         assert_eq!(row.len(), self.k, "row width must match the pack");
-        let col = self.rows % GEMM_NR;
+        let col = self.rows % PANEL;
         if col == 0 {
-            self.data.resize(self.data.len() + self.k * GEMM_NR, 0.0);
+            self.data.resize(self.data.len() + self.k * PANEL, 0.0);
         }
-        let column = self.data.len() - self.k * GEMM_NR + col;
-        for (dst, &x) in self.data[column..].iter_mut().step_by(GEMM_NR).zip(row) {
+        let column = self.data.len() - self.k * PANEL + col;
+        for (dst, &x) in self.data[column..].iter_mut().step_by(PANEL).zip(row) {
             *dst = x;
         }
         self.rows += 1;
@@ -247,31 +303,45 @@ pub fn matmul_packed_bt(
     assert!(out.len() >= (m - 1) * ldo + n, "output too short");
     // Panel-major: one 16-row panel stays in L1 while every row tile of `a`
     // passes over it.
-    for (p, panel) in b.data.chunks_exact(k * GEMM_NR).enumerate() {
-        let j0 = p * GEMM_NR;
+    for (p, panel) in b.data.chunks_exact(k * PANEL).enumerate() {
+        let j0 = p * PANEL;
         if j0 >= n {
             break;
         }
-        let nr = (n - j0).min(GEMM_NR);
-        let mut i0 = 0;
-        while i0 < m {
-            let mr = (m - i0).min(GEMM_MR);
-            if nr == GEMM_NR {
-                gemm_tile(a, panel, out, lda, GEMM_NR, ldo, i0, 0, j0, mr, GEMM_NR, k);
-            } else {
-                // Ragged last panel: its padding makes the full-width
-                // (vectorized) tile valid; only `nr` columns are kept.
-                let mut edge = [0.0f32; GEMM_MR * GEMM_NR];
-                let rows = &a[i0 * lda..];
-                gemm_tile(
-                    rows, panel, &mut edge, lda, GEMM_NR, GEMM_NR, 0, 0, 0, mr, GEMM_NR, k,
-                );
-                for (mi, tile_row) in edge.chunks_exact(GEMM_NR).take(mr).enumerate() {
-                    let dst = (i0 + mi) * ldo + j0;
-                    out[dst..dst + nr].copy_from_slice(&tile_row[..nr]);
-                }
-            }
-            i0 += mr;
+        let nr = (n - j0).min(PANEL);
+        let out = &mut out[j0..];
+        let mut i = 0;
+        while m - i >= TILE_ROWS {
+            packed_rows::<TILE_ROWS>(&a[i * lda..], lda, k, panel, nr, &mut out[i * ldo..], ldo);
+            i += TILE_ROWS;
+        }
+        for i in i..m {
+            packed_rows::<1>(&a[i * lda..], lda, k, panel, nr, &mut out[i * ldo..], ldo);
+        }
+    }
+}
+
+/// `MR` rows of [`matmul_packed_bt`] against one panel, of which the first
+/// `nr` columns are kept.
+#[inline(always)]
+fn packed_rows<const MR: usize>(
+    a: &[f32],
+    lda: usize,
+    k: usize,
+    panel: &[f32],
+    nr: usize,
+    out: &mut [f32],
+    ldo: usize,
+) {
+    if nr == PANEL {
+        tile::<MR, PANEL>(a, lda, k, panel, PANEL, out, ldo);
+    } else {
+        // Ragged last panel: its zero padding makes the full-width tile
+        // valid; only `nr` columns are kept.
+        let mut full = [[0.0f32; PANEL]; MR];
+        tile::<MR, PANEL>(a, lda, k, panel, PANEL, full.as_flattened_mut(), PANEL);
+        for (mi, tile_row) in full.iter().enumerate() {
+            out[mi * ldo..mi * ldo + nr].copy_from_slice(&tile_row[..nr]);
         }
     }
 }
@@ -806,6 +876,120 @@ mod tests {
                 out.iter().all(|x| x.to_bits() == 0.0f32.to_bits()),
                 "width {n}: {out:?}"
             );
+        }
+    }
+
+    /// An operand of `rows x cols` salted with exact zeros, `-0.0` and
+    /// subnormals of both signs.
+    fn salted(rows: usize, cols: usize, seed: &mut u64) -> Matrix {
+        let mut m = lcg_matrix(rows, cols, seed);
+        for (i, x) in m.as_mut_slice().iter_mut().enumerate() {
+            match i % 11 {
+                2 => *x = 0.0,
+                5 => *x = -0.0,
+                7 => *x = f32::from_bits(1 + i as u32) * x.signum(),
+                _ => {}
+            }
+        }
+        m
+    }
+
+    /// A salted left operand whose first row is all negative: against a
+    /// right-hand column of `+0.0`, its chain sums only `-0.0` products.
+    fn salted_left(rows: usize, cols: usize, seed: &mut u64) -> Matrix {
+        let mut x = salted(rows, cols, seed);
+        for v in x.row_mut(0) {
+            *v = -v.abs() - 0.5;
+        }
+        x
+    }
+
+    /// `rows` rows of `k` values at stride `k + 3`, the padding `NaN`: a
+    /// kernel that reads past `k` poisons its output.
+    fn padded(x: &Matrix) -> (Vec<f32>, usize) {
+        let lda = x.cols() + 3;
+        let mut a = vec![f32::NAN; x.rows() * lda];
+        for (dst, row) in a.chunks_exact_mut(lda).zip(x.iter_rows()) {
+            dst[..row.len()].copy_from_slice(row);
+        }
+        (a, lda)
+    }
+
+    /// The hand-written chain over ascending `k` from `+0.0`.
+    fn chain(xs: impl Iterator<Item = (f32, f32)>) -> f32 {
+        let mut acc = 0.0f32;
+        for (x, y) in xs {
+            acc += x * y;
+        }
+        acc
+    }
+
+    /// Every tile path — two-row and one-row tiles, the wide one-row tile,
+    /// ragged edges, the ragged last panel — gives each output the chain
+    /// from `+0.0`, bit for bit, writes nothing past `n` and reads nothing
+    /// past `k`.
+    #[test]
+    fn every_tile_shape_is_the_ascending_chain_from_positive_zero() {
+        let mut seed = 0x7111_e5e5_u64;
+        for k in [1usize, 21, 128] {
+            for n in [
+                1usize, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 256, 1024,
+            ] {
+                // Column 0 all `+0.0`, and one spare `NaN` row: `b` rows past
+                // `k` are never read.
+                let mut w = salted(k, n, &mut seed);
+                for kk in 0..k {
+                    w.set(kk, 0, 0.0);
+                }
+                let mut b = w.as_slice().to_vec();
+                b.extend(std::iter::repeat_n(f32::NAN, n));
+                for m in 1..=9 {
+                    let x = salted_left(m, k, &mut seed);
+                    let (a, lda) = padded(&x);
+                    let ldo = n + 5;
+                    let mut out = vec![f32::NAN; m * ldo];
+                    matmul_strided(&a, lda, m, k, &b, n, &mut out, ldo);
+                    for i in 0..m {
+                        let want: Vec<f32> = (0..n)
+                            .map(|j| chain(x.row(i).iter().copied().zip(w.col(j))))
+                            .collect();
+                        let row = &out[i * ldo..(i + 1) * ldo];
+                        assert_eq!(bits(&row[..n]), bits(&want), "m {m} k {k} n {n} row {i}");
+                        assert!(row[n..].iter().all(|x| x.is_nan()), "m {m} k {k} n {n}");
+                    }
+                }
+            }
+        }
+        for k in [1usize, 21, 32] {
+            for packed in [1usize, 15, 16, 17, 40, 130] {
+                let mut keys = salted(packed, k, &mut seed);
+                keys.row_mut(0).fill(0.0);
+                let mut panels = PackedPanels::new();
+                panels.reset(k);
+                for row in keys.iter_rows() {
+                    panels.push_row(row);
+                }
+                for m in 1..=9 {
+                    let x = salted_left(m, k, &mut seed);
+                    let (a, lda) = padded(&x);
+                    for n in [packed, packed.div_ceil(2)] {
+                        let ldo = n + 5;
+                        let mut out = vec![f32::NAN; m * ldo];
+                        matmul_packed_bt(&a, lda, m, &panels, n, &mut out, ldo);
+                        for i in 0..m {
+                            let want: Vec<f32> = (0..n)
+                                .map(|j| {
+                                    chain(x.row(i).iter().copied().zip(keys.row(j).iter().copied()))
+                                })
+                                .collect();
+                            let row = &out[i * ldo..(i + 1) * ldo];
+                            let at = format!("m {m} k {k} packed {packed} n {n} row {i}");
+                            assert_eq!(bits(&row[..n]), bits(&want), "{at}");
+                            assert!(row[n..].iter().all(|x| x.is_nan()), "{at}");
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -47,18 +47,6 @@ impl EvalSetting {
             dtype: KvDtype::F32,
         }
     }
-
-    /// Label combining policy and budget for use in result tables.
-    pub fn label(&self) -> String {
-        match self.budget {
-            None => format!("{} (full cache)", self.policy.label()),
-            Some(b) => format!(
-                "{} ({:.0}% KV cache)",
-                self.policy.label(),
-                b.cache_fraction() * 100.0
-            ),
-        }
-    }
 }
 
 /// Runs greedy generation on every sample and returns its macro-averaged
@@ -127,14 +115,6 @@ mod tests {
             seed: 42,
         };
         SummarizationDataset::generate(&spec, 2).samples().to_vec()
-    }
-
-    #[test]
-    fn setting_labels_mention_policy_and_budget() {
-        assert!(EvalSetting::full_attention().label().contains("full cache"));
-        let s = EvalSetting::budgeted(PolicySpec::h2o_default(), 0.5);
-        assert!(s.label().contains("50%"));
-        assert!(s.label().contains("H2O"));
     }
 
     #[test]
