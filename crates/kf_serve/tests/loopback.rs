@@ -674,6 +674,96 @@ fn a_closed_node_answers_503_unavailable() {
     handle.shutdown();
 }
 
+/// Appends the dotted path of every key under `value` to `out`, depth first
+/// in body order; a nested object contributes its own key and then its keys.
+fn key_paths(value: &Value, prefix: &str, out: &mut Vec<String>) {
+    if let Value::Map(entries) = value {
+        for (key, child) in entries {
+            let path = format!("{prefix}{key}");
+            out.push(path.clone());
+            key_paths(child, &format!("{path}."), out);
+        }
+    }
+}
+
+/// The `/v1/stats` body's shape: every key path, in order, of a node with a
+/// prefix registry that has served one request. `benchmark/` and operators
+/// read these paths, so a change to any stats record's fields shows here.
+#[test]
+fn stats_body_keeps_every_key_path_in_order() {
+    let handle = boot(pool_config(160).with_prefix_sharing(true), true);
+    let client = handle.client();
+    let (status, accepted) = client
+        .generate(&generate_body(&prompt(12, 3), 3, ""))
+        .expect("generate");
+    assert_eq!(status, 202);
+    await_terminal(&handle, u64_field(&accepted, "job_id").unwrap());
+
+    let (status, stats) = client.stats().expect("stats");
+    assert_eq!(status, 200);
+    let mut paths = Vec::new();
+    key_paths(&stats, "", &mut paths);
+    let expected = [
+        "jobs",
+        "jobs.submitted",
+        "jobs.completed",
+        "jobs.cache_hits",
+        "jobs.coalesced",
+        "jobs.failed",
+        "jobs.cancelled",
+        "live_jobs",
+        "engine",
+        "engine.steps",
+        "engine.queued",
+        "engine.running",
+        "engine.stats",
+        "engine.stats.steps",
+        "engine.stats.decode_steps",
+        "engine.stats.prefills",
+        "engine.stats.prefill_chunks",
+        "engine.stats.prefill_stalls",
+        "engine.stats.live_kv_byte_steps",
+        "engine.stats.peak_live_kv_bytes",
+        "engine.stats.peak_concurrency",
+        "engine.stats.live_slot_steps",
+        "engine.stats.allocated_slot_steps",
+        "engine.stats.preemptions",
+        "engine.stats.prefix_tokens_reused",
+        "engine.stats.cancelled",
+        "engine.stats.deadline_expired",
+        "engine.pool",
+        "engine.pool.block_size",
+        "engine.pool.capacity_blocks",
+        "engine.pool.in_use",
+        "engine.pool.reserved",
+        "engine.pool.peak_in_use",
+        "engine.pool.peak_reserved",
+        "engine.pool.total_allocs",
+        "engine.pool.total_frees",
+        "engine.pool.shared_blocks",
+        "engine.pool.peak_shared_blocks",
+        "engine.registry",
+        "engine.registry.entries",
+        "engine.registry.blocks_held",
+        "engine.registry.hits",
+        "engine.registry.misses",
+        "engine.registry.attached_tokens",
+        "engine.registry.registered",
+        "engine.registry.evictions",
+        "dedup_enabled",
+        "cache",
+        "cache.hits",
+        "cache.misses",
+        "cache.insertions",
+        "cache.expired",
+        "cache.evicted",
+        "cache_entries",
+        "inflight_groups",
+    ];
+    assert_eq!(paths, expected);
+    handle.shutdown();
+}
+
 /// Writes `request` on a fresh connection, half-closes, and returns every
 /// byte the node answers until it closes.
 fn raw_exchange(handle: &ServeHandle, request: &[u8]) -> String {
