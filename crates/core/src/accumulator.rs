@@ -11,11 +11,9 @@
 //! per-slot running totals must be gathered down to the retained subset, exactly like
 //! the keys and values themselves.
 
-use serde::{Deserialize, Serialize};
-
 /// Whether scores are accumulated per decoder layer or shared across all layers
 /// (the paper's Table 3 "Per-Layer" vs. "Shared" ablation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ScoreScope {
     /// A dedicated accumulator per decoder layer (the paper's best-performing choice).
     #[default]
@@ -35,7 +33,7 @@ impl std::fmt::Display for ScoreScope {
 
 /// Running per-slot score totals, keyed by layer (or collapsed to a single bucket for
 /// [`ScoreScope::Shared`]).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ScoreAccumulator {
     scope: ScoreScope,
     buckets: Vec<Vec<f32>>,

@@ -8,10 +8,9 @@
 
 use keyformer_tensor::init::{gaussian_sample, gumbel_sample, GUMBEL_MEAN, GUMBEL_STD};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A distribution added to unnormalized attention logits before scoring.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum LogitAdjustment {
     /// No adjustment: `y_i = x_i`. This is the H2O-style accumulated-attention score.
     None,

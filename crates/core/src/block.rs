@@ -42,7 +42,7 @@
 //! ```
 
 use crate::CoreError;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Default number of token slots per block.
@@ -53,7 +53,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 pub const DEFAULT_BLOCK_SIZE: usize = 16;
 
 /// Identifier of one physical block within its pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlockId(u32);
 
 impl BlockId {
@@ -64,7 +64,7 @@ impl BlockId {
 }
 
 /// What the pool does when an allocation would exceed its block capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OvercommitPolicy {
     /// Allocations past capacity succeed; the overshoot is tracked in
     /// [`BlockPoolStats::peak_in_use`]. This reproduces the PR 2 serving
@@ -78,7 +78,7 @@ pub enum OvercommitPolicy {
 
 /// A point-in-time snapshot of a pool's accounting, serializable for the
 /// paging experiment's `BENCH_paging.json`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct BlockPoolStats {
     /// Token slots per block.
     pub block_size: usize,

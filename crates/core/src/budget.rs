@@ -1,14 +1,13 @@
 //! KV-cache budgets: how many slots survive and how many of those are a recent window.
 
 use crate::CoreError;
-use serde::{Deserialize, Serialize};
 
 /// An absolute per-layer KV-cache budget.
 ///
 /// `capacity` is the paper's `k` (total retained slots) and `recent_window` is `w`
 /// (the most recent tokens that are always kept). The remaining `k - w` slots are the
 /// *key token* window filled by the policy's score function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheBudget {
     capacity: usize,
     recent_window: usize,
@@ -83,7 +82,7 @@ impl CacheBudget {
 /// assert_eq!(budget.capacity(), 200);
 /// assert_eq!(budget.recent_window(), 60);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheBudgetSpec {
     cache_fraction: f64,
     recent_ratio: f64,

@@ -60,7 +60,6 @@
 use crate::block::{BlockId, SharedBlockPool, DEFAULT_BLOCK_SIZE};
 use crate::CoreError;
 use keyformer_tensor::{Matrix, TensorError};
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -78,7 +77,7 @@ fn next_generation() -> u64 {
 }
 
 /// Storage precision of a layer's KV block payloads.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum KvDtype {
     /// Full-precision `f32` rows — the default, bit-identical to the
     /// pre-quantization backend.

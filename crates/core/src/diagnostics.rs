@@ -11,10 +11,9 @@ use crate::adjustment::LogitAdjustment;
 use keyformer_tensor::ops::{entropy, softmax};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// The before/after attention distributions of a cache-reduction step (Figure 4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SoftmaxShift {
     /// Softmax over the full logit vector (all `n` tokens).
     pub full: Vec<f32>,
@@ -56,7 +55,7 @@ pub fn softmax_shift(logits: &[f32], retained: &[usize]) -> SoftmaxShift {
 }
 
 /// Result of the Equation 8 entropy experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EntropyGain {
     /// Mean post-softmax entropy without logit adjustment.
     pub baseline: f32,
@@ -97,7 +96,7 @@ pub fn entropy_gain(
 }
 
 /// One point of the Figure 3b curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CdfPoint {
     /// Fraction of the context (top-x% of tokens by attention), in `(0, 1]`.
     pub token_fraction: f64,

@@ -1,13 +1,11 @@
 //! Per-step attention observations handed to cache policies.
 
-use serde::{Deserialize, Serialize};
-
 /// Which phase of generative inference a decode step belongs to.
 ///
 /// The paper distinguishes the two phases because Keyformer keeps the temperature at
 /// `tau_init` during prompt processing (no tokens have been discarded yet) and anneals
 /// it towards `tau_end` across the token-generation phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Prompt processing: the whole context is visible, the KV cache is being filled.
     Prompt,

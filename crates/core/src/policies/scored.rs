@@ -46,14 +46,13 @@ use keyformer_tensor::ops::softmax_with_temperature_into;
 use keyformer_tensor::top_k_indices_into;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// Configuration of the Keyformer score function.
 ///
 /// The defaults reproduce the paper's recommended setting: Gumbel logit adjustment,
 /// `τ` annealed linearly from 1 to 2, per-layer score accumulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KeyformerConfig {
     /// Distribution added to the unnormalized logits before scoring.
     pub adjustment: LogitAdjustment,

@@ -42,7 +42,7 @@ use crate::cache::{KvCache, SharedKvBlock};
 use crate::policy::KvCachePolicy;
 use crate::spec::PolicySpec;
 use crate::CoreError;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -72,7 +72,7 @@ pub fn policy_context(spec: &PolicySpec) -> u64 {
 
 /// Counters of one registry's lifetime, surfaced in the serving layer's
 /// `StepReport` and the `prefix_sharing` experiment JSON.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Default)]
 pub struct PrefixRegistryStats {
     /// Entries (full blocks of one layer-set) currently registered.
     pub entries: usize,

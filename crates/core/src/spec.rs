@@ -13,10 +13,9 @@ use crate::policies::window::{DilatedWindowAttention, WindowAttention};
 use crate::policy::KvCachePolicy;
 use crate::temperature::TemperatureSchedule;
 use crate::CoreError;
-use serde::{Deserialize, Serialize};
 
 /// A serializable description of a KV-cache policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PolicySpec {
     /// Full attention (no eviction).
     Full,
@@ -187,19 +186,5 @@ mod tests {
         assert!(PolicySpec::DilatedWindow { dilation: 2 }
             .to_string()
             .contains("d=2"));
-    }
-
-    #[test]
-    fn specs_round_trip_through_serde() {
-        for spec in [
-            PolicySpec::Full,
-            PolicySpec::keyformer_default(),
-            PolicySpec::Damped { alpha: 0.9 },
-            PolicySpec::streaming_default(),
-        ] {
-            let json = serde_json::to_string(&spec).unwrap();
-            let back: PolicySpec = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, spec);
-        }
     }
 }

@@ -7,10 +7,9 @@
 
 use crate::observation::Phase;
 use crate::CoreError;
-use serde::{Deserialize, Serialize};
 
 /// A temperature schedule mapping a decode step to the `τ` used by the score function.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TemperatureSchedule {
     /// A constant temperature for every step (the Appendix A.8 baseline).
     Static(f32),

@@ -18,8 +18,7 @@ fn collect_stats(
     let model = family.build(MODEL_SEED);
     let mut session = Session::new(&model, PolicySpec::Full.build().expect("full"), None);
     session.enable_stats();
-    let mut merged =
-        keyformer_model::AttentionStats::new(model.config().num_layers, model.config().num_heads);
+    let mut merged = keyformer_model::AttentionStats::new(model.config().num_layers);
     for sample in datasets.summarization_samples(samples) {
         session
             .generate(

@@ -27,11 +27,11 @@ use crate::serving::{
     request_stream, run_batch, serving_fixture, serving_policies, GEN_TOKENS, PROMPT_LEN,
 };
 use keyformer_serve::ServerConfig;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Machine-readable summary of one paging configuration, emitted as
 /// `BENCH_paging.json` by `kf_experiments`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PagingSummary {
     /// Configuration label (e.g. `paged(bs=8)`).
     pub config: String,
@@ -233,7 +233,28 @@ mod tests {
         let (_, summaries) = report_at_one_sample();
         assert_eq!(summaries.len(), 6);
         let json = serde_json::to_string(summaries).unwrap();
-        let back: Vec<PagingSummary> = serde_json::from_str(&json).unwrap();
-        assert_eq!(&back, summaries);
+        crate::registry::assert_artefact_parses(
+            &json,
+            summaries,
+            &[
+                "config",
+                "block_size",
+                "strict",
+                "prefill_chunk",
+                "submitted",
+                "completed",
+                "steps",
+                "requests_per_step",
+                "utilization",
+                "capacity_blocks",
+                "peak_blocks",
+                "overshoot_blocks",
+                "block_allocs",
+                "block_frees",
+                "shared_blocks_peak",
+                "prefill_stalls",
+                "peak_concurrency",
+            ],
+        );
     }
 }

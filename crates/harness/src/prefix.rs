@@ -30,14 +30,14 @@ use keyformer_core::budget::CacheBudgetSpec;
 use keyformer_core::spec::PolicySpec;
 use keyformer_model::generation::GenerationConfig;
 use keyformer_serve::{Request, ServerConfig};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Prompt tokens forwarded per prefill work unit.
 const PREFILL_CHUNK: usize = 8;
 
 /// Machine-readable summary of one prefix-sharing configuration, emitted as
 /// `BENCH_prefix.json` by `kf_experiments`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PrefixSummary {
     /// Configuration label (e.g. `prefix32/fan8/shared`).
     pub config: String,
@@ -246,7 +246,26 @@ mod tests {
     fn summaries_serialize_round_trip() {
         let (_, summaries) = report_at_one_sample();
         let json = serde_json::to_string(summaries).unwrap();
-        let back: Vec<PrefixSummary> = serde_json::from_str(&json).unwrap();
-        assert_eq!(&back, summaries);
+        crate::registry::assert_artefact_parses(
+            &json,
+            summaries,
+            &[
+                "config",
+                "prefix_len",
+                "fanout",
+                "sharing",
+                "submitted",
+                "completed",
+                "steps",
+                "requests_per_step",
+                "prefix_tokens_reused",
+                "prefill_chunks",
+                "utilization",
+                "peak_blocks",
+                "shared_blocks_peak",
+                "block_allocs",
+                "preemptions",
+            ],
+        );
     }
 }

@@ -28,14 +28,14 @@ use keyformer_core::spec::PolicySpec;
 use keyformer_model::families::ModelFamily;
 use keyformer_serve::ServerConfig;
 use keyformer_text::eval::{evaluate_generation, EvalSetting};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Budget fractions swept for the budgeted policies.
 const BUDGET_FRACTIONS: [f64; 2] = [0.3, 0.5];
 
 /// Machine-readable summary of one (dtype, policy, budget) point, emitted as
 /// `BENCH_quant.json` by `kf_experiments`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct QuantSummary {
     /// Storage dtype label (`f32` or `u8`).
     pub dtype: String,

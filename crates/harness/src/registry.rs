@@ -5,10 +5,10 @@
 use crate::accuracy::Datasets;
 use crate::report::Table;
 use crate::{accuracy, analysis, paging, perf, prefix, quantization, serving, streaming};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Identifier of one paper table or figure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExperimentId {
     /// Figure 1: latency / memory vs. sequence length.
     Fig1,
@@ -91,6 +91,25 @@ fn json<T: Serialize>((table, records): (Table, Vec<T>)) -> (Table, String) {
     let json = serde_json::to_string(&records)
         .expect("summaries hold only finite numbers, which JSON can represent");
     (table, json)
+}
+
+/// Checks an artefact's JSON the way a reader sees it: `json` parses to a
+/// [`serde::Value`] array holding one object per record, each with exactly
+/// `keys`, in order, and the values the record lowers to.
+#[cfg(test)]
+pub(crate) fn assert_artefact_parses<T: Serialize>(json: &str, records: &[T], keys: &[&str]) {
+    let serde::Value::Seq(parsed) = serde_json::from_str(json).unwrap() else {
+        panic!("an artefact is a JSON array: {json}");
+    };
+    assert_eq!(parsed.len(), records.len(), "one object per record");
+    for (value, record) in parsed.iter().zip(records) {
+        let serde::Value::Map(entries) = value else {
+            panic!("a record is a JSON object: {value:?}");
+        };
+        let names: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(names, keys);
+        assert_eq!(value, &record.to_value());
+    }
 }
 
 /// Every experiment, in paper order. The quality experiments draw `samples`
@@ -257,7 +276,9 @@ mod tests {
                 ExperimentId::Quantization => json(quantization::report_at_one_sample().clone()),
                 id => panic!("{id} writes {file} but has no shared sweep"),
             };
-            let records: Vec<serde::Value> = serde_json::from_str(&json).unwrap();
+            let serde::Value::Seq(records) = serde_json::from_str(&json).unwrap() else {
+                panic!("{file} is not a JSON array");
+            };
             assert_eq!(
                 records.len(),
                 table.rows.len(),

@@ -1,9 +1,7 @@
 //! Result tables: the uniform output format of every experiment.
 
-use serde::{Deserialize, Serialize};
-
 /// A simple rectangular result table with named columns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     /// Experiment title (e.g. "Figure 7: ROUGE-2 vs KV cache budget").
     pub title: String,

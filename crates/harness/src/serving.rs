@@ -19,7 +19,7 @@ use keyformer_model::families::ModelFamily;
 use keyformer_model::generation::GenerationConfig;
 use keyformer_model::model::TransformerModel;
 use keyformer_serve::{Engine, Request, ServerConfig, ServerStats};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Weight seed of the serving experiments' model.
 const MODEL_SEED: u64 = 11;
@@ -35,7 +35,7 @@ const CACHE_FRACTION: f64 = 0.5;
 /// Machine-readable per-policy summary of one serving run, emitted as
 /// `BENCH_serving.json` by `kf_experiments` so the perf trajectory has data
 /// points across PRs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PolicyServingSummary {
     /// Policy label (e.g. `Keyformer(gumbel, per-layer)@50%`).
     pub policy: String,
@@ -288,7 +288,23 @@ mod tests {
             assert!(s.steps > 0);
         }
         let json = serde_json::to_string(summaries).unwrap();
-        let back: Vec<PolicyServingSummary> = serde_json::from_str(&json).unwrap();
-        assert_eq!(&back, summaries);
+        crate::registry::assert_artefact_parses(
+            &json,
+            summaries,
+            &[
+                "policy",
+                "submitted",
+                "completed",
+                "steps",
+                "requests_per_step",
+                "mean_kv_bytes",
+                "peak_kv_bytes",
+                "peak_concurrency",
+                "mean_latency_steps",
+                "utilization",
+                "peak_blocks",
+                "shared_blocks_peak",
+            ],
+        );
     }
 }

@@ -30,7 +30,7 @@ use crate::serving::{request_stream, serving_fixture};
 use keyformer_core::budget::CacheBudgetSpec;
 use keyformer_core::spec::PolicySpec;
 use keyformer_serve::{Engine, EventKind, RequestId, ServerConfig, SubmitOptions};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// KV budget fraction applied to the budgeted policies.
@@ -49,7 +49,7 @@ const CANCEL_AFTER_STEPS: usize = 2;
 
 /// Machine-readable per-policy summary of one streaming-latency run, emitted
 /// as `BENCH_latency.json` by `kf_experiments`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LatencySummary {
     /// Policy label (e.g. `Keyformer(gumbel, per-layer)@50%`).
     pub policy: String,
@@ -318,8 +318,26 @@ mod tests {
             assert!(s.itl_p95 >= s.itl_p50, "{}", s.policy);
         }
         let json = serde_json::to_string(summaries).unwrap();
-        let back: Vec<LatencySummary> = serde_json::from_str(&json).unwrap();
-        assert_eq!(&back, summaries);
+        crate::registry::assert_artefact_parses(
+            &json,
+            summaries,
+            &[
+                "policy",
+                "submitted",
+                "completed",
+                "cancelled",
+                "steps",
+                "ttft_p50",
+                "ttft_p95",
+                "ttft_p99",
+                "ttft_mean",
+                "itl_p50",
+                "itl_p95",
+                "itl_p99",
+                "ttft_mean_high_priority",
+                "ttft_mean_normal",
+            ],
+        );
     }
 
     #[test]

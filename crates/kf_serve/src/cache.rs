@@ -76,7 +76,7 @@ fn fnv1a(seed: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
 }
 
 /// A cached generation result.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CachedResult {
     /// The generated token stream.
     pub tokens: Vec<u32>,

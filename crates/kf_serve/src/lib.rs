@@ -593,6 +593,16 @@ mod tests {
         Err(WireFault::new(status, code, message))
     }
 
+    /// The answer to a megabyte of `[`: the parser stops at its nesting
+    /// bound instead of recursing once per byte on the connection's stack.
+    fn too_deep() -> Parsed {
+        fault(
+            400,
+            "invalid_json",
+            "nesting deeper than 128 levels at byte 128",
+        )
+    }
+
     fn http(method: &str, path: &str, body: &[u8]) -> Parsed {
         http_op(&http::HttpRequest {
             method: method.to_string(),
@@ -615,6 +625,7 @@ mod tests {
             "prompt".to_string(),
             Value::Seq(vec![Value::UInt(1)]),
         )]);
+        let nested = "[".repeat(1 << 20);
         let table: &[(&str, &str, &[u8], Parsed)] = &[
             (
                 "POST",
@@ -644,6 +655,7 @@ mod tests {
                 b"{\"prompt\"",
                 fault(400, "invalid_json", "expected `:` at byte 9"),
             ),
+            ("POST", "/v1/generate", nested.as_bytes(), too_deep()),
             ("GET", "/v1/jobs/", b"", integers()),
             ("GET", "/v1/jobs/x", b"", integers()),
             ("DELETE", "/v1/jobs/-1", b"", integers()),
@@ -682,6 +694,7 @@ mod tests {
     fn ndjson_lines_route_to_one_op_or_fault() {
         let missing_op = || fault(400, "invalid_request", "missing `op`");
         let missing_id = || fault(400, "invalid_request", "missing `job_id`");
+        let nested = "[".repeat(1 << 20);
         let table: &[(&str, Parsed)] = &[
             (r#"{"op":"status","job_id":999}"#, Ok(Op::Status(999))),
             (r#"{"op":"cancel","job_id":0}"#, Ok(Op::Cancel(0))),
@@ -694,6 +707,7 @@ mod tests {
                 r#"{"op":"stats""#,
                 fault(400, "invalid_json", "expected `,` or `}` at byte 13"),
             ),
+            (&nested, too_deep()),
             ("[1,2]", missing_op()),
             ("5", missing_op()),
             ("null", missing_op()),

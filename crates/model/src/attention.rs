@@ -280,7 +280,7 @@ mod tests {
         let config = ModelConfig::tiny();
         let cache = filled_cache(&config, &[unit(&config, 0), unit(&config, 1)]);
         let mut policy = FullAttention::new();
-        let mut stats = AttentionStats::new(config.num_layers, config.num_heads);
+        let mut stats = AttentionStats::new(config.num_layers);
         let mut ctx = AttentionContext {
             policy: &mut policy,
             stats: Some(&mut stats),

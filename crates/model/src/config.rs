@@ -2,11 +2,10 @@
 
 use crate::positional::PositionalEncoding;
 use keyformer_core::CoreError;
-use serde::{Deserialize, Serialize};
 
 /// How cached keys are assigned positions when positional information is applied at
 /// attention time — the paper's Table 3 "Org Pos" vs. "New Pos" ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PositionMode {
     /// Keys keep the original position they had in the full sequence (the paper's
     /// best-performing choice).
@@ -26,7 +25,7 @@ impl std::fmt::Display for PositionMode {
 }
 
 /// Hyper-parameters of the substrate transformer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelConfig {
     /// Vocabulary size.
     pub vocab_size: usize,

@@ -8,10 +8,9 @@
 use crate::config::ModelConfig;
 use crate::model::TransformerModel;
 use crate::positional::PositionalEncoding;
-use serde::{Deserialize, Serialize};
 
 /// The model families used across the experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelFamily {
     /// Minimal configuration for unit tests.
     Tiny,

@@ -1,9 +1,7 @@
 //! Generation configuration and outputs.
 
-use serde::{Deserialize, Serialize};
-
 /// How the next token is chosen from the logits.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum SamplingStrategy {
     /// Always pick the highest-logit token (the default; deterministic).
     #[default]
@@ -19,7 +17,7 @@ pub enum SamplingStrategy {
 }
 
 /// Configuration of a generation request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GenerationConfig {
     /// Number of tokens to generate.
     pub max_new_tokens: usize,
@@ -74,7 +72,7 @@ impl GenerationConfig {
 }
 
 /// Result of a generation request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GenerationOutput {
     /// Generated token ids (excluding the prompt).
     pub generated: Vec<u32>,

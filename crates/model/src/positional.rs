@@ -1,9 +1,7 @@
 //! Positional-encoding families: RoPE (GPT-J), ALiBi (MPT), learned (Cerebras-GPT).
 
-use serde::{Deserialize, Serialize};
-
 /// The positional-encoding family of a model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PositionalEncoding {
     /// Rotary position embeddings applied to queries and keys at attention time
     /// (used by GPT-J).

@@ -313,7 +313,7 @@ impl<'m> Session<'m> {
     /// Enables attention-statistics collection (sparsity, CDFs, heat maps).
     pub fn enable_stats(&mut self) {
         let c = self.model.config();
-        self.stats = Some(AttentionStats::new(c.num_layers, c.num_heads));
+        self.stats = Some(AttentionStats::new(c.num_layers));
     }
 
     /// Collected statistics, if enabled.

@@ -7,12 +7,11 @@
 use keyformer_core::diagnostics::{attention_mass_cdf, attention_sparsity, CdfPoint};
 use keyformer_core::Phase;
 use keyformer_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// One recorded attention event: the post-softmax probabilities of a single head at a
 /// single decode step, together with the original positions of the cache slots they
 /// refer to.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttentionRecord {
     /// Decoder layer.
     pub layer: usize,
@@ -31,20 +30,18 @@ pub struct AttentionRecord {
 /// Collector of [`AttentionRecord`]s with the aggregation queries the experiments
 /// need. Collection is opt-in (`Session::enable_stats`) because recording
 /// every head × step probability vector is memory-heavy for long prompts.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AttentionStats {
     records: Vec<AttentionRecord>,
     num_layers: usize,
-    num_heads: usize,
 }
 
 impl AttentionStats {
-    /// Creates an empty collector for a model of the given shape.
-    pub fn new(num_layers: usize, num_heads: usize) -> Self {
+    /// Creates an empty collector for a model with `num_layers` layers.
+    pub fn new(num_layers: usize) -> Self {
         AttentionStats {
             records: Vec::new(),
             num_layers,
-            num_heads,
         }
     }
 
@@ -171,7 +168,7 @@ mod tests {
 
     #[test]
     fn sparsity_is_aggregated_per_layer() {
-        let mut stats = AttentionStats::new(2, 1);
+        let mut stats = AttentionStats::new(2);
         stats.record(record(0, 0, Phase::Prompt, vec![0.97, 0.01, 0.01, 0.01]));
         stats.record(record(1, 0, Phase::Prompt, vec![0.25, 0.25, 0.25, 0.25]));
         let sparsity = stats.sparsity_per_layer(0.1);
@@ -187,7 +184,7 @@ mod tests {
 
     #[test]
     fn mass_cdf_respects_min_context() {
-        let mut stats = AttentionStats::new(1, 1);
+        let mut stats = AttentionStats::new(1);
         stats.record(record(0, 0, Phase::Prompt, vec![0.5, 0.5]));
         stats.record(record(0, 0, Phase::Prompt, vec![0.7, 0.1, 0.1, 0.05, 0.05]));
         let curve = stats.mass_cdf(&[0.2, 1.0], 4);
@@ -200,7 +197,7 @@ mod tests {
 
     #[test]
     fn heatmap_places_probs_at_original_positions() {
-        let mut stats = AttentionStats::new(1, 1);
+        let mut stats = AttentionStats::new(1);
         let mut r = record(0, 0, Phase::Generation, vec![0.9, 0.1]);
         r.positions = vec![3, 7];
         stats.record(r);
@@ -213,7 +210,7 @@ mod tests {
 
     #[test]
     fn heatmap_ignores_prompt_records_and_other_heads() {
-        let mut stats = AttentionStats::new(1, 2);
+        let mut stats = AttentionStats::new(1);
         stats.record(record(0, 0, Phase::Prompt, vec![1.0]));
         stats.record(record(0, 1, Phase::Generation, vec![1.0]));
         assert_eq!(stats.heatmap(0, 0, 4).rows(), 0);
@@ -222,7 +219,7 @@ mod tests {
 
     #[test]
     fn zero_fraction_counts_small_probs() {
-        let mut stats = AttentionStats::new(1, 1);
+        let mut stats = AttentionStats::new(1);
         stats.record(record(0, 0, Phase::Generation, vec![0.95, 0.05, 0.0, 0.0]));
         assert!((stats.zero_fraction(0.01) - 0.5).abs() < 1e-9);
         assert_eq!(stats.len(), 1);

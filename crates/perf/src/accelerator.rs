@@ -1,9 +1,7 @@
 //! Accelerator descriptions (HBM bandwidth/capacity, compute throughput).
 
-use serde::Serialize;
-
 /// An accelerator's headline specifications.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Accelerator {
     /// Human-readable name.
     pub name: &'static str,

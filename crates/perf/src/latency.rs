@@ -3,10 +3,9 @@
 use crate::accelerator::Accelerator;
 use crate::model_shape::ModelShape;
 use crate::workload::{CachePolicyCost, Workload};
-use serde::{Deserialize, Serialize};
 
 /// Per-phase time breakdown of an inference request (seconds).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PhaseBreakdown {
     /// Time spent streaming KV-cache data from HBM.
     pub kv_cache_data_movement_s: f64,
@@ -32,7 +31,7 @@ impl PhaseBreakdown {
 }
 
 /// Full estimate for one workload under one cache policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InferenceEstimate {
     /// Prompt-phase breakdown.
     pub prompt: PhaseBreakdown,
@@ -55,7 +54,7 @@ impl InferenceEstimate {
 }
 
 /// The roofline performance model: an accelerator plus a model shape.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfModel {
     /// Accelerator executing the model.
     pub accelerator: Accelerator,

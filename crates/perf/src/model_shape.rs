@@ -4,10 +4,8 @@
 //! about the *real* checkpoint dimensions (MPT-7B, GPT-J-6B, Cerebras-GPT-6.7B), so
 //! Figures 1, 9, 10 and Table 1 are computed for the same model sizes the paper used.
 
-use serde::Serialize;
-
 /// The architectural dimensions that determine memory traffic and FLOPs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelShape {
     /// Human-readable name.
     pub name: &'static str,

@@ -1,9 +1,7 @@
 //! Workload descriptions: prompt/generation lengths, batching and cache policy cost.
 
-use serde::{Deserialize, Serialize};
-
 /// The per-step cost model of a KV-cache policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CachePolicyCost {
     /// Human-readable policy name.
     pub name: &'static str,
@@ -57,7 +55,7 @@ impl CachePolicyCost {
 }
 
 /// A generation workload: how many tokens go in and come out, and how it is batched.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Workload {
     /// Prompt length in tokens.
     pub prompt_len: usize,

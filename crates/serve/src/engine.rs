@@ -136,7 +136,7 @@ use keyformer_core::spec::PolicySpec;
 use keyformer_core::CoreError;
 use keyformer_model::model::TransformerModel;
 use keyformer_model::session::{PrefillProgress, Session, SessionStep};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::cmp::Reverse;
 use std::collections::VecDeque;
 
@@ -172,7 +172,7 @@ fn dtype_context(dtype: KvDtype) -> u64 {
 }
 
 /// Static configuration of an [`Engine`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerConfig {
     /// Cache policy every admitted session runs (unless a request overrides it).
     pub policy: PolicySpec,
@@ -529,7 +529,7 @@ impl Running<'_> {
 
 /// Aggregate counters of one engine's lifetime, used by the throughput,
 /// paging and latency experiments and the serving bench.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Default)]
 pub struct ServerStats {
     /// Scheduler steps executed.
     pub steps: usize,
@@ -617,7 +617,7 @@ impl std::fmt::Display for ServerStats {
 /// What one [`Engine::step`] did, with an end-of-step snapshot of the memory
 /// state: pool accounting (including shared-block counts), occupancy-level
 /// fragmentation, and the prefix registry's counters when sharing is on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StepReport {
     /// 1-based index of the step this report describes.
     pub step: usize,

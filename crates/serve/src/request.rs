@@ -5,12 +5,9 @@ use keyformer_core::cache::KvDtype;
 use keyformer_core::spec::PolicySpec;
 use keyformer_core::CoreError;
 use keyformer_model::generation::{GenerationConfig, GenerationOutput};
-use serde::{Deserialize, Serialize};
 
 /// Opaque identifier of one serving request, unique within a [`crate::Engine`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct RequestId(u64);
 
 impl RequestId {
@@ -37,7 +34,7 @@ impl std::fmt::Display for RequestId {
 /// The plain default (`RequestOverrides::default()`) inherits everything from
 /// the [`crate::ServerConfig`]; see [`Request::with_policy`],
 /// [`Request::with_budget`] and [`Request::with_unbudgeted`].
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RequestOverrides {
     /// Cache policy to run instead of the server default.
     pub policy: Option<PolicySpec>,
@@ -76,7 +73,7 @@ impl RequestOverrides {
 /// Scheduling options attached to one submission, orthogonal to the
 /// [`Request`] payload: how urgent the work is and how long the caller is
 /// willing to wait. See [`crate::Engine::submit_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SubmitOptions {
     /// Scheduling priority; higher values are admitted (and keep their blocks
     /// under preemption pressure) ahead of lower ones. Queued requests age:
@@ -127,7 +124,7 @@ impl SubmitOptions {
 
 /// One generation request: a prompt plus its generation configuration and
 /// optional per-request policy/budget overrides.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Request {
     /// Caller-chosen identifier; echoed back in the completion.
     pub id: RequestId,
@@ -187,7 +184,7 @@ impl Request {
 }
 
 /// A successfully finished request, with its scheduling telemetry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Completion {
     /// The request this completion answers.
     pub id: RequestId,
@@ -307,7 +304,7 @@ pub enum FailureReason {
 /// machine-readable code plus the HTTP status a network front-end (such as the
 /// `kf-serve` binary) maps it to. The `code` strings are a compatibility
 /// surface — clients match on them, so they are never renamed, only added to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireCode {
     /// Stable machine-readable identifier (snake_case).
     pub code: &'static str,

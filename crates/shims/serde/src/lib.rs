@@ -1,27 +1,25 @@
 //! Offline, in-tree stand-in for the subset of [`serde`] this workspace uses:
-//! the [`Serialize`] / [`Deserialize`] traits and their derive macros.
+//! the [`Serialize`] trait, its derive macro and a JSON-like [`Value`] tree.
 //!
 //! Unlike real serde's visitor architecture, this shim serializes through a
-//! concrete JSON-like [`Value`] tree: `Serialize` lowers a type to a [`Value`]
-//! and `Deserialize` rebuilds it from one. The companion `serde_json` shim
-//! renders a [`Value`] to a JSON string and parses it back, which is all the
-//! round-trip tests in this repository require. Enum representation follows
-//! serde's externally-tagged default (`"Variant"` for unit variants,
-//! `{"Variant": ...}` otherwise) so swapping in the real crates later keeps
-//! the wire format stable.
+//! concrete [`Value`]: `Serialize` lowers a type to a [`Value`], and the
+//! companion `serde_json` shim renders that tree to a JSON string. Only the
+//! records the workspace writes implement `Serialize`: named-field structs
+//! of integers, floats, booleans, strings, options and other such records.
+//! Nothing parses JSON into a typed value; `serde_json::from_str` parses to a
+//! [`Value`], which callers read with [`Value::field`].
 //!
 //! [`serde`]: https://docs.rs/serde
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
 
 /// A JSON-like tree of values, the intermediate representation all
-/// (de)serialization in this shim goes through.
+/// serialization in this shim goes through, and what `serde_json` parses to.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// JSON `null`.
@@ -44,7 +42,7 @@ pub enum Value {
 
 impl Value {
     /// Looks up `key` in a [`Value::Map`], returning [`Value::Null`] when the
-    /// key is absent (so optional fields deserialize to `None`).
+    /// key is absent (so a missing field reads like an explicit `null`).
     pub fn field(&self, key: &str) -> Result<&Value, Error> {
         match self {
             Value::Map(entries) => Ok(entries
@@ -54,21 +52,6 @@ impl Value {
                 .unwrap_or(&Value::Null)),
             other => Err(Error::new(format!(
                 "expected map with field `{key}`, found {}",
-                other.kind()
-            ))),
-        }
-    }
-
-    /// The tuple elements of a [`Value::Seq`] of the expected arity.
-    pub fn tuple(&self, arity: usize) -> Result<&[Value], Error> {
-        match self {
-            Value::Seq(items) if items.len() == arity => Ok(items),
-            Value::Seq(items) => Err(Error::new(format!(
-                "expected sequence of length {arity}, found length {}",
-                items.len()
-            ))),
-            other => Err(Error::new(format!(
-                "expected sequence, found {}",
                 other.kind()
             ))),
         }
@@ -88,7 +71,7 @@ impl Value {
     }
 }
 
-/// A (de)serialization error.
+/// A serialization or parse error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Error(String);
 
@@ -113,95 +96,21 @@ pub trait Serialize {
     fn to_value(&self) -> Value;
 }
 
-/// Types that can be rebuilt from a [`Value`].
-pub trait Deserialize: Sized {
-    /// Rebuilds `Self` from a [`Value`].
-    fn from_value(v: &Value) -> Result<Self, Error>;
-}
-
 impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
     }
 }
 
-impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            other => Err(Error::new(format!("expected bool, found {}", other.kind()))),
-        }
-    }
-}
-
-macro_rules! impl_unsigned {
-    ($($t:ty),+) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::UInt(*self as u64)
-            }
-        }
-
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let n = match v {
-                    Value::UInt(n) => *n,
-                    Value::Int(n) => u64::try_from(*n)
-                        .map_err(|_| Error::new("negative value for unsigned integer"))?,
-                    other => {
-                        return Err(Error::new(format!(
-                            "expected integer, found {}",
-                            other.kind()
-                        )))
-                    }
-                };
-                <$t>::try_from(n).map_err(|_| Error::new("integer out of range"))
-            }
-        }
-    )+};
-}
-
-impl_unsigned!(u8, u16, u32, u64, usize);
-
-macro_rules! impl_signed {
-    ($($t:ty),+) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                let n = *self as i64;
-                if n < 0 { Value::Int(n) } else { Value::UInt(n as u64) }
-            }
-        }
-
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let n = match v {
-                    Value::UInt(n) => i64::try_from(*n)
-                        .map_err(|_| Error::new("integer out of range"))?,
-                    Value::Int(n) => *n,
-                    other => {
-                        return Err(Error::new(format!(
-                            "expected integer, found {}",
-                            other.kind()
-                        )))
-                    }
-                };
-                <$t>::try_from(n).map_err(|_| Error::new("integer out of range"))
-            }
-        }
-    )+};
-}
-
-impl_signed!(i8, i16, i32, i64, isize);
-
-impl Serialize for f32 {
+impl Serialize for u64 {
     fn to_value(&self) -> Value {
-        Value::Float(f64::from(*self))
+        Value::UInt(*self)
     }
 }
 
-impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        f64::from_value(v).map(|f| f as f32)
+impl Serialize for usize {
+    fn to_value(&self) -> Value {
+        Value::UInt(*self as u64)
     }
 }
 
@@ -211,79 +120,17 @@ impl Serialize for f64 {
     }
 }
 
-impl Deserialize for f64 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Float(f) => Ok(*f),
-            Value::UInt(n) => Ok(*n as f64),
-            Value::Int(n) => Ok(*n as f64),
-            other => Err(Error::new(format!(
-                "expected number, found {}",
-                other.kind()
-            ))),
-        }
-    }
-}
-
 impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::Str(self.clone())
     }
 }
 
-impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) => Ok(s.clone()),
-            other => Err(Error::new(format!(
-                "expected string, found {}",
-                other.kind()
-            ))),
-        }
-    }
-}
-
-impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_owned())
-    }
-}
-
-impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl Deserialize for char {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let s = String::from_value(v)?;
-        let mut chars = s.chars();
-        match (chars.next(), chars.next()) {
-            (Some(c), None) => Ok(c),
-            _ => Err(Error::new("expected single-character string")),
-        }
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-// `Value` round-trips through itself, exactly like real serde_json's
-// `Value: Serialize + Deserialize`: callers that need to inspect JSON of an
-// unknown shape (the kf-serve wire layer) parse straight into the tree.
+// Like real serde_json's `Value: Serialize`: callers that build JSON of a
+// shape no record declares (the kf-serve wire layer) write the tree itself.
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
-    }
-}
-
-impl Deserialize for Value {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(v.clone())
     }
 }
 
@@ -296,124 +143,9 @@ impl<T: Serialize> Serialize for Option<T> {
     }
 }
 
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
-        }
-    }
-}
-
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Seq(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Seq(items) => items.iter().map(T::from_value).collect(),
-            other => Err(Error::new(format!(
-                "expected sequence, found {}",
-                other.kind()
-            ))),
-        }
-    }
-}
-
-impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Serialize> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        T::from_value(v).map(Box::new)
-    }
-}
-
-macro_rules! impl_tuple {
-    ($(($($name:ident : $idx:tt),+)),+ $(,)?) => {$(
-        impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn to_value(&self) -> Value {
-                Value::Seq(vec![$(self.$idx.to_value()),+])
-            }
-        }
-
-        impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                const ARITY: usize = 0 $(+ { let _ = $idx; 1 })+;
-                let items = v.tuple(ARITY)?;
-                Ok(($($name::from_value(&items[$idx])?,)+))
-            }
-        }
-    )+};
-}
-
-impl_tuple!(
-    (A: 0),
-    (A: 0, B: 1),
-    (A: 0, B: 1, C: 2),
-    (A: 0, B: 1, C: 2, D: 3),
-);
-
-impl<V: Serialize> Serialize for HashMap<String, V> {
-    fn to_value(&self) -> Value {
-        let mut entries: Vec<(String, Value)> = self
-            .iter()
-            .map(|(k, v)| (k.clone(), v.to_value()))
-            .collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Map(entries)
-    }
-}
-
-impl<V: Deserialize> Deserialize for HashMap<String, V> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Map(entries) => entries
-                .iter()
-                .map(|(k, v)| Ok((k.clone(), V::from_value(v)?)))
-                .collect(),
-            other => Err(Error::new(format!("expected map, found {}", other.kind()))),
-        }
-    }
-}
-
-impl<V: Serialize> Serialize for BTreeMap<String, V> {
-    fn to_value(&self) -> Value {
-        Value::Map(
-            self.iter()
-                .map(|(k, v)| (k.clone(), v.to_value()))
-                .collect(),
-        )
-    }
-}
-
-impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Map(entries) => entries
-                .iter()
-                .map(|(k, v)| Ok((k.clone(), V::from_value(v)?)))
-                .collect(),
-            other => Err(Error::new(format!("expected map, found {}", other.kind()))),
-        }
     }
 }
 
@@ -422,15 +154,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn primitives_round_trip() {
-        assert_eq!(u64::from_value(&42u64.to_value()).unwrap(), 42);
-        assert_eq!(i32::from_value(&(-7i32).to_value()).unwrap(), -7);
-        assert_eq!(f32::from_value(&1.5f32.to_value()).unwrap(), 1.5);
-        assert!(bool::from_value(&true.to_value()).unwrap());
-        let v: Vec<u32> = Deserialize::from_value(&vec![1u32, 2, 3].to_value()).unwrap();
-        assert_eq!(v, vec![1, 2, 3]);
-        let o: Option<u8> = Deserialize::from_value(&Value::Null).unwrap();
-        assert_eq!(o, None);
+    fn primitives_lower_to_values() {
+        assert_eq!(42u64.to_value(), Value::UInt(42));
+        assert_eq!(7usize.to_value(), Value::UInt(7));
+        assert_eq!(1.5f64.to_value(), Value::Float(1.5));
+        assert_eq!(true.to_value(), Value::Bool(true));
+        assert_eq!("a".to_string().to_value(), Value::Str("a".into()));
+        assert_eq!(
+            vec![Some(1u64), None].to_value(),
+            Value::Seq(vec![Value::UInt(1), Value::Null])
+        );
+        let tree = Value::Seq(vec![Value::Int(-1)]);
+        assert_eq!(tree.to_value(), tree);
     }
 
     #[test]
@@ -443,8 +178,20 @@ mod tests {
 
     #[test]
     fn type_mismatches_error() {
-        assert!(u8::from_value(&Value::Str("x".into())).is_err());
-        assert!(u8::from_value(&Value::Int(-1)).is_err());
-        assert!(String::from_value(&Value::UInt(1)).is_err());
+        // Field lookup on anything but a map errors, naming what it found.
+        for (value, kind) in [
+            (Value::Null, "null"),
+            (Value::Bool(true), "bool"),
+            (Value::Int(-1), "integer"),
+            (Value::Float(0.5), "float"),
+            (Value::Str("x".into()), "string"),
+            (Value::Seq(vec![]), "sequence"),
+        ] {
+            let err = value.field("a").unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("expected map with field `a`, found {kind}")
+            );
+        }
     }
 }

@@ -1,10 +1,9 @@
-//! Derive macros for the in-tree `serde` shim.
+//! Derive macro for the in-tree `serde` shim.
 //!
-//! With no network access there is no `syn`/`quote`, so these derives parse
-//! the item declaration directly from the [`proc_macro::TokenStream`]. They
-//! support exactly the shapes this workspace declares: non-generic structs
-//! (named, tuple or unit) and non-generic enums whose variants are unit,
-//! tuple or struct-like. Anything else produces a `compile_error!` naming the
+//! With no network access there is no `syn`/`quote`, so the derive parses the
+//! item declaration directly from the [`proc_macro::TokenStream`]. It supports
+//! exactly the shape this workspace serializes: non-generic structs with
+//! named fields. Anything else produces a `compile_error!` naming the
 //! limitation.
 
 #![forbid(unsafe_code)]
@@ -12,34 +11,12 @@
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-/// Field layout of a struct or an enum variant.
-enum Fields {
-    Unit,
-    Named(Vec<String>),
-    Tuple(usize),
-}
-
-/// Parsed shape of the deriving item.
-enum Shape {
-    Struct(Fields),
-    Enum(Vec<(String, Fields)>),
-}
-
-/// Derives the shim's `serde::Serialize` (lowering to `serde::Value`).
+/// Derives the shim's `serde::Serialize`: a named-field struct lowers to a
+/// `serde::Value::Map` of its fields, in declaration order.
 #[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    expand(input, gen_serialize)
-}
-
-/// Derives the shim's `serde::Deserialize` (rebuilding from `serde::Value`).
-#[proc_macro_derive(Deserialize)]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    expand(input, gen_deserialize)
-}
-
-fn expand(input: TokenStream, gen: fn(&str, &Shape) -> String) -> TokenStream {
-    match parse_item(input) {
-        Ok((name, shape)) => gen(&name, &shape)
+    match parse_struct(input) {
+        Ok((name, fields)) => gen_serialize(&name, &fields)
             .parse()
             .expect("serde shim derive generated invalid Rust"),
         Err(msg) => format!("compile_error!({msg:?});").parse().unwrap(),
@@ -73,54 +50,27 @@ fn skip_attrs_and_vis(toks: &[TokenTree], i: &mut usize) {
     }
 }
 
-fn parse_item(input: TokenStream) -> Result<(String, Shape), String> {
+/// The name and field names of a non-generic named-field struct.
+fn parse_struct(input: TokenStream) -> Result<(String, Vec<String>), String> {
     let toks: Vec<TokenTree> = input.into_iter().collect();
     let mut i = 0;
     skip_attrs_and_vis(&toks, &mut i);
 
-    let kind = match toks.get(i) {
-        Some(TokenTree::Ident(id)) => id.to_string(),
-        _ => return Err("serde shim derive: expected `struct` or `enum`".into()),
-    };
+    if !is_ident(toks.get(i), "struct") {
+        return Err("serde shim derive: only structs with named fields are supported".into());
+    }
     i += 1;
     let name = match toks.get(i) {
         Some(TokenTree::Ident(id)) => id.to_string(),
-        _ => return Err("serde shim derive: expected item name".into()),
+        _ => return Err("serde shim derive: expected struct name".into()),
     };
     i += 1;
-    if is_punct(toks.get(i), '<') {
-        return Err(format!(
-            "serde shim derive: generic type `{name}` is not supported"
-        ));
-    }
-    if is_ident(toks.get(i), "where") {
-        return Err(format!(
-            "serde shim derive: `where` clause on `{name}` is not supported"
-        ));
-    }
-
-    match kind.as_str() {
-        "struct" => match toks.get(i) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => Ok((
-                name,
-                Shape::Struct(Fields::Named(parse_named_fields(g.stream())?)),
-            )),
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                Ok((name, Shape::Struct(Fields::Tuple(tuple_arity(g.stream())))))
-            }
-            Some(TokenTree::Punct(p)) if p.as_char() == ';' => {
-                Ok((name, Shape::Struct(Fields::Unit)))
-            }
-            _ => Err(format!("serde shim derive: malformed struct `{name}`")),
-        },
-        "enum" => match toks.get(i) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                Ok((name, Shape::Enum(parse_variants(g.stream())?)))
-            }
-            _ => Err(format!("serde shim derive: malformed enum `{name}`")),
-        },
-        other => Err(format!(
-            "serde shim derive: unsupported item kind `{other}`"
+    match toks.get(i) {
+        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
+            Ok((name, parse_named_fields(g.stream())?))
+        }
+        _ => Err(format!(
+            "serde shim derive: `{name}` must be a non-generic struct with named fields"
         )),
     }
 }
@@ -169,217 +119,18 @@ fn parse_named_fields(stream: TokenStream) -> Result<Vec<String>, String> {
     Ok(names)
 }
 
-/// Counts the fields of a tuple struct/variant: elements separated by commas
-/// at angle-bracket depth zero.
-fn tuple_arity(stream: TokenStream) -> usize {
-    let toks: Vec<TokenTree> = stream.into_iter().collect();
-    let mut arity = 0;
-    let mut depth = 0i32;
-    let mut pending = false;
-    for tok in &toks {
-        match tok {
-            TokenTree::Punct(p) if p.as_char() == '<' => {
-                depth += 1;
-                pending = true;
-            }
-            TokenTree::Punct(p) if p.as_char() == '>' => {
-                depth -= 1;
-                pending = true;
-            }
-            TokenTree::Punct(p) if p.as_char() == ',' && depth == 0 => {
-                if pending {
-                    arity += 1;
-                }
-                pending = false;
-            }
-            _ => pending = true,
-        }
-    }
-    if pending {
-        arity += 1;
-    }
-    arity
-}
-
-fn parse_variants(stream: TokenStream) -> Result<Vec<(String, Fields)>, String> {
-    let toks: Vec<TokenTree> = stream.into_iter().collect();
-    let mut variants = Vec::new();
-    let mut i = 0;
-    while i < toks.len() {
-        skip_attrs_and_vis(&toks, &mut i);
-        if i >= toks.len() {
-            break;
-        }
-        let name = match &toks[i] {
-            TokenTree::Ident(id) => id.to_string(),
-            other => {
-                return Err(format!(
-                    "serde shim derive: expected variant name, found `{other}`"
-                ))
-            }
-        };
-        i += 1;
-        let fields = match toks.get(i) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                let f = Fields::Named(parse_named_fields(g.stream())?);
-                i += 1;
-                f
-            }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                let f = Fields::Tuple(tuple_arity(g.stream()));
-                i += 1;
-                f
-            }
-            _ => Fields::Unit,
-        };
-        // Skip an explicit discriminant (`= expr`) and the trailing comma.
-        skip_until_comma(&toks, &mut i);
-        variants.push((name, fields));
-    }
-    Ok(variants)
-}
-
-fn serialize_named(fields: &[String], access: impl Fn(&str) -> String) -> String {
-    let entries: Vec<String> = fields
+fn gen_serialize(name: &str, fields: &[String]) -> String {
+    let entries: String = fields
         .iter()
         .map(|f| {
             format!(
-                "(::std::string::String::from({f:?}), ::serde::Serialize::to_value({})),",
-                access(f)
+                "(::std::string::String::from({f:?}), ::serde::Serialize::to_value(&self.{f})),"
             )
         })
         .collect();
-    format!("::serde::Value::Map(::std::vec![{}])", entries.join(""))
-}
-
-fn gen_serialize(name: &str, shape: &Shape) -> String {
-    let body = match shape {
-        Shape::Struct(Fields::Unit) => "::serde::Value::Null".to_string(),
-        Shape::Struct(Fields::Named(fields)) => serialize_named(fields, |f| format!("&self.{f}")),
-        Shape::Struct(Fields::Tuple(1)) => "::serde::Serialize::to_value(&self.0)".to_string(),
-        Shape::Struct(Fields::Tuple(n)) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Serialize::to_value(&self.{i}),"))
-                .collect();
-            format!("::serde::Value::Seq(::std::vec![{}])", items.join(""))
-        }
-        Shape::Enum(variants) => {
-            let arms: Vec<String> = variants
-                .iter()
-                .map(|(v, fields)| match fields {
-                    Fields::Unit => format!(
-                        "{name}::{v} => ::serde::Value::Str(::std::string::String::from({v:?})),"
-                    ),
-                    Fields::Tuple(1) => format!(
-                        "{name}::{v}(__f0) => ::serde::Value::Map(::std::vec![(::std::string::String::from({v:?}), ::serde::Serialize::to_value(__f0))]),"
-                    ),
-                    Fields::Tuple(n) => {
-                        let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
-                        let items: Vec<String> = (0..*n)
-                            .map(|i| format!("::serde::Serialize::to_value(__f{i}),"))
-                            .collect();
-                        format!(
-                            "{name}::{v}({}) => ::serde::Value::Map(::std::vec![(::std::string::String::from({v:?}), ::serde::Value::Seq(::std::vec![{}]))]),",
-                            binds.join(", "),
-                            items.join("")
-                        )
-                    }
-                    Fields::Named(fields) => {
-                        let inner = serialize_named(fields, |f| f.to_string());
-                        format!(
-                            "{name}::{v} {{ {} }} => ::serde::Value::Map(::std::vec![(::std::string::String::from({v:?}), {inner})]),",
-                            fields.join(", ")
-                        )
-                    }
-                })
-                .collect();
-            format!("match self {{ {} }}", arms.join(""))
-        }
-    };
     format!(
         "impl ::serde::Serialize for {name} {{ \
-             fn to_value(&self) -> ::serde::Value {{ {body} }} \
-         }}"
-    )
-}
-
-fn deserialize_named(path: &str, fields: &[String], source: &str) -> String {
-    let inits: Vec<String> = fields
-        .iter()
-        .map(|f| format!("{f}: ::serde::Deserialize::from_value({source}.field({f:?})?)?,"))
-        .collect();
-    format!("::std::result::Result::Ok({path} {{ {} }})", inits.join(""))
-}
-
-fn deserialize_tuple(path: &str, arity: usize, source: &str) -> String {
-    if arity == 1 {
-        return format!(
-            "::std::result::Result::Ok({path}(::serde::Deserialize::from_value({source})?))"
-        );
-    }
-    let items: Vec<String> = (0..arity)
-        .map(|i| format!("::serde::Deserialize::from_value(&__items[{i}])?,"))
-        .collect();
-    format!(
-        "{{ let __items = {source}.tuple({arity})?; \
-           ::std::result::Result::Ok({path}({})) }}",
-        items.join("")
-    )
-}
-
-fn gen_deserialize(name: &str, shape: &Shape) -> String {
-    let body = match shape {
-        Shape::Struct(Fields::Unit) => {
-            format!("::std::result::Result::Ok({name})")
-        }
-        Shape::Struct(Fields::Named(fields)) => deserialize_named(name, fields, "__v"),
-        Shape::Struct(Fields::Tuple(n)) => deserialize_tuple(name, *n, "__v"),
-        Shape::Enum(variants) => {
-            let unit_arms: Vec<String> = variants
-                .iter()
-                .filter(|(_, f)| matches!(f, Fields::Unit))
-                .map(|(v, _)| format!("{v:?} => ::std::result::Result::Ok({name}::{v}),"))
-                .collect();
-            let tagged_arms: Vec<String> = variants
-                .iter()
-                .filter_map(|(v, fields)| match fields {
-                    Fields::Unit => None,
-                    Fields::Tuple(n) => Some(format!(
-                        "{v:?} => {},",
-                        deserialize_tuple(&format!("{name}::{v}"), *n, "__inner")
-                    )),
-                    Fields::Named(f) => Some(format!(
-                        "{v:?} => {},",
-                        deserialize_named(&format!("{name}::{v}"), f, "__inner")
-                    )),
-                })
-                .collect();
-            format!(
-                "match __v {{ \
-                   ::serde::Value::Str(__s) => match __s.as_str() {{ \
-                     {} \
-                     __other => ::std::result::Result::Err(::serde::Error::new(::std::format!(\
-                       \"unknown unit variant `{{__other}}` for enum `{name}`\"))), \
-                   }}, \
-                   ::serde::Value::Map(__entries) if __entries.len() == 1 => {{ \
-                     let (__tag, __inner) = &__entries[0]; \
-                     match __tag.as_str() {{ \
-                       {} \
-                       __other => ::std::result::Result::Err(::serde::Error::new(::std::format!(\
-                         \"unknown variant `{{__other}}` for enum `{name}`\"))), \
-                     }} \
-                   }}, \
-                   __other => ::std::result::Result::Err(::serde::Error::new(::std::format!(\
-                     \"invalid value of kind `{{}}` for enum `{name}`\", __other.kind()))), \
-                 }}",
-                unit_arms.join(""),
-                tagged_arms.join("")
-            )
-        }
-    };
-    format!(
-        "impl ::serde::Deserialize for {name} {{ \
-             fn from_value(__v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{ {body} }} \
+             fn to_value(&self) -> ::serde::Value {{ ::serde::Value::Map(::std::vec![{entries}]) }} \
          }}"
     )
 }

@@ -1,20 +1,26 @@
 //! Offline, in-tree stand-in for the subset of [`serde_json`] this workspace
-//! uses: [`to_string`] and [`from_str`], implemented over the `serde` shim's
-//! [`Value`] tree.
+//! uses: [`to_string`], which renders the `serde` shim's [`Value`] tree, and
+//! [`from_str`], which parses JSON text back to a [`Value`].
 //!
 //! Numbers print via Rust's shortest-round-trip formatting and parse back with
 //! `str::parse`, so every finite `f64`/`u64`/`i64` survives a
-//! serialize→parse round trip exactly.
+//! serialize→parse round trip exactly. The parser recurses once per array or
+//! object, so it refuses input nested deeper than [`MAX_DEPTH`] levels, as
+//! crates.io `serde_json` does: a hostile body cannot overflow the stack of
+//! the thread that parses it.
 //!
 //! [`serde_json`]: https://docs.rs/serde_json
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 use std::fmt::Write as _;
 
 pub use serde::Error;
+
+/// The deepest nesting of arrays and objects [`from_str`] accepts.
+pub const MAX_DEPTH: usize = 128;
 
 /// Serializes `value` to a compact JSON string.
 ///
@@ -22,22 +28,24 @@ pub use serde::Error;
 ///
 /// Returns [`Error`] if the value contains a non-finite float (JSON has no
 /// representation for `NaN` or infinities).
-pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+pub fn to_string<T: Serialize>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
     write_value(&value.to_value(), &mut out)?;
     Ok(out)
 }
 
-/// Deserializes a `T` from a JSON string.
+/// Parses a JSON string to a [`Value`] tree (`T` is [`Value`] itself, or a
+/// type built from one).
 ///
 /// # Errors
 ///
-/// Returns [`Error`] on malformed JSON or when the parsed value does not match
-/// `T`'s expected shape.
-pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
+/// Returns [`Error`] on malformed JSON, or on arrays and objects nested
+/// deeper than [`MAX_DEPTH`].
+pub fn from_str<T: From<Value>>(s: &str) -> Result<T, Error> {
     let mut parser = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.parse_value()?;
@@ -48,7 +56,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
             parser.pos
         )));
     }
-    T::from_value(&value)
+    Ok(T::from(value))
 }
 
 fn write_value(v: &Value, out: &mut String) -> Result<(), Error> {
@@ -123,6 +131,8 @@ fn write_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -163,14 +173,28 @@ impl Parser<'_> {
             Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
             _ => Err(Error::new(format!(
                 "unexpected character at byte {}",
                 self.pos
             ))),
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, refusing to pass [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_array(&mut self) -> Result<Value, Error> {
@@ -348,24 +372,30 @@ impl Parser<'_> {
 mod tests {
     use super::*;
 
+    fn parse(s: &str) -> Result<Value, Error> {
+        from_str(s)
+    }
+
     #[test]
     fn scalars_round_trip() {
-        assert_eq!(to_string(&42u64).unwrap(), "42");
-        assert_eq!(from_str::<u64>("42").unwrap(), 42);
-        assert_eq!(to_string(&-3i32).unwrap(), "-3");
-        assert_eq!(from_str::<i32>("-3").unwrap(), -3);
-        assert_eq!(to_string(&true).unwrap(), "true");
-        assert_eq!(to_string(&0.5f32).unwrap(), "0.5");
-        assert_eq!(from_str::<f32>("0.5").unwrap(), 0.5);
-        assert_eq!(to_string("a\"b").unwrap(), "\"a\\\"b\"");
-        assert_eq!(from_str::<String>("\"a\\\"b\"").unwrap(), "a\"b");
+        for (value, json) in [
+            (Value::UInt(42), "42"),
+            (Value::Int(-3), "-3"),
+            (Value::Bool(true), "true"),
+            (Value::Null, "null"),
+            (Value::Float(0.5), "0.5"),
+            (Value::Str("a\"b".into()), "\"a\\\"b\""),
+        ] {
+            assert_eq!(to_string(&value).unwrap(), json);
+            assert_eq!(parse(json).unwrap(), value);
+        }
     }
 
     #[test]
     fn f32_values_survive_the_round_trip_exactly() {
         for x in [0.577_215_7f32, 1.282_549_8, -4.25, 1.0, 1e-7, 3.4e38] {
-            let json = to_string(&x).unwrap();
-            assert_eq!(from_str::<f32>(&json).unwrap(), x, "json was {json}");
+            let json = to_string(&f64::from(x)).unwrap();
+            assert_eq!(parse(&json).unwrap(), Value::Float(f64::from(x)), "{json}");
         }
     }
 
@@ -373,38 +403,63 @@ mod tests {
     fn integral_floats_stay_floats() {
         let json = to_string(&2.0f64).unwrap();
         assert_eq!(json, "2.0");
-        assert_eq!(from_str::<f64>(&json).unwrap(), 2.0);
+        assert_eq!(parse(&json).unwrap(), Value::Float(2.0));
     }
 
     #[test]
     fn collections_round_trip() {
-        let v = vec![1u32, 2, 3];
+        let v = vec![1u64, 2, 3];
         let json = to_string(&v).unwrap();
         assert_eq!(json, "[1,2,3]");
-        assert_eq!(from_str::<Vec<u32>>(&json).unwrap(), v);
-        let empty: Vec<u32> = from_str("[ ]").unwrap();
-        assert!(empty.is_empty());
+        assert_eq!(parse(&json).unwrap(), v.to_value());
+        assert_eq!(parse("[ ]").unwrap(), Value::Seq(vec![]));
+        let map = Value::Map(vec![
+            ("a".into(), Value::Seq(vec![Value::Null])),
+            ("b".into(), Value::Map(vec![])),
+        ]);
+        let json = to_string(&map).unwrap();
+        assert_eq!(json, r#"{"a":[null],"b":{}}"#);
+        assert_eq!(parse(&json).unwrap(), map);
     }
 
     #[test]
     fn utf16_surrogate_pairs_parse() {
         // Escaped surrogate pair (RFC 8259 §7) and escaped BMP code point.
-        assert_eq!(from_str::<String>(r#""\ud83d\ude00""#).unwrap(), "😀");
-        assert_eq!(from_str::<String>(r#""\u00e9""#).unwrap(), "é");
+        assert_eq!(parse(r#""\ud83d\ude00""#).unwrap(), Value::Str("😀".into()));
+        assert_eq!(parse(r#""\u00e9""#).unwrap(), Value::Str("é".into()));
         // Raw (unescaped) UTF-8 still passes straight through.
-        assert_eq!(from_str::<String>("\"😀\"").unwrap(), "😀");
+        assert_eq!(parse("\"😀\"").unwrap(), Value::Str("😀".into()));
         // Unpaired or malformed surrogates are rejected.
-        assert!(from_str::<String>(r#""\ud83d""#).is_err());
-        assert!(from_str::<String>(r#""\ud83d\u0041""#).is_err());
-        assert!(from_str::<String>(r#""\ud83dA""#).is_err());
+        assert!(parse(r#""\ud83d""#).is_err());
+        assert!(parse(r#""\ud83d\u0041""#).is_err());
+        assert!(parse(r#""\ud83dA""#).is_err());
     }
 
     #[test]
     fn malformed_input_errors() {
-        assert!(from_str::<u64>("").is_err());
-        assert!(from_str::<u64>("12 34").is_err());
-        assert!(from_str::<Vec<u32>>("[1,").is_err());
-        assert!(from_str::<String>("\"abc").is_err());
+        assert!(parse("").is_err());
+        assert!(parse("12 34").is_err());
+        assert!(parse("[1,").is_err());
+        assert!(parse("\"abc").is_err());
         assert!(to_string(&f64::NAN).is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let nested = |open: &str, close: &str, depth: usize| {
+            format!("{}0{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(parse(&nested("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(r#"{"a":"#, "}", MAX_DEPTH)).is_ok());
+        let too_deep = "nesting deeper than 128 levels at byte 128";
+        let err = parse(&nested("[", "]", MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.to_string(), too_deep);
+        // A megabyte of openers errors at the bound instead of recursing
+        // once per byte.
+        let err = parse(&"[".repeat(1 << 20)).unwrap_err();
+        assert_eq!(err.to_string(), too_deep);
+        // The bound is on depth, not on the count of nested values.
+        let wide = format!("[{}]", vec![nested("[", "]", MAX_DEPTH - 1); 3].join(","));
+        assert!(parse(&wide).is_ok());
     }
 }

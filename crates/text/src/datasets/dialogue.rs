@@ -10,10 +10,9 @@ use super::{instruction_suffix, instruction_suffix_len, plant_chain, Chain, Samp
 use crate::vocab::{Vocabulary, BOS, SEP, SPEAKER_A, SPEAKER_B};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the dialogue generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DialogueSpec {
     /// Number of dialogue turns before the recap request.
     pub num_turns: usize,
@@ -64,7 +63,7 @@ impl DialogueSpec {
 }
 
 /// A generated dialogue dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DialogueDataset {
     spec: DialogueSpec,
     samples: Vec<Sample>,

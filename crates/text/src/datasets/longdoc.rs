@@ -9,10 +9,9 @@ use super::{instruction_suffix, instruction_suffix_len, plant_chain, Chain, Samp
 use crate::vocab::{Vocabulary, BOS, SEP};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the long-document generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LongDocSpec {
     /// Number of sections per report (sections only partition the body; the salient
     /// chain is spread over the whole document).
@@ -68,7 +67,7 @@ impl LongDocSpec {
 }
 
 /// A generated long-document dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LongDocDataset {
     spec: LongDocSpec,
     samples: Vec<Sample>,

@@ -25,10 +25,9 @@ use crate::vocab::{Vocabulary, NUM_CUES, NUM_FACTS, NUM_FILLER};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One evaluation sample: a prompt and the reference continuation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sample {
     /// Prompt token ids (article / dialogue + task cue + the first chain cue).
     pub prompt: Vec<u32>,

@@ -4,10 +4,9 @@ use super::{instruction_suffix, instruction_suffix_len, plant_chain, Chain, Samp
 use crate::vocab::{Vocabulary, BOS, SEP};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the summarization generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SummarizationSpec {
     /// Number of body (article) tokens per sample.
     pub article_len: usize,
@@ -49,7 +48,7 @@ impl SummarizationSpec {
 }
 
 /// A generated summarization dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SummarizationDataset {
     spec: SummarizationSpec,
     samples: Vec<Sample>,

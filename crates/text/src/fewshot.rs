@@ -11,10 +11,9 @@ use crate::vocab::{Vocabulary, ANSWER, BOS, NUM_FACTS, QUESTION, SEP};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The four task profiles, mirroring the shapes of the paper's lm-eval tasks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskKind {
     /// Two choices, short context (COPA-like).
     Copa,
@@ -73,7 +72,7 @@ impl std::fmt::Display for TaskKind {
 }
 
 /// One multiple-choice item.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct McItem {
     /// Context passage containing the evidence bigram.
     pub context: Vec<u32>,
@@ -108,7 +107,7 @@ impl McItem {
 }
 
 /// A generated task: a pool of few-shot exemplars plus evaluation items.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FewShotTask {
     kind: TaskKind,
     exemplars: Vec<McItem>,

@@ -5,11 +5,10 @@
 //! The implementation follows Lin (2004): n-gram recall/precision/F1 with clipped
 //! counts, and longest-common-subsequence for ROUGE-L.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Precision / recall / F1 triple for one ROUGE variant.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RougeScore {
     /// Fraction of candidate n-grams that appear in the reference.
     pub precision: f64,
@@ -45,7 +44,7 @@ impl RougeScore {
 }
 
 /// The three ROUGE variants the paper reports.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RougeScores {
     /// Unigram overlap.
     pub rouge1: RougeScore,

@@ -12,8 +12,6 @@
 //!
 //! The whole vocabulary fits inside the substrate models' 1024-entry embedding table.
 
-use serde::{Deserialize, Serialize};
-
 /// Padding token.
 pub const PAD: u32 = 0;
 /// Beginning-of-sequence token.
@@ -55,7 +53,7 @@ pub const FACT_START: u32 = CUE_START + NUM_CUES;
 pub const VOCAB_SIZE: u32 = FACT_START + NUM_FACTS;
 
 /// The role a token id plays in the synthetic language.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TokenRole {
     /// One of the reserved special tokens.
     Special,
