@@ -58,16 +58,14 @@ impl CacheBudget {
         self.recent_window
     }
 
-    /// Number of slots available to key tokens (`k - w`).
-    pub fn key_token_slots(&self) -> usize {
-        self.capacity - self.recent_window
-    }
-
     /// Returns `true` when a cache currently holding `live` slots must be reduced.
     pub fn needs_eviction(&self, live: usize) -> bool {
         live > self.capacity
     }
 }
+
+/// The least capacity [`CacheBudgetSpec::for_prompt_len`] derives.
+const MIN_CAPACITY: usize = 4;
 
 /// A relative budget specification, expressed the way the paper sweeps it: the KV
 /// cache is a *fraction* of the prompt length, and the recent window is a *ratio* of
@@ -86,7 +84,6 @@ impl CacheBudget {
 pub struct CacheBudgetSpec {
     cache_fraction: f64,
     recent_ratio: f64,
-    min_capacity: usize,
 }
 
 impl CacheBudgetSpec {
@@ -113,7 +110,6 @@ impl CacheBudgetSpec {
         Ok(CacheBudgetSpec {
             cache_fraction,
             recent_ratio,
-            min_capacity: 4,
         })
     }
 
@@ -124,13 +120,6 @@ impl CacheBudgetSpec {
     /// Returns [`CoreError::InvalidConfig`] if `cache_fraction` is outside `(0, 1]`.
     pub fn with_fraction(cache_fraction: f64) -> Result<Self, CoreError> {
         Self::new(cache_fraction, Self::DEFAULT_RECENT_RATIO)
-    }
-
-    /// Sets the minimum capacity any derived budget will have (default 4), protecting
-    /// tiny prompts from degenerate budgets.
-    pub fn with_min_capacity(mut self, min_capacity: usize) -> Self {
-        self.min_capacity = min_capacity.max(1);
-        self
     }
 
     /// KV-cache fraction of the prompt length.
@@ -146,11 +135,12 @@ impl CacheBudgetSpec {
     /// Materialises an absolute [`CacheBudget`] for a prompt of `prompt_len` tokens.
     ///
     /// The capacity is `ceil(cache_fraction * prompt_len)` clamped to
-    /// `[min_capacity, prompt_len.max(min_capacity)]`; the recent window is
-    /// `round(recent_ratio * capacity)` clamped to `[1, capacity]`.
+    /// `[4, prompt_len.max(4)]`, so tiny prompts never get degenerate budgets;
+    /// the recent window is `round(recent_ratio * capacity)` clamped to
+    /// `[1, capacity]`.
     pub fn for_prompt_len(&self, prompt_len: usize) -> CacheBudget {
         let raw = (self.cache_fraction * prompt_len as f64).ceil() as usize;
-        let capacity = raw.max(self.min_capacity);
+        let capacity = raw.max(MIN_CAPACITY);
         let recent = ((self.recent_ratio * capacity as f64).round() as usize).clamp(1, capacity);
         CacheBudget::new(capacity, recent)
     }
@@ -165,7 +155,6 @@ mod tests {
         let b = CacheBudget::new(10, 3);
         assert_eq!(b.capacity(), 10);
         assert_eq!(b.recent_window(), 3);
-        assert_eq!(b.key_token_slots(), 7);
         assert!(b.needs_eviction(11));
         assert!(!b.needs_eviction(10));
     }
@@ -196,9 +185,9 @@ mod tests {
 
     #[test]
     fn spec_clamps_tiny_prompts() {
-        let spec = CacheBudgetSpec::new(0.1, 0.3).unwrap().with_min_capacity(8);
+        let spec = CacheBudgetSpec::new(0.1, 0.3).unwrap();
         let b = spec.for_prompt_len(10);
-        assert_eq!(b.capacity(), 8);
+        assert_eq!(b.capacity(), MIN_CAPACITY);
         assert!(b.recent_window() >= 1);
     }
 

@@ -885,7 +885,8 @@ impl LayerKvCache {
     }
 
     /// Clones this layer's table into a new cache sharing every block
-    /// copy-on-write (session forking).
+    /// copy-on-write, tail included: the tests' way to reach every CoW path.
+    #[cfg(test)]
     pub(crate) fn fork(&self) -> Result<LayerKvCache, CoreError> {
         let mut blocks = Vec::with_capacity(self.blocks.len());
         for b in &self.blocks {
@@ -1309,26 +1310,6 @@ impl KvCache {
             .iter()
             .map(LayerKvCache::shared_block_count)
             .sum()
-    }
-
-    /// Clones this cache into a new one that maps every current block
-    /// copy-on-write: both caches read the same physical blocks until either
-    /// side writes (appends into a partial block, or compacts), at which point
-    /// the writer forks a private copy. The clone draws from the same pool.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidBlock`] if the pool's accounting disagrees
-    /// with the block table (a bookkeeping bug).
-    pub fn fork(&self) -> Result<KvCache, CoreError> {
-        let mut layers = Vec::with_capacity(self.layers.len());
-        for layer in &self.layers {
-            layers.push(layer.fork()?);
-        }
-        Ok(KvCache {
-            layers,
-            pool: self.pool.clone(),
-        })
     }
 
     /// Total live byte footprint summed over layers.
@@ -1815,30 +1796,6 @@ mod tests {
         drop(reader);
         assert_eq!(pool.shared_blocks(), 0);
         assert_eq!(pool.blocks_in_use(), 2);
-    }
-
-    #[test]
-    fn kv_cache_fork_round_trip() {
-        let pool = SharedBlockPool::unbounded(4);
-        let mut cache = KvCache::with_pool(2, 2, 3, pool.clone());
-        for l in 0..2 {
-            for i in 0..5 {
-                let k = [i as f32; 6];
-                cache.layer_mut(l).append_from_slices(i, &k, &k).unwrap();
-            }
-        }
-        let allocs = pool.stats().total_allocs;
-        let fork = cache.fork().unwrap();
-        assert_eq!(fork.total_slots(), cache.total_slots());
-        assert_eq!(cache.shared_block_count(), 4);
-        assert_eq!(fork.shared_block_count(), 4);
-        assert_eq!(pool.stats().total_allocs, allocs, "a fork forks no block");
-        drop(cache);
-        // The fork keeps every block alive on its own.
-        assert_eq!(pool.blocks_in_use(), 4);
-        assert_eq!(fork.layer(1).keys(0).row_vec(4), [4.0; 3]);
-        drop(fork);
-        assert_eq!(pool.blocks_in_use(), 0);
     }
 
     #[test]

@@ -3,19 +3,70 @@
 
 use crate::accuracy::{Datasets, MODEL_SEED};
 use crate::report::{fmt, Table};
+use crate::stats::{AttentionRecord, AttentionStats};
 use keyformer_core::diagnostics::softmax_shift;
-use keyformer_core::spec::PolicySpec;
+use keyformer_core::{AttentionObservation, CacheBudget, FullAttention, KvCachePolicy};
 use keyformer_model::families::ModelFamily;
 use keyformer_model::generation::GenerationConfig;
 use keyformer_model::session::Session;
-use keyformer_model::AttentionStats;
+use keyformer_tensor::ops::softmax_into;
 use keyformer_tensor::top_k_indices;
+use std::sync::{Arc, Mutex};
+
+/// Full attention that also records the softmax of every logit row it
+/// observes, in the order the forward hands them over, into a collector its
+/// clones share.
+#[derive(Clone)]
+struct Recorder {
+    stats: Arc<Mutex<AttentionStats>>,
+}
+
+impl KvCachePolicy for Recorder {
+    fn name(&self) -> &'static str {
+        "full"
+    }
+
+    fn observe(&mut self, obs: &AttentionObservation<'_>) {
+        let mut probs = Vec::new();
+        softmax_into(obs.logits, &mut probs);
+        self.stats
+            .lock()
+            .expect("recorder lock")
+            .record(AttentionRecord {
+                layer: obs.layer,
+                head: obs.head,
+                step: obs.step,
+                phase: obs.phase,
+                probs,
+            });
+    }
+
+    fn select_retained_into(
+        &mut self,
+        layer: usize,
+        live: usize,
+        budget: &CacheBudget,
+        out: &mut Vec<usize>,
+    ) {
+        FullAttention.select_retained_into(layer, live, budget, out);
+    }
+
+    fn compact(&mut self, _layer: usize, _retained: &[usize]) {}
+
+    fn reset(&mut self) {}
+
+    fn clone_box(&self) -> Box<dyn KvCachePolicy> {
+        Box::new(self.clone())
+    }
+}
 
 fn collect_stats(family: ModelFamily, datasets: &Datasets, samples: usize) -> AttentionStats {
     let model = family.build(MODEL_SEED);
-    let mut session = Session::new(&model, PolicySpec::Full.build().expect("full"), None);
-    session.enable_stats();
-    let mut merged = AttentionStats::new(model.config().num_layers);
+    let stats = Arc::new(Mutex::new(AttentionStats::new(model.config().num_layers)));
+    let recorder = Recorder {
+        stats: Arc::clone(&stats),
+    };
+    let mut session = Session::new(&model, Box::new(recorder), None);
     for sample in datasets.summarization_samples(samples) {
         session
             .generate(
@@ -23,11 +74,9 @@ fn collect_stats(family: ModelFamily, datasets: &Datasets, samples: usize) -> At
                 &GenerationConfig::new(sample.reference.len()),
             )
             .expect("generation failed");
-        for record in session.stats().expect("stats enabled").records() {
-            merged.record(record.clone());
-        }
     }
-    merged
+    let collected = std::mem::take(&mut *stats.lock().expect("recorder lock"));
+    collected
 }
 
 /// The attention statistics of each family an analysis figure reads.

@@ -22,6 +22,7 @@ pub mod registry;
 pub mod report;
 pub mod serving;
 pub mod sizing;
+pub mod stats;
 pub mod streaming;
 
 pub use registry::{run_experiment, run_with_artefact, ExperimentId};

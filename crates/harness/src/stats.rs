@@ -9,8 +9,8 @@ use keyformer_core::Phase;
 use keyformer_tensor::Matrix;
 
 /// One recorded attention event: the post-softmax probabilities of a single head at a
-/// single decode step, together with the original positions of the cache slots they
-/// refer to.
+/// single decode step. The analysis runs Full attention without a budget, so slot `i`
+/// holds sequence position `i`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttentionRecord {
     /// Decoder layer.
@@ -23,13 +23,11 @@ pub struct AttentionRecord {
     pub phase: Phase,
     /// Post-softmax attention probabilities over live cache slots.
     pub probs: Vec<f32>,
-    /// Original sequence position of each cache slot.
-    pub positions: Vec<usize>,
 }
 
 /// Collector of [`AttentionRecord`]s with the aggregation queries the experiments
-/// need. Collection is opt-in (`Session::enable_stats`) because recording
-/// every head × step probability vector is memory-heavy for long prompts.
+/// need. Only the analysis experiments collect, through a recording policy,
+/// because every head × step probability vector is memory-heavy for long prompts.
 #[derive(Debug, Clone, Default)]
 pub struct AttentionStats {
     records: Vec<AttentionRecord>,
@@ -108,8 +106,8 @@ impl AttentionStats {
     }
 
     /// Attention heat map for one layer/head: rows are generation steps, columns are
-    /// original sequence positions, values are attention probabilities (Figures
-    /// 14–15). Rows cover only [`Phase::Generation`] records, matching the paper's
+    /// cache slots — sequence positions, as nothing was evicted — and values are
+    /// attention probabilities (Figures 14–15). Rows cover only [`Phase::Generation`] records, matching the paper's
     /// plots whose y-axis is text generation.
     pub fn heatmap(&self, layer: usize, head: usize, seq_len: usize) -> Matrix {
         let rows: Vec<&AttentionRecord> = self
@@ -119,10 +117,8 @@ impl AttentionStats {
             .collect();
         let mut map = Matrix::zeros(rows.len(), seq_len);
         for (row_idx, r) in rows.iter().enumerate() {
-            for (&pos, &p) in r.positions.iter().zip(&r.probs) {
-                if pos < seq_len {
-                    map.set(row_idx, pos, p);
-                }
+            for (slot, &p) in r.probs.iter().enumerate().take(seq_len) {
+                map.set(row_idx, slot, p);
             }
         }
         map
@@ -155,14 +151,12 @@ mod tests {
     use super::*;
 
     fn record(layer: usize, head: usize, phase: Phase, probs: Vec<f32>) -> AttentionRecord {
-        let positions = (0..probs.len()).collect();
         AttentionRecord {
             layer,
             head,
             step: 0,
             phase,
             probs,
-            positions,
         }
     }
 
@@ -197,14 +191,18 @@ mod tests {
 
     #[test]
     fn heatmap_places_probs_at_original_positions() {
+        // Without eviction slot `i` holds position `i`; columns past
+        // `seq_len` are dropped.
         let mut stats = AttentionStats::new(1);
-        let mut r = record(0, 0, Phase::Generation, vec![0.9, 0.1]);
-        r.positions = vec![3, 7];
-        stats.record(r);
-        let map = stats.heatmap(0, 0, 10);
-        assert_eq!(map.shape(), (1, 10));
+        stats.record(record(
+            0,
+            0,
+            Phase::Generation,
+            vec![0.0, 0.0, 0.0, 0.9, 0.1],
+        ));
+        let map = stats.heatmap(0, 0, 4);
+        assert_eq!(map.shape(), (1, 4));
         assert!((map.get(0, 3) - 0.9).abs() < 1e-6);
-        assert!((map.get(0, 7) - 0.1).abs() < 1e-6);
         assert_eq!(map.get(0, 0), 0.0);
     }
 

@@ -2,14 +2,12 @@
 //!
 //! This is the code path every experiment exercises: the current token's query
 //! attends over whatever slots the eviction policy has allowed to survive, the
-//! unnormalized logits are reported to the policy (so it can score tokens), and the
-//! post-softmax probabilities optionally flow into the statistics collector.
+//! unnormalized logits are reported to the policy (so it can score tokens).
 
 use crate::config::{ModelConfig, PositionMode};
 use crate::positional::{
     alibi_bias, alibi_slope, apply_rope_scaled, PositionalEncoding, ROPE_BASE,
 };
-use crate::stats::{AttentionRecord, AttentionStats};
 use keyformer_core::cache::LayerKvCache;
 use keyformer_core::observation::{AttentionObservation, Phase};
 use keyformer_core::policy::KvCachePolicy;
@@ -30,8 +28,6 @@ pub struct AttentionOutput {
 pub struct AttentionContext<'a> {
     /// Eviction policy observing the logits.
     pub policy: &'a mut dyn KvCachePolicy,
-    /// Optional statistics collector.
-    pub stats: Option<&'a mut AttentionStats>,
     /// Inference phase of the current step.
     pub phase: Phase,
     /// Decode step within the phase.
@@ -122,16 +118,6 @@ pub fn attend_single_query(
         });
 
         let probs = softmax(&logits);
-        if let Some(stats) = ctx.stats.as_deref_mut() {
-            stats.record(AttentionRecord {
-                layer,
-                head,
-                step: ctx.step,
-                phase: ctx.phase,
-                probs: probs.clone(),
-                positions: cache.positions().to_vec(),
-            });
-        }
 
         cache
             .values(head)
@@ -186,7 +172,6 @@ mod tests {
         let mut policy = FullAttention::new();
         let mut ctx = AttentionContext {
             policy: &mut policy,
-            stats: None,
             phase: Phase::Prompt,
             step: 0,
             total_steps: 1,
@@ -211,7 +196,6 @@ mod tests {
         let mut policy = FullAttention::new();
         let mut ctx = AttentionContext {
             policy: &mut policy,
-            stats: None,
             phase: Phase::Generation,
             step: 0,
             total_steps: 1,
@@ -253,7 +237,6 @@ mod tests {
         let run = |cfg: &ModelConfig, policy: &mut FullAttention| {
             let mut ctx = AttentionContext {
                 policy,
-                stats: None,
                 phase: Phase::Generation,
                 step: 0,
                 total_steps: 1,
@@ -276,24 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_are_recorded_per_head() {
-        let config = ModelConfig::tiny();
-        let cache = filled_cache(&config, &[unit(&config, 0), unit(&config, 1)]);
-        let mut policy = FullAttention::new();
-        let mut stats = AttentionStats::new(config.num_layers);
-        let mut ctx = AttentionContext {
-            policy: &mut policy,
-            stats: Some(&mut stats),
-            phase: Phase::Prompt,
-            step: 3,
-            total_steps: 8,
-        };
-        attend_single_query(&config, 1, &unit(&config, 0), 2, &cache, &mut ctx);
-        assert_eq!(stats.len(), config.num_heads);
-        assert!(stats.records().iter().all(|r| r.layer == 1 && r.step == 3));
-    }
-
-    #[test]
     #[should_panic(expected = "at least one cached slot")]
     fn empty_cache_panics() {
         let config = ModelConfig::tiny();
@@ -301,7 +266,6 @@ mod tests {
         let mut policy = FullAttention::new();
         let mut ctx = AttentionContext {
             policy: &mut policy,
-            stats: None,
             phase: Phase::Prompt,
             step: 0,
             total_steps: 1,

@@ -104,7 +104,6 @@ mod tests {
         let mut policy = FullAttention::new();
         let mut ctx = AttentionContext {
             policy: &mut policy,
-            stats: None,
             phase: Phase::Prompt,
             step: 0,
             total_steps: 4,
@@ -135,7 +134,6 @@ mod tests {
         for pos in 0..5 {
             let mut ctx = AttentionContext {
                 policy: &mut policy,
-                stats: None,
                 phase: Phase::Prompt,
                 step: pos,
                 total_steps: 8,
@@ -163,7 +161,6 @@ mod tests {
         let mut policy = FullAttention::new();
         let mut ctx = AttentionContext {
             policy: &mut policy,
-            stats: None,
             phase: Phase::Prompt,
             step: 0,
             total_steps: 1,
@@ -188,7 +185,6 @@ mod tests {
             let mut policy = FullAttention::new();
             let mut ctx = AttentionContext {
                 policy: &mut policy,
-                stats: None,
                 phase: Phase::Prompt,
                 step: 0,
                 total_steps: 1,

@@ -49,7 +49,6 @@ pub mod generation;
 pub mod model;
 pub mod positional;
 pub mod session;
-pub mod stats;
 pub mod weights;
 pub mod workspace;
 
@@ -72,5 +71,4 @@ pub use generation::{GenerationConfig, GenerationOutput};
 pub use model::TransformerModel;
 pub use positional::PositionalEncoding;
 pub use session::{Session, SessionStep};
-pub use stats::AttentionStats;
 pub use workspace::ForwardWorkspace;

@@ -137,7 +137,6 @@ mod tests {
             let mut ctx = ForwardContext {
                 cache: &mut cache,
                 policy: &mut policy,
-                stats: None,
                 sequence: &tokens[..=pos],
                 phase: Phase::Prompt,
                 step: pos,

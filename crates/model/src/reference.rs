@@ -5,9 +5,9 @@
 //! (`decoder::decoder_layer_forward`, whose attention is
 //! `attention::attend_single_query`; every projection and the readout are
 //! `Matrix::vecmat` over the stored `(d_in, d_out)` weights, a loop written
-//! apart from the product's GEMM kernel), allocates every buffer it needs, hands
-//! each attention-logit row to the policy the moment it exists and records
-//! statistics directly. The product forward
+//! apart from the product's GEMM kernel), allocates every buffer it needs and
+//! hands each attention-logit row to the policy the moment it exists. The
+//! product forward
 //! ([`crate::workspace::forward_chunk_ws`]) batches a whole chunk per layer
 //! over reused buffers and replays the observations afterwards; the unit
 //! tests prove it byte-identical to this pass, which a session switches to
@@ -17,7 +17,6 @@ use crate::attention::AttentionContext;
 use crate::decoder::decoder_layer_forward;
 use crate::model::TransformerModel;
 use crate::positional::PositionalEncoding;
-use crate::stats::AttentionStats;
 use keyformer_core::cache::KvCache;
 use keyformer_core::observation::Phase;
 use keyformer_core::policy::KvCachePolicy;
@@ -32,8 +31,6 @@ pub(crate) struct ForwardContext<'a> {
     pub cache: &'a mut KvCache,
     /// Eviction policy observing attention.
     pub policy: &'a mut dyn KvCachePolicy,
-    /// Optional statistics collector.
-    pub stats: Option<&'a mut AttentionStats>,
     /// Full token history of the sequence so far, *including* the token currently
     /// being processed (used by the copy head to resolve successor tokens).
     pub sequence: &'a [u32],
@@ -101,7 +98,6 @@ impl TransformerModel {
         for layer in 0..config.num_layers {
             let mut attn_ctx = AttentionContext {
                 policy: &mut *ctx.policy,
-                stats: ctx.stats.as_deref_mut(),
                 phase: ctx.phase,
                 step: ctx.step,
                 total_steps: ctx.total_steps,

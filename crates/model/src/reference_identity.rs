@@ -5,26 +5,29 @@
 //! Each test runs the same request twice: once on a default session, and
 //! once on a session whose `reference_forward` seam forwards every token on
 //! its own through the allocating reference pass — observations delivered
-//! directly, statistics recorded directly, prefixes registered and peak bytes
-//! sampled per token. Both sessions share the one prefill driver, so its
+//! directly, prefixes registered and peak bytes sampled per token. Both sessions share the one prefill driver, so its
 //! admission decisions are the same on both sides; what is compared is the
 //! forward. The product forward reorders the *schedule* (layer-major chunk
 //! GEMMs, bulk appends, cached key rotations, deferred observation replay)
 //! but never the per-token arithmetic, and these tests are the contract that
 //! the reordering is unobservable: the same tokens, cache shapes and byte
-//! watermarks, attention-statistics bits and pool counters, for every policy
+//! watermarks, attention-probability bits and pool counters, for every policy
 //! in the zoo, both KV dtypes, any chunk size, and with copy-on-write prefix
-//! sharing, forks and preemption in the mix.
+//! sharing and preemption in the mix.
 
 use crate::families::ModelFamily;
 use crate::generation::{GenerationConfig, GenerationOutput};
 use crate::session::Session;
 use keyformer_core::block::SharedBlockPool;
-use keyformer_core::budget::CacheBudgetSpec;
+use keyformer_core::budget::{CacheBudget, CacheBudgetSpec};
 use keyformer_core::cache::KvDtype;
+use keyformer_core::observation::{AttentionObservation, ObservationRows, Phase};
+use keyformer_core::policy::KvCachePolicy;
 use keyformer_core::prefix::{policy_context, SharedPrefixRegistry};
 use keyformer_core::spec::PolicySpec;
+use keyformer_tensor::ops::softmax_into;
 use proptest::prelude::*;
+use std::sync::{Arc, Mutex};
 
 /// The whole policy zoo, each with the budget the experiments run it under
 /// (`None` only for the full-attention baseline).
@@ -69,6 +72,79 @@ fn label(reference: bool) -> &'static str {
     } else {
         "product"
     }
+}
+
+/// One softmax row a policy observed: `(layer, head, step, phase,
+/// probability bits)`.
+type ProbsRow = (usize, usize, usize, Phase, Vec<u32>);
+
+/// A policy that records the softmax of every logit row it is fed, in order,
+/// and hands the rows on to `inner` — through `observe_rows` on the product
+/// forward, so the replay under test is the one the product runs. This is
+/// how the analysis figures read attention.
+struct ProbsTap {
+    inner: Box<dyn KvCachePolicy>,
+    rows: Arc<Mutex<Vec<ProbsRow>>>,
+}
+
+impl ProbsTap {
+    fn record(&self, obs: &AttentionObservation<'_>) {
+        let mut probs = Vec::new();
+        softmax_into(obs.logits, &mut probs);
+        self.rows.lock().unwrap().push((
+            obs.layer,
+            obs.head,
+            obs.step,
+            obs.phase,
+            probs.iter().map(|p| p.to_bits()).collect(),
+        ));
+    }
+}
+
+impl KvCachePolicy for ProbsTap {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn observe(&mut self, obs: &AttentionObservation<'_>) {
+        self.record(obs);
+        self.inner.observe(obs);
+    }
+    fn observe_rows(&mut self, rows: &ObservationRows<'_>, workers: usize) {
+        rows.iter().for_each(|obs| self.record(&obs));
+        self.inner.observe_rows(rows, workers);
+    }
+    fn select_retained_into(
+        &mut self,
+        layer: usize,
+        live: usize,
+        budget: &CacheBudget,
+        out: &mut Vec<usize>,
+    ) {
+        self.inner.select_retained_into(layer, live, budget, out);
+    }
+    fn compact(&mut self, layer: usize, retained: &[usize]) {
+        self.inner.compact(layer, retained);
+    }
+    fn reset(&mut self) {
+        self.inner.reset();
+    }
+    fn clone_box(&self) -> Box<dyn KvCachePolicy> {
+        Box::new(ProbsTap {
+            inner: self.inner.clone_box(),
+            rows: Arc::clone(&self.rows),
+        })
+    }
+}
+
+/// Keyformer (the default spec) behind a [`ProbsTap`], and the rows it will
+/// record.
+fn keyformer_tap() -> (Box<dyn KvCachePolicy>, Arc<Mutex<Vec<ProbsRow>>>) {
+    let rows = Arc::new(Mutex::new(Vec::new()));
+    let tap = ProbsTap {
+        inner: PolicySpec::keyformer_default().build().unwrap(),
+        rows: Arc::clone(&rows),
+    };
+    (Box::new(tap), rows)
 }
 
 /// Drives a session to completion through chunked prefill + decode.
@@ -170,48 +246,6 @@ proptest! {
         }
     }
 
-    /// A forked session (cloned rotated-key caches over shared blocks)
-    /// continues exactly like its donor would have, and the donor is
-    /// undisturbed — on both forwards.
-    #[test]
-    fn forked_workspace_sessions_decode_identically(
-        prompt_len in 18usize..30,
-        gen_tokens in 4usize..8,
-        seed in 0u64..1_000,
-    ) {
-        let model = ModelFamily::Tiny.build(37);
-        let prompt = decode_prompt(prompt_len, 5);
-        let config = GenerationConfig::new(gen_tokens).with_top_k(16, 2.0, seed);
-        for (policy, budget) in policy_zoo() {
-            for reference in [true, false] {
-                let pool = SharedBlockPool::unbounded(4);
-                let mut donor = forward_by(Session::with_pool(
-                    &model, policy.build().unwrap(), budget, pool.clone(),
-                ), reference);
-                donor.begin(&prompt, &config).unwrap();
-                while donor.is_prefilling() {
-                    donor.advance_prefill().unwrap();
-                }
-                donor.step().unwrap();
-                let mut fork = donor.fork().unwrap();
-                while donor.is_decoding() {
-                    donor.step().unwrap();
-                }
-                while fork.is_decoding() {
-                    fork.step().unwrap();
-                }
-                let donor_out = donor.take_output().unwrap();
-                let fork_out = fork.take_output().unwrap();
-                prop_assert!(
-                    donor_out == fork_out,
-                    "{} @ {}: fork diverged from its donor",
-                    policy.label(),
-                    label(reference)
-                );
-            }
-        }
-    }
-
     /// Product == reference for every policy, both dtypes and any chunk
     /// size: generated stream, final cache shape, and the peak byte
     /// watermark (which on `u8` must see the f32-staged rows a
@@ -252,9 +286,9 @@ proptest! {
         }
     }
 
-    /// The deferred observation replay also reproduces the attention
-    /// statistics stream bit-for-bit: same records, in the same order, with
-    /// the same softmax bits and position tables.
+    /// The deferred observation replay also reproduces the stream of
+    /// attention probabilities bit-for-bit: the same rows, in the same order,
+    /// with the same softmax bits.
     #[test]
     fn batched_prefill_replays_identical_attention_statistics(
         prompt_len in 10usize..30,
@@ -265,16 +299,12 @@ proptest! {
         let budget = Some(CacheBudgetSpec::new(0.5, 0.3).unwrap());
         let config = GenerationConfig::new(3);
         let run = |reference: bool| {
-            let mut session = forward_by(Session::new(
-                &model,
-                PolicySpec::keyformer_default().build().unwrap(),
-                budget,
-            ), reference)
-            .with_prefill_chunk(chunk);
-            session.enable_stats();
+            let (tap, rows) = keyformer_tap();
+            let mut session = forward_by(Session::new(&model, tap, budget), reference)
+                .with_prefill_chunk(chunk);
             session.begin(&prompt, &config).unwrap();
             let output = finish(&mut session);
-            let records = format!("{:?}", session.stats().unwrap().records());
+            let records = std::mem::take(&mut *rows.lock().unwrap());
             (output, records)
         };
         let (seq_out, seq_records) = run(true);
@@ -325,50 +355,14 @@ proptest! {
         prop_assert!(actual == expected, "attach flow diverged between the forwards");
     }
 
-    /// Forking a session between two `advance_prefill` calls: both sides
-    /// resume, and both match the reference fork at the same point.
-    #[test]
-    fn batched_fork_mid_prefill_matches_sequential(
-        prompt_len in 14usize..36,
-        chunk in 2usize..8,
-        gen_tokens in 2usize..5,
-    ) {
-        let model = ModelFamily::Tiny.build(34);
-        let prompt = prefill_prompt(prompt_len, 6);
-        let budget = Some(CacheBudgetSpec::new(0.5, 0.3).unwrap());
-        let config = GenerationConfig::new(gen_tokens);
-        let run = |reference: bool| {
-            let pool = SharedBlockPool::unbounded(4);
-            let mut original = forward_by(Session::with_pool(
-                &model,
-                PolicySpec::h2o_default().build().unwrap(),
-                budget,
-                pool.clone(),
-            ), reference)
-            .with_prefill_chunk(chunk);
-            original.begin(&prompt, &config).unwrap();
-            original.advance_prefill().unwrap();
-            let mut fork = original.fork().unwrap();
-            let a = finish(&mut original);
-            let b = finish(&mut fork);
-            drop(original);
-            drop(fork);
-            assert_eq!(pool.blocks_in_use(), 0, "forked blocks all returned");
-            (a, b)
-        };
-        let (seq_a, seq_b) = run(true);
-        let (bat_a, bat_b) = run(false);
-        prop_assert!(seq_a == seq_b, "fork must continue identically");
-        prop_assert!(bat_a == seq_a && bat_b == seq_b, "fork flow diverged");
-    }
 }
 
 /// Long prompts on the paper-scale families, where the attention GEMMs span
 /// many 16-slot key panels and, under ALiBi, far keys' probabilities underflow
 /// to subnormals and exact zeros (the proptests above stay on `Tiny` with
 /// prompts under 40 tokens and reach neither): at chunk 128 and one-shot, the
-/// generated stream, the cache watermarks and every prompt-phase softmax row
-/// the deferred replay reconstructs must equal the reference's, by bits.
+/// generated stream, the cache watermarks and the softmax of every logit row
+/// the deferred replay hands the policy must equal the reference's, by bits.
 fn long_prompt_matches_sequential(family: ModelFamily) {
     let model = family.build(41);
     let prompt: Vec<u32> = (0..491u32)
@@ -377,26 +371,20 @@ fn long_prompt_matches_sequential(family: ModelFamily) {
     let budget = Some(CacheBudgetSpec::new(0.5, 0.3).unwrap());
     let config = GenerationConfig::new(6);
     let run = |reference: bool, chunk: Option<usize>| {
-        let mut session = forward_by(
-            Session::new(
-                &model,
-                PolicySpec::keyformer_default().build().unwrap(),
-                budget,
-            ),
-            reference,
-        );
+        let (tap, rows) = keyformer_tap();
+        let mut session = forward_by(Session::new(&model, tap, budget), reference);
         session.set_prefill_chunk(chunk);
-        session.enable_stats();
         session.begin(&prompt, &config).unwrap();
         let output = finish(&mut session);
-        // FNV-1a over the probability bits of every record, in order.
-        let records = session.stats().unwrap().records();
+        // FNV-1a over the probability bits of every row, in order.
+        let records = std::mem::take(&mut *rows.lock().unwrap());
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
         let (mut subnormal, mut zero) = (0usize, 0usize);
-        for p in records.iter().flat_map(|r| r.probs.iter()) {
-            hash = (hash ^ u64::from(p.to_bits())).wrapping_mul(0x0000_0100_0000_01b3);
+        for &bits in records.iter().flat_map(|(.., probs)| probs) {
+            let p = f32::from_bits(bits);
+            hash = (hash ^ u64::from(bits)).wrapping_mul(0x0000_0100_0000_01b3);
             subnormal += usize::from(p.is_subnormal());
-            zero += usize::from(*p == 0.0);
+            zero += usize::from(p == 0.0);
         }
         (output, records.len(), hash, subnormal, zero)
     };

@@ -2,8 +2,7 @@
 //!
 //! A [`Session`] owns everything that belongs to *one* sequence being decoded
 //! against a shared [`TransformerModel`]: the KV cache, the eviction policy
-//! instance, the derived budget, the token history, optional attention statistics
-//! and the peak-byte watermark. The model itself is borrowed immutably, so any
+//! instance, the derived budget, the token history and the peak-byte watermark. The model itself is borrowed immutably, so any
 //! number of sessions can decode against the same weights concurrently — which is
 //! exactly what the continuous-batching scheduler in `keyformer-serve` does.
 //!
@@ -27,22 +26,23 @@
 //! exactly once, after the final prompt token. A decode step forwards its one
 //! token through the same chunk forward, as a one-row chunk.
 //!
-//! Two sharing mechanisms sit on top ([`keyformer_core::prefix`]):
+//! Sessions share KV blocks one way, by prefix attachment
+//! ([`keyformer_core::prefix`]): with [`Session::set_prefix_registry`], prompt
+//! forwarding registers every completed full KV block (plus a policy-state
+//! snapshot) into a shared [`SharedPrefixRegistry`], and
+//! [`Session::begin_with_prefix`] attaches a new prompt to the longest cached
+//! prefix copy-on-write, skipping those prefill forwards entirely while
+//! producing tokens identical to a cold start. A shared block is therefore
+//! always full: appends land only in private blocks, and an eviction that
+//! touches a shared block copies it first.
 //!
-//! * **Prefix attachment** — with [`Session::set_prefix_registry`], prompt
-//!   forwarding registers every completed full KV block (plus a policy-state
-//!   snapshot) into a shared [`SharedPrefixRegistry`], and
-//!   [`Session::begin_with_prefix`] attaches a new prompt to the longest cached
-//!   prefix copy-on-write, skipping those prefill forwards entirely while
-//!   producing tokens identical to a cold start.
-//! * **Forking** — [`Session::fork`] duplicates a whole in-flight session,
-//!   sharing every KV block copy-on-write; both sides continue independently
-//!   and a write (append or eviction) forks only the touched block.
+//! The policy is the forward's only observer of attention: a caller that
+//! wants the attention rows (the paper's analysis figures) passes a policy
+//! that records what it observes.
 
 use crate::config::ModelConfig;
 use crate::generation::{GenerationConfig, GenerationOutput, SamplingStrategy};
 use crate::model::TransformerModel;
-use crate::stats::AttentionStats;
 use crate::workspace::{
     forward_chunk_ws, machine_parallelism, with_chunk_scratch, ForwardWorkspace,
 };
@@ -68,9 +68,8 @@ const MIN_LOGITS_PER_WORKER: usize = 16 * 1024;
 /// The sampling-loop state of an in-flight autoregressive decode.
 ///
 /// Created by [`Session::begin`], advanced by [`Session::step`], consumed by
-/// [`Session::take_output`]. `Clone` because [`Session::fork`] duplicates an
-/// in-flight decode — RNG stream position and all.
-#[derive(Debug, Clone)]
+/// [`Session::take_output`].
+#[derive(Debug)]
 struct DecodeState {
     config: GenerationConfig,
     rng: StdRng,
@@ -88,7 +87,7 @@ struct DecodeState {
 
 /// An in-flight prefill armed by [`Session::begin`] (or
 /// [`Session::begin_with_prefix`]) and advanced by [`Session::advance_prefill`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct PrefillState {
     prompt: Vec<u32>,
     config: GenerationConfig,
@@ -134,7 +133,6 @@ pub struct Session<'m> {
     budget: Option<CacheBudget>,
     cache: KvCache,
     sequence: Vec<u32>,
-    stats: Option<AttentionStats>,
     peak_cache_bytes: usize,
     prefill_chunk: Option<usize>,
     /// Blocks the scheduler reserved for this session in the shared pool (0
@@ -233,7 +231,6 @@ impl<'m> Session<'m> {
             budget_spec,
             budget: None,
             sequence: Vec::new(),
-            stats: None,
             peak_cache_bytes: 0,
             prefill_chunk: None,
             block_reservation: 0,
@@ -310,17 +307,6 @@ impl<'m> Session<'m> {
         self.prefix_tokens_reused
     }
 
-    /// Enables attention-statistics collection (sparsity, CDFs, heat maps).
-    pub fn enable_stats(&mut self) {
-        let c = self.model.config();
-        self.stats = Some(AttentionStats::new(c.num_layers));
-    }
-
-    /// Collected statistics, if enabled.
-    pub fn stats(&self) -> Option<&AttentionStats> {
-        self.stats.as_ref()
-    }
-
     /// The model this session decodes against.
     pub fn model(&self) -> &'m TransformerModel {
         self.model
@@ -380,9 +366,6 @@ impl<'m> Session<'m> {
         self.decode = None;
         self.prefix_tokens_reused = 0;
         self.ws.clear();
-        if let Some(stats) = &mut self.stats {
-            stats.clear();
-        }
     }
 
     /// Reserves every per-request buffer whose length tracks the sequence
@@ -453,8 +436,8 @@ impl<'m> Session<'m> {
     /// [`KvCachePolicy::observe_rows`] in runs cut at every block-boundary
     /// prefix registration (so each snapshot holds the policy state of its
     /// token), on up to one worker per [`MIN_LOGITS_PER_WORKER`] logits of the
-    /// run, and statistics records replay token-major. Policy RNG streams,
-    /// records and registrations are exactly the token-at-a-time loop's.
+    /// run. Policy RNG streams and registrations are exactly the
+    /// token-at-a-time loop's.
     /// Next-token logits are produced only with `compute_logits`.
     #[allow(clippy::too_many_arguments)]
     fn forward_chunk(
@@ -513,23 +496,13 @@ impl<'m> Session<'m> {
                 }
                 from = to;
             }
-            if let Some(stats) = self.stats.as_mut() {
-                let rows = chunk.observation_rows(
-                    self.model.config(),
-                    0..tokens.len(),
-                    phase,
-                    step,
-                    total_steps,
-                );
-                self.ws.replay_stats(&rows, &self.cache, stats);
-            }
             Ok(())
         })
     }
 
     /// [`Session::forward_chunk`] on the reference forward: each token is
-    /// forwarded on its own, its observations and statistics records reach
-    /// the policy and collector directly, the peak bytes are sampled after it,
+    /// forwarded on its own, its observations reach the policy directly, the
+    /// peak bytes are sampled after it,
     /// and a prompt token that completes a block registers its prefix.
     #[cfg(test)]
     fn forward_reference(
@@ -546,7 +519,6 @@ impl<'m> Session<'m> {
             let mut ctx = crate::reference::ForwardContext {
                 cache: &mut self.cache,
                 policy: self.policy.as_mut(),
-                stats: self.stats.as_mut(),
                 sequence: &self.sequence,
                 phase,
                 step: step + i,
@@ -693,49 +665,6 @@ impl<'m> Session<'m> {
             }
         }
         Ok(())
-    }
-
-    /// Forks this session into an independent one that shares every current KV
-    /// block copy-on-write: both sessions read the same physical blocks (one
-    /// pool refcount each) until either side writes — an append into a shared
-    /// partial block or an eviction — which forks a private copy for the
-    /// writer. Policy state, token history, budget and any in-flight prefill
-    /// or decode (including the sampling RNG's stream position) are cloned, so
-    /// an undisturbed fork continues exactly like the original would have.
-    ///
-    /// The fork draws from the same pool but carries no scheduler block
-    /// reservation; a serving layer that forks sessions must account for it
-    /// separately.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidBlock`] if the pool's accounting disagrees
-    /// with the cache's block tables (a bookkeeping bug).
-    pub fn fork(&self) -> Result<Session<'m>, CoreError> {
-        Ok(Session {
-            model: self.model,
-            policy: self.policy.clone_box(),
-            budget_spec: self.budget_spec,
-            budget: self.budget,
-            cache: self.cache.fork()?,
-            sequence: self.sequence.clone(),
-            stats: self.stats.clone(),
-            peak_cache_bytes: self.peak_cache_bytes,
-            prefill_chunk: self.prefill_chunk,
-            block_reservation: 0,
-            prefill: self.prefill.clone(),
-            decode: self.decode.clone(),
-            prefix_registry: self.prefix_registry.clone(),
-            prefix_context: self.prefix_context,
-            prefix_tokens_reused: self.prefix_tokens_reused,
-            // The fork shares every block (same ids, same generations), so the
-            // cloned rotated-key caches stay valid until either side writes.
-            ws: self.ws.clone(),
-            retained: self.retained.clone(),
-            prefill_workers: self.prefill_workers,
-            #[cfg(test)]
-            reference_forward: self.reference_forward,
-        })
     }
 
     fn arm_decode(
@@ -1470,80 +1399,6 @@ mod tests {
     }
 
     #[test]
-    fn forked_session_continues_identically_and_independently() {
-        let model = ModelFamily::Tiny.build(6);
-        let spec = CacheBudgetSpec::new(0.5, 0.3).unwrap();
-        let config = GenerationConfig::new(8);
-        let mut original = Session::new(
-            &model,
-            PolicySpec::keyformer_default().build().unwrap(),
-            Some(spec),
-        );
-        original.begin(&prompt(20), &config).unwrap();
-        for _ in 0..3 {
-            original.step().unwrap();
-        }
-        let mut fork = original.fork().unwrap();
-        assert_eq!(fork.sequence(), original.sequence());
-        assert_eq!(fork.generated(), original.generated());
-        // Both sides finish independently and produce the same continuation
-        // (same RNG stream position, same CoW-shared cache contents).
-        while original.is_decoding() {
-            original.step().unwrap();
-        }
-        while fork.is_decoding() {
-            fork.step().unwrap();
-        }
-        let a = original.take_output().unwrap();
-        let b = fork.take_output().unwrap();
-        assert_eq!(a, b);
-        // And the whole thing matches an unforked run.
-        let solo = Session::new(
-            &model,
-            PolicySpec::keyformer_default().build().unwrap(),
-            Some(spec),
-        )
-        .generate(&prompt(20), &config)
-        .unwrap();
-        assert_eq!(a, solo);
-    }
-
-    #[test]
-    fn fork_mid_prefill_resumes_on_both_sides() {
-        use keyformer_core::block::SharedBlockPool;
-        let model = ModelFamily::Tiny.build(7);
-        let pool = SharedBlockPool::unbounded(4);
-        let config = GenerationConfig::new(4);
-        let mut original = Session::with_pool(
-            &model,
-            PolicySpec::h2o_default().build().unwrap(),
-            Some(CacheBudgetSpec::new(0.5, 0.3).unwrap()),
-            pool.clone(),
-        )
-        .with_prefill_chunk(6);
-        original.begin(&prompt(20), &config).unwrap();
-        original.advance_prefill().unwrap();
-        let mut fork = original.fork().unwrap();
-        assert!(fork.is_prefilling());
-        assert_eq!(fork.prefill_remaining(), original.prefill_remaining());
-        let finish = |s: &mut Session<'_>| {
-            while s.is_prefilling() {
-                s.advance_prefill().unwrap();
-            }
-            while s.is_decoding() {
-                s.step().unwrap();
-            }
-            s.take_output().unwrap()
-        };
-        let a = finish(&mut original);
-        let b = finish(&mut fork);
-        assert_eq!(a, b);
-        drop(original);
-        drop(fork);
-        assert_eq!(pool.blocks_in_use(), 0, "forked blocks all returned");
-    }
-
-    #[test]
     fn session_reuse_after_take_output() {
         let model = ModelFamily::Tiny.build(3);
         let mut session = Session::new(
@@ -1690,21 +1545,6 @@ mod tests {
         let bad = session.score_continuation(&p, &[77, 78]).unwrap();
         assert!(good.per_token() > bad.per_token());
         assert_eq!(good.tokens, 2);
-    }
-
-    #[test]
-    fn stats_collection_is_opt_in() {
-        let model = ModelFamily::Tiny.build(1);
-        let mut session = Session::new(&model, PolicySpec::Full.build().unwrap(), None);
-        session
-            .generate(&prompt(8), &GenerationConfig::new(2))
-            .unwrap();
-        assert!(session.stats().is_none());
-        session.enable_stats();
-        session
-            .generate(&prompt(8), &GenerationConfig::new(2))
-            .unwrap();
-        assert!(!session.stats().unwrap().is_empty());
     }
 
     #[test]

@@ -31,7 +31,6 @@
 use crate::config::{ModelConfig, PositionMode};
 use crate::model::TransformerModel;
 use crate::positional::{alibi_bias, alibi_slope, PositionalEncoding, RopeRotor, ROPE_BASE};
-use crate::stats::{AttentionRecord, AttentionStats};
 use crate::weights::LayerWeights;
 use keyformer_core::cache::{KvCache, KvDtype, LayerKvCache};
 use keyformer_core::observation::{ObservationRows, Phase};
@@ -55,11 +54,11 @@ const LN_EPS: f32 = 1e-5;
 /// no row left to the slower one-row tile.
 const ATTN_BAND_ROWS: usize = 8;
 
-/// Scratch of the one-query-at-a-time attention ([`attend_chunk_query_ws`])
-/// and of the observation replay. The per-slot buffers (`logits`, `probs`,
+/// Scratch of the one-query-at-a-time attention ([`attend_chunk_query_ws`]).
+/// The per-slot buffers (`logits`, `probs`,
 /// `mean_probs`) grow with the live cache; their capacity is reserved up
 /// front per request so steady-state growth never reallocates.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct AttnScratch {
     q_head: Vec<f32>,
     /// Head-width scratch for dequantizing `u8` rows and for the fused
@@ -298,7 +297,7 @@ pub(crate) fn with_chunk_scratch<R>(f: impl FnOnce(&mut ChunkScratch) -> R) -> R
 
 /// All reusable state of the allocation-free forward path, owned by a
 /// [`crate::session::Session`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ForwardWorkspace {
     /// Embedding staging row.
     hidden: Vec<f32>,
@@ -375,33 +374,6 @@ impl ForwardWorkspace {
             cache.retain_slots(retained)
         }
     }
-
-    /// Records the statistics of `rows`, the attention logit rows
-    /// [`forward_chunk_ws`] buffered, token-major: the recomputed softmax
-    /// rows match the sequential records bit-for-bit. Call it before any
-    /// eviction touches `cache`.
-    pub(crate) fn replay_stats(
-        &mut self,
-        rows: &ObservationRows<'_>,
-        cache: &KvCache,
-        stats: &mut AttentionStats,
-    ) {
-        for obs in rows.iter() {
-            // At this token's turn the layer held exactly `len` slots; a chunk
-            // only appends, so the prefix of today's position table is that
-            // moment's table.
-            let len = obs.logits.len();
-            softmax_into(obs.logits, &mut self.attn.probs);
-            stats.record(AttentionRecord {
-                layer: obs.layer,
-                head: obs.head,
-                step: obs.step,
-                phase: obs.phase,
-                probs: self.attn.probs.clone(),
-                positions: cache.layer(obs.layer).positions()[..len].to_vec(),
-            });
-        }
-    }
 }
 
 /// The product forward pass: runs `tokens` — a prompt chunk, or the one
@@ -442,9 +414,7 @@ impl ForwardWorkspace {
 ///   past `len × draws_per_logit` words for the rest, so every row draws the
 ///   sequential noise. The caller fans out only above a fixed number of
 ///   logits per worker (a decode step never does), and a shared score bucket
-///   stays serial. Statistics records replay token-major via
-///   [`ForwardWorkspace::replay_stats`]. Policy state never feeds
-///   back into a forward, so deferring a decode step's observations to the
+///   stays serial. Policy state never feeds back into a forward, so deferring a decode step's observations to the
 ///   end of its forward changes nothing either.
 /// * **Attention logits and context rows are GEMM tiles of the same chains** —
 ///   in [`attend_chunk_gemm`] a query's logit against a key is the one
@@ -1213,7 +1183,6 @@ mod tests {
         let mut policy = RecordingPolicy::default();
         let mut ctx = AttentionContext {
             policy: &mut policy,
-            stats: None,
             phase: Phase::Generation,
             step: 2,
             total_steps: 4,

@@ -46,11 +46,6 @@ pub struct RequestOverrides {
 }
 
 impl RequestOverrides {
-    /// `true` when every field inherits the server default.
-    pub fn is_default(&self) -> bool {
-        self.policy.is_none() && self.budget.is_none() && !self.unbudgeted
-    }
-
     /// Validates the overrides (the check [`crate::Engine::submit`] runs).
     ///
     /// # Errors
@@ -487,7 +482,7 @@ mod tests {
         let default_policy = PolicySpec::Full;
         let default_budget = Some(CacheBudgetSpec::new(0.5, 0.3).unwrap());
         let plain = Request::new(1, vec![1, 2], GenerationConfig::new(2));
-        assert!(plain.overrides.is_default());
+        assert_eq!(plain.overrides, RequestOverrides::default());
         assert!(plain.overrides.validate().is_ok());
         assert_eq!(plain.effective_policy(default_policy), default_policy);
         assert_eq!(plain.effective_budget(default_budget), default_budget);
