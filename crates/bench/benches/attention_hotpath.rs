@@ -2,9 +2,8 @@
 //!
 //! `forward_path` times a full request (prompt + decode) on each positional
 //! family, where the cached RoPE key rotations and the chunk GEMMs show up end
-//! to end. Steady-state decode at budget, one step at a time, is timed by the
-//! `kf_bench` benchmark's `model.decode_step_us` (GPT-J-like, Keyformer at
-//! 50 %).
+//! to end. A decode step alone is timed by the `kf_bench` benchmark's
+//! `model.decode_step_us` probe.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use keyformer_core::spec::PolicySpec;

@@ -11,7 +11,7 @@ use keyformer_tensor::Matrix;
 /// One recorded attention event: the post-softmax probabilities of a single head at a
 /// single decode step. The analysis runs Full attention without a budget, so slot `i`
 /// holds sequence position `i`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct AttentionRecord {
     /// Decoder layer.
     pub layer: usize,
@@ -28,7 +28,7 @@ pub struct AttentionRecord {
 /// Collector of [`AttentionRecord`]s with the aggregation queries the experiments
 /// need. Only the analysis experiments collect, through a recording policy,
 /// because every head × step probability vector is memory-heavy for long prompts.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct AttentionStats {
     records: Vec<AttentionRecord>,
     num_layers: usize,

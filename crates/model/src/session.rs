@@ -2,8 +2,9 @@
 //!
 //! A [`Session`] owns everything that belongs to *one* sequence being decoded
 //! against a shared [`TransformerModel`]: the KV cache, the eviction policy
-//! instance, the derived budget, the token history and the peak-byte watermark. The model itself is borrowed immutably, so any
-//! number of sessions can decode against the same weights concurrently — which is
+//! instance, the derived budget, the token history and the peak-byte
+//! watermark. The model itself is borrowed immutably, so any number of
+//! sessions can decode against the same weights concurrently — which is
 //! exactly what the continuous-batching scheduler in `keyformer-serve` does.
 //!
 //! A session is driven one way: [`Session::begin`] arms the prompt and an
@@ -502,8 +503,8 @@ impl<'m> Session<'m> {
 
     /// [`Session::forward_chunk`] on the reference forward: each token is
     /// forwarded on its own, its observations reach the policy directly, the
-    /// peak bytes are sampled after it,
-    /// and a prompt token that completes a block registers its prefix.
+    /// peak bytes are sampled after it, and a prompt token that completes a
+    /// block registers its prefix.
     #[cfg(test)]
     fn forward_reference(
         &mut self,
